@@ -194,7 +194,8 @@ def build_ghost_rows(
             solve = solver.solve_for(stencil.member_ij, collar)
             if not solve.admissible:
                 raise NotAdmissible(
-                    f"{strategy.kind} stencil of ghost {ij} is rank-deficient"
+                    f"{strategy.kind} stencil of ghost {ij} is rank-deficient or misses its "
+                    f"constraints (relative residual {solve.residual:.3e})"
                 )
         ratio = global_ratio(solve.coeffs, stencil.member_ij, classification)
         robin = coeffs.robin(collar)

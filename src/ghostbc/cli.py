@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis, assembly, benchmarks, stencils
 from .analysis import NORM_NAMES, ConvergenceSeries, ErrorReport, StencilDiagnostics
 from .errors import ConfigError, DegenerateFit, GhostBcError, UnknownDomain
-from .geometry import Grid, classify_nodes
+from .geometry import Grid, NodeClassification, classify_nodes
 from .stencils import StencilStrategy
 
 logger = logging.getLogger(__name__)
@@ -107,6 +107,8 @@ class LevelResult:
     n_ghost: int
     rows: list = field(repr=False, default_factory=list)
     system: assembly.SparseSystem | None = None
+    #: The classification whose active numbering indexes ``system``.
+    classification: NodeClassification | None = field(repr=False, default=None)
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -142,6 +144,7 @@ def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelR
         report = assembly.solve(system)
         solution = report.solution
         residual = report.residual
+        timings["factor"] = report.factor_seconds
     timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -159,6 +162,7 @@ def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelR
         n_ghost=classification.n_ghost,
         rows=rows,
         system=system,
+        classification=classification,
         timings=timings,
     )
 

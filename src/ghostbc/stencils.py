@@ -12,7 +12,7 @@ axis-projected collar point (S4.3).
 
 from __future__ import annotations
 
-import heapq
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -34,6 +34,9 @@ CONE_KINDS = ("S4.1", "S4.2", "S4.3")
 
 #: Aperture increment (degrees) when the candidate cone starves.
 APERTURE_STEP = 15.0
+
+#: Radius, in grid spacings, of the first offset table a cone reads.
+FIRST_CONE_RADIUS = 12
 
 #: Hard cap on stencil growth; exceeding it means the configuration is hopeless.
 MAX_STENCIL_SIZE = 60
@@ -283,60 +286,22 @@ def build_S3(
     )
 
 
-def _iter_cone(
-    ghost_ij: tuple[int, int],
-    direction: np.ndarray,
-    aperture_deg: float,
-    grid: Grid,
-    classification: NodeClassification,
-):
-    """Active nodes inside the cone, by increasing distance from the ghost.
+@functools.lru_cache(maxsize=None)
+def _offset_table(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lattice offsets with ``0 < di^2 + dj^2 <= radius^2`` and their lengths.
 
-    Yields lattice pairs, nearest first; exact integer distance-squared with
-    (i, j)-lexicographic tie breaking makes the order reproducible.  The
-    ghost itself is not emitted.
+    Sorted by (d^2, di, dj): for a fixed ghost this is the (d^2, i, j) order
+    of the cone candidates, and the table of a smaller radius is a prefix
+    of the table of a larger one.  It depends on nothing but the radius.
     """
-    i0, j0 = int(ghost_ij[0]), int(ghost_ij[1])
-    w = np.asarray(direction, dtype=float)
-    wnorm = float(np.linalg.norm(w))
-    cos_half = np.cos(np.radians(min(aperture_deg, 360.0) / 2.0))
-    full = aperture_deg >= 360.0 or wnorm == 0.0
-    side = grid.nodes_per_side
-    max_ring = 2 * grid.n
-
-    def in_cone(di: int, dj: int) -> bool:
-        if full:
-            return True
-        dot = di * w[0] + dj * w[1]
-        return dot >= (cos_half - 1e-12) * np.hypot(di, dj) * wnorm
-
-    buffer: list[tuple[int, int, int]] = []
-    for ring in range(1, max_ring + 1):
-        for di, dj in _ring_offsets(ring):
-            i, j = i0 + di, j0 + dj
-            if not (0 <= i < side and 0 <= j < side):
-                continue
-            if classification.active_index[i, j] < 0:
-                continue
-            if in_cone(di, dj):
-                heapq.heappush(buffer, (di * di + dj * dj, i, j))
-        # Everything within |delta| <= ring is final once ring is processed.
-        limit = ring * ring
-        while buffer and buffer[0][0] <= limit:
-            _, i, j = heapq.heappop(buffer)
-            yield (i, j)
-    while buffer:
-        _, i, j = heapq.heappop(buffer)
-        yield (i, j)
-
-
-def _ring_offsets(ring: int):
-    for dj in range(-ring, ring + 1):
-        yield -ring, dj
-        yield ring, dj
-    for di in range(-ring + 1, ring):
-        yield di, -ring
-        yield di, ring
+    r = np.arange(-radius, radius + 1)
+    di, dj = (a.ravel() for a in np.meshgrid(r, r, indexing="ij"))
+    d2 = di * di + dj * dj
+    keep = (d2 > 0) & (d2 <= radius * radius)
+    di, dj, d2 = di[keep], dj[keep], d2[keep]
+    order = np.lexsort((dj, di, d2))
+    di, dj = di[order], dj[order]
+    return di, dj, np.hypot(di, dj)
 
 
 def cone_candidates(
@@ -348,10 +313,11 @@ def cone_candidates(
     limit: int | None = None,
 ) -> list[tuple[int, int]]:
     """Ordered cone candidates for a ghost, with the ghost itself first."""
-    direction = collar.toward_boundary()
+    stream = _CandidateStream(ghost_ij, collar, aperture_deg, grid, classification)
     out: list[tuple[int, int]] = [tuple(int(v) for v in ghost_ij)]
-    for node in _iter_cone(ghost_ij, direction, aperture_deg, grid, classification):
-        if limit is not None and len(out) >= limit:
+    while limit is None or len(out) < limit:
+        node = stream.candidate(len(out) - 1)
+        if node is None:
             break
         out.append(node)
     return out
@@ -373,30 +339,77 @@ class ConeBuildResult:
 
 
 class _CandidateStream:
-    """Cone candidates with automatic aperture widening on exhaustion."""
+    """Cone candidates with automatic aperture widening on exhaustion.
 
-    def __init__(self, ghost_ij, collar, strategy, grid, classification):
+    The active nodes inside the cone, nearest first with (i, j) breaking
+    ties, are read off the offset table into a list; ``take`` advances a
+    frontier index through it and ``nearest_available`` scans it from the
+    start.  Running past the table doubles its radius until the table
+    reaches every lattice node; only then is the cone exhausted.
+    """
+
+    def __init__(self, ghost_ij, collar, aperture_deg, grid, classification):
         self.ghost_ij = ghost_ij
-        self.direction = collar.toward_boundary()
-        self.aperture = strategy.aperture_deg
+        self.i0, self.j0 = int(ghost_ij[0]), int(ghost_ij[1])
+        self.direction = np.asarray(collar.toward_boundary(), dtype=float)
+        self.wnorm = float(np.linalg.norm(self.direction))
         self.grid = grid
         self.classification = classification
-        self._gen = _iter_cone(ghost_ij, self.direction, self.aperture, grid, classification)
+        n = grid.n
+        # tables of radius <= margin stay on the lattice; radius^2 >= reach2 covers it
+        self.margin = min(self.i0, self.j0, n - self.i0, n - self.j0)
+        self.reach2 = max(self.i0, n - self.i0) ** 2 + max(self.j0, n - self.j0) ** 2
+        self._open(aperture_deg)
+
+    def _open(self, aperture_deg: float) -> None:
+        """Empty candidate list for a (new) aperture, frontier at its start."""
+        self.aperture = aperture_deg
+        self.cos_half = np.cos(np.radians(min(aperture_deg, 360.0) / 2.0))
+        self.full = aperture_deg >= 360.0 or self.wnorm == 0.0
+        self.radius = 0
+        self.read = 0
+        self.nodes: list[tuple[int, int]] = []
+        self.frontier = 0
+
+    def _extend(self) -> None:
+        """Append the cone nodes of the next radius, in table order."""
+        self.radius = max(FIRST_CONE_RADIUS, 2 * self.radius)
+        di, dj, dist = (a[self.read:] for a in _offset_table(self.radius))
+        self.read += dist.size
+        if not self.full:
+            # The 1e-12 slack and this operation order decide the nodes on
+            # the cone edge; any other form moves stencils by a bit.
+            w = self.direction
+            cone = di * w[0] + dj * w[1] >= (self.cos_half - 1e-12) * dist * self.wnorm
+            di, dj = di[cone], dj[cone]
+        i, j = di + self.i0, dj + self.j0
+        n = self.grid.n
+        if self.radius > self.margin:
+            inside = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
+            i, j = i[inside], j[inside]
+        active = self.classification.active_index[i, j] >= 0
+        self.nodes.extend(zip(i[active].tolist(), j[active].tolist()))
+
+    def candidate(self, k: int) -> tuple[int, int] | None:
+        """The k-th candidate of the current aperture; None past the last."""
+        while k >= len(self.nodes):
+            if self.radius * self.radius >= self.reach2:
+                return None
+            self._extend()
+        return self.nodes[k]
 
     def take(self, exclude: set[tuple[int, int]]) -> tuple[int, int]:
         """Next unseen candidate in distance order (the growth frontier)."""
         while True:
-            node = next(self._gen, None)
+            node = self.candidate(self.frontier)
             if node is None:
                 if self.aperture >= 360.0:
                     raise CandidatesExhausted(
                         f"cone candidates exhausted for ghost {tuple(self.ghost_ij)}"
                     )
-                self.aperture = min(360.0, self.aperture + APERTURE_STEP)
-                self._gen = _iter_cone(
-                    self.ghost_ij, self.direction, self.aperture, self.grid, self.classification
-                )
+                self._open(min(360.0, self.aperture + APERTURE_STEP))
                 continue
+            self.frontier += 1
             if node not in exclude:
                 return node
 
@@ -406,11 +419,11 @@ class _CandidateStream:
         Swap replacements use this rather than the growth frontier so a
         replacement can be nearer than the last grown member.
         """
-        for node in _iter_cone(
-            self.ghost_ij, self.direction, self.aperture, self.grid, self.classification
-        ):
+        k = 0
+        while (node := self.candidate(k)) is not None:
             if node not in exclude:
                 return node
+            k += 1
         return self.take(exclude)
 
 
@@ -462,7 +475,7 @@ def _run_cone_stages(
     the amplification is reverted and the loop stops; stencils the swaps
     cannot fix are left to the collar modification of S4.3.
     """
-    stream = _CandidateStream(ghost_ij, collar, strategy, grid, classification)
+    stream = _CandidateStream(ghost_ij, collar, strategy.aperture_deg, grid, classification)
     seed = tuple(int(v) for v in ghost_ij)
     members: list[tuple[int, int]] = [seed]
     used = {seed}

@@ -60,11 +60,12 @@ def _interior_only_errors(bench, result):
     Each ghost row of the assembled system is replaced by an identity row
     whose right-hand side is the analytic solution at that ghost, so only
     the interior discretization (and the gradient reconstruction) is left
-    to err.  The system comes from ``execute_level``: no ghost row is
-    built twice.
+    to err.  The system and the classification that numbers it come from
+    ``execute_level``: no ghost row is built twice and the grid is not
+    classified again.
     """
     grid = g.Grid(result.n)
-    classification = g.classify_nodes(grid, bench.level_set)
+    classification = result.classification
     system = result.system
     assert classification.n_active == system.n
     ni, ng = system.n_interior, system.n_ghost

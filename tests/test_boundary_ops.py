@@ -4,6 +4,7 @@ import pytest
 import ghostbc as g
 from ghostbc.basis import BasisConfig, RobinData, enumerate_basis
 from ghostbc.boundary_ops import (
+    RESIDUAL_TOLERANCE,
     GhostOperatorSolver,
     analyze_stencil,
     assemble_constraints,
@@ -14,6 +15,7 @@ from ghostbc.boundary_ops import (
 )
 from ghostbc.errors import NotAdmissible
 from ghostbc.geometry import CollarPoint
+from ghostbc.stencils import build_S4
 
 
 def make_collar(center, point, normal=(1.0, 0.0)):
@@ -256,3 +258,78 @@ def test_analyze_stencil_consistency(annulus_bench, annulus_160, annulus_160_row
     assert result.admissible
     assert result.chi == pytest.approx(local_condition(cm), rel=1e-12)
     assert np.allclose(result.coeffs, solve_min_norm(cm), atol=1e-13)
+
+
+class TestResidualContract:
+    def test_admissible_solves_meet_the_residual_bound(self, annulus_bench, annulus_160):
+        grid, classification = annulus_160
+        solves = []
+
+        class Recording(GhostOperatorSolver):
+            def solve_for(self, member_ij, collar):
+                solve = super().solve_for(member_ij, collar)
+                solves.append(solve)
+                return solve
+
+        solver = Recording(grid, annulus_bench.coefficients.robin)
+        strategy = g.StencilStrategy(kind="S4.3")
+        for ij in classification.ghost_ij[::4]:
+            ghost = tuple(int(v) for v in ij)
+            collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
+            build_S4(ghost, collar, strategy, grid, classification, solver)
+        admissible = [s for s in solves if s.admissible]
+        assert len(admissible) > 100
+        assert max(s.residual for s in admissible) <= RESIDUAL_TOLERANCE
+        assert all(s.chi == np.inf and s.coeffs is None for s in solves if not s.admissible)
+
+    def test_rank_admissible_but_inaccurate_solve_is_rejected(self):
+        # full row rank (sigma_min/sigma_max = 1e-12, above the rank cut) but
+        # so ill conditioned that the solve misses the constraints
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        c = u @ np.column_stack([np.diag([1.0, 0.5, 1e-12]), np.zeros((3, 2))]) @ v.T
+        cm = g.ConstraintMatrix(c, rng.standard_normal(3))
+        result = analyze_stencil(cm)
+        assert result.singular_values[-1] >= 1e-13 * result.singular_values[0]
+        assert not result.admissible
+        assert result.chi == np.inf and result.coeffs is None
+        assert RESIDUAL_TOLERANCE < result.residual < np.inf
+        with pytest.raises(NotAdmissible):
+            solve_min_norm(cm)
+
+    def test_rank_deficient_reports_infinite_residual(self):
+        cfg = BasisConfig(spacing=0.1, center=np.zeros(2), order=2)
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0]])
+        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg)
+        assert analyze_stencil(cm).residual == np.inf
+
+
+def test_solver_builds_one_right_hand_side_per_collar(annulus_bench, annulus_160):
+    grid, classification = annulus_160
+    seen = []
+
+    def robin_at(collar):
+        seen.append(collar)
+        return annulus_bench.coefficients.robin(collar)
+
+    solver = GhostOperatorSolver(grid, robin_at)
+    ghost = tuple(int(v) for v in classification.ghost_ij[3])
+    collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
+    members = np.array(g.cone_candidates(ghost, collar, 60.0, grid, classification, limit=17))
+    first = solver.constraints_for(members[:15], collar)
+    second = solver.constraints_for(members, collar)
+    assert len(seen) == 1
+    assert second.rhs is first.rhs
+    fresh = assemble_constraints(
+        np.column_stack(grid.coords(members[:, 0], members[:, 1])),
+        collar,
+        annulus_bench.coefficients.robin(collar),
+        solver.config_for(collar.ghost_xy),
+    )
+    assert np.array_equal(second.matrix, fresh.matrix)
+    assert np.array_equal(second.rhs, fresh.rhs)
+    # an equal but distinct collar object (an S4.3 rebuild's) gets its own
+    other = g.CollarPoint(collar.ghost_xy, collar.point, collar.normal, "axis", ghost)
+    solver.constraints_for(members, other)
+    assert len(seen) == 2

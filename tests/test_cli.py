@@ -54,7 +54,9 @@ class TestMain:
         ghosts = (out / "ghosts.csv").read_text().splitlines()
         assert ghosts[0] == "k,i,j,size,diameter,chi,r_ratio,collar_mode"
         assert len(ghosts) - 1 == payload["n_ghost"]
-        assert (out / "timings.json").exists()
+        seconds = json.loads((out / "timings.json").read_text())["seconds"]
+        assert {"classify", "ghost_rows", "assemble", "factor", "solve", "analyze"} <= set(seconds)
+        assert 0.0 <= seconds["factor"] <= seconds["solve"]
 
     def test_unknown_benchmark_exits_2(self, tmp_path, capsys):
         code = main(["run", "--benchmark", "pretzel", "--n", "64", "--out", str(tmp_path / "x")])

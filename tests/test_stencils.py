@@ -9,6 +9,9 @@ from ghostbc.boundary_ops import GhostOperatorSolver
 from ghostbc.errors import InactiveMember
 from ghostbc.geometry import CollarPoint
 from ghostbc.stencils import (
+    APERTURE_STEP,
+    FIRST_CONE_RADIUS,
+    _CandidateStream,
     build_S4,
     cone_candidates,
     extend_classification,
@@ -171,6 +174,63 @@ class TestCone:
         assert a == b
 
 
+class TestCandidateStream:
+    """The offset-table stream against the brute-force oracle, past the first table."""
+
+    def test_whole_cone_runs_past_first_radius(self, circle_setup):
+        grid, ls, classification = circle_setup
+        for k in (0, 9, 23):
+            ghost = tuple(int(v) for v in classification.ghost_ij[k])
+            collar = g.collar_for_ghost(ghost, grid, ls)
+            for aperture in (360.0, 60.0):
+                got = cone_candidates(ghost, collar, aperture, grid, classification)
+                brute = _brute_force_cone(ghost, collar, aperture, grid, classification)
+                assert got == brute
+                far = max((i - ghost[0]) ** 2 + (j - ghost[1]) ** 2 for i, j in got)
+                assert far > FIRST_CONE_RADIUS**2
+
+    def test_exhausted_cone_widens_like_the_oracle(self):
+        # near the lattice edge, aimed out of it: the 30-degree cone holds a
+        # handful of active nodes, so the stream widens several times
+        grid = g.Grid(40)
+        classification = _all_active_stub(grid)
+        ghost = (37, 20)
+        ghost_xy = grid.node_xy(*ghost)
+        collar = make_collar(ghost_xy, ghost_xy + np.array([0.1, 0.013]))
+        strategy = g.StencilStrategy(kind="S4.1", aperture_deg=30.0)
+        stream = _CandidateStream(ghost, collar, strategy.aperture_deg, grid, classification)
+        used = {ghost}
+        got = []
+        for _ in range(60):
+            node = stream.take(used)
+            used.add(node)
+            got.append((node, stream.aperture))
+        assert got == _oracle_takes(ghost, collar, 30.0, grid, classification, 60)
+        assert got[-1][1] > 30.0
+
+    def test_nearest_available_after_exclusions(self, annulus_bench, annulus_160):
+        grid, classification = annulus_160
+        ghost = tuple(int(v) for v in classification.ghost_ij[37])
+        collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
+        brute = _brute_force_cone(ghost, collar, 60.0, grid, classification)[1:]
+        stream = _CandidateStream(ghost, collar, 60.0, grid, classification)
+        for _ in range(20):
+            stream.take({ghost})
+        # every candidate inside the first table but one near the front
+        inside = [
+            (i, j) for i, j in brute
+            if (i - ghost[0]) ** 2 + (j - ghost[1]) ** 2 <= FIRST_CONE_RADIUS**2
+        ]
+        exclude = {ghost} | set(inside) - {inside[7]}
+        assert stream.nearest_available(exclude) == inside[7]
+        exclude.add(inside[7])
+        expected = next(node for node in brute if node not in exclude)
+        assert stream.nearest_available(exclude) == expected
+        assert (expected[0] - ghost[0]) ** 2 + (expected[1] - ghost[1]) ** 2 > FIRST_CONE_RADIUS**2
+        # the growth frontier is unaffected by the rescans
+        assert stream.take({ghost}) == brute[20]
+
+
 class TestConeStrategies:
     def _solver(self, bench, grid):
         return GhostOperatorSolver(grid, bench.coefficients.robin)
@@ -323,3 +383,19 @@ def _brute_force_cone(ghost, collar, aperture, grid, classification):
             out.append((d2, i, j))
     out.sort()
     return [tuple(ghost)] + [(i, j) for _, i, j in out]
+
+
+def _oracle_takes(ghost, collar, aperture, grid, classification, count):
+    """(node, aperture) of successive growth takes, widening on exhaustion."""
+    used = {tuple(ghost)}
+    out = []
+    cone = _brute_force_cone(ghost, collar, aperture, grid, classification)[1:]
+    while len(out) < count:
+        fresh = [n for n in cone if n not in used]
+        if not fresh:
+            aperture = min(360.0, aperture + APERTURE_STEP)
+            cone = _brute_force_cone(ghost, collar, aperture, grid, classification)[1:]
+            continue
+        used.add(fresh[0])
+        out.append((fresh[0], aperture))
+    return out
