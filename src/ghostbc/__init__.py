@@ -48,6 +48,8 @@ from .geometry import (
     axis_projection,
     classify_nodes,
     collar_for_ghost,
+    collars_for_ghosts,
+    pairwise_diameter,
     project_to_boundary,
 )
 from .stencils import (
@@ -58,7 +60,6 @@ from .stencils import (
     build_S3,
     build_S4,
     cone_candidates,
-    stencil_diameter,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,8 @@ import scipy.sparse.linalg as spla
 from .basis import DEFAULT_ORDER, RobinData
 from .boundary_ops import BoundaryOperatorRow, GhostOperatorSolver, global_ratio
 from .errors import MissingNeighbor, NotAdmissible, SingularMatrix, SolveFailed
-from .geometry import CollarPoint, Grid, NodeClassification, collar_for_ghost
+from .geometry import CollarPoint, Grid, NodeClassification, collars_for_ghosts
+from .geometry import collar_for_ghost  # noqa: F401  (bench/tracing.py hooks this name)
 from .stencils import (
     CONE_KINDS,
     StencilStrategy,
@@ -182,12 +183,13 @@ def build_ghost_rows(
 
     solver = GhostOperatorSolver(grid, robin_at, order=order)
     rows: list[BoundaryOperatorRow] = []
-    for g in range(classification.n_ghost):
-        ij = tuple(int(v) for v in classification.ghost_ij[g])
-        collar = collar_for_ghost(ij, grid, level_set)
+    collars = collars_for_ghosts(classification.ghost_ij, grid, level_set)
+    for collar in collars:
+        ij = collar.ghost_ij
         if strategy.kind in CONE_KINDS:
             built = build_S4(ij, collar, strategy, grid, classification, solver)
             stencil, solve, collar = built.stencil, built.solve, built.collar
+            ratio = stencil.r_ratio
         else:
             builder = {"S1": build_S1, "S2": build_S2, "S3": build_S3}[strategy.kind]
             stencil = builder(ij, collar, strategy.triangle_size, grid, classification)
@@ -197,7 +199,7 @@ def build_ghost_rows(
                     f"{strategy.kind} stencil of ghost {ij} is rank-deficient or misses its "
                     f"constraints (relative residual {solve.residual:.3e})"
                 )
-        ratio = global_ratio(solve.coeffs, stencil.member_ij, classification)
+            ratio = global_ratio(solve.coeffs, stencil.member_ij, classification)
         robin = coeffs.robin(collar)
         rows.append(
             BoundaryOperatorRow(

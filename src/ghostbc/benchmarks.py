@@ -134,11 +134,18 @@ def flower_level_set() -> LevelSet:
     x0 = 0.03 * math.sqrt(3.0)
     y0 = 0.04 * math.sqrt(2.0)
 
+    # Powers of X and Y are np.float_power: on a numpy scalar ``X**k`` is
+    # libm pow, on an array a SIMD pow that rounds differently in a few
+    # percent of values, and the LevelSet contract needs the two to agree.
+    # ``r`` and ``safe`` are arrays either way (np.where), so their ``**``
+    # already takes the same path for scalars and arrays.
+    pw = np.float_power
+
     def evaluate(x, y):
         X, Y = np.asarray(x) - x0, np.asarray(y) - y0
         r = np.hypot(X, Y)
         safe = np.where(r > 0.0, r, 1.0)
-        t = Y**5 + 5.0 * X**4 * Y - 10.0 * X**2 * Y**3
+        t = pw(Y, 5) + 5.0 * pw(X, 4) * Y - 10.0 * pw(X, 2) * pw(Y, 3)
         value = r - 0.5 - t / (5.0 * safe**5)
         return np.where(r > 0.0, value, -0.5)
 
@@ -146,9 +153,9 @@ def flower_level_set() -> LevelSet:
         X, Y = np.asarray(x) - x0, np.asarray(y) - y0
         r = np.hypot(X, Y)
         r = np.where(r > 0.0, r, 1.0)
-        t = Y**5 + 5.0 * X**4 * Y - 10.0 * X**2 * Y**3
-        tx = 20.0 * X**3 * Y - 20.0 * X * Y**3
-        ty = 5.0 * Y**4 + 5.0 * X**4 - 30.0 * X**2 * Y**2
+        t = pw(Y, 5) + 5.0 * pw(X, 4) * Y - 10.0 * pw(X, 2) * pw(Y, 3)
+        tx = 20.0 * pw(X, 3) * Y - 20.0 * X * pw(Y, 3)
+        ty = 5.0 * pw(Y, 4) + 5.0 * pw(X, 4) - 30.0 * pw(X, 2) * pw(Y, 2)
         gx = X / r - tx / (5.0 * r**5) + t * X / r**7
         gy = Y / r - ty / (5.0 * r**5) + t * Y / r**7
         return gx, gy
@@ -161,13 +168,15 @@ def hourglass_level_set() -> LevelSet:
     x0 = 0.03 * math.sqrt(3.0)
     y0 = 0.04 * math.sqrt(2.0)
 
+    pw = np.float_power  # scalar and array calls must agree; see flower_level_set
+
     def evaluate(x, y):
         X, Y = np.asarray(x) - x0, np.asarray(y) - y0
-        return 256.0 * Y**4 - 16.0 * X**4 - 128.0 * Y**2 + 36.0 * X**2
+        return 256.0 * pw(Y, 4) - 16.0 * pw(X, 4) - 128.0 * pw(Y, 2) + 36.0 * pw(X, 2)
 
     def gradient(x, y):
         X, Y = np.asarray(x) - x0, np.asarray(y) - y0
-        return -64.0 * X**3 + 72.0 * X, 1024.0 * Y**3 - 256.0 * Y
+        return -64.0 * pw(X, 3) + 72.0 * X, 1024.0 * pw(Y, 3) - 256.0 * Y
 
     return LevelSet("hourglass", evaluate, gradient)
 

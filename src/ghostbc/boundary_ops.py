@@ -28,7 +28,7 @@ from .basis import (
     monomial_matrix,
 )
 from .errors import NotAdmissible
-from .geometry import CollarPoint, Grid, NodeClassification
+from .geometry import CollarPoint, Grid, NodeClassification, pairwise_diameter
 
 #: sigma_min/sigma_max below this means the stencil is rank-deficient.
 RANK_TOLERANCE = 1e-13
@@ -158,11 +158,7 @@ class BoundaryOperatorRow:
 
     def diameter(self) -> float:
         """Maximum pairwise member distance in units of the grid spacing."""
-        ij = self.member_ij
-        if len(ij) < 2:
-            return 0.0
-        d2 = ((ij[:, None, :] - ij[None, :, :]) ** 2).sum(axis=2)
-        return float(np.sqrt(d2.max()))
+        return pairwise_diameter(self.member_ij)
 
 
 def coefficient_amplification(coeffs: np.ndarray) -> float:
@@ -190,16 +186,16 @@ def global_ratio(coeffs: np.ndarray, member_ij: np.ndarray, classification: Node
     coefficient reports ``inf``.
     """
     center = abs(float(coeffs[0]))
-    ghost_abs = [
-        abs(float(c))
-        for c, (i, j) in zip(coeffs[1:], member_ij[1:])
-        if classification.is_ghost(int(i), int(j))
-    ]
-    if not ghost_abs:
+    i, j = np.asarray(member_ij[1:]).T
+    n = classification.grid.n
+    inside = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
+    ghost = np.zeros(len(i), dtype=bool)
+    ghost[inside] = classification.ghost_mask[i[inside], j[inside]]
+    if not ghost.any():
         return 0.0
     if center <= 1e-14:
         return float("inf")
-    return max(ghost_abs) / center
+    return float(np.abs(coeffs[1:][ghost]).max()) / center
 
 
 class GhostOperatorSolver:

@@ -39,6 +39,9 @@ NODE_TOLERANCE = 1e-14
 #: Target residual |phi(p)| for boundary projections.
 PROJECTION_TOLERANCE = 1e-12
 
+#: Iterations the closest-point projection may take per point.
+PROJECTION_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -86,7 +89,12 @@ class LevelSet:
     """Scalar field with analytic gradient; negative inside the domain.
 
     ``evaluate`` and ``gradient`` must accept numpy arrays and broadcast;
-    ``gradient`` returns the pair ``(d/dx, d/dy)``.
+    ``gradient`` returns the pair ``(d/dx, d/dy)``.  On an array they must
+    equal elementwise scalar calls bit for bit: the ghosts of a level are
+    projected onto the boundary in one batch, and the collars (hence every
+    boundary row) must not depend on that.  Note that ``x**k`` rounds
+    differently on numpy scalars (libm ``pow``) and on arrays (a SIMD
+    ``pow``); ``np.float_power`` agrees with the scalar form.
     """
 
     name: str
@@ -293,72 +301,133 @@ class CollarPoint:
         return (1 if d[0] >= 0.0 else -1, 1 if d[1] >= 0.0 else -1)
 
 
+def _closest_points(
+    ghost_xy: np.ndarray,
+    level_set: LevelSet,
+    ghost_ij: list,
+    tol: float,
+    max_iter: int,
+) -> list:
+    """Orthogonal projections of many points onto the zero level set.
+
+    One masked iteration over all points: every point alternates a damped
+    Newton step along the gradient (drives ``|phi|`` to zero) with a
+    tangential slide toward the foot point (makes the displacement parallel
+    to the normal), with its own damping, until its residual is below
+    ``tol`` and its slide is negligible.  Each level-set call covers every
+    point still iterating, which the ``LevelSet`` contract makes equal, bit
+    for bit, to calling it point by point; dot products and norms are
+    ``np.vecdot`` for the same reason (``einsum`` and ``norm(axis=1)``
+    round differently from the 2-vector ``@`` and ``norm``).
+
+    Returns one entry per point: its ``CollarPoint``, or the ``ZeroGradient``
+    / ``ProjectionDiverged`` that stopped it.
+    """
+    x0 = np.array(ghost_xy, dtype=float).reshape(-1, 2)
+    p = x0.copy()
+    out: list = [None] * len(x0)
+    live = np.arange(len(x0))
+
+    def phi(q):
+        return np.broadcast_to(np.asarray(level_set.evaluate(q[:, 0], q[:, 1]), dtype=float), len(q))
+
+    def norm(v):
+        return np.sqrt(np.vecdot(v, v))
+
+    for _ in range(max_iter):
+        if not live.size:
+            return out
+        q = p[live]
+        f = phi(q)
+        g = np.empty_like(q)
+        g[:, 0], g[:, 1] = level_set.gradient(q[:, 0], q[:, 1])
+        g2 = np.vecdot(g, g)
+        g_norm = np.sqrt(g2)
+        flat = g_norm < NODE_TOLERANCE
+        for k in live[flat]:
+            out[k] = ZeroGradient(
+                f"gradient of '{level_set.name}' vanished at {p[k]} during projection"
+            )
+        newton = ~flat & (np.abs(f) > tol)
+        slide = ~flat & ~newton
+
+        # Newton step, halving each point's damping until |phi| decreases.
+        idx = np.flatnonzero(newton)
+        step = (f[idx] / g2[idx])[:, None] * g[idx]
+        damping = np.ones(idx.size)
+        pending = np.arange(idx.size)
+        while pending.size:
+            trial = q[idx[pending]] - damping[pending, None] * step[pending]
+            better = np.abs(phi(trial)) < np.abs(f[idx[pending]])
+            p[live[idx[pending[better]]]] = trial[better]
+            pending = pending[~better]
+            damping[pending] *= 0.5
+            stalled = damping[pending] < 1e-12
+            for k in pending[stalled]:
+                j = live[idx[k]]
+                out[j] = ProjectionDiverged(
+                    f"projection stalled at {p[j]} (|phi| = {abs(f[idx[k]]):.3e})"
+                )
+            pending = pending[~stalled]
+        moved = live[idx]
+        for j in moved[norm(p[moved] - x0[moved]) > BOX_HALF_WIDTH]:
+            if out[j] is None:
+                out[j] = ProjectionDiverged(f"projection escaped from {x0[j]}")
+
+        # On the zero set: slide tangentially toward the orthogonal foot point.
+        idx = np.flatnonzero(slide)
+        n = g[idx] / g_norm[idx, None]
+        d = x0[live[idx]] - q[idx]
+        t = d - np.vecdot(d, n)[:, None] * n
+        t_norm = norm(t)
+        done = t_norm <= np.maximum(1e-13, 1e-9 * norm(d))
+        for k in np.flatnonzero(done):
+            j = live[idx[k]]
+            out[j] = CollarPoint(x0[j], q[idx[k]], n[k], "closest", ghost_ij[j])
+        # Damp the slide where the boundary curves strongly: the residual
+        # after a step of length s grows like curvature * s^2 * |grad|, so
+        # requiring it to stay below a fraction of s * |grad| keeps the
+        # iteration contractive even in tight concave folds.
+        idx, t, t_norm = idx[~done], t[~done], t_norm[~done]
+        damping = np.ones(idx.size)
+        pending = np.arange(idx.size)
+        while pending.size:
+            trial = q[idx[pending]] + damping[pending, None] * t[pending]
+            budget = 0.25 * damping[pending] * t_norm[pending] * g_norm[idx[pending]]
+            pending = pending[~(np.abs(phi(trial)) <= budget)]
+            damping[pending] *= 0.5
+            pending = pending[damping[pending] > 1e-12]
+        p[live[idx]] = q[idx] + damping[:, None] * t
+
+        live = np.array([j for j in live if out[j] is None], dtype=np.intp)
+    for j in live:
+        out[j] = ProjectionDiverged(
+            f"projection from {x0[j]} did not converge in {max_iter} iterations"
+        )
+    return out
+
+
 def project_to_boundary(
     ghost_xy,
     level_set: LevelSet,
     ghost_ij: tuple[int, int] | None = None,
     tol: float = PROJECTION_TOLERANCE,
-    max_iter: int = 100,
+    max_iter: int = PROJECTION_MAX_ITER,
 ) -> CollarPoint:
     """Orthogonal projection of a point onto the zero level set.
 
-    Alternates a damped Newton step along the gradient (drives ``|phi|`` to
-    zero) with a tangential slide toward the foot point (makes the
-    displacement parallel to the normal).  Converged when the residual is
-    below ``tol`` and the slide is negligible, so the returned collar always
-    satisfies both the residual and the alignment contracts.
+    Converged when the residual is below ``tol`` and the tangential slide is
+    negligible, so the returned collar always satisfies both the residual
+    and the alignment contracts.
 
     Raises:
         ZeroGradient: the gradient vanished at an iterate.
         ProjectionDiverged: no convergence within ``max_iter`` iterations.
     """
-    x0 = np.array(ghost_xy, dtype=float)
-    p = x0.copy()
-    for _ in range(max_iter):
-        f = float(level_set.evaluate(p[0], p[1]))
-        gx, gy = level_set.gradient(p[0], p[1])
-        g = np.array([float(gx), float(gy)])
-        g2 = float(g @ g)
-        if np.sqrt(g2) < NODE_TOLERANCE:
-            raise ZeroGradient(
-                f"gradient of '{level_set.name}' vanished at {p} during projection"
-            )
-        if abs(f) > tol:
-            step = (f / g2) * g
-            damping = 1.0
-            while True:
-                trial = p - damping * step
-                if abs(float(level_set.evaluate(trial[0], trial[1]))) < abs(f):
-                    break
-                damping *= 0.5
-                if damping < 1e-12:
-                    raise ProjectionDiverged(
-                        f"projection stalled at {p} (|phi| = {abs(f):.3e})"
-                    )
-            p = trial
-            if np.linalg.norm(p - x0) > BOX_HALF_WIDTH:
-                raise ProjectionDiverged(f"projection escaped from {x0}")
-            continue
-        # On the zero set: slide tangentially toward the orthogonal foot point.
-        n = g / np.sqrt(g2)
-        d = x0 - p
-        t = d - (d @ n) * n
-        t_norm = np.linalg.norm(t)
-        if t_norm <= max(1e-13, 1e-9 * np.linalg.norm(d)):
-            return CollarPoint(x0, p, n, "closest", ghost_ij)
-        # Damp the slide where the boundary curves strongly: the residual
-        # after a step of length s grows like curvature * s^2 * |grad|, so
-        # requiring it to stay below a fraction of s * |grad| keeps the
-        # iteration contractive even in tight concave folds.
-        damping = 1.0
-        while damping > 1e-12:
-            trial = p + damping * t
-            budget = 0.25 * damping * t_norm * np.sqrt(g2)
-            if abs(float(level_set.evaluate(trial[0], trial[1]))) <= budget:
-                break
-            damping *= 0.5
-        p = p + damping * t
-    raise ProjectionDiverged(f"projection from {x0} did not converge in {max_iter} iterations")
+    (result,) = _closest_points(np.asarray(ghost_xy, dtype=float), level_set, [ghost_ij], tol, max_iter)
+    if isinstance(result, GeometryError):
+        raise result
+    return result
 
 
 def _bisect_level(level_set: LevelSet, a: np.ndarray, b: np.ndarray, fa: float, tol: float) -> np.ndarray:
@@ -387,53 +456,72 @@ def axis_projection(
     """Project a ghost onto the boundary along a horizontal or vertical ray.
 
     Each of the four axis directions is scanned up to ``reach * h`` for the
-    first sign change of ``phi``; the closest intersection wins.  The normal
-    at the intersection still comes from the level-set gradient.
+    first sign change of ``phi``; the closest intersection wins, the first
+    direction in the order +x, -x, +y, -y on a tie.  All scan points are
+    evaluated in one call; only the directions whose first sign change lies
+    in the nearest bracket are bisected, since a crossing in a later bracket
+    is strictly farther away.  The normal at the intersection still comes
+    from the level-set gradient.
 
     Raises:
         NoAxisIntersection: no ray crosses within ``reach * h``.
     """
     x0 = np.array(ghost_xy, dtype=float)
     f0 = float(level_set.evaluate(x0[0], x0[1]))
-    span = reach * h
     n_sub = 48
-    best: tuple[float, np.ndarray] | None = None
-    for direction in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
-        d = np.array(direction)
-        prev_s, prev_f = 0.0, f0
-        for step in range(1, n_sub + 1):
-            s = span * step / n_sub
-            q = x0 + s * d
-            fq = float(level_set.evaluate(q[0], q[1]))
-            if fq == 0.0 or (fq > 0.0) != (prev_f > 0.0):
-                p = _bisect_level(level_set, x0 + prev_s * d, q, prev_f, tol)
-                dist = float(np.linalg.norm(p - x0))
-                if best is None or dist < best[0]:
-                    best = (dist, p)
-                break
-            prev_s, prev_f = s, fq
-    if best is None:
+    s = reach * h * np.arange(1, n_sub + 1) / n_sub
+    directions = np.array(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+    q = x0 + s[None, :, None] * directions[:, None, :]
+    fq = np.broadcast_to(np.asarray(level_set.evaluate(q[..., 0], q[..., 1]), dtype=float), q.shape[:2])
+    prev_f = np.concatenate([np.full((len(directions), 1), f0), fq[:, :-1]], axis=1)
+    crossing = (fq == 0.0) | ((fq > 0.0) != (prev_f > 0.0))
+    hit = crossing.any(axis=1)
+    if not hit.any():
         raise NoAxisIntersection(
             f"no axis ray from {x0} crosses the boundary within {reach} h"
         )
+    first = crossing.argmax(axis=1)
+    step = first[hit].min()
+    prev_s = s[step - 1] if step else 0.0
+    best: tuple[float, np.ndarray] | None = None
+    for k in np.flatnonzero(hit & (first == step)):
+        p = _bisect_level(level_set, x0 + prev_s * directions[k], q[k, step], prev_f[k, step], tol)
+        dist = float(np.linalg.norm(p - x0))
+        if best is None or dist < best[0]:
+            best = (dist, p)
     p = best[1]
     return CollarPoint(x0, p, level_set.unit_normal(p[0], p[1]), "axis", ghost_ij)
 
 
-def collar_for_ghost(
-    ghost_ij: tuple[int, int],
-    grid: Grid,
-    level_set: LevelSet,
-) -> CollarPoint:
-    """Collar point for a ghost node, with axis fallback.
+def collars_for_ghosts(ghost_ij, grid: Grid, level_set: LevelSet) -> list[CollarPoint]:
+    """Collar points for a batch of ghost nodes, with axis fallback.
 
-    The closest-point iteration can stall near corners or saddle points of
-    the level set; those ghosts fall back to the axis projection and are
-    logged.
+    All ghosts are projected onto the boundary in one closest-point
+    iteration.  It can stall near corners or saddle points of the level
+    set; those ghosts fall back to the axis projection, one at a time, and
+    are logged.
     """
-    xy = grid.node_xy(*ghost_ij)
-    try:
-        return project_to_boundary(xy, level_set, ghost_ij=tuple(ghost_ij))
-    except (ProjectionDiverged, ZeroGradient) as exc:
-        logger.info("ghost %s: closest-point projection failed (%s); using axis projection", tuple(ghost_ij), exc)
-        return axis_projection(xy, level_set, grid.h, ghost_ij=tuple(ghost_ij))
+    ij = np.asarray(ghost_ij, dtype=np.int64).reshape(-1, 2)
+    keys = [(int(i), int(j)) for i, j in ij]
+    x, y = grid.coords(ij[:, 0], ij[:, 1])
+    xy = np.column_stack([x, y])
+    collars = _closest_points(xy, level_set, keys, PROJECTION_TOLERANCE, PROJECTION_MAX_ITER)
+    for k, result in enumerate(collars):
+        if isinstance(result, GeometryError):
+            logger.info("ghost %s: closest-point projection failed (%s); using axis projection", keys[k], result)
+            collars[k] = axis_projection(xy[k], level_set, grid.h, ghost_ij=keys[k])
+    return collars
+
+
+def collar_for_ghost(ghost_ij: tuple[int, int], grid: Grid, level_set: LevelSet) -> CollarPoint:
+    """Collar point of a single ghost node (see ``collars_for_ghosts``)."""
+    return collars_for_ghosts([ghost_ij], grid, level_set)[0]
+
+
+def pairwise_diameter(member_ij: np.ndarray) -> float:
+    """Maximum pairwise distance of lattice nodes, in units of the grid spacing."""
+    ij = np.asarray(member_ij)
+    if len(ij) < 2:
+        return 0.0
+    d2 = ((ij[:, None, :] - ij[None, :, :]) ** 2).sum(axis=2)
+    return float(np.sqrt(d2.max()))

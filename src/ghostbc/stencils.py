@@ -25,7 +25,7 @@ from .boundary_ops import (
     global_ratio,
 )
 from .errors import CandidatesExhausted, InactiveMember, NoAxisIntersection, NotAdmissible
-from .geometry import CollarPoint, Grid, NodeClassification, axis_projection
+from .geometry import CollarPoint, Grid, NodeClassification, axis_projection, collars_for_ghosts
 
 logger = logging.getLogger(__name__)
 
@@ -85,19 +85,6 @@ class Stencil:
     @property
     def size(self) -> int:
         return len(self.member_ij)
-
-
-def stencil_diameter(stencil: Stencil) -> float:
-    """Maximum pairwise member distance in units of the grid spacing."""
-    return pairwise_diameter(stencil.member_ij)
-
-
-def pairwise_diameter(member_ij: np.ndarray) -> float:
-    ij = np.asarray(member_ij)
-    if len(ij) < 2:
-        return 0.0
-    d2 = ((ij[:, None, :] - ij[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.max()))
 
 
 def _check_members(
@@ -174,18 +161,16 @@ def extend_classification(
     """
     if strategy.kind not in ("S1", "S2"):
         return classification
-    from .geometry import collar_for_ghost  # local import to avoid cycle noise
 
     collars: dict[tuple[int, int], CollarPoint] = {}
     for _ in range(max_rounds):
+        ghosts = [(int(i), int(j)) for i, j in classification.ghost_ij]
+        new = [ghost for ghost in ghosts if ghost not in collars]
+        collars.update(zip(new, collars_for_ghosts(new, grid, classification.level_set)))
         missing: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
-        for ij in classification.ghost_ij:
-            ghost = (int(ij[0]), int(ij[1]))
-            collar = collars.get(ghost)
-            if collar is None:
-                collar = collar_for_ghost(ghost, grid, classification.level_set)
-                collars[ghost] = collar
+        for ghost in ghosts:
+            collar = collars[ghost]
             for node in triangle_members(strategy.kind, ghost, collar, strategy.triangle_size):
                 if node in seen:
                     continue

@@ -10,6 +10,8 @@ from ghostbc.benchmarks import (
     annulus_level_set,
     circle_level_set,
     flower_level_set,
+    hourglass_level_set,
+    leaf_level_set,
     square_level_set,
 )
 from ghostbc.errors import (
@@ -17,8 +19,44 @@ from ghostbc.errors import (
     GeometryError,
     NoAxisIntersection,
     NodeOnBoundary,
+    ProjectionDiverged,
+    ZeroGradient,
 )
-from ghostbc.geometry import STENCIL_REACH, axis_projection, project_to_boundary
+from ghostbc.geometry import (
+    PROJECTION_MAX_ITER,
+    PROJECTION_TOLERANCE,
+    STENCIL_REACH,
+    _bisect_level,
+    _closest_points,
+    axis_projection,
+    collars_for_ghosts,
+    pairwise_diameter,
+    project_to_boundary,
+)
+
+CATALOG_LEVEL_SETS = {
+    "circle": lambda: circle_level_set(0.5, center=(0.1, -0.05)),
+    "annulus": annulus_level_set,
+    "leaf": leaf_level_set,
+    "flower": flower_level_set,
+    "hourglass": hourglass_level_set,
+    "square": lambda: square_level_set(0.51),
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def same_collar(a, b) -> bool:
+    return (
+        a.mode == b.mode
+        and a.ghost_ij == b.ghost_ij
+        and same_bits(a.ghost_xy, b.ghost_xy)
+        and same_bits(a.point, b.point)
+        and same_bits(a.normal, b.normal)
+    )
 
 
 def brute_force_reference_set(grid, inside):
@@ -182,6 +220,210 @@ class TestAxisProjection:
         ls = circle_level_set(0.5)
         with pytest.raises(NoAxisIntersection):
             axis_projection((0.9, 0.9), ls, h=0.0125)
+
+
+class TestLevelSetContract:
+    """Array calls equal elementwise scalar calls bit for bit (see LevelSet)."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_LEVEL_SETS))
+    def test_array_calls_match_scalar_calls(self, name):
+        ls = CATALOG_LEVEL_SETS[name]()
+        rng = np.random.default_rng(7)
+        x, y = rng.uniform(-1.0, 1.0, size=(2, 3000))
+        # points within a few spacings of the boundary, where projections run
+        r = np.hypot(x, y)
+        x = np.concatenate([x, 0.62 * x / r])
+        y = np.concatenate([y, 0.62 * y / r])
+        value = np.asarray(ls.evaluate(x, y), dtype=float)
+        gx, gy = ls.gradient(x, y)
+        scalar = [(ls.evaluate(a, b), *ls.gradient(a, b)) for a, b in zip(x, y)]
+        assert same_bits(value, [v[0] for v in scalar])
+        assert same_bits(gx, [v[1] for v in scalar])
+        assert same_bits(gy, [v[2] for v in scalar])
+
+
+def _trap_level_set(radius=0.3, c=0.35, eps=1e-6):
+    """Circle at the origin scaled by a positive factor that nearly vanishes at (+-c, 0).
+
+    The zero set is the circle, but |phi| has positive local minima just
+    outside it on the x axis, where Newton stalls; at the origin the
+    gradient vanishes exactly.
+    """
+
+    def w(x, y):
+        return ((x - c) ** 2 + y**2 + eps) * ((x + c) ** 2 + y**2 + eps)
+
+    def evaluate(x, y):
+        return (np.hypot(x, y) - radius) * w(x, y)
+
+    def gradient(x, y):
+        r = np.hypot(x, y)
+        safe = np.where(r > 0.0, r, 1.0)
+        far, near = (x + c) ** 2 + y**2 + eps, (x - c) ** 2 + y**2 + eps
+        wx = 2.0 * (x - c) * far + 2.0 * (x + c) * near
+        wy = 2.0 * y * far + 2.0 * y * near
+        return x / safe * w(x, y) + (r - radius) * wx, y / safe * w(x, y) + (r - radius) * wy
+
+    return g.LevelSet("trap", evaluate, gradient)
+
+
+def _brute_force_axis(x0, level_set, h, reach=3.0, tol=PROJECTION_TOLERANCE):
+    """Scan and bisect all four axis directions point by point; nearest wins, first on ties."""
+    x0 = np.array(x0, dtype=float)
+    prev0 = float(level_set.evaluate(x0[0], x0[1]))
+    best = None
+    for direction in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
+        d = np.array(direction)
+        prev_s, prev_f = 0.0, prev0
+        for step in range(1, 49):
+            s = reach * h * step / 48
+            q = x0 + s * d
+            fq = float(level_set.evaluate(q[0], q[1]))
+            if fq == 0.0 or (fq > 0.0) != (prev_f > 0.0):
+                p = _bisect_level(level_set, x0 + prev_s * d, q, prev_f, tol)
+                dist = float(np.linalg.norm(p - x0))
+                if best is None or dist < best[0]:
+                    best = (dist, p, step)
+                break
+            prev_s, prev_f = s, fq
+    return best
+
+
+def _scalar_projection(x0, level_set, tol=PROJECTION_TOLERANCE, max_iter=PROJECTION_MAX_ITER):
+    """The closest-point iteration one point at a time, on Python and numpy scalars.
+
+    Returns (point, normal), or None where the iteration fails.
+    """
+    x0 = np.array(x0, dtype=float)
+    p = x0.copy()
+    for _ in range(max_iter):
+        f = float(level_set.evaluate(p[0], p[1]))
+        gx, gy = level_set.gradient(p[0], p[1])
+        grad = np.array([float(gx), float(gy)])
+        g2 = float(grad @ grad)
+        if np.sqrt(g2) < 1e-14:
+            return None
+        if abs(f) > tol:
+            step = (f / g2) * grad
+            damping = 1.0
+            while True:
+                trial = p - damping * step
+                if abs(float(level_set.evaluate(trial[0], trial[1]))) < abs(f):
+                    break
+                damping *= 0.5
+                if damping < 1e-12:
+                    return None
+            p = trial
+            if np.linalg.norm(p - x0) > 1.0:
+                return None
+            continue
+        n = grad / np.sqrt(g2)
+        d = x0 - p
+        t = d - (d @ n) * n
+        t_norm = np.linalg.norm(t)
+        if t_norm <= max(1e-13, 1e-9 * np.linalg.norm(d)):
+            return p, n
+        damping = 1.0
+        while damping > 1e-12:
+            trial = p + damping * t
+            if abs(float(level_set.evaluate(trial[0], trial[1]))) <= 0.25 * damping * t_norm * np.sqrt(g2):
+                break
+            damping *= 0.5
+        p = p + damping * t
+    return None
+
+
+class TestBatchedCollars:
+    @pytest.mark.parametrize("name, n_axis", [("annulus", 0), ("flower", 3)])
+    def test_batch_equals_one_ghost_at_a_time(self, name, n_axis):
+        ls = CATALOG_LEVEL_SETS[name]()
+        grid = g.Grid(160)
+        classification = g.classify_nodes(grid, ls)
+        batch = collars_for_ghosts(classification.ghost_ij, grid, ls)
+        assert len(batch) == classification.n_ghost
+        assert sum(c.mode == "axis" for c in batch) == n_axis
+        for ij, collar in zip(classification.ghost_ij, batch):
+            assert same_collar(collar, g.collar_for_ghost(tuple(ij), grid, ls))
+            scalar = _scalar_projection(grid.node_xy(*ij), ls)
+            if scalar is None:
+                assert collar.mode == "axis"
+            else:
+                assert collar.mode == "closest"
+                assert same_bits(collar.point, scalar[0]) and same_bits(collar.normal, scalar[1])
+
+    def test_failures_fall_back_without_touching_the_batch(self, caplog):
+        ls = _trap_level_set()
+        grid = g.Grid(16)  # node (8, 8) is the origin, h = 0.125
+        failing = [(8, 8), (11, 8)]
+        others = [(10, 10), (8, 11), (6, 5), (11, 9)]
+        ij = np.array(failing + others)
+        x, y = grid.coords(ij[:, 0], ij[:, 1])
+        results = _closest_points(
+            np.column_stack([x, y]), ls, [tuple(v) for v in ij.tolist()],
+            PROJECTION_TOLERANCE, PROJECTION_MAX_ITER,
+        )
+        assert isinstance(results[0], ZeroGradient)
+        assert isinstance(results[1], ProjectionDiverged) and "stalled" in str(results[1])
+        assert all(isinstance(r, g.CollarPoint) for r in results[2:])
+
+        with caplog.at_level("INFO", logger="ghostbc.geometry"):
+            collars = collars_for_ghosts(ij, grid, ls)
+        assert sum("using axis projection" in r.message for r in caplog.records) == 2
+        for k, node in enumerate(failing):
+            assert collars[k].mode == "axis"
+            assert same_collar(collars[k], axis_projection(grid.node_xy(*node), ls, grid.h, ghost_ij=node))
+            assert abs(float(ls.evaluate(*collars[k].point))) <= PROJECTION_TOLERANCE
+        alone = collars_for_ghosts(others, grid, ls)
+        for collar, ref, result in zip(collars[2:], alone, results[2:]):
+            assert collar.mode == "closest"
+            assert same_collar(collar, ref)
+            assert same_collar(collar, result)
+
+
+class TestAxisProjectionBrackets:
+    def test_directions_sharing_the_nearest_bracket(self):
+        # From the origin all four rays cross the circle in the same bracket;
+        # the trap factor makes the bisected distances differ by direction.
+        ls = _trap_level_set()
+        h = 0.125
+        oracle = _brute_force_axis((0.0, 0.0), ls, h)
+        got = axis_projection((0.0, 0.0), ls, h)
+        assert same_bits(got.point, oracle[1])
+        assert got.point[0] == 0.0 and got.point[1] > 0.0  # +y beats +x, which comes first
+
+    def test_tie_goes_to_the_first_direction(self):
+        ls = circle_level_set(0.3)
+        collar = axis_projection((0.0, 0.0), ls, 0.125)
+        assert same_bits(collar.point, _brute_force_axis((0.0, 0.0), ls, 0.125)[1])
+        assert collar.point[1] == 0.0 and collar.point[0] > 0.0
+
+    def test_flower_ghosts_match_brute_force(self):
+        ls = flower_level_set()
+        grid = g.Grid(160)
+        classification = g.classify_nodes(grid, ls)
+        for ij in classification.ghost_ij[::6]:
+            xy = grid.node_xy(*ij)
+            oracle = _brute_force_axis(xy, ls, grid.h)
+            if oracle is None:
+                with pytest.raises(NoAxisIntersection):
+                    axis_projection(xy, ls, grid.h)
+                continue
+            assert same_bits(axis_projection(xy, ls, grid.h).point, oracle[1])
+
+
+class TestDiameter:
+    def test_two_members(self):
+        members = np.array([[3, 3], [3, 4]])
+        assert pairwise_diameter(members) == 1.0
+        assert pairwise_diameter(members[:1]) == 0.0
+        row = g.BoundaryOperatorRow(
+            (3, 3), members, np.array([1.0, -1.0]), 0.0, None, 1.0, 0.0  # type: ignore[arg-type]
+        )
+        assert row.diameter() == 1.0
+
+    def test_s1_triangle_diameter(self):
+        members = np.array([(l, m) for l in range(5) for m in range(5 - l)])
+        assert pairwise_diameter(members) == pytest.approx(math.sqrt(32.0))
 
 
 def test_stencil_reach_constant():

@@ -15,8 +15,6 @@ from ghostbc.stencils import (
     build_S4,
     cone_candidates,
     extend_classification,
-    pairwise_diameter,
-    stencil_diameter,
 )
 
 
@@ -298,16 +296,6 @@ class TestConeStrategies:
             assert cosang >= cos_half - 1e-9
 
 
-class TestDiameter:
-    def test_two_members(self):
-        s = g.Stencil((3, 3), np.array([[3, 3], [3, 4]]), _dummy_collar(), "S1")
-        assert stencil_diameter(s) == 1.0
-
-    def test_s1_triangle_diameter(self):
-        members = np.array([(l, m) for l in range(5) for m in range(5 - l)])
-        assert pairwise_diameter(members) == pytest.approx(math.sqrt(32.0))
-
-
 class TestStrategyValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -340,15 +328,6 @@ class TestExtension:
         grid, classification = annulus_160
         strategy = g.StencilStrategy(kind="S4.3")
         assert extend_classification(classification, strategy, grid) is classification
-
-
-def _dummy_collar():
-    return CollarPoint(
-        ghost_xy=np.array([0.0, 0.0]),
-        point=np.array([0.01, 0.0]),
-        normal=np.array([-1.0, 0.0]),
-        mode="closest",
-    )
 
 
 def _all_active_stub(grid):
