@@ -16,11 +16,9 @@ from .assembly import (
     assemble,
     build_ghost_rows,
     export_matrix_market,
-    ghost_row,
-    interior_row,
     solve,
 )
-from .basis import BasisConfig, RobinData, boundary_action, enumerate_basis, eval_monomial
+from .basis import BasisConfig, RobinData, enumerate_basis
 from .benchmarks import (
     Benchmark,
     annulus_homogeneous,
@@ -36,8 +34,6 @@ from .boundary_ops import (
     GhostOperatorSolver,
     assemble_constraints,
     global_ratio,
-    local_condition,
-    solve_min_norm,
 )
 from .cli import PAPER13, RunConfig, execute_level, run_single, run_sweep
 from .geometry import (

@@ -9,7 +9,6 @@ both rows and columns.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -20,20 +19,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import DEFAULT_ORDER, RobinData
-from .boundary_ops import BoundaryOperatorRow, GhostOperatorSolver, global_ratio
-from .errors import MissingNeighbor, NotAdmissible, SingularMatrix, SolveFailed
+from .boundary_ops import BoundaryOperatorRow, GhostOperatorSolver
+from .errors import MissingNeighbor, SingularMatrix, SolveFailed
 from .geometry import CollarPoint, Grid, NodeClassification, collars_for_ghosts
-from .geometry import collar_for_ghost  # noqa: F401  (bench/tracing.py hooks this name)
-from .stencils import (
-    CONE_KINDS,
-    StencilStrategy,
-    build_S1,
-    build_S2,
-    build_S3,
-    build_S4,
-)
-
-logger = logging.getLogger(__name__)
+from .stencils import StencilStrategy, ghost_trials
 
 #: Fourth-order centred weights for the second derivative (offsets -2..2), * 1/h^2.
 LAPLACE_WEIGHTS = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0])
@@ -143,31 +132,6 @@ def _interior_block(
     return rows, cols.ravel(), vals.ravel(), rhs
 
 
-def interior_row(
-    k: int,
-    coeffs: ProblemCoefficients,
-    grid: Grid,
-    classification: NodeClassification,
-):
-    """Single interior equation: (column indices, values, rhs entry).
-
-    ``k`` is the active index of an interior node.
-    """
-    if not 0 <= k < classification.n_interior:
-        raise ValueError(f"active index {k} is not an interior node")
-    ij = classification.interior_ij[k : k + 1]
-    _, cols, vals, rhs = _interior_block(ij, coeffs, grid, classification)
-    return cols, vals, float(rhs[0])
-
-
-def ghost_row(row: BoundaryOperatorRow, classification: NodeClassification):
-    """Sparse entries of one ghost equation: (column indices, values, rhs)."""
-    cols = classification.active_index[tuple(row.member_ij.T)]
-    if cols.min() < 0:
-        raise MissingNeighbor(f"ghost row {row.ghost_ij} references an inactive node")
-    return cols, row.coeffs, row.rhs
-
-
 def build_ghost_rows(
     classification: NodeClassification,
     strategy: StencilStrategy,
@@ -175,44 +139,28 @@ def build_ghost_rows(
     grid: Grid,
     order: int = DEFAULT_ORDER,
 ) -> list[BoundaryOperatorRow]:
-    """Collar, stencil and minimum-norm coefficients for every ghost node."""
-    level_set = classification.level_set
+    """Collar, stencil and minimum-norm coefficients for every ghost node.
 
-    def robin_at(collar: CollarPoint) -> RobinData:
-        return coeffs.robin(collar)
-
-    solver = GhostOperatorSolver(grid, robin_at, order=order)
-    rows: list[BoundaryOperatorRow] = []
-    collars = collars_for_ghosts(classification.ghost_ij, grid, level_set)
-    for collar in collars:
-        ij = collar.ghost_ij
-        if strategy.kind in CONE_KINDS:
-            built = build_S4(ij, collar, strategy, grid, classification, solver)
-            stencil, solve, collar = built.stencil, built.solve, built.collar
-            ratio = stencil.r_ratio
-        else:
-            builder = {"S1": build_S1, "S2": build_S2, "S3": build_S3}[strategy.kind]
-            stencil = builder(ij, collar, strategy.triangle_size, grid, classification)
-            solve = solver.solve_for(stencil.member_ij, collar)
-            if not solve.admissible:
-                raise NotAdmissible(
-                    f"{strategy.kind} stencil of ghost {ij} is rank-deficient or misses its "
-                    f"constraints (relative residual {solve.residual:.3e})"
-                )
-            ratio = global_ratio(solve.coeffs, stencil.member_ij, classification)
-        robin = coeffs.robin(collar)
-        rows.append(
-            BoundaryOperatorRow(
-                ghost_ij=ij,
-                member_ij=stencil.member_ij,
-                coeffs=solve.coeffs,
-                rhs=robin.value,
-                collar=collar,
-                chi=solve.chi,
-                r_ratio=ratio,
-            )
+    The ghosts' trial stencils are solved in lock-step (``GhostOperatorSolver.run``).
+    """
+    solver = GhostOperatorSolver(grid, coeffs.robin, order=order)
+    collars = collars_for_ghosts(classification.ghost_ij, grid, classification.level_set)
+    built = solver.run(
+        ghost_trials(collar, strategy, grid, classification, solver.n_constraints)
+        for collar in collars
+    )
+    return [
+        BoundaryOperatorRow(
+            ghost_ij=collar.ghost_ij,
+            member_ij=stencil.member_ij,
+            coeffs=solve.coeffs,
+            rhs=coeffs.robin(stencil.collar).value,
+            collar=stencil.collar,
+            chi=solve.chi,
+            r_ratio=stencil.r_ratio,
         )
-    return rows
+        for collar, (stencil, solve) in zip(collars, built)
+    ]
 
 
 def assemble(
@@ -236,31 +184,28 @@ def assemble(
         classification.interior_ij, coeffs, grid, classification
     )
 
-    rows_g = []
-    cols_g = []
-    vals_g = []
-    rhs_g = np.empty(classification.n_ghost)
-    for g, row in enumerate(ghost_rows):
-        cols, vals, rhs_val = ghost_row(row, classification)
-        rows_g.append(np.full(len(cols), classification.n_interior + g, dtype=np.int64))
-        cols_g.append(cols)
-        vals_g.append(vals)
-        rhs_g[g] = rhs_val
+    sizes = [len(row.member_ij) for row in ghost_rows]
+    owner = np.repeat(np.arange(len(ghost_rows), dtype=np.int64), sizes)
+    member_ij = np.concatenate([np.empty((0, 2), dtype=np.int64)] + [row.member_ij for row in ghost_rows])
+    cols_g = classification.active_index[tuple(member_ij.T)]
+    if (cols_g < 0).any():
+        bad = ghost_rows[owner[np.argmax(cols_g < 0)]]
+        raise MissingNeighbor(f"ghost row {bad.ghost_ij} references an inactive node")
 
     n = classification.n_active
     matrix = sp.coo_matrix(
         (
-            np.concatenate([vals_i] + vals_g),
+            np.concatenate([vals_i] + [row.coeffs for row in ghost_rows]),
             (
-                np.concatenate([rows_i] + rows_g),
-                np.concatenate([cols_i] + cols_g),
+                np.concatenate([rows_i, classification.n_interior + owner]),
+                np.concatenate([cols_i, cols_g]),
             ),
         ),
         shape=(n, n),
     ).tocsr()
     matrix.sum_duplicates()
     matrix.sort_indices()
-    rhs = np.concatenate([rhs_i, rhs_g])
+    rhs = np.concatenate([rhs_i, [row.rhs for row in ghost_rows]])
     system = SparseSystem(matrix, rhs, classification.n_interior, classification.n_ghost)
     return system, ghost_rows
 

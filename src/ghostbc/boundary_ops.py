@@ -15,7 +15,7 @@ rank check and the Gram-matrix condition number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator, Iterable
 
 import numpy as np
 
@@ -23,11 +23,11 @@ from .basis import (
     BasisConfig,
     DEFAULT_ORDER,
     RobinData,
-    boundary_action_vector,
+    boundary_actions,
     enumerate_basis,
     monomial_matrix,
 )
-from .errors import NotAdmissible
+from .errors import GhostBcError
 from .geometry import CollarPoint, Grid, NodeClassification, pairwise_diameter
 
 #: sigma_min/sigma_max below this means the stencil is rank-deficient.
@@ -36,21 +36,26 @@ RANK_TOLERANCE = 1e-13
 #: Relative residual bound every admissible row must satisfy.
 RESIDUAL_TOLERANCE = 1e-10
 
+#: Trial generators driven in lock-step at a time: enough to make the stacked
+#: calls cheap per trial, few enough to bound the memory the live generators
+#: and the stacks hold.
+LOCKSTEP_BATCH = 128
+
 
 @dataclass
 class ConstraintMatrix:
-    """Dense exactness constraints ``C a = g`` for one ghost row."""
+    """Dense exactness constraints ``C a = g`` for one ghost row, or a stack."""
 
-    matrix: np.ndarray  # (n_constraints, n_points)
-    rhs: np.ndarray  # (n_constraints,)
+    matrix: np.ndarray  # (..., n_constraints, n_points)
+    rhs: np.ndarray  # (..., n_constraints)
 
     @property
     def n_constraints(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-2]
 
     @property
     def n_points(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
 
 def assemble_constraints(
@@ -65,7 +70,7 @@ def assemble_constraints(
     """
     alphas = enumerate_basis(cfg.order)
     c = monomial_matrix(alphas, points, cfg)
-    g = boundary_action_vector(alphas, collar, robin, cfg)
+    g = boundary_actions(alphas, collar.point[None, :], [robin], cfg)[0]
     return ConstraintMatrix(c, g)
 
 
@@ -83,61 +88,36 @@ class StencilSolve:
     singular_values: np.ndarray
     residual: float
 
-    @property
-    def locally_well_conditioned(self) -> bool:
-        return self.admissible and np.isfinite(self.chi)
 
+def solve_constraints(cm: ConstraintMatrix) -> list[StencilSolve]:
+    """One stacked SVD for a stack of trials: rank, condition, min-norm solve.
 
-def analyze_stencil(cm: ConstraintMatrix, rank_tol: float = RANK_TOLERANCE) -> StencilSolve:
-    """One SVD per trial: rank check, condition number, min-norm solve.
-
-    A trial is admissible when the constraint matrix has full row rank and
-    the solve meets the constraints to ``RESIDUAL_TOLERANCE * ||g||``;
-    otherwise it reports ``chi = inf`` and no coefficients.
+    ``cm`` holds G systems of one shape, (G, n_constraints, n_points).  A
+    trial is admissible when its matrix has full row rank and the solve
+    meets the constraints to ``RESIDUAL_TOLERANCE * ||g||``; otherwise it
+    reports ``chi = inf`` and no coefficients.  ``chi = s_max/s_min`` of C,
+    not of the Gram matrix ``C C^T`` (its square), is what the growth loops
+    compare with the local tolerance.  The coefficients
+    ``V (U^T g / s)`` and the residuals are stacked ``np.matmul``, one BLAS
+    matrix-vector product per trial, so a trial gets the bits it would get
+    alone; ``einsum`` or ``vecdot`` would round differently.
     """
-    u, s, vt = np.linalg.svd(cm.matrix, full_matrices=False)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0 or s[-1] < rank_tol * smax or cm.n_points < cm.n_constraints:
-        return StencilSolve(False, np.inf, None, s, np.inf)
-    coeffs = vt.T @ ((u.T @ cm.rhs) / s)
-    scale = float(np.linalg.norm(cm.rhs))
-    residual = float(np.linalg.norm(cm.matrix @ coeffs - cm.rhs)) / (scale if scale > 0.0 else 1.0)
-    if residual > RESIDUAL_TOLERANCE:
-        return StencilSolve(False, np.inf, None, s, residual)
-    return StencilSolve(True, float(smax / s[-1]), coeffs, s, residual)
-
-
-def solve_min_norm(cm: ConstraintMatrix, rank_tol: float = RANK_TOLERANCE) -> np.ndarray:
-    """Minimum-norm coefficients satisfying the exactness constraints.
-
-    For a square invertible system this reduces to the direct solve.
-
-    Raises:
-        NotAdmissible: the constraint matrix has deficient row rank, or the
-            solve misses the constraints by more than the residual bound.
-    """
-    result = analyze_stencil(cm, rank_tol)
-    if not result.admissible:
-        raise NotAdmissible(
-            f"constraint system not admissible ({cm.n_constraints} constraints, "
-            f"{cm.n_points} points, relative residual {result.residual:.3e})"
-        )
-    return result.coeffs
-
-
-def local_condition(cm: ConstraintMatrix) -> float:
-    """2-norm condition number ``s_max/s_min`` of the constraint matrix.
-
-    The Gram matrix ``C C^T`` has exactly the square of this condition
-    number; the growth loops compare this value (not its square) against
-    the local tolerance, which is what keeps the stencil sizes small and
-    matches the reported conditioning distributions.  A rank-deficient
-    matrix reports ``inf``.
-    """
-    s = np.linalg.svd(cm.matrix, compute_uv=False)
-    if len(s) == 0 or s[-1] == 0.0 or cm.n_points < cm.n_constraints:
-        return float("inf")
-    return float(s[0] / s[-1])
+    c, g = cm.matrix, cm.rhs[..., None]
+    u, s, vt = np.linalg.svd(c, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeffs = np.matmul(vt.transpose(0, 2, 1), np.matmul(u.transpose(0, 2, 1), g) / s[..., None])
+        residual_vector = (np.matmul(c, coeffs) - g)[..., 0]
+        chi = s[:, 0] / s[:, -1]
+    scale = np.sqrt(np.vecdot(g[..., 0], g[..., 0]))
+    residual = np.sqrt(np.vecdot(residual_vector, residual_vector)) / np.where(scale > 0.0, scale, 1.0)
+    full_rank = (s[:, 0] > 0.0) & (s[:, -1] >= RANK_TOLERANCE * s[:, 0]) & (cm.n_points >= cm.n_constraints)
+    residual = np.where(full_rank, residual, np.inf)
+    return [
+        StencilSolve(True, float(chi[k]), coeffs[k, :, 0], s[k], float(residual[k]))
+        if residual[k] <= RESIDUAL_TOLERANCE
+        else StencilSolve(False, np.inf, None, s[k], float(residual[k]))
+        for k in range(len(s))
+    ]
 
 
 @dataclass
@@ -198,12 +178,18 @@ def global_ratio(coeffs: np.ndarray, member_ij: np.ndarray, classification: Node
     return float(np.abs(coeffs[1:][ghost]).max()) / center
 
 
+#: A trial generator yields trial stencils ``(member_ij, collar)``, is sent
+#: the ``StencilSolve`` of each, and returns its result.
+Trials = Generator[tuple[np.ndarray, CollarPoint], StencilSolve, object]
+
+
 class GhostOperatorSolver:
-    """Re-entrant conditioning oracle shared by the stencil strategies.
+    """Conditioning oracle shared by the stencil strategies.
 
     Bundles the grid spacing, the basis order and the benchmark's Robin data
-    provider so stencil construction can ask for (admissibility, chi,
-    coefficients) of any trial stencil against any collar point.
+    provider, and runs trial generators (the stencil strategies' per-ghost
+    logic) against them: ``run`` solves the trials of many ghosts in
+    lock-step batches, ``solve_for`` one trial.
     """
 
     def __init__(
@@ -216,8 +202,6 @@ class GhostOperatorSolver:
         self.robin_at = robin_at
         self.order = order
         self._alphas = enumerate_basis(order)
-        self._collar: CollarPoint | None = None
-        self._collar_data: tuple[BasisConfig, np.ndarray] | None = None
 
     @property
     def n_constraints(self) -> int:
@@ -226,24 +210,76 @@ class GhostOperatorSolver:
     def config_for(self, ghost_xy: np.ndarray) -> BasisConfig:
         return BasisConfig(self.grid.h, np.asarray(ghost_xy, dtype=float), self.order)
 
-    def _basis_and_rhs(self, collar: CollarPoint) -> tuple[BasisConfig, np.ndarray]:
-        """Basis configuration and constraint right-hand side of a collar.
+    def run(self, generators: Iterable[Trials]) -> list:
+        """Drive trial generators in lock-step; returns what each one returns.
 
-        Growth, swaps and S4.2 pass the same collar object for every trial
-        (an S4.3 rebuild brings a new one), so both are kept for the last
-        collar seen.
+        Generators are taken ``LOCKSTEP_BATCH`` at a time.  Every round
+        solves the pending trial of every generator of the batch: the
+        right-hand sides of collars not seen before in one vectorized call,
+        then one stacked SVD per member count.  A collar's right-hand side
+        is computed once per batch, however many trials use it.  When
+        generators raise a ``GhostBcError``, the error of the first one (in
+        input order) is raised, as a one-ghost-at-a-time loop would; the
+        generators after it are not driven further.
         """
-        if collar is not self._collar:
-            cfg = self.config_for(collar.ghost_xy)
-            rhs = boundary_action_vector(self._alphas, collar, self.robin_at(collar), cfg)
-            self._collar, self._collar_data = collar, (cfg, rhs)
-        return self._collar_data
+        generators = list(generators)
+        results: list = []
+        for start in range(0, len(generators), LOCKSTEP_BATCH):
+            results += self._lockstep(generators[start:start + LOCKSTEP_BATCH])
+        return results
 
-    def constraints_for(self, member_ij: np.ndarray, collar: CollarPoint) -> ConstraintMatrix:
-        cfg, rhs = self._basis_and_rhs(collar)
-        x, y = self.grid.coords(member_ij[:, 0], member_ij[:, 1])
-        points = np.column_stack([x, y])
-        return ConstraintMatrix(monomial_matrix(self._alphas, points, cfg), rhs)
+    def _lockstep(self, generators: list[Trials]) -> list:
+        results: list = [None] * len(generators)
+        first_failed, error = len(generators), None
+        collars: dict[int, tuple[CollarPoint, RobinData]] = {}  # holding a collar keeps its id unique
+        rhs: dict[int, np.ndarray] = {}
+        pending: list[tuple[int, np.ndarray, CollarPoint]] = []
+
+        def advance(k: int, solve: StencilSolve | None) -> None:
+            nonlocal first_failed, error
+            if k > first_failed:
+                return
+            try:
+                member_ij, collar = generators[k].send(solve)
+                if id(collar) not in collars:
+                    collars[id(collar)] = (collar, self.robin_at(collar))
+            except StopIteration as stop:
+                results[k] = stop.value
+            except GhostBcError as exc:
+                first_failed, error = k, exc
+            else:
+                pending.append((k, member_ij, collar))
+
+        for k in range(len(generators)):
+            advance(k, None)
+        while pending:
+            new = [key for key in collars if key not in rhs]
+            if new:
+                new_collars, robins = zip(*(collars[key] for key in new))
+                points = np.array([c.point for c in new_collars])
+                centers = np.array([c.ghost_xy for c in new_collars])
+                rhs.update(zip(new, boundary_actions(self._alphas, points, robins, self.config_for(centers))))
+            groups: dict[int, list[tuple[int, np.ndarray, CollarPoint]]] = {}
+            for trial in pending:
+                if trial[0] < first_failed:
+                    groups.setdefault(len(trial[1]), []).append(trial)
+            pending = []
+            for group in groups.values():
+                members = np.array([m for _, m, _ in group])
+                x, y = self.grid.coords(members[..., 0], members[..., 1])
+                centers = np.array([c.ghost_xy for _, _, c in group])
+                matrix = monomial_matrix(self._alphas, np.stack([x, y], axis=-1), self.config_for(centers))
+                g = np.array([rhs[id(c)] for _, _, c in group])
+                for (k, _, _), solve in zip(group, solve_constraints(ConstraintMatrix(matrix, g))):
+                    advance(k, solve)
+        if error is not None:
+            raise error
+        return results
 
     def solve_for(self, member_ij: np.ndarray, collar: CollarPoint) -> StencilSolve:
-        return analyze_stencil(self.constraints_for(member_ij, collar))
+        """Solve of one trial stencil: a batch of one through ``run``."""
+
+        def one_trial() -> Trials:
+            return (yield np.asarray(member_ij), collar)
+
+        return self.run([one_trial()])[0]

@@ -193,7 +193,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_ghost_csv(path: Path, result: LevelResult) -> None:
     lines = ["k,i,j,size,diameter,chi,r_ratio,collar_mode"]
-    for k, row in enumerate(result.rows):
+    for k, (row, diameter) in enumerate(zip(result.rows, result.diagnostics.diameters)):
         lines.append(
             ",".join(
                 [
@@ -201,7 +201,7 @@ def _write_ghost_csv(path: Path, result: LevelResult) -> None:
                     str(row.ghost_ij[0]),
                     str(row.ghost_ij[1]),
                     str(row.size),
-                    _fmt(row.diameter()),
+                    _fmt(diameter),
                     _fmt(row.chi),
                     _fmt(row.r_ratio),
                     row.collar.mode,

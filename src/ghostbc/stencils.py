@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary_ops import (
     GhostOperatorSolver,
     StencilSolve,
+    Trials,
     coefficient_amplification,
     global_ratio,
 )
@@ -317,10 +318,9 @@ class ConeBuildResult:
     collar: CollarPoint
     swaps: list[tuple[tuple[int, int], tuple[int, int]]]
     aperture_used: float
-    stage_members: dict[str, np.ndarray] = field(default_factory=dict)
-    stage_solves: dict[str, StencilSolve] = field(default_factory=dict)
-    stage_ratios: dict[str, float] = field(default_factory=dict)
-    stage_collars: dict[str, CollarPoint] = field(default_factory=dict)
+    stage_members: dict[str, np.ndarray]
+    stage_solves: dict[str, StencilSolve]
+    stage_ratios: dict[str, float]
 
 
 class _CandidateStream:
@@ -417,16 +417,16 @@ def _grow_until_conditioned(
     used: set[tuple[int, int]],
     collar: CollarPoint,
     stream: _CandidateStream,
-    solver: GhostOperatorSolver,
     strategy: StencilStrategy,
-) -> StencilSolve:
+) -> Trials:
     """Append candidates until the stencil is admissible and chi < local_tol.
 
-    ``used`` holds every node already consumed (members plus swap victims)
-    so nothing is offered twice.
+    A trial generator (see ``GhostOperatorSolver.run``) returning the final
+    solve.  ``used`` holds every node already consumed (members plus swap
+    victims) so nothing is offered twice.
     """
     while True:
-        solve = solver.solve_for(np.array(members, dtype=np.int64), collar)
+        solve = yield np.array(members, dtype=np.int64), collar
         if solve.admissible and solve.chi < strategy.local_tol:
             return solve
         if len(members) >= MAX_STENCIL_SIZE:
@@ -442,14 +442,14 @@ def _grow_until_conditioned(
         used.add(node)
 
 
-def _run_cone_stages(
+def _cone_stages(
     ghost_ij,
     collar: CollarPoint,
     strategy: StencilStrategy,
     grid: Grid,
     classification: NodeClassification,
-    solver: GhostOperatorSolver,
-):
+    n_constraints: int,
+) -> Trials:
     """S4.1 growth followed by the S4.2 swap loop, for one collar point.
 
     The swap loop is driven by the coefficient amplification over all
@@ -464,11 +464,11 @@ def _run_cone_stages(
     seed = tuple(int(v) for v in ghost_ij)
     members: list[tuple[int, int]] = [seed]
     used = {seed}
-    while len(members) < solver.n_constraints:
+    while len(members) < n_constraints:
         node = stream.take(used)
         members.append(node)
         used.add(node)
-    solve = _grow_until_conditioned(members, used, collar, stream, solver, strategy)
+    solve = yield from _grow_until_conditioned(members, used, collar, stream, strategy)
     stage1 = (list(members), solve)
 
     ratio = coefficient_amplification(solve.coeffs)
@@ -485,8 +485,8 @@ def _run_cone_stages(
         trial_members = members + [replacement]
         trial_used = used | {replacement}
         try:
-            trial_solve = _grow_until_conditioned(
-                trial_members, trial_used, collar, stream, solver, strategy
+            trial_solve = yield from _grow_until_conditioned(
+                trial_members, trial_used, collar, stream, strategy
             )
         except NotAdmissible:
             members.insert(victim_pos, victim)
@@ -519,86 +519,99 @@ def build_S4(
     ``max_swaps`` improving swaps); S4.3 retries the whole construction
     with an axis-projected collar point if the amplification still exceeds
     the tolerance.  All intermediate stages are recorded for diagnostics.
+    This is a batch of one; ``build_ghost_rows`` runs the same trials for
+    all ghosts of a level together.
     """
     if strategy.kind not in CONE_KINDS:
         raise ValueError(f"build_S4 called with strategy {strategy.kind!r}")
+    trials = _cone_trials(ghost_ij, collar, strategy, grid, classification, solver.n_constraints)
+    return solver.run([trials])[0]
 
-    result = ConeBuildResult(
-        stencil=None,  # type: ignore[arg-type]
-        solve=None,  # type: ignore[arg-type]
-        collar=collar,
-        swaps=[],
-        aperture_used=strategy.aperture_deg,
+
+def _cone_trials(ghost_ij, collar, strategy, grid, classification, n_constraints) -> Trials:
+    """Trial generator of ``build_S4``; returns its ``ConeBuildResult``."""
+    (members1, solve1), stage2, swaps, aperture = yield from _cone_stages(
+        ghost_ij, collar, strategy, grid, classification, n_constraints
     )
-    stage1, stage2, swaps, aperture = _run_cone_stages(
-        ghost_ij, collar, strategy, grid, classification, solver
-    )
-    members1, solve1 = stage1
-    ratio1 = coefficient_amplification(solve1.coeffs)
-    result.stage_members["S4.1"] = np.array(members1, dtype=np.int64)
-    result.stage_solves["S4.1"] = solve1
-    result.stage_ratios["S4.1"] = ratio1
-    result.stage_collars["S4.1"] = collar
-
-    members, solve, ratio = stage2
-    result.stage_members["S4.2"] = np.array(members, dtype=np.int64)
-    result.stage_solves["S4.2"] = solve
-    result.stage_ratios["S4.2"] = ratio
-    result.stage_collars["S4.2"] = collar
-    result.swaps = swaps
-    result.aperture_used = aperture
-
-    chosen_stage = {"S4.1": "S4.1", "S4.2": "S4.2", "S4.3": "S4.2"}[strategy.kind]
-    final_members = result.stage_members[chosen_stage]
-    final_solve = result.stage_solves[chosen_stage]
-    final_ratio = result.stage_ratios[chosen_stage]
-    final_collar = collar
-
+    stages = {"S4.1": (members1, solve1, coefficient_amplification(solve1.coeffs)), "S4.2": stage2}
+    final, final_collar = stages["S4.1" if strategy.kind == "S4.1" else "S4.2"], collar
     if strategy.kind == "S4.3":
-        if ratio >= strategy.global_tol:
-            final_members, final_solve, final_ratio, final_collar = _stage3_rebuild(
-                ghost_ij, collar, strategy, grid, classification, solver, result,
-                fallback=(final_members, final_solve, final_ratio),
+        if stage2[2] >= strategy.global_tol:
+            rebuilt = yield from _axis_rebuild(
+                ghost_ij, collar, strategy, grid, classification, n_constraints
             )
-        result.stage_members["S4.3"] = np.asarray(final_members, dtype=np.int64)
-        result.stage_solves["S4.3"] = final_solve
-        result.stage_ratios["S4.3"] = final_ratio
-        result.stage_collars["S4.3"] = final_collar
-
-    result.collar = final_collar
-    result.solve = final_solve
-    member_arr = np.asarray(final_members, dtype=np.int64)
-    result.stencil = Stencil(
+            if rebuilt is not None:
+                final, final_collar, more_swaps, more_aperture = rebuilt
+                swaps, aperture = swaps + more_swaps, max(aperture, more_aperture)
+        stages["S4.3"] = final
+    members, solve, _ = final
+    member_arr = np.asarray(members, dtype=np.int64)
+    stencil = Stencil(
         tuple(int(v) for v in ghost_ij),
         member_arr,
         final_collar,
         strategy.kind,
-        chi=final_solve.chi,
+        chi=solve.chi,
         # the stencil metric is the ghost-member ratio; the amplification
         # that drove the construction stays in stage_ratios
-        r_ratio=global_ratio(final_solve.coeffs, member_arr, classification),
+        r_ratio=global_ratio(solve.coeffs, member_arr, classification),
     )
-    return result
+    return ConeBuildResult(
+        stencil, solve, final_collar, swaps, aperture,
+        stage_members={k: np.asarray(m, dtype=np.int64) for k, (m, _, _) in stages.items()},
+        stage_solves={k: stage_solve for k, (_, stage_solve, _) in stages.items()},
+        stage_ratios={k: ratio for k, (_, _, ratio) in stages.items()},
+    )
 
 
-def _stage3_rebuild(ghost_ij, collar, strategy, grid, classification, solver, result, fallback):
-    """Re-run the cone construction with an axis-projected collar point."""
-    members, solve, ratio = fallback
+def _axis_rebuild(ghost_ij, collar, strategy, grid, classification, n_constraints) -> Trials:
+    """Re-run the cone construction with an axis-projected collar point.
+
+    Returns the rebuilt S4.2 stage, its collar, swaps and aperture, or None
+    when the axis finds no boundary or the rebuild is not admissible.
+    """
     try:
         new_collar = axis_projection(
             collar.ghost_xy, classification.level_set, grid.h, ghost_ij=tuple(ghost_ij)
         )
     except NoAxisIntersection:
         logger.info("ghost %s: no axis intersection; keeping closest-point collar", tuple(ghost_ij))
-        return members, solve, ratio, collar
+        return None
     try:
-        _, stage2, swaps, aperture = _run_cone_stages(
-            ghost_ij, new_collar, strategy, grid, classification, solver
+        _, stage2, swaps, aperture = yield from _cone_stages(
+            ghost_ij, new_collar, strategy, grid, classification, n_constraints
         )
     except NotAdmissible:
         logger.info("ghost %s: rebuild with axis collar failed; keeping S4.2 result", tuple(ghost_ij))
-        return members, solve, ratio, collar
-    result.swaps = result.swaps + swaps
-    result.aperture_used = max(result.aperture_used, aperture)
-    new_members, new_solve, new_ratio = stage2
-    return new_members, new_solve, new_ratio, new_collar
+        return None
+    return stage2, new_collar, swaps, aperture
+
+
+def ghost_trials(
+    collar: CollarPoint,
+    strategy: StencilStrategy,
+    grid: Grid,
+    classification: NodeClassification,
+    n_constraints: int,
+) -> Trials:
+    """Trial generator of one ghost's stencil under any strategy.
+
+    Returns ``(stencil, solve)``, the stencil's ``chi`` and ``r_ratio`` set.
+    S1-S3 yield their one triangle, whose solve must be admissible; the cone
+    strategies yield every growth, swap and rebuild trial of ``build_S4``.
+    """
+    ij = collar.ghost_ij
+    if strategy.kind in CONE_KINDS:
+        built = yield from _cone_trials(ij, collar, strategy, grid, classification, n_constraints)
+        return built.stencil, built.solve
+    builder = {"S1": build_S1, "S2": build_S2, "S3": build_S3}[strategy.kind]
+    stencil = builder(ij, collar, strategy.triangle_size, grid, classification)
+    solve = yield stencil.member_ij, collar
+    if not solve.admissible:
+        raise NotAdmissible(
+            f"{strategy.kind} stencil of ghost {ij} is rank-deficient or misses its "
+            f"constraints (relative residual {solve.residual:.3e})"
+        )
+    stencil.chi = solve.chi
+    stencil.r_ratio = global_ratio(solve.coeffs, stencil.member_ij, classification)
+    return stencil, solve

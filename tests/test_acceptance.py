@@ -377,7 +377,10 @@ def test_criterion_9_min_norm_properties():
     worst_square = 0.0
     n_square = 0
     for solver, row in rows_collected:
-        cm = solver.constraints_for(row.member_ij, row.collar)
+        points = np.column_stack(solver.grid.coords(row.member_ij[:, 0], row.member_ij[:, 1]))
+        cm = g.assemble_constraints(
+            points, row.collar, solver.robin_at(row.collar), solver.config_for(row.collar.ghost_xy)
+        )
         a = row.coeffs
         scale = np.linalg.norm(cm.rhs)
         residual = np.linalg.norm(cm.matrix @ a - cm.rhs) / (scale if scale > 0 else 1.0)

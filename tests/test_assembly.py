@@ -7,7 +7,6 @@ from ghostbc.assembly import (
     ProblemCoefficients,
     SparseSystem,
     export_matrix_market,
-    interior_row,
 )
 from ghostbc.basis import RobinData
 from ghostbc.benchmarks import R_INNER, R_OUTER, annulus_level_set, square_level_set
@@ -26,6 +25,25 @@ def laplace_coefficients(k=1.0, u=0.0, v=0.0):
         source=_zero,
         robin=lambda collar: RobinData(1.0, 0.0, collar.normal, 0.0),
     )
+
+
+def identity_ghost_rows(classification, rows=None):
+    """One trivial row per ghost (coefficient 1 on itself), some replaced."""
+    rows = rows or {}
+    return [
+        rows.get(k) or g.BoundaryOperatorRow((int(i), int(j)), np.array([[i, j]]), np.ones(1), 0.0, None, 1.0, 0.0)
+        for k, (i, j) in enumerate(classification.ghost_ij)
+    ]
+
+
+def interior_row(k, coeffs, grid, classification):
+    """(columns, values, rhs) of interior row k, read off the assembled system."""
+    system, _ = g.assemble(
+        classification, g.StencilStrategy(kind="S1"), coeffs, grid,
+        ghost_rows=identity_ghost_rows(classification),
+    )
+    row = system.matrix[k]
+    return row.indices, row.data, float(system.rhs[k])
 
 
 @pytest.fixture(scope="module")
@@ -88,15 +106,38 @@ class TestGhostRow:
             ghost_ij=tuple(int(v) for v in classification.ghost_ij[0]),
             member_ij=members,
             coeffs=np.array([0.5, 0.5, 0.0]),
-            rhs=0.0,
+            rhs=0.25,
             collar=None,
             chi=1.0,
             r_ratio=0.0,
         )
-        cols, vals, rhs = g.ghost_row(row, classification)
-        assert rhs == 0.0
-        assert np.allclose(vals, [0.5, 0.5, 0.0])
-        assert cols[0] == classification.n_interior
+        system, _ = g.assemble(
+            classification, g.StencilStrategy(kind="S1"), laplace_coefficients(), grid,
+            ghost_rows=identity_ghost_rows(classification, {0: row}),
+        )
+        ni = classification.n_interior
+        assert system.rhs[ni] == 0.25
+        entries = system.matrix[ni]
+        expected = {ni: 0.5, classification.active_index[tuple(members[1])]: 0.5,
+                    classification.active_index[tuple(members[2])]: 0.0}
+        assert dict(zip(entries.indices.tolist(), entries.data.tolist())) == expected
+        assert system.matrix[ni + 1].indices.tolist() == [ni + 1]
+
+    def test_inactive_member_raises_for_first_bad_row(self, annulus_160):
+        grid, classification = annulus_160
+        outside = np.argwhere(classification.active_index < 0)[0]
+
+        def bad(k):
+            ghost = classification.ghost_ij[k]
+            return g.BoundaryOperatorRow(
+                (int(ghost[0]), int(ghost[1])), np.vstack([ghost, outside]), np.ones(2), 0.0, None, 1.0, 0.0
+            )
+
+        rows = identity_ghost_rows(classification, {5: bad(5), 2: bad(2)})
+        with pytest.raises(MissingNeighbor, match=rf"ghost row \({rows[2].ghost_ij[0]}, {rows[2].ghost_ij[1]}\) "
+                           "references an inactive node"):
+            g.assemble(classification, g.StencilStrategy(kind="S1"), laplace_coefficients(), grid,
+                       ghost_rows=rows)
 
     def test_annulus_rhs_by_boundary_piece(self, annulus_160_rows):
         mid = 0.5 * (R_INNER + R_OUTER)

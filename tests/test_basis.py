@@ -6,23 +6,41 @@ from hypothesis import strategies as st
 from ghostbc.basis import (
     BasisConfig,
     RobinData,
-    boundary_action,
+    boundary_actions,
     enumerate_basis,
-    eval_monomial,
-    monomial_gradient,
     monomial_matrix,
     space_dimension,
 )
-from ghostbc.geometry import CollarPoint
 
 
-def make_collar(center, point, normal=(1.0, 0.0)):
-    return CollarPoint(
-        ghost_xy=np.asarray(center, dtype=float),
-        point=np.asarray(point, dtype=float),
-        normal=np.asarray(normal, dtype=float),
-        mode="closest",
-    )
+# Scalar reference of the basis: one monomial at one point, with numpy
+# scalar powers (libm pow), exactly as the library computed it term by term.
+def eval_monomial(alpha, xy, cfg):
+    xi = (xy[0] - cfg.center[0]) / cfg.spacing
+    eta = (xy[1] - cfg.center[1]) / cfg.spacing
+    return float(xi ** alpha[0] * eta ** alpha[1])
+
+
+def monomial_gradient(alpha, xy, cfg):
+    ax, ay = alpha
+    gx = ax / cfg.spacing * eval_monomial((ax - 1, ay), xy, cfg) if ax > 0 else 0.0
+    gy = ay / cfg.spacing * eval_monomial((ax, ay - 1), xy, cfg) if ay > 0 else 0.0
+    return np.array([gx, gy])
+
+
+def boundary_action(alpha, point, robin, cfg):
+    value = robin.dirichlet * eval_monomial(alpha, point, cfg)
+    if robin.neumann != 0.0:
+        value += robin.neumann * float(monomial_gradient(alpha, point, cfg) @ robin.normal)
+    return value
+
+
+def monomial(alpha, xy, cfg):
+    return float(monomial_matrix([alpha], np.asarray(xy, dtype=float)[None, :], cfg)[0, 0])
+
+
+def action(alphas, point, robin, cfg):
+    return boundary_actions(alphas, np.asarray(point, dtype=float)[None, :], [robin], cfg)[0]
 
 
 class TestEnumerateBasis:
@@ -53,15 +71,15 @@ class TestEvalMonomial:
         self.cfg = BasisConfig(spacing=0.1, center=np.array([0.3, -0.2]), order=5)
 
     def test_constant(self):
-        assert eval_monomial((0, 0), (1.7, 2.9), self.cfg) == 1.0
+        assert monomial((0, 0), (1.7, 2.9), self.cfg) == 1.0
 
     def test_unit_offset(self):
         x = self.cfg.center + np.array([self.cfg.spacing, 0.0])
-        assert eval_monomial((1, 0), x, self.cfg) == pytest.approx(1.0, abs=1e-14)
+        assert monomial((1, 0), x, self.cfg) == pytest.approx(1.0, abs=1e-14)
 
     def test_mixed(self):
         x = self.cfg.center + np.array([2 * self.cfg.spacing, -self.cfg.spacing])
-        assert eval_monomial((2, 1), x, self.cfg) == pytest.approx(-4.0, abs=1e-12)
+        assert monomial((2, 1), x, self.cfg) == pytest.approx(-4.0, abs=1e-12)
 
     def test_matrix_matches_scalar(self, rng):
         alphas = enumerate_basis(4)
@@ -71,6 +89,18 @@ class TestEvalMonomial:
             for p, pt in enumerate(pts):
                 assert m[a, p] == pytest.approx(eval_monomial(alpha, pt, self.cfg), rel=1e-13)
 
+    def test_stack_equals_its_slices(self, rng):
+        # one call for a stack of stencils, each with its own centre, gives
+        # every stencil's matrix bit for bit
+        alphas = enumerate_basis(5)
+        centers = rng.uniform(-1, 1, size=(40, 2))
+        pts = centers[:, None, :] + rng.uniform(-0.3, 0.3, size=(40, 17, 2))
+        stacked = monomial_matrix(alphas, pts, BasisConfig(0.05, centers))
+        assert stacked.shape == (40, 15, 17)
+        for k in range(40):
+            alone = monomial_matrix(alphas, pts[k], BasisConfig(0.05, centers[k]))
+            assert np.array_equal(stacked[k], alone)
+
 
 class TestBoundaryAction:
     def setup_method(self):
@@ -79,22 +109,42 @@ class TestBoundaryAction:
         self.cfg = BasisConfig(spacing=self.h, center=self.center, order=5)
 
     def test_dirichlet_on_constant(self):
-        collar = make_collar(self.center, self.center + [0.01, 0.02])
         robin = RobinData(1.0, 0.0, np.array([1.0, 0.0]), 0.0)
-        assert boundary_action((0, 0), collar, robin, self.cfg) == 1.0
+        assert action([(0, 0)], self.center + [0.01, 0.02], robin, self.cfg)[0] == 1.0
 
     def test_neumann_on_linear(self):
-        collar = make_collar(self.center, self.center + [0.01, 0.0])
         robin = RobinData(0.0, 1.0, np.array([1.0, 0.0]), 0.0)
-        assert boundary_action((1, 0), collar, robin, self.cfg) == pytest.approx(1.0 / self.h)
+        value = action([(1, 0)], self.center + [0.01, 0.0], robin, self.cfg)[0]
+        assert value == pytest.approx(1.0 / self.h)
 
     def test_mixed_on_quadratic(self):
         delta = 0.013
         normal = np.array([0.6, 0.8])
-        collar = make_collar(self.center, self.center + [delta, 0.0])
         robin = RobinData(1.0, 1.0, normal, 0.0)
         expected = (delta / self.h) ** 2 + 2.0 * normal[0] * delta / self.h**2
-        assert boundary_action((2, 0), collar, robin, self.cfg) == pytest.approx(expected, rel=1e-12)
+        value = action([(2, 0)], self.center + [delta, 0.0], robin, self.cfg)[0]
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin"])
+    def test_batch_equals_scalar_reference_bit_for_bit(self, kind, rng):
+        # thousands of collars in one call against the scalar formula, one
+        # monomial at a time; np.power in place of np.float_power breaks it
+        k = 2000
+        centers = rng.uniform(-1.0, 1.0, size=(k, 2))
+        points = centers + rng.uniform(-2.0, 2.0, size=(k, 2)) * self.h
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=k)
+        normals = np.column_stack([np.cos(angle), np.sin(angle)])
+        a_d = {"dirichlet": 1.0, "neumann": 0.0, "robin": 1.0}[kind]
+        a_n = {"dirichlet": 0.0, "neumann": 1.0, "robin": 0.37}[kind]
+        robins = [RobinData(a_d, a_n, nrm, 0.0) for nrm in normals]
+        alphas = enumerate_basis(5)
+        batch = boundary_actions(alphas, points, robins, BasisConfig(self.h, centers))
+        reference = np.array([
+            [boundary_action(alpha, p, robin, BasisConfig(self.h, c)) for alpha in alphas]
+            for p, robin, c in zip(points, robins, centers)
+        ])
+        assert batch.shape == (k, 15)
+        assert np.array_equal(batch.view(np.int64), reference.view(np.int64))
 
     def test_robin_coefficients_must_not_vanish(self):
         with pytest.raises(ValueError):
@@ -108,14 +158,18 @@ class TestProperties:
         for alpha in enumerate_basis(5):
             for _ in range(3):
                 x = cfg.center + rng.uniform(-0.3, 0.3, size=2)
-                gx, gy = monomial_gradient(alpha, x, cfg)
+                # the gradient is the pure-Neumann action along each axis
+                gx, gy = (
+                    action([alpha], x, RobinData(0.0, 1.0, np.array(nrm), 0.0), cfg)[0]
+                    for nrm in ((1.0, 0.0), (0.0, 1.0))
+                )
                 fd_x = (
-                    eval_monomial(alpha, x + [eps, 0.0], cfg)
-                    - eval_monomial(alpha, x - [eps, 0.0], cfg)
+                    monomial(alpha, x + [eps, 0.0], cfg)
+                    - monomial(alpha, x - [eps, 0.0], cfg)
                 ) / (2 * eps)
                 fd_y = (
-                    eval_monomial(alpha, x + [0.0, eps], cfg)
-                    - eval_monomial(alpha, x - [0.0, eps], cfg)
+                    monomial(alpha, x + [0.0, eps], cfg)
+                    - monomial(alpha, x - [0.0, eps], cfg)
                 ) / (2 * eps)
                 scale = max(1.0, abs(gx), abs(gy))
                 assert abs(gx - fd_x) <= 1e-7 * scale
@@ -155,6 +209,6 @@ class TestProperties:
         fine = BasisConfig(spacing=h, center=center)
         coarse = BasisConfig(spacing=2 * h, center=center)
         offset = np.array([dx, dy]) * h
-        v1 = eval_monomial((ax, ay), center + offset, fine)
-        v2 = eval_monomial((ax, ay), center + 2 * offset, coarse)
+        v1 = monomial((ax, ay), center + offset, fine)
+        v2 = monomial((ax, ay), center + 2 * offset, coarse)
         assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)

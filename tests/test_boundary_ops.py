@@ -3,19 +3,18 @@ import pytest
 
 import ghostbc as g
 from ghostbc.basis import BasisConfig, RobinData, enumerate_basis
+from ghostbc import boundary_ops
 from ghostbc.boundary_ops import (
     RESIDUAL_TOLERANCE,
     GhostOperatorSolver,
-    analyze_stencil,
     assemble_constraints,
     coefficient_amplification,
     global_ratio,
-    local_condition,
-    solve_min_norm,
+    solve_constraints,
 )
-from ghostbc.errors import NotAdmissible
+from ghostbc.errors import InactiveMember, NotAdmissible
 from ghostbc.geometry import CollarPoint
-from ghostbc.stencils import build_S4
+from ghostbc.stencils import build_S4, ghost_trials
 
 
 def make_collar(center, point, normal=(1.0, 0.0)):
@@ -29,6 +28,24 @@ def make_collar(center, point, normal=(1.0, 0.0)):
 
 def dirichlet(normal=(1.0, 0.0), value=0.0):
     return RobinData(1.0, 0.0, np.asarray(normal, dtype=float), value)
+
+
+def solve_one(cm):
+    """The stacked solve on a stack of one system."""
+    (solve,) = solve_constraints(g.ConstraintMatrix(cm.matrix[None], cm.rhs[None]))
+    return solve
+
+
+def solve_min_norm(cm):
+    solve = solve_one(cm)
+    assert solve.admissible
+    return solve.coeffs
+
+
+def row_constraints(solver, member_ij, collar):
+    """Constraint system of one trial stencil, built independently of ``run``."""
+    points = np.column_stack(solver.grid.coords(member_ij[:, 0], member_ij[:, 1]))
+    return assemble_constraints(points, collar, solver.robin_at(collar), solver.config_for(collar.ghost_xy))
 
 
 class TestAssembleConstraints:
@@ -81,16 +98,16 @@ class TestSolveMinNorm:
         cfg = BasisConfig(spacing=h, center=np.zeros(2), order=2)
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [h, 0.0]])
         cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg)
-        with pytest.raises(NotAdmissible):
-            solve_min_norm(cm)
+        solve = solve_one(cm)
+        assert not solve.admissible and solve.coeffs is None
 
     def test_underdetermined_needs_enough_points(self):
         h = 0.1
         cfg = BasisConfig(spacing=h, center=np.zeros(2), order=5)
         pts = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])  # 3 points, 15 constraints
         cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg)
-        with pytest.raises(NotAdmissible):
-            solve_min_norm(cm)
+        solve = solve_one(cm)
+        assert not solve.admissible and solve.coeffs is None
 
     def test_scaled_and_raw_bases_agree(self, annulus_bench):
         # recompute one real row with raw (unscaled) monomials at h = 1/80
@@ -100,8 +117,7 @@ class TestSolveMinNorm:
         ghost = tuple(int(v) for v in classification.ghost_ij[17])
         collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
         stencil = g.build_S2(ghost, collar, 4, grid, classification)
-        cm = solver.constraints_for(stencil.member_ij, collar)
-        a_scaled = solve_min_norm(cm)
+        a_scaled = solver.solve_for(stencil.member_ij, collar).coeffs
 
         # independent raw-basis oracle
         alphas = enumerate_basis(5)
@@ -124,14 +140,14 @@ class TestSolveMinNorm:
 class TestConditioning:
     def test_orthonormal_rows_give_unit_condition(self):
         cm = g.ConstraintMatrix(np.eye(15), np.zeros(15))
-        assert local_condition(cm) == pytest.approx(1.0)
+        assert solve_one(cm).chi == pytest.approx(1.0)
 
     def test_rank_deficiency_reports_infinity(self):
         h = 0.1
         cfg = BasisConfig(spacing=h, center=np.zeros(2), order=2)
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [h, 0.0]])
         cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg)
-        assert local_condition(cm) == np.inf
+        assert solve_one(cm).chi == np.inf
 
     def test_global_ratio_examples(self, annulus_160):
         grid, classification = annulus_160
@@ -189,7 +205,7 @@ class TestRowProperties:
         grid, classification = annulus_160
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         for row in annulus_160_rows[:: max(1, len(annulus_160_rows) // 40)]:
-            cm = solver.constraints_for(row.member_ij, row.collar)
+            cm = row_constraints(solver, row.member_ij, row.collar)
             _, s, vt = np.linalg.svd(cm.matrix)
             null_basis = vt[cm.n_constraints:]
             if len(null_basis) == 0:
@@ -204,7 +220,7 @@ class TestRowProperties:
         for row in annulus_160_rows:
             if row.size != solver.n_constraints:
                 continue
-            cm = solver.constraints_for(row.member_ij, row.collar)
+            cm = row_constraints(solver, row.member_ij, row.collar)
             direct = np.linalg.solve(cm.matrix, cm.rhs)
             a = solve_min_norm(cm)
             assert np.allclose(a, direct, rtol=1e-11, atol=1e-11 * np.linalg.norm(direct))
@@ -232,7 +248,7 @@ class TestRowProperties:
                 break
         collar = g.collar_for_ghost(ghost, grid, ls)
         stencil = g.build_S1(ghost, collar, 4, grid, classification)
-        a = solve_min_norm(solver.constraints_for(stencil.member_ij, collar))
+        a = solver.solve_for(stencil.member_ij, collar).coeffs
 
         # rotate (i, j) -> (n - j, i), i.e. (x, y) -> (-y, x)
         n = grid.n
@@ -245,33 +261,50 @@ class TestRowProperties:
             mode="closest",
             ghost_ij=rot_ghost,
         )
-        a_rot = solve_min_norm(solver.constraints_for(rot_members, rot_collar))
+        a_rot = solver.solve_for(rot_members, rot_collar).coeffs
         assert np.allclose(a, a_rot, atol=1e-12)
 
 
 def test_analyze_stencil_consistency(annulus_bench, annulus_160, annulus_160_rows):
+    # the stacked solve of many real rows equals the per-row formulas bit
+    # for bit (einsum or vecdot for the coefficients would not), and agrees
+    # with an SVD-free condition number and pseudo-inverse solve
     grid, _ = annulus_160
     solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
-    row = annulus_160_rows[10]
-    cm = solver.constraints_for(row.member_ij, row.collar)
-    result = analyze_stencil(cm)
-    assert result.admissible
-    assert result.chi == pytest.approx(local_condition(cm), rel=1e-12)
-    assert np.allclose(result.coeffs, solve_min_norm(cm), atol=1e-13)
+    by_size = {}
+    for row in annulus_160_rows[::3]:
+        by_size.setdefault(row.size, []).append(row_constraints(solver, row.member_ij, row.collar))
+    checked = 0
+    for systems in by_size.values():
+        stack = g.ConstraintMatrix(np.array([cm.matrix for cm in systems]), np.array([cm.rhs for cm in systems]))
+        for cm, result in zip(systems, solve_constraints(stack)):
+            assert result.admissible
+            u, s, vt = np.linalg.svd(cm.matrix, full_matrices=False)
+            assert np.array_equal(result.singular_values, s)
+            assert result.chi == float(s[0] / s[-1])
+            assert np.array_equal(result.coeffs, vt.T @ ((u.T @ cm.rhs) / s))
+            residual = np.linalg.norm(cm.matrix @ result.coeffs - cm.rhs) / np.linalg.norm(cm.rhs)
+            assert result.residual == residual
+            sv = np.linalg.svd(cm.matrix, compute_uv=False)
+            assert result.chi == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+            pinv_coeffs = np.linalg.pinv(cm.matrix) @ cm.rhs
+            assert np.allclose(result.coeffs, pinv_coeffs, rtol=0.0, atol=1e-8 * np.linalg.norm(pinv_coeffs))
+            checked += 1
+    assert len(by_size) > 3 and checked > 300
 
 
 class TestResidualContract:
-    def test_admissible_solves_meet_the_residual_bound(self, annulus_bench, annulus_160):
+    def test_admissible_solves_meet_the_residual_bound(self, annulus_bench, annulus_160, monkeypatch):
         grid, classification = annulus_160
         solves = []
 
-        class Recording(GhostOperatorSolver):
-            def solve_for(self, member_ij, collar):
-                solve = super().solve_for(member_ij, collar)
-                solves.append(solve)
-                return solve
+        def recording(cm):
+            out = solve_constraints(cm)
+            solves.extend(out)
+            return out
 
-        solver = Recording(grid, annulus_bench.coefficients.robin)
+        monkeypatch.setattr(boundary_ops, "solve_constraints", recording)
+        solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         strategy = g.StencilStrategy(kind="S4.3")
         for ij in classification.ghost_ij[::4]:
             ghost = tuple(int(v) for v in ij)
@@ -282,7 +315,7 @@ class TestResidualContract:
         assert max(s.residual for s in admissible) <= RESIDUAL_TOLERANCE
         assert all(s.chi == np.inf and s.coeffs is None for s in solves if not s.admissible)
 
-    def test_rank_admissible_but_inaccurate_solve_is_rejected(self):
+    def test_rank_admissible_but_inaccurate_solve_is_rejected(self, annulus_bench, annulus_160):
         # full row rank (sigma_min/sigma_max = 1e-12, above the rank cut) but
         # so ill conditioned that the solve misses the constraints
         rng = np.random.default_rng(7)
@@ -290,19 +323,25 @@ class TestResidualContract:
         v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         c = u @ np.column_stack([np.diag([1.0, 0.5, 1e-12]), np.zeros((3, 2))]) @ v.T
         cm = g.ConstraintMatrix(c, rng.standard_normal(3))
-        result = analyze_stencil(cm)
+        result = solve_one(cm)
         assert result.singular_values[-1] >= 1e-13 * result.singular_values[0]
         assert not result.admissible
         assert result.chi == np.inf and result.coeffs is None
         assert RESIDUAL_TOLERANCE < result.residual < np.inf
-        with pytest.raises(NotAdmissible):
-            solve_min_norm(cm)
+        # a triangle stencil handed such a solve raises, naming the residual
+        grid, classification = annulus_160
+        ghost = tuple(int(v) for v in classification.ghost_ij[0])
+        collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
+        trials = ghost_trials(collar, g.StencilStrategy(kind="S2"), grid, classification, 15)
+        next(trials)
+        with pytest.raises(NotAdmissible, match=f"relative residual {result.residual:.3e}"):
+            trials.send(result)
 
     def test_rank_deficient_reports_infinite_residual(self):
         cfg = BasisConfig(spacing=0.1, center=np.zeros(2), order=2)
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0]])
         cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg)
-        assert analyze_stencil(cm).residual == np.inf
+        assert solve_one(cm).residual == np.inf
 
 
 def test_solver_builds_one_right_hand_side_per_collar(annulus_bench, annulus_160):
@@ -317,19 +356,105 @@ def test_solver_builds_one_right_hand_side_per_collar(annulus_bench, annulus_160
     ghost = tuple(int(v) for v in classification.ghost_ij[3])
     collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
     members = np.array(g.cone_candidates(ghost, collar, 60.0, grid, classification, limit=17))
-    first = solver.constraints_for(members[:15], collar)
-    second = solver.constraints_for(members, collar)
-    assert len(seen) == 1
-    assert second.rhs is first.rhs
-    fresh = assemble_constraints(
-        np.column_stack(grid.coords(members[:, 0], members[:, 1])),
-        collar,
-        annulus_bench.coefficients.robin(collar),
-        solver.config_for(collar.ghost_xy),
-    )
-    assert np.array_equal(second.matrix, fresh.matrix)
-    assert np.array_equal(second.rhs, fresh.rhs)
     # an equal but distinct collar object (an S4.3 rebuild's) gets its own
     other = g.CollarPoint(collar.ghost_xy, collar.point, collar.normal, "axis", ghost)
-    solver.constraints_for(members, other)
-    assert len(seen) == 2
+
+    def trials(*collars):
+        return [(yield members[:15], collars[0]), (yield members, collars[1])]
+
+    first, second = solver.run([trials(collar, collar), trials(collar, other)])
+    assert [id(c) for c in seen] == [id(collar), id(other)]
+    reference = solver.solve_for(members, collar)
+    assert all(np.array_equal(s.coeffs, reference.coeffs) for s in (first[1], second[1]))
+    assert np.array_equal(first[0].coeffs, solver.solve_for(members[:15], collar).coeffs)
+    cm = row_constraints(solver, members, collar)
+    assert np.array_equal(reference.coeffs, solve_one(cm).coeffs)
+
+
+def _level(name, kind, n):
+    from ghostbc.stencils import extend_classification
+
+    cfg = g.RunConfig(benchmark=name, strategy=kind, n=n)
+    bench = cfg.make_benchmark()
+    grid = g.Grid(n)
+    strategy = cfg.stencil_strategy()
+    classification = extend_classification(g.classify_nodes(grid, bench.level_set), strategy, grid)
+    return bench, grid, classification, strategy
+
+
+class TestLockstepLevel:
+    @pytest.mark.parametrize(
+        "name, kind, n",
+        [("annulus", "S4.3", 160), ("flower", "S4.3", 160), ("annulus", "S1", 64), ("flower", "S2", 96),
+         ("conv-bl2", "S3", 96), ("annulus", "S4.1", 80), ("flower", "S4.2", 96)],
+    )
+    def test_level_equals_one_ghost_at_a_time(self, name, kind, n):
+        # flower-160 S4.3 has axis-collar fallbacks and rebuilds
+        bench, grid, classification, strategy = _level(name, kind, n)
+        rows = g.build_ghost_rows(classification, strategy, bench.coefficients, grid)
+        solver = GhostOperatorSolver(grid, bench.coefficients.robin)
+        collars = g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)
+        assert len(rows) == len(collars) > 100
+        for row, collar in zip(rows, collars):
+            ((stencil, solve),) = solver.run([ghost_trials(collar, strategy, grid, classification, 15)])
+            assert row.ghost_ij == collar.ghost_ij
+            assert np.array_equal(row.member_ij, stencil.member_ij)
+            assert np.array_equal(row.coeffs, solve.coeffs)
+            assert row.chi == solve.chi == stencil.chi
+            assert row.r_ratio == stencil.r_ratio
+            assert row.collar.mode == stencil.collar.mode
+            assert np.array_equal(row.collar.point, stencil.collar.point)
+            assert np.array_equal(row.collar.normal, stencil.collar.normal)
+            if kind in ("S4.1", "S4.2", "S4.3"):
+                built = build_S4(collar.ghost_ij, collar, strategy, grid, classification, solver)
+                assert np.array_equal(built.stencil.member_ij, row.member_ij)
+                assert np.array_equal(built.solve.coeffs, row.coeffs)
+        if name == "flower" and kind == "S4.3":
+            assert {"closest", "axis"} <= {row.collar.mode for row in rows}
+
+    def test_first_failing_ghost_raises(self, annulus_160):
+        grid, _ = annulus_160
+        solver = GhostOperatorSolver(grid, lambda collar: dirichlet(collar.normal))
+        collar = make_collar(grid.node_xy(80, 80), grid.node_xy(80, 80) + [0.001, 0.0])
+        members = np.array([[80, 80], [81, 80], [80, 81], [79, 80], [80, 79]])
+        sent = []
+
+        def trials(k, rounds, error=None):
+            for _ in range(rounds):
+                sent.append(k)
+                yield members, collar
+            if error is not None:
+                raise error
+            return k
+
+        # ghost 1 fails after its first trial, ghost 0 after its third: ghost
+        # 0's error wins, and ghosts after the first failure are not driven on
+        late, early = NotAdmissible("ghost 0 failed late"), InactiveMember("ghost 1 failed early")
+        with pytest.raises(NotAdmissible, match="ghost 0 failed late"):
+            solver.run([trials(0, 3, late), trials(1, 1, early), trials(2, 5), trials(3, 0, early)])
+        assert sent == [0, 1, 2, 0, 0]
+        sent.clear()
+        with pytest.raises(InactiveMember, match="ghost 1 failed early"):
+            solver.run([trials(0, 3), trials(1, 0, early), trials(2, 5)])
+        assert sent == [0, 0, 0]
+        # an untyped error is a defect, not a ghost's failure: it propagates at once
+        sent.clear()
+        with pytest.raises(ZeroDivisionError):
+            solver.run([trials(0, 3, NotAdmissible("later")), trials(1, 1, ZeroDivisionError())])
+        assert sent == [0, 1, 0]
+        assert solver.run([trials(0, 2), trials(1, 0)]) == [0, 1]
+
+    def test_level_raises_the_first_ghosts_error(self):
+        # no stencil gets chi below 1: every ghost grows past the cap in the
+        # same round, and the level reports the first ghost with the message
+        # that ghost raises alone
+        bench, grid, classification, _ = _level("annulus", "S4.1", 48)
+        strategy = g.StencilStrategy(kind="S4.1", local_tol=1.0)
+        collar = g.collars_for_ghosts(classification.ghost_ij[:1], grid, bench.level_set)[0]
+        solver = GhostOperatorSolver(grid, bench.coefficients.robin)
+        with pytest.raises(NotAdmissible) as alone:
+            build_S4(collar.ghost_ij, collar, strategy, grid, classification, solver)
+        with pytest.raises(NotAdmissible) as level:
+            g.build_ghost_rows(classification, strategy, bench.coefficients, grid)
+        assert str(level.value) == str(alone.value)
+        assert f"ghost {collar.ghost_ij}" in str(level.value)
