@@ -10,6 +10,7 @@ from .analysis import (
     stencil_diagnostics,
 )
 from .assembly import (
+    GhostRows,
     ProblemCoefficients,
     SolveReport,
     SparseSystem,
@@ -29,7 +30,6 @@ from .benchmarks import (
     peclet_numbers,
 )
 from .boundary_ops import (
-    BoundaryOperatorRow,
     ConstraintMatrix,
     GhostOperatorSolver,
     assemble_constraints,
@@ -43,19 +43,9 @@ from .geometry import (
     NodeClassification,
     axis_projection,
     classify_nodes,
-    collar_for_ghost,
     collars_for_ghosts,
     pairwise_diameter,
-    project_to_boundary,
 )
-from .stencils import (
-    Stencil,
-    StencilStrategy,
-    build_S1,
-    build_S2,
-    build_S3,
-    build_S4,
-    cone_candidates,
-)
+from .stencils import StencilStrategy, build_S1, build_S2, build_S3
 
 __version__ = "0.1.0"

@@ -6,10 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import DERIVATIVE_WEIGHTS
-from .boundary_ops import BoundaryOperatorRow
+from .assembly import DERIVATIVE_WEIGHTS, GhostRows
 from .errors import DegenerateFit, MissingNeighbor
-from .geometry import Grid, NodeClassification
+from .geometry import Grid, NodeClassification, pairwise_diameter
 
 NORM_NAMES = ("l1", "linf", "grad_l1", "grad_linf")
 
@@ -187,16 +186,13 @@ class StencilDiagnostics:
         }
 
 
-def stencil_diagnostics(rows: list[BoundaryOperatorRow]) -> StencilDiagnostics:
+def stencil_diagnostics(rows: GhostRows) -> StencilDiagnostics:
     """Collect size, diameter and conditioning statistics from ghost rows."""
-    sizes = np.array([row.size for row in rows], dtype=int)
-    diameters = np.array([row.diameter() for row in rows])
-    chi = np.array([row.chi for row in rows])
-    ratios = np.array([row.r_ratio for row in rows])
+    chi, ratios = rows.chi, rows.r_ratio
     positive = ratios > 0.0
     return StencilDiagnostics(
-        sizes=sizes,
-        diameters=diameters,
+        sizes=rows.sizes,
+        diameters=np.array([pairwise_diameter(m) for m in rows.per_row(rows.member_ij)]),
         log10_chi=np.log10(chi[np.isfinite(chi) & (chi > 0.0)]),
         log10_ratio=np.log10(ratios[positive & np.isfinite(ratios)]),
         n_zero_ratio=int((~positive).sum()),

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import DEFAULT_ORDER, RobinData
-from .boundary_ops import BoundaryOperatorRow, GhostOperatorSolver
+from .boundary_ops import GhostOperatorSolver, global_ratio
 from .errors import MissingNeighbor, SingularMatrix, SolveFailed
 from .geometry import CollarPoint, Grid, NodeClassification, collars_for_ghosts
 from .stencils import StencilStrategy, ghost_trials
@@ -34,6 +34,9 @@ OFFSETS = np.array([-2, -1, 0, 1, 2])
 
 #: Relative residual every solve must reach.
 SOLVE_TOLERANCE = 1e-10
+
+#: Iterative refinement steps a solve may take to reach ``SOLVE_TOLERANCE``.
+MAX_REFINEMENTS = 3
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,40 @@ class SparseSystem:
 
 
 @dataclass
+class GhostRows:
+    """Every ghost row of a level, one column per per-ghost fact.
+
+    Row k is the equation of ghost ``ghost_ij[k]`` (classification order):
+    ``sizes[k]`` members, the ghost itself first, stored row after row in
+    ``member_ij`` with their coefficients at the same positions of
+    ``coeffs``, and the datum ``rhs[k]`` enforced at ``collars[k]``.
+    ``chi`` is the condition number of the row's constraint matrix and
+    ``r_ratio`` its largest ghost-to-centre coefficient ratio (see
+    ``global_ratio``).  ``swaps`` counts the accepted S4.2 swaps and
+    ``aperture`` is the final cone aperture in degrees; both are 0 for the
+    triangle strategies.
+    """
+
+    ghost_ij: np.ndarray  # (G, 2)
+    sizes: np.ndarray  # (G,)
+    member_ij: np.ndarray  # (sizes.sum(), 2)
+    coeffs: np.ndarray  # (sizes.sum(),)
+    rhs: np.ndarray
+    chi: np.ndarray
+    r_ratio: np.ndarray
+    collars: list[CollarPoint]
+    swaps: np.ndarray
+    aperture: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def per_row(self, column: np.ndarray) -> list[np.ndarray]:
+        """``member_ij`` or ``coeffs`` cut into one array per row."""
+        return np.split(column, np.cumsum(self.sizes)[:-1])
+
+
+@dataclass
 class SolveReport:
     """Solution vector with the residual actually achieved."""
 
@@ -76,15 +113,6 @@ class SolveReport:
     residual: float
     refinements: int
     factor_seconds: float
-    n_interior: int
-
-    @property
-    def interior_values(self) -> np.ndarray:
-        return self.solution[: self.n_interior]
-
-    @property
-    def ghost_values(self) -> np.ndarray:
-        return self.solution[self.n_interior:]
 
 
 def _interior_block(
@@ -138,64 +166,57 @@ def build_ghost_rows(
     coeffs: ProblemCoefficients,
     grid: Grid,
     order: int = DEFAULT_ORDER,
-) -> list[BoundaryOperatorRow]:
+) -> GhostRows:
     """Collar, stencil and minimum-norm coefficients for every ghost node.
 
     The ghosts' trial stencils are solved in lock-step (``GhostOperatorSolver.run``).
     """
     solver = GhostOperatorSolver(grid, coeffs.robin, order=order)
-    collars = collars_for_ghosts(classification.ghost_ij, grid, classification.level_set)
     built = solver.run(
         ghost_trials(collar, strategy, grid, classification, solver.n_constraints)
-        for collar in collars
+        for collar in collars_for_ghosts(classification.ghost_ij, grid, classification.level_set)
     )
-    return [
-        BoundaryOperatorRow(
-            ghost_ij=collar.ghost_ij,
-            member_ij=stencil.member_ij,
-            coeffs=solve.coeffs,
-            rhs=coeffs.robin(stencil.collar).value,
-            collar=stencil.collar,
-            chi=solve.chi,
-            r_ratio=stencil.r_ratio,
-        )
-        for collar, (stencil, solve) in zip(collars, built)
-    ]
+    members, collars, solves, swaps, aperture = zip(*built)
+    return GhostRows(
+        ghost_ij=classification.ghost_ij,
+        sizes=np.array([len(m) for m in members]),
+        member_ij=np.concatenate(members),
+        coeffs=np.concatenate([solve.coeffs for solve in solves]),
+        rhs=np.array([coeffs.robin(collar).value for collar in collars], dtype=float),
+        chi=np.array([solve.chi for solve in solves]),
+        r_ratio=np.array([global_ratio(s.coeffs, m, classification) for m, s in zip(members, solves)]),
+        collars=list(collars),
+        swaps=np.array(swaps),
+        aperture=np.array(aperture),
+    )
 
 
 def assemble(
     classification: NodeClassification,
-    strategy: StencilStrategy,
     coeffs: ProblemCoefficients,
     grid: Grid,
-    order: int = DEFAULT_ORDER,
-    ghost_rows: list[BoundaryOperatorRow] | None = None,
-) -> tuple[SparseSystem, list[BoundaryOperatorRow]]:
-    """Assemble the global system; returns it with the per-ghost rows.
+    ghost_rows: GhostRows,
+) -> tuple[SparseSystem, GhostRows]:
+    """Assemble the global system from the interior discretization and ``ghost_rows``.
 
     Rows 0 .. N_I-1 are the interior discretization, the rest the ghost
-    equations, in classification order.  Pass ``ghost_rows`` to reuse rows
-    already built (e.g. when assembling several systems over one geometry).
+    equations, in classification order.  Returns the system with the ghost
+    rows it was given.
     """
-    if ghost_rows is None:
-        ghost_rows = build_ghost_rows(classification, strategy, coeffs, grid, order)
-
     rows_i, cols_i, vals_i, rhs_i = _interior_block(
         classification.interior_ij, coeffs, grid, classification
     )
 
-    sizes = [len(row.member_ij) for row in ghost_rows]
-    owner = np.repeat(np.arange(len(ghost_rows), dtype=np.int64), sizes)
-    member_ij = np.concatenate([np.empty((0, 2), dtype=np.int64)] + [row.member_ij for row in ghost_rows])
-    cols_g = classification.active_index[tuple(member_ij.T)]
+    owner = np.repeat(np.arange(len(ghost_rows), dtype=np.int64), ghost_rows.sizes)
+    cols_g = classification.active_index[tuple(ghost_rows.member_ij.T)]
     if (cols_g < 0).any():
-        bad = ghost_rows[owner[np.argmax(cols_g < 0)]]
-        raise MissingNeighbor(f"ghost row {bad.ghost_ij} references an inactive node")
+        bad = tuple(int(v) for v in ghost_rows.ghost_ij[owner[np.argmax(cols_g < 0)]])
+        raise MissingNeighbor(f"ghost row {bad} references an inactive node")
 
     n = classification.n_active
     matrix = sp.coo_matrix(
         (
-            np.concatenate([vals_i] + [row.coeffs for row in ghost_rows]),
+            np.concatenate([vals_i, ghost_rows.coeffs]),
             (
                 np.concatenate([rows_i, classification.n_interior + owner]),
                 np.concatenate([cols_i, cols_g]),
@@ -205,12 +226,12 @@ def assemble(
     ).tocsr()
     matrix.sum_duplicates()
     matrix.sort_indices()
-    rhs = np.concatenate([rhs_i, [row.rhs for row in ghost_rows]])
+    rhs = np.concatenate([rhs_i, ghost_rows.rhs])
     system = SparseSystem(matrix, rhs, classification.n_interior, classification.n_ghost)
     return system, ghost_rows
 
 
-def solve(system: SparseSystem, tol: float = SOLVE_TOLERANCE, max_refinements: int = 3) -> SolveReport:
+def solve(system: SparseSystem) -> SolveReport:
     """Direct sparse solve with iterative refinement to the residual contract.
 
     Raises:
@@ -233,15 +254,15 @@ def solve(system: SparseSystem, tol: float = SOLVE_TOLERANCE, max_refinements: i
     scale = scale if scale > 0.0 else 1.0
     refinements = 0
     residual = np.linalg.norm(system.matrix @ x - rhs) / scale
-    while residual > tol and refinements < max_refinements:
+    while residual > SOLVE_TOLERANCE and refinements < MAX_REFINEMENTS:
         x = x + lu.solve(rhs - system.matrix @ x)
         refinements += 1
         residual = np.linalg.norm(system.matrix @ x - rhs) / scale
-    if residual > tol:
+    if residual > SOLVE_TOLERANCE:
         raise SolveFailed(
-            f"relative residual {residual:.3e} above {tol:.0e} after {refinements} refinements"
+            f"relative residual {residual:.3e} above {SOLVE_TOLERANCE:.0e} after {refinements} refinements"
         )
-    return SolveReport(x, float(residual), refinements, factor_seconds, system.n_interior)
+    return SolveReport(x, float(residual), refinements, factor_seconds)
 
 
 def export_matrix_market(system: SparseSystem, path) -> None:

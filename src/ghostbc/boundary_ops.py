@@ -28,7 +28,7 @@ from .basis import (
     monomial_matrix,
 )
 from .errors import GhostBcError
-from .geometry import CollarPoint, Grid, NodeClassification, pairwise_diameter
+from .geometry import CollarPoint, Grid, NodeClassification
 
 #: sigma_min/sigma_max below this means the stencil is rank-deficient.
 RANK_TOLERANCE = 1e-13
@@ -120,27 +120,6 @@ def solve_constraints(cm: ConstraintMatrix) -> list[StencilSolve]:
     ]
 
 
-@dataclass
-class BoundaryOperatorRow:
-    """One assembled ghost equation: coefficients over a stencil plus datum."""
-
-    ghost_ij: tuple[int, int]
-    member_ij: np.ndarray  # (n_points, 2) lattice indices, ghost itself first
-    coeffs: np.ndarray
-    rhs: float
-    collar: CollarPoint
-    chi: float
-    r_ratio: float
-
-    @property
-    def size(self) -> int:
-        return len(self.coeffs)
-
-    def diameter(self) -> float:
-        """Maximum pairwise member distance in units of the grid spacing."""
-        return pairwise_diameter(self.member_ij)
-
-
 def coefficient_amplification(coeffs: np.ndarray) -> float:
     """Largest member-to-centre coefficient ratio, over all members.
 
@@ -189,7 +168,7 @@ class GhostOperatorSolver:
     Bundles the grid spacing, the basis order and the benchmark's Robin data
     provider, and runs trial generators (the stencil strategies' per-ghost
     logic) against them: ``run`` solves the trials of many ghosts in
-    lock-step batches, ``solve_for`` one trial.
+    lock-step batches.
     """
 
     def __init__(
@@ -275,11 +254,3 @@ class GhostOperatorSolver:
         if error is not None:
             raise error
         return results
-
-    def solve_for(self, member_ij: np.ndarray, collar: CollarPoint) -> StencilSolve:
-        """Solve of one trial stencil: a batch of one through ``run``."""
-
-        def one_trial() -> Trials:
-            return (yield np.asarray(member_ij), collar)
-
-        return self.run([one_trial()])[0]

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import analysis, assembly, benchmarks, stencils
 from .analysis import NORM_NAMES, ConvergenceSeries, ErrorReport, StencilDiagnostics
+from .basis import space_dimension
 from .errors import ConfigError, DegenerateFit, GhostBcError, UnknownDomain
 from .geometry import Grid, NodeClassification, classify_nodes
 from .stencils import StencilStrategy
@@ -73,6 +74,15 @@ class RunConfig:
                 raise ConfigError("sweep grid list must be strictly increasing")
         if self.lambda_loc <= 0.0 or self.lambda_glo <= 0.0:
             raise ConfigError("conditioning tolerances must be positive")
+        if self.order < 2:
+            raise ConfigError(f"polynomial order must be >= 2, got {self.order}")
+        # a triangle with fewer members than constraints is never admissible
+        members = (self.triangle_size + 1) * (self.triangle_size + 2) // 2
+        if self.strategy in stencils.TRIANGLE_KINDS and members < space_dimension(self.order):
+            raise ConfigError(
+                f"{self.strategy} triangle of size {self.triangle_size} has {members} members, "
+                f"fewer than the {space_dimension(self.order)} constraints of order {self.order}"
+            )
 
     def stencil_strategy(self) -> StencilStrategy:
         try:
@@ -105,7 +115,7 @@ class LevelResult:
     residual: float
     n_interior: int
     n_ghost: int
-    rows: list = field(repr=False, default_factory=list)
+    rows: assembly.GhostRows | None = field(repr=False, default=None)
     system: assembly.SparseSystem | None = None
     #: The classification whose active numbering indexes ``system``.
     classification: NodeClassification | None = field(repr=False, default=None)
@@ -130,9 +140,7 @@ def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelR
     timings["ghost_rows"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    system, rows = assembly.assemble(
-        classification, strategy, bench.coefficients, grid, cfg.order, ghost_rows=rows
-    )
+    system, rows = assembly.assemble(classification, bench.coefficients, grid, rows)
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -192,19 +200,20 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_ghost_csv(path: Path, result: LevelResult) -> None:
+    rows = result.rows
     lines = ["k,i,j,size,diameter,chi,r_ratio,collar_mode"]
-    for k, (row, diameter) in enumerate(zip(result.rows, result.diagnostics.diameters)):
+    for k, ((i, j), diameter) in enumerate(zip(rows.ghost_ij, result.diagnostics.diameters)):
         lines.append(
             ",".join(
                 [
                     str(result.n_interior + k),
-                    str(row.ghost_ij[0]),
-                    str(row.ghost_ij[1]),
-                    str(row.size),
+                    str(i),
+                    str(j),
+                    str(rows.sizes[k]),
                     _fmt(diameter),
-                    _fmt(row.chi),
-                    _fmt(row.r_ratio),
-                    row.collar.mode,
+                    _fmt(rows.chi[k]),
+                    _fmt(rows.r_ratio[k]),
+                    rows.collars[k].mode,
                 ]
             )
         )
@@ -240,8 +249,6 @@ def run_single(cfg: RunConfig) -> LevelResult:
         _write_json(out / "run.json", _run_payload(cfg, bench, result))
         _write_ghost_csv(out / "ghosts.csv", result)
         _write_json(out / "timings.json", {"seconds": result.timings})
-        if cfg.export_diagnostics:
-            _write_json(out / "diagnostics.json", result.diagnostics.summary())
         if cfg.export_matrix:
             assembly.export_matrix_market(result.system, out / "matrix.mtx")
     return result
@@ -331,7 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sweep", help="'paper13' or a comma-separated grid list")
     run.add_argument("--out", help="output directory")
     run.add_argument("--export-matrix", action="store_true", default=None)
-    run.add_argument("--export-diagnostics", action="store_true", default=None)
+    run.add_argument("--export-diagnostics", action="store_true", default=None,
+                     help="write each sweep level's ghost table to ghosts_n<n>.csv")
     run.add_argument("--inject-exact", action="store_true", default=None,
                      help="skip the solve and inject the analytic solution")
     run.add_argument("--log-level", default="WARNING")

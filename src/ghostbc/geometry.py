@@ -407,29 +407,6 @@ def _closest_points(
     return out
 
 
-def project_to_boundary(
-    ghost_xy,
-    level_set: LevelSet,
-    ghost_ij: tuple[int, int] | None = None,
-    tol: float = PROJECTION_TOLERANCE,
-    max_iter: int = PROJECTION_MAX_ITER,
-) -> CollarPoint:
-    """Orthogonal projection of a point onto the zero level set.
-
-    Converged when the residual is below ``tol`` and the tangential slide is
-    negligible, so the returned collar always satisfies both the residual
-    and the alignment contracts.
-
-    Raises:
-        ZeroGradient: the gradient vanished at an iterate.
-        ProjectionDiverged: no convergence within ``max_iter`` iterations.
-    """
-    (result,) = _closest_points(np.asarray(ghost_xy, dtype=float), level_set, [ghost_ij], tol, max_iter)
-    if isinstance(result, GeometryError):
-        raise result
-    return result
-
-
 def _bisect_level(level_set: LevelSet, a: np.ndarray, b: np.ndarray, fa: float, tol: float) -> np.ndarray:
     """Bisection along segment [a, b] bracketing a sign change of phi."""
     lo, hi = a, b
@@ -511,11 +488,6 @@ def collars_for_ghosts(ghost_ij, grid: Grid, level_set: LevelSet) -> list[Collar
             logger.info("ghost %s: closest-point projection failed (%s); using axis projection", keys[k], result)
             collars[k] = axis_projection(xy[k], level_set, grid.h, ghost_ij=keys[k])
     return collars
-
-
-def collar_for_ghost(ghost_ij: tuple[int, int], grid: Grid, level_set: LevelSet) -> CollarPoint:
-    """Collar point of a single ghost node (see ``collars_for_ghosts``)."""
-    return collars_for_ghosts([ghost_ij], grid, level_set)[0]
 
 
 def pairwise_diameter(member_ij: np.ndarray) -> float:

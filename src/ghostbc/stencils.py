@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_ops import (
-    GhostOperatorSolver,
-    StencilSolve,
-    Trials,
-    coefficient_amplification,
-    global_ratio,
-)
+from .boundary_ops import Trials, coefficient_amplification
 from .errors import CandidatesExhausted, InactiveMember, NoAxisIntersection, NotAdmissible
 from .geometry import CollarPoint, Grid, NodeClassification, axis_projection, collars_for_ghosts
 
@@ -41,6 +35,12 @@ FIRST_CONE_RADIUS = 12
 
 #: Hard cap on stencil growth; exceeding it means the configuration is hopeless.
 MAX_STENCIL_SIZE = 60
+
+#: Rounds of ghost-band extension the S1/S2 triangles may take to close.
+MAX_EXTENSION_ROUNDS = 12
+
+#: Largest inward shift S3 tries before giving up on a ghost-exclusive triangle.
+MAX_S3_SHIFT = 6
 
 
 @dataclass(frozen=True)
@@ -67,27 +67,6 @@ class StencilStrategy:
             raise ValueError("max_swaps must be >= 0")
 
 
-@dataclass
-class Stencil:
-    """Ordered member set of one ghost row; the ghost node is member 0."""
-
-    ghost_ij: tuple[int, int]
-    member_ij: np.ndarray
-    collar: CollarPoint
-    kind: str
-    chi: float | None = None
-    r_ratio: float | None = None
-
-    def __post_init__(self) -> None:
-        self.member_ij = np.asarray(self.member_ij, dtype=np.int64)
-        if tuple(self.member_ij[0]) != tuple(self.ghost_ij):
-            raise ValueError("stencil member 0 must be the ghost node itself")
-
-    @property
-    def size(self) -> int:
-        return len(self.member_ij)
-
-
 def _check_members(
     members: list[tuple[int, int]],
     ghost_ij: tuple[int, int],
@@ -108,19 +87,14 @@ def build_S1(
     p: int,
     grid: Grid,
     classification: NodeClassification,
-) -> Stencil:
+) -> np.ndarray:
     """Right triangle with the right angle at the ghost, opening inward.
 
     Members are the lattice offsets ``(l*sx, m*sy)`` with ``l + m <= p``
-    where ``(sx, sy)`` steps from the ghost toward the boundary.
+    where ``(sx, sy)`` steps from the ghost toward the boundary; the ghost
+    comes first.
     """
-    members = triangle_members("S1", ghost_ij, collar, p)
-    return Stencil(
-        tuple(int(v) for v in ghost_ij),
-        _check_members(members, ghost_ij, classification, "S1"),
-        collar,
-        "S1",
-    )
+    return _check_members(triangle_members("S1", ghost_ij, collar, p), ghost_ij, classification, "S1")
 
 
 def _s2_offsets(p: int, x_branch: bool) -> list[tuple[int, int]]:
@@ -149,7 +123,6 @@ def extend_classification(
     classification: NodeClassification,
     strategy: StencilStrategy,
     grid: Grid,
-    max_rounds: int = 12,
 ) -> NodeClassification:
     """Deepen the ghost band until every triangle stencil is closed.
 
@@ -164,7 +137,7 @@ def extend_classification(
         return classification
 
     collars: dict[tuple[int, int], CollarPoint] = {}
-    for _ in range(max_rounds):
+    for _ in range(MAX_EXTENSION_ROUNDS):
         ghosts = [(int(i), int(j)) for i, j in classification.ghost_ij]
         new = [ghost for ghost in ghosts if ghost not in collars]
         collars.update(zip(new, collars_for_ghosts(new, grid, classification.level_set)))
@@ -189,7 +162,7 @@ def extend_classification(
         )
         classification = classification.with_extra_ghosts(missing)
     raise InactiveMember(
-        f"{strategy.kind} ghost band did not close within {max_rounds} extension rounds"
+        f"{strategy.kind} ghost band did not close within {MAX_EXTENSION_ROUNDS} extension rounds"
     )
 
 
@@ -199,19 +172,13 @@ def build_S2(
     p: int,
     grid: Grid,
     classification: NodeClassification,
-) -> Stencil:
+) -> np.ndarray:
     """Right triangle whose right-angle vertex is the innermost internal point.
 
     The branch follows the dominant displacement component (x wins ties);
     the triangle spans from the ghost to the vertex ``p`` nodes inward.
     """
-    members = triangle_members("S2", ghost_ij, collar, p)
-    return Stencil(
-        tuple(int(v) for v in ghost_ij),
-        _check_members(members, ghost_ij, classification, "S2"),
-        collar,
-        "S2",
-    )
+    return _check_members(triangle_members("S2", ghost_ij, collar, p), ghost_ij, classification, "S2")
 
 
 def build_S3(
@@ -220,8 +187,7 @@ def build_S3(
     p: int,
     grid: Grid,
     classification: NodeClassification,
-    max_shift: int = 6,
-) -> Stencil:
+) -> np.ndarray:
     """S2 shifted inward until the ghost is its only ghost member.
 
     Ghosts within one spacing of the boundary keep the plain S2 set when it
@@ -256,7 +222,7 @@ def build_S3(
     near = float(np.linalg.norm(d)) <= grid.h
     start = 0 if near else 1
     last_error: InactiveMember | None = None
-    for shift in range(start, max_shift + 1):
+    for shift in range(start, MAX_S3_SHIFT + 1):
         members = signed(offsets, shift)
         try:
             member_arr = _check_members(members, ghost_ij, classification, "S3")
@@ -264,11 +230,11 @@ def build_S3(
             last_error = exc
             continue
         if not foreign_ghosts(members):
-            return Stencil((i0, j0), member_arr, collar, "S3")
+            return member_arr
     if last_error is not None:
         raise last_error
     raise InactiveMember(
-        f"S3 stencil of ghost {tuple(ghost_ij)} cannot exclude other ghosts within shift {max_shift}"
+        f"S3 stencil of ghost {tuple(ghost_ij)} cannot exclude other ghosts within shift {MAX_S3_SHIFT}"
     )
 
 
@@ -288,39 +254,6 @@ def _offset_table(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.lexsort((dj, di, d2))
     di, dj = di[order], dj[order]
     return di, dj, np.hypot(di, dj)
-
-
-def cone_candidates(
-    ghost_ij: tuple[int, int],
-    collar: CollarPoint,
-    aperture_deg: float,
-    grid: Grid,
-    classification: NodeClassification,
-    limit: int | None = None,
-) -> list[tuple[int, int]]:
-    """Ordered cone candidates for a ghost, with the ghost itself first."""
-    stream = _CandidateStream(ghost_ij, collar, aperture_deg, grid, classification)
-    out: list[tuple[int, int]] = [tuple(int(v) for v in ghost_ij)]
-    while limit is None or len(out) < limit:
-        node = stream.candidate(len(out) - 1)
-        if node is None:
-            break
-        out.append(node)
-    return out
-
-
-@dataclass
-class ConeBuildResult:
-    """Final cone stencil plus every intermediate stage, for diagnostics."""
-
-    stencil: Stencil
-    solve: StencilSolve
-    collar: CollarPoint
-    swaps: list[tuple[tuple[int, int], tuple[int, int]]]
-    aperture_used: float
-    stage_members: dict[str, np.ndarray]
-    stage_solves: dict[str, StencilSolve]
-    stage_ratios: dict[str, float]
 
 
 class _CandidateStream:
@@ -452,13 +385,15 @@ def _cone_stages(
 ) -> Trials:
     """S4.1 growth followed by the S4.2 swap loop, for one collar point.
 
-    The swap loop is driven by the coefficient amplification over all
-    members: removing whichever member carries the largest coefficient
-    (typically a node shadowing the ghost from right next to the collar
-    point) is what restores a usable centre coefficient for ghosts that
-    sit deep in the second layer.  A swap that does not strictly improve
-    the amplification is reverted and the loop stops; stencils the swaps
-    cannot fix are left to the collar modification of S4.3.
+    Returns ``(member_ij, collar, solve, swaps, aperture)`` of the final
+    stencil, like ``ghost_trials``.  The swap loop is driven by the
+    coefficient amplification over all members: removing whichever member
+    carries the largest coefficient (typically a node shadowing the ghost
+    from right next to the collar point) is what restores a usable centre
+    coefficient for ghosts that sit deep in the second layer.  A swap that
+    does not strictly improve the amplification is reverted and the loop
+    stops; stencils the swaps cannot fix are left to the collar
+    modification of S4.3.
     """
     stream = _CandidateStream(ghost_ij, collar, strategy.aperture_deg, grid, classification)
     seed = tuple(int(v) for v in ghost_ij)
@@ -469,12 +404,11 @@ def _cone_stages(
         members.append(node)
         used.add(node)
     solve = yield from _grow_until_conditioned(members, used, collar, stream, strategy)
-    stage1 = (list(members), solve)
 
     ratio = coefficient_amplification(solve.coeffs)
-    swaps: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    swaps = 0
     max_swaps = 0 if strategy.kind == "S4.1" else strategy.max_swaps
-    while ratio >= strategy.global_tol and len(swaps) < max_swaps:
+    while ratio >= strategy.global_tol and swaps < max_swaps:
         victim_pos = 1 + int(np.abs(solve.coeffs[1:]).argmax())
         victim = members.pop(victim_pos)
         try:
@@ -499,76 +433,15 @@ def _cone_stages(
         used = trial_used
         solve = trial_solve
         ratio = trial_ratio
-        swaps.append((victim, replacement))
-    return stage1, (list(members), solve, ratio), swaps, stream.aperture
-
-
-def build_S4(
-    ghost_ij: tuple[int, int],
-    collar: CollarPoint,
-    strategy: StencilStrategy,
-    grid: Grid,
-    classification: NodeClassification,
-    solver: GhostOperatorSolver,
-) -> ConeBuildResult:
-    """Cone-based stencil for one ghost under S4.1, S4.2 or S4.3.
-
-    S4.1 grows the candidate set until admissible and locally well
-    conditioned; S4.2 additionally swaps out the largest-coefficient member
-    while the row's amplification exceeds the global tolerance (at most
-    ``max_swaps`` improving swaps); S4.3 retries the whole construction
-    with an axis-projected collar point if the amplification still exceeds
-    the tolerance.  All intermediate stages are recorded for diagnostics.
-    This is a batch of one; ``build_ghost_rows`` runs the same trials for
-    all ghosts of a level together.
-    """
-    if strategy.kind not in CONE_KINDS:
-        raise ValueError(f"build_S4 called with strategy {strategy.kind!r}")
-    trials = _cone_trials(ghost_ij, collar, strategy, grid, classification, solver.n_constraints)
-    return solver.run([trials])[0]
-
-
-def _cone_trials(ghost_ij, collar, strategy, grid, classification, n_constraints) -> Trials:
-    """Trial generator of ``build_S4``; returns its ``ConeBuildResult``."""
-    (members1, solve1), stage2, swaps, aperture = yield from _cone_stages(
-        ghost_ij, collar, strategy, grid, classification, n_constraints
-    )
-    stages = {"S4.1": (members1, solve1, coefficient_amplification(solve1.coeffs)), "S4.2": stage2}
-    final, final_collar = stages["S4.1" if strategy.kind == "S4.1" else "S4.2"], collar
-    if strategy.kind == "S4.3":
-        if stage2[2] >= strategy.global_tol:
-            rebuilt = yield from _axis_rebuild(
-                ghost_ij, collar, strategy, grid, classification, n_constraints
-            )
-            if rebuilt is not None:
-                final, final_collar, more_swaps, more_aperture = rebuilt
-                swaps, aperture = swaps + more_swaps, max(aperture, more_aperture)
-        stages["S4.3"] = final
-    members, solve, _ = final
-    member_arr = np.asarray(members, dtype=np.int64)
-    stencil = Stencil(
-        tuple(int(v) for v in ghost_ij),
-        member_arr,
-        final_collar,
-        strategy.kind,
-        chi=solve.chi,
-        # the stencil metric is the ghost-member ratio; the amplification
-        # that drove the construction stays in stage_ratios
-        r_ratio=global_ratio(solve.coeffs, member_arr, classification),
-    )
-    return ConeBuildResult(
-        stencil, solve, final_collar, swaps, aperture,
-        stage_members={k: np.asarray(m, dtype=np.int64) for k, (m, _, _) in stages.items()},
-        stage_solves={k: stage_solve for k, (_, stage_solve, _) in stages.items()},
-        stage_ratios={k: ratio for k, (_, _, ratio) in stages.items()},
-    )
+        swaps += 1
+    return np.array(members, dtype=np.int64), collar, solve, swaps, stream.aperture
 
 
 def _axis_rebuild(ghost_ij, collar, strategy, grid, classification, n_constraints) -> Trials:
     """Re-run the cone construction with an axis-projected collar point.
 
-    Returns the rebuilt S4.2 stage, its collar, swaps and aperture, or None
-    when the axis finds no boundary or the rebuild is not admissible.
+    Returns the rebuilt stencil as ``_cone_stages`` does, or None when the
+    axis finds no boundary or the rebuild is not admissible.
     """
     try:
         new_collar = axis_projection(
@@ -578,13 +451,10 @@ def _axis_rebuild(ghost_ij, collar, strategy, grid, classification, n_constraint
         logger.info("ghost %s: no axis intersection; keeping closest-point collar", tuple(ghost_ij))
         return None
     try:
-        _, stage2, swaps, aperture = yield from _cone_stages(
-            ghost_ij, new_collar, strategy, grid, classification, n_constraints
-        )
+        return (yield from _cone_stages(ghost_ij, new_collar, strategy, grid, classification, n_constraints))
     except NotAdmissible:
         logger.info("ghost %s: rebuild with axis collar failed; keeping S4.2 result", tuple(ghost_ij))
         return None
-    return stage2, new_collar, swaps, aperture
 
 
 def ghost_trials(
@@ -596,22 +466,31 @@ def ghost_trials(
 ) -> Trials:
     """Trial generator of one ghost's stencil under any strategy.
 
-    Returns ``(stencil, solve)``, the stencil's ``chi`` and ``r_ratio`` set.
-    S1-S3 yield their one triangle, whose solve must be admissible; the cone
-    strategies yield every growth, swap and rebuild trial of ``build_S4``.
+    Returns ``(member_ij, collar, solve, swaps, aperture)``: the final
+    members (the ghost first), the collar point their row closes, their
+    solve, the accepted S4.2 swaps and the final cone aperture (0 swaps and
+    aperture 0 for the triangles).  S1-S3 yield their one triangle, whose
+    solve must be admissible.  S4.1 grows the candidate set until
+    admissible and locally well conditioned; S4.2 additionally swaps out
+    the largest-coefficient member while the row's amplification exceeds
+    the global tolerance (at most ``max_swaps`` improving swaps); S4.3
+    retries the whole construction with an axis-projected collar point if
+    the amplification still exceeds the tolerance.
     """
     ij = collar.ghost_ij
-    if strategy.kind in CONE_KINDS:
-        built = yield from _cone_trials(ij, collar, strategy, grid, classification, n_constraints)
-        return built.stencil, built.solve
-    builder = {"S1": build_S1, "S2": build_S2, "S3": build_S3}[strategy.kind]
-    stencil = builder(ij, collar, strategy.triangle_size, grid, classification)
-    solve = yield stencil.member_ij, collar
-    if not solve.admissible:
-        raise NotAdmissible(
-            f"{strategy.kind} stencil of ghost {ij} is rank-deficient or misses its "
-            f"constraints (relative residual {solve.residual:.3e})"
-        )
-    stencil.chi = solve.chi
-    stencil.r_ratio = global_ratio(solve.coeffs, stencil.member_ij, classification)
-    return stencil, solve
+    if strategy.kind not in CONE_KINDS:
+        builder = {"S1": build_S1, "S2": build_S2, "S3": build_S3}[strategy.kind]
+        members = builder(ij, collar, strategy.triangle_size, grid, classification)
+        solve = yield members, collar
+        if not solve.admissible:
+            raise NotAdmissible(
+                f"{strategy.kind} stencil of ghost {ij} is rank-deficient or misses its "
+                f"constraints (relative residual {solve.residual:.3e})"
+            )
+        return members, collar, solve, 0, 0.0
+    row = yield from _cone_stages(ij, collar, strategy, grid, classification, n_constraints)
+    if strategy.kind == "S4.3" and coefficient_amplification(row[2].coeffs) >= strategy.global_tol:
+        rebuilt = yield from _axis_rebuild(ij, collar, strategy, grid, classification, n_constraints)
+        if rebuilt is not None:
+            row = rebuilt[:3] + (row[3] + rebuilt[3], max(row[4], rebuilt[4]))
+    return row

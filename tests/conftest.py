@@ -1,7 +1,10 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 import ghostbc as g
+from ghostbc.geometry import CollarPoint
 
 
 @pytest.fixture(scope="session")
@@ -28,10 +31,7 @@ def annulus_160_rows(annulus_bench, annulus_160):
 @pytest.fixture(scope="session")
 def annulus_160_solved(annulus_bench, annulus_160, annulus_160_rows):
     grid, classification = annulus_160
-    strategy = g.StencilStrategy(kind="S4.3")
-    system, rows = g.assemble(
-        classification, strategy, annulus_bench.coefficients, grid, ghost_rows=annulus_160_rows
-    )
+    system, rows = g.assemble(classification, annulus_bench.coefficients, grid, annulus_160_rows)
     report = g.solve(system)
     return system, rows, report
 
@@ -39,3 +39,29 @@ def annulus_160_solved(annulus_bench, annulus_160, annulus_160_rows):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@dataclass
+class Row:
+    """One ghost row read off a ``GhostRows`` table."""
+
+    ghost_ij: tuple[int, int]
+    member_ij: np.ndarray
+    coeffs: np.ndarray
+    rhs: float
+    chi: float
+    r_ratio: float
+    collar: CollarPoint
+    swaps: int
+    aperture: float
+
+
+def rows_of(rows):
+    """The rows of a table one at a time, for per-row checks."""
+    return [
+        Row(tuple(int(v) for v in ij), *fields)
+        for ij, *fields in zip(
+            rows.ghost_ij, rows.per_row(rows.member_ij), rows.per_row(rows.coeffs), rows.rhs,
+            rows.chi, rows.r_ratio, rows.collars, rows.swaps, rows.aperture,
+        )
+    ]

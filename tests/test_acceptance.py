@@ -29,8 +29,8 @@ import pytest
 import scipy.sparse as sp
 
 import ghostbc as g
-from ghostbc.boundary_ops import GhostOperatorSolver, global_ratio
-from ghostbc.stencils import build_S4
+from conftest import rows_of
+from ghostbc.boundary_ops import GhostOperatorSolver
 
 REDUCED_SWEEP_5 = [160, 194, 234, 283, 343]
 REDUCED_SWEEP_4 = [160, 194, 234, 283]
@@ -105,30 +105,20 @@ def annulus_sweep_s43():
 
 @pytest.fixture(scope="module")
 def n502_stage_stats():
-    """Stencil stages for every ghost of the annulus at N=502 (no solve)."""
+    """Stencil stages for every ghost of the annulus at N=502 (no solve).
+
+    The S4.1, S4.2 and S4.3 levels are the three stages of the S4.3
+    construction: S4.2 swaps from the S4.1 stencil and S4.3 rebuilds from
+    the S4.2 one, so each level's row is its stage bit for bit.
+    """
     grid = g.Grid(502)
     bench = g.annulus_homogeneous()
     classification = g.classify_nodes(grid, bench.level_set)
-    strategy = g.StencilStrategy(kind="S4.3")
-    solver = GhostOperatorSolver(grid, bench.coefficients.robin)
-    stats = {k: {"sizes": [], "chi": [], "ratio": []} for k in ("S4.1", "S4.2", "S4.3")}
-    final_rows = []
-    for ij in classification.ghost_ij:
-        ghost = tuple(int(v) for v in ij)
-        collar = g.collar_for_ghost(ghost, grid, bench.level_set)
-        built = build_S4(ghost, collar, strategy, grid, classification, solver)
-        for k in ("S4.1", "S4.2", "S4.3"):
-            stats[k]["sizes"].append(len(built.stage_members[k]))
-            stats[k]["chi"].append(built.stage_solves[k].chi)
-        final_rows.append(
-            (
-                built.stencil.member_ij,
-                built.solve.coeffs,
-                built.solve.chi,
-                global_ratio(built.solve.coeffs, built.stencil.member_ij, classification),
-            )
-        )
-    return classification, stats, final_rows
+    stages = {
+        kind: g.build_ghost_rows(classification, g.StencilStrategy(kind=kind), bench.coefficients, grid)
+        for kind in ("S4.1", "S4.2", "S4.3")
+    }
+    return classification, stages
 
 
 def test_criterion_1_polynomial_exactness():
@@ -210,7 +200,7 @@ def test_criterion_3_strategy_differentiation(annulus_sweep_s43):
 
 
 def test_criterion_4_table_reproduction(n502_stage_stats):
-    classification, stats, _ = n502_stage_stats
+    classification, stages = n502_stage_stats
     checks = [
         (
             "ghost count within 2% of 3728",
@@ -219,7 +209,7 @@ def test_criterion_4_table_reproduction(n502_stage_stats):
         )
     ]
     for kind in ("S4.1", "S4.2", "S4.3"):
-        sizes = np.array(stats[kind]["sizes"])
+        sizes = stages[kind].sizes
         frac15 = float((sizes == 15).mean())
         checks.append(
             (f"{kind} sizes within [15, 19]", bool(sizes.min() >= 15 and sizes.max() <= 19),
@@ -232,9 +222,9 @@ def test_criterion_4_table_reproduction(n502_stage_stats):
 
 
 def test_criterion_5_conditioning_distributions(n502_stage_stats):
-    _, stats, final_rows = n502_stage_stats
-    chi_s43 = np.array([chi for _, _, chi, _ in final_rows])
-    ratios = np.array([ratio for _, _, _, ratio in final_rows])
+    _, stages = n502_stage_stats
+    chi_s43 = stages["S4.3"].chi
+    ratios = stages["S4.3"].r_ratio
     positive = ratios[ratios > 0.0]
     max_log_chi = float(np.log10(chi_s43.max()))
     max_log_ratio = float(np.log10(positive.max()))
@@ -242,12 +232,12 @@ def test_criterion_5_conditioning_distributions(n502_stage_stats):
         ("max log10 chi <= 5.6", max_log_chi <= 5.6, f"{max_log_chi:.4f}"),
         ("max log10 R_k <= 1.8", max_log_ratio <= 1.8, f"{max_log_ratio:.4f}"),
     ]
-    max_chi_s41 = max(stats["S4.1"]["chi"])
+    max_chi_s41 = stages["S4.1"].chi.max()
     if max_chi_s41 > 1e6:
         checks.append(
             (
                 "S4.2/S4.3 reduce max chi when S4.1 exceeds the tolerance",
-                max(stats["S4.2"]["chi"]) < max_chi_s41 and max(stats["S4.3"]["chi"]) < max_chi_s41,
+                stages["S4.2"].chi.max() < max_chi_s41 and stages["S4.3"].chi.max() < max_chi_s41,
                 f"S4.1 max {max_chi_s41:.3e}",
             )
         )
@@ -368,7 +358,7 @@ def test_criterion_9_min_norm_properties():
             classification, cfg.stencil_strategy(), bench.coefficients, grid
         )
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
-        rows_collected.extend((solver, row) for row in rows)
+        rows_collected.extend((solver, row) for row in rows_of(rows))
     assert len(rows_collected) >= 1000
     rows_collected = rows_collected[:1000]
 
@@ -390,7 +380,7 @@ def test_criterion_9_min_norm_properties():
         if len(null_basis):
             orth = np.abs(null_basis @ a).max() / max(1.0, np.linalg.norm(a))
             worst_orth = max(worst_orth, orth)
-        if row.size == cm.n_constraints:
+        if len(row.coeffs) == cm.n_constraints:
             direct = np.linalg.solve(cm.matrix, cm.rhs)
             worst_square = max(
                 worst_square,
@@ -414,11 +404,12 @@ def test_criterion_9_min_norm_properties():
 def test_criterion_10_s3_explicitness(annulus_bench, annulus_160):
     grid, classification = annulus_160
     strategy = g.StencilStrategy(kind="S3")
-    system, rows = g.assemble(classification, strategy, annulus_bench.coefficients, grid)
+    rows = g.build_ghost_rows(classification, strategy, annulus_bench.coefficients, grid)
+    system, _ = g.assemble(classification, annulus_bench.coefficients, grid, rows)
     ni = classification.n_interior
     gg = system.matrix[ni:, ni:].tocoo()
     off_diagonal = int((gg.row != gg.col).sum() and np.abs(gg.data[gg.row != gg.col]).max() > 0)
-    ratios = np.array([row.r_ratio for row in rows])
+    ratios = rows.r_ratio
     _report(
         "10 (S3 explicit ghost block)",
         [

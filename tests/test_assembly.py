@@ -28,20 +28,36 @@ def laplace_coefficients(k=1.0, u=0.0, v=0.0):
 
 
 def identity_ghost_rows(classification, rows=None):
-    """One trivial row per ghost (coefficient 1 on itself), some replaced."""
+    """One trivial row per ghost (coefficient 1 on itself), some replaced.
+
+    ``rows`` maps a ghost's position to its ``(member_ij, coeffs, rhs)``.
+    """
     rows = rows or {}
-    return [
-        rows.get(k) or g.BoundaryOperatorRow((int(i), int(j)), np.array([[i, j]]), np.ones(1), 0.0, None, 1.0, 0.0)
-        for k, (i, j) in enumerate(classification.ghost_ij)
-    ]
+    pieces = [rows.get(k, (ij[None], np.ones(1), 0.0)) for k, ij in enumerate(classification.ghost_ij)]
+    count = len(pieces)
+    return g.GhostRows(
+        ghost_ij=classification.ghost_ij,
+        sizes=np.array([len(members) for members, _, _ in pieces]),
+        member_ij=np.concatenate([members for members, _, _ in pieces]),
+        coeffs=np.concatenate([coeffs for _, coeffs, _ in pieces]),
+        rhs=np.array([rhs for _, _, rhs in pieces]),
+        chi=np.ones(count),
+        r_ratio=np.zeros(count),
+        collars=[None] * count,
+        swaps=np.zeros(count, dtype=int),
+        aperture=np.zeros(count),
+    )
+
+
+def assemble_with_rows(classification, strategy, coeffs, grid):
+    """Build the level's ghost rows with ``strategy``, then assemble."""
+    rows = g.build_ghost_rows(classification, strategy, coeffs, grid)
+    return g.assemble(classification, coeffs, grid, rows)
 
 
 def interior_row(k, coeffs, grid, classification):
     """(columns, values, rhs) of interior row k, read off the assembled system."""
-    system, _ = g.assemble(
-        classification, g.StencilStrategy(kind="S1"), coeffs, grid,
-        ghost_rows=identity_ghost_rows(classification),
-    )
+    system, _ = g.assemble(classification, coeffs, grid, identity_ghost_rows(classification))
     row = system.matrix[k]
     return row.indices, row.data, float(system.rhs[k])
 
@@ -102,18 +118,9 @@ class TestGhostRow:
     def test_trivial_row_entries(self, annulus_160):
         grid, classification = annulus_160
         members = np.vstack([classification.ghost_ij[0], classification.interior_ij[:2]])
-        row = g.BoundaryOperatorRow(
-            ghost_ij=tuple(int(v) for v in classification.ghost_ij[0]),
-            member_ij=members,
-            coeffs=np.array([0.5, 0.5, 0.0]),
-            rhs=0.25,
-            collar=None,
-            chi=1.0,
-            r_ratio=0.0,
-        )
+        row = (members, np.array([0.5, 0.5, 0.0]), 0.25)
         system, _ = g.assemble(
-            classification, g.StencilStrategy(kind="S1"), laplace_coefficients(), grid,
-            ghost_rows=identity_ghost_rows(classification, {0: row}),
+            classification, laplace_coefficients(), grid, identity_ghost_rows(classification, {0: row})
         )
         ni = classification.n_interior
         assert system.rhs[ni] == 0.25
@@ -128,22 +135,18 @@ class TestGhostRow:
         outside = np.argwhere(classification.active_index < 0)[0]
 
         def bad(k):
-            ghost = classification.ghost_ij[k]
-            return g.BoundaryOperatorRow(
-                (int(ghost[0]), int(ghost[1])), np.vstack([ghost, outside]), np.ones(2), 0.0, None, 1.0, 0.0
-            )
+            return np.vstack([classification.ghost_ij[k], outside]), np.ones(2), 0.0
 
         rows = identity_ghost_rows(classification, {5: bad(5), 2: bad(2)})
-        with pytest.raises(MissingNeighbor, match=rf"ghost row \({rows[2].ghost_ij[0]}, {rows[2].ghost_ij[1]}\) "
+        with pytest.raises(MissingNeighbor, match=rf"ghost row \({rows.ghost_ij[2][0]}, {rows.ghost_ij[2][1]}\) "
                            "references an inactive node"):
-            g.assemble(classification, g.StencilStrategy(kind="S1"), laplace_coefficients(), grid,
-                       ghost_rows=rows)
+            g.assemble(classification, laplace_coefficients(), grid, rows)
 
     def test_annulus_rhs_by_boundary_piece(self, annulus_160_rows):
         mid = 0.5 * (R_INNER + R_OUTER)
-        for row in annulus_160_rows:
-            r = float(np.hypot(*row.collar.point))
-            assert row.rhs == (0.0 if r < mid else 1.0)
+        for collar, rhs in zip(annulus_160_rows.collars, annulus_160_rows.rhs):
+            r = float(np.hypot(*collar.point))
+            assert rhs == (0.0 if r < mid else 1.0)
 
 
 class TestAssemble:
@@ -160,7 +163,7 @@ class TestAssemble:
         grid, classification = square_setup
         coeffs = laplace_coefficients()
         strategy = g.StencilStrategy(kind="S4.3")
-        system, _ = g.assemble(classification, strategy, coeffs, grid)
+        system, _ = assemble_with_rows(classification, strategy, coeffs, grid)
         x, y = grid.meshgrid()
         inside = np.asarray(square_level_set(0.77).evaluate(x, y)) < 0
         from test_geometry import brute_force_reference_set
@@ -187,7 +190,7 @@ class TestAssemble:
             source=_zero,
             robin=lambda collar: RobinData(1.0, 0.0, collar.normal, c),
         )
-        system, _ = g.assemble(classification, g.StencilStrategy(kind="S4.3"), coeffs, grid)
+        system, _ = assemble_with_rows(classification, g.StencilStrategy(kind="S4.3"), coeffs, grid)
         resid = system.matrix @ np.full(system.n, c) - system.rhs
         assert np.abs(resid).max() <= 1e-10
 

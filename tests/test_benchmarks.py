@@ -185,7 +185,6 @@ def test_catalog_self_checks():
 
 def test_robin_data_normal_is_unit(annulus_bench, annulus_160):
     grid, classification = annulus_160
-    for ij in classification.ghost_ij[::97]:
-        collar = g.collar_for_ghost(tuple(int(v) for v in ij), grid, annulus_bench.level_set)
+    for collar in g.collars_for_ghosts(classification.ghost_ij[::97], grid, annulus_bench.level_set):
         robin = annulus_bench.coefficients.robin(collar)
         assert np.linalg.norm(robin.normal) == pytest.approx(1.0, abs=1e-12)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import rows_of
 
 import ghostbc as g
 from ghostbc.basis import BasisConfig, RobinData, enumerate_basis
@@ -14,7 +15,7 @@ from ghostbc.boundary_ops import (
 )
 from ghostbc.errors import InactiveMember, NotAdmissible
 from ghostbc.geometry import CollarPoint
-from ghostbc.stencils import build_S4, ghost_trials
+from ghostbc.stencils import _CandidateStream, ghost_trials
 
 
 def make_collar(center, point, normal=(1.0, 0.0)):
@@ -40,6 +41,19 @@ def solve_min_norm(cm):
     solve = solve_one(cm)
     assert solve.admissible
     return solve.coeffs
+
+
+def solve_alone(solver, member_ij, collar):
+    """Solve of one trial stencil: a batch of one through ``run``."""
+
+    def one_trial():
+        return (yield member_ij, collar)
+
+    return solver.run([one_trial()])[0]
+
+
+def collar_of(ghost, grid, level_set):
+    return g.collars_for_ghosts([ghost], grid, level_set)[0]
 
 
 def row_constraints(solver, member_ij, collar):
@@ -115,13 +129,13 @@ class TestSolveMinNorm:
         classification = g.classify_nodes(grid, annulus_bench.level_set)
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         ghost = tuple(int(v) for v in classification.ghost_ij[17])
-        collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
-        stencil = g.build_S2(ghost, collar, 4, grid, classification)
-        a_scaled = solver.solve_for(stencil.member_ij, collar).coeffs
+        collar = collar_of(ghost, grid, annulus_bench.level_set)
+        members = g.build_S2(ghost, collar, 4, grid, classification)
+        a_scaled = solve_alone(solver, members, collar).coeffs
 
         # independent raw-basis oracle
         alphas = enumerate_basis(5)
-        x, y = grid.coords(stencil.member_ij[:, 0], stencil.member_ij[:, 1])
+        x, y = grid.coords(members[:, 0], members[:, 1])
         cx, cy = grid.node_xy(*ghost)
         raw = np.array([(x - cx) ** ax * (y - cy) ** ay for ax, ay in alphas])
         robin = annulus_bench.coefficients.robin(collar)
@@ -170,7 +184,7 @@ class TestRowProperties:
     def test_polynomial_exactness_on_real_rows(self, annulus_bench, annulus_160, annulus_160_rows, rng):
         grid, classification = annulus_160
         alphas = enumerate_basis(5)
-        for row in annulus_160_rows[:: max(1, len(annulus_160_rows) // 60)]:
+        for row in rows_of(annulus_160_rows)[:: max(1, len(annulus_160_rows) // 60)]:
             coeffs = rng.standard_normal(len(alphas))
             cx, cy = grid.node_xy(*row.ghost_ij)
 
@@ -204,7 +218,7 @@ class TestRowProperties:
     def test_min_norm_orthogonal_to_null_space(self, annulus_bench, annulus_160, annulus_160_rows):
         grid, classification = annulus_160
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
-        for row in annulus_160_rows[:: max(1, len(annulus_160_rows) // 40)]:
+        for row in rows_of(annulus_160_rows)[:: max(1, len(annulus_160_rows) // 40)]:
             cm = row_constraints(solver, row.member_ij, row.collar)
             _, s, vt = np.linalg.svd(cm.matrix)
             null_basis = vt[cm.n_constraints:]
@@ -217,8 +231,8 @@ class TestRowProperties:
         grid, classification = annulus_160
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         checked = 0
-        for row in annulus_160_rows:
-            if row.size != solver.n_constraints:
+        for row in rows_of(annulus_160_rows):
+            if len(row.coeffs) != solver.n_constraints:
                 continue
             cm = row_constraints(solver, row.member_ij, row.collar)
             direct = np.linalg.solve(cm.matrix, cm.rhs)
@@ -246,14 +260,14 @@ class TestRowProperties:
             if classification.ghost_layer_grid[tuple(ij)] == 1:
                 ghost = tuple(int(v) for v in ij)
                 break
-        collar = g.collar_for_ghost(ghost, grid, ls)
-        stencil = g.build_S1(ghost, collar, 4, grid, classification)
-        a = solver.solve_for(stencil.member_ij, collar).coeffs
+        collar = collar_of(ghost, grid, ls)
+        members = g.build_S1(ghost, collar, 4, grid, classification)
+        a = solve_alone(solver, members, collar).coeffs
 
         # rotate (i, j) -> (n - j, i), i.e. (x, y) -> (-y, x)
         n = grid.n
         rot_ghost = (n - ghost[1], ghost[0])
-        rot_members = np.array([(n - j, i) for i, j in stencil.member_ij])
+        rot_members = np.array([(n - j, i) for i, j in members])
         rot_collar = g.CollarPoint(
             ghost_xy=np.array([-collar.ghost_xy[1], collar.ghost_xy[0]]),
             point=np.array([-collar.point[1], collar.point[0]]),
@@ -261,7 +275,7 @@ class TestRowProperties:
             mode="closest",
             ghost_ij=rot_ghost,
         )
-        a_rot = solver.solve_for(rot_members, rot_collar).coeffs
+        a_rot = solve_alone(solver, rot_members, rot_collar).coeffs
         assert np.allclose(a, a_rot, atol=1e-12)
 
 
@@ -272,8 +286,8 @@ def test_analyze_stencil_consistency(annulus_bench, annulus_160, annulus_160_row
     grid, _ = annulus_160
     solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
     by_size = {}
-    for row in annulus_160_rows[::3]:
-        by_size.setdefault(row.size, []).append(row_constraints(solver, row.member_ij, row.collar))
+    for row in rows_of(annulus_160_rows)[::3]:
+        by_size.setdefault(len(row.coeffs), []).append(row_constraints(solver, row.member_ij, row.collar))
     checked = 0
     for systems in by_size.values():
         stack = g.ConstraintMatrix(np.array([cm.matrix for cm in systems]), np.array([cm.rhs for cm in systems]))
@@ -306,10 +320,8 @@ class TestResidualContract:
         monkeypatch.setattr(boundary_ops, "solve_constraints", recording)
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         strategy = g.StencilStrategy(kind="S4.3")
-        for ij in classification.ghost_ij[::4]:
-            ghost = tuple(int(v) for v in ij)
-            collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
-            build_S4(ghost, collar, strategy, grid, classification, solver)
+        collars = g.collars_for_ghosts(classification.ghost_ij[::4], grid, annulus_bench.level_set)
+        solver.run(ghost_trials(collar, strategy, grid, classification, 15) for collar in collars)
         admissible = [s for s in solves if s.admissible]
         assert len(admissible) > 100
         assert max(s.residual for s in admissible) <= RESIDUAL_TOLERANCE
@@ -331,7 +343,7 @@ class TestResidualContract:
         # a triangle stencil handed such a solve raises, naming the residual
         grid, classification = annulus_160
         ghost = tuple(int(v) for v in classification.ghost_ij[0])
-        collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
+        collar = collar_of(ghost, grid, annulus_bench.level_set)
         trials = ghost_trials(collar, g.StencilStrategy(kind="S2"), grid, classification, 15)
         next(trials)
         with pytest.raises(NotAdmissible, match=f"relative residual {result.residual:.3e}"):
@@ -354,8 +366,9 @@ def test_solver_builds_one_right_hand_side_per_collar(annulus_bench, annulus_160
 
     solver = GhostOperatorSolver(grid, robin_at)
     ghost = tuple(int(v) for v in classification.ghost_ij[3])
-    collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
-    members = np.array(g.cone_candidates(ghost, collar, 60.0, grid, classification, limit=17))
+    collar = collar_of(ghost, grid, annulus_bench.level_set)
+    stream = _CandidateStream(ghost, collar, 60.0, grid, classification)
+    members = np.array([ghost] + [stream.candidate(k) for k in range(16)])
     # an equal but distinct collar object (an S4.3 rebuild's) gets its own
     other = g.CollarPoint(collar.ghost_xy, collar.point, collar.normal, "axis", ghost)
 
@@ -364,9 +377,9 @@ def test_solver_builds_one_right_hand_side_per_collar(annulus_bench, annulus_160
 
     first, second = solver.run([trials(collar, collar), trials(collar, other)])
     assert [id(c) for c in seen] == [id(collar), id(other)]
-    reference = solver.solve_for(members, collar)
+    reference = solve_alone(solver, members, collar)
     assert all(np.array_equal(s.coeffs, reference.coeffs) for s in (first[1], second[1]))
-    assert np.array_equal(first[0].coeffs, solver.solve_for(members[:15], collar).coeffs)
+    assert np.array_equal(first[0].coeffs, solve_alone(solver, members[:15], collar).coeffs)
     cm = row_constraints(solver, members, collar)
     assert np.array_equal(reference.coeffs, solve_one(cm).coeffs)
 
@@ -395,22 +408,22 @@ class TestLockstepLevel:
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
         collars = g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)
         assert len(rows) == len(collars) > 100
-        for row, collar in zip(rows, collars):
-            ((stencil, solve),) = solver.run([ghost_trials(collar, strategy, grid, classification, 15)])
-            assert row.ghost_ij == collar.ghost_ij
-            assert np.array_equal(row.member_ij, stencil.member_ij)
+        for row, collar in zip(rows_of(rows), collars):
+            ((members, row_collar, solve, swaps, aperture),) = solver.run(
+                [ghost_trials(collar, strategy, grid, classification, 15)]
+            )
+            assert row.ghost_ij == collar.ghost_ij == tuple(row.member_ij[0])
+            assert np.array_equal(row.member_ij, members)
             assert np.array_equal(row.coeffs, solve.coeffs)
-            assert row.chi == solve.chi == stencil.chi
-            assert row.r_ratio == stencil.r_ratio
-            assert row.collar.mode == stencil.collar.mode
-            assert np.array_equal(row.collar.point, stencil.collar.point)
-            assert np.array_equal(row.collar.normal, stencil.collar.normal)
-            if kind in ("S4.1", "S4.2", "S4.3"):
-                built = build_S4(collar.ghost_ij, collar, strategy, grid, classification, solver)
-                assert np.array_equal(built.stencil.member_ij, row.member_ij)
-                assert np.array_equal(built.solve.coeffs, row.coeffs)
+            assert row.chi == solve.chi
+            assert row.r_ratio == global_ratio(solve.coeffs, members, classification)
+            assert row.rhs == bench.coefficients.robin(row_collar).value
+            assert row.collar.mode == row_collar.mode
+            assert np.array_equal(row.collar.point, row_collar.point)
+            assert np.array_equal(row.collar.normal, row_collar.normal)
+            assert (row.swaps, row.aperture) == (swaps, aperture)
         if name == "flower" and kind == "S4.3":
-            assert {"closest", "axis"} <= {row.collar.mode for row in rows}
+            assert {"closest", "axis"} <= {collar.mode for collar in rows.collars}
 
     def test_first_failing_ghost_raises(self, annulus_160):
         grid, _ = annulus_160
@@ -453,7 +466,7 @@ class TestLockstepLevel:
         collar = g.collars_for_ghosts(classification.ghost_ij[:1], grid, bench.level_set)[0]
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
         with pytest.raises(NotAdmissible) as alone:
-            build_S4(collar.ghost_ij, collar, strategy, grid, classification, solver)
+            solver.run([ghost_trials(collar, strategy, grid, classification, solver.n_constraints)])
         with pytest.raises(NotAdmissible) as level:
             g.build_ghost_rows(classification, strategy, bench.coefficients, grid)
         assert str(level.value) == str(alone.value)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import ghostbc as g
+from ghostbc import cli
 from ghostbc.cli import PAPER13, RunConfig, _parse_sweep, build_config, main
 from ghostbc.errors import ConfigError
 
@@ -29,6 +30,10 @@ class TestRunConfig:
     def test_tolerances_positive(self):
         with pytest.raises(ConfigError):
             RunConfig(lambda_glo=0.0)
+
+    def test_order_minimum(self):
+        with pytest.raises(ConfigError, match="order must be >= 2"):
+            RunConfig(order=1)
 
     def test_strategy_normalization(self):
         assert RunConfig(strategy="s4_3").strategy == "S4.3"
@@ -75,6 +80,31 @@ class TestMain:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] in {"InactiveMember", "NotAdmissible", "GeometryError"}
         assert (tmp_path / "f" / "error.json").exists()
+
+    def test_triangle_with_too_few_members_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a size-4 triangle has 15 members against the 21 constraints of
+        # order 6: refused before any level runs, for single runs and sweeps
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(cli, "execute_level", no_level)
+        for strategy, grids in (("S3", ["--n", "48"]), ("S1", ["--sweep", "32,48,64"])):
+            code = main([
+                "run", "--benchmark", "annulus", "--strategy", strategy, "--order", "6", *grids,
+                "--out", str(tmp_path / strategy),
+            ])
+            assert code == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["error"] == "ConfigError"
+            assert "15 members, fewer than the 21 constraints of order 6" in record["message"]
+        RunConfig(strategy="S4.3", order=6)  # the cone grows past any count
+        monkeypatch.undo()
+        # size 5: 21 members against 21 constraints, which runs
+        code = main([
+            "run", "--benchmark", "annulus", "--strategy", "S3", "--p", "5", "--order", "6",
+            "--n", "48", "--out", str(tmp_path / "p5"),
+        ])
+        assert code == 0
 
     def test_export_matrix(self, tmp_path):
         out = tmp_path / "mtx"

@@ -31,7 +31,6 @@ from ghostbc.geometry import (
     axis_projection,
     collars_for_ghosts,
     pairwise_diameter,
-    project_to_boundary,
 )
 
 CATALOG_LEVEL_SETS = {
@@ -148,17 +147,25 @@ class TestClassifyNodes:
         assert extended.ghost_layer_grid[outside] == 3
 
 
+def project_point(xy, level_set):
+    """Closest-point projection of one point, which must converge."""
+    (collar,) = _closest_points(np.array([xy], dtype=float), level_set, [None],
+                                PROJECTION_TOLERANCE, PROJECTION_MAX_ITER)
+    assert isinstance(collar, g.CollarPoint), collar
+    return collar
+
+
 class TestProjection:
     def test_circle_axis_point(self):
         ls = circle_level_set(0.5)
-        collar = project_to_boundary((0.7, 0.0), ls)
+        collar = project_point((0.7, 0.0), ls)
         assert np.allclose(collar.point, [0.5, 0.0], atol=1e-12)
         assert np.allclose(collar.normal, [1.0, 0.0], atol=1e-12)
         assert collar.mode == "closest"
 
     def test_circle_diagonal_point(self):
         ls = circle_level_set(0.5)
-        collar = project_to_boundary((0.6, 0.6), ls)
+        collar = project_point((0.6, 0.6), ls)
         expected = 0.5 / math.sqrt(2.0)
         assert np.allclose(collar.point, [expected, expected], atol=1e-12)
 
@@ -168,7 +175,7 @@ class TestProjection:
         theta = np.radians(18.0)
         x0 = 0.03 * math.sqrt(3.0) + 0.74 * math.cos(theta)
         y0 = 0.04 * math.sqrt(2.0) + 0.74 * math.sin(theta)
-        collar = project_to_boundary((x0, y0), ls)
+        collar = project_point((x0, y0), ls)
         assert abs(float(ls.evaluate(*collar.point))) <= 1e-12
         d = collar.displacement
         cosang = abs(float(d @ collar.normal)) / np.linalg.norm(d)
@@ -179,8 +186,7 @@ class TestProjection:
         ls = annulus_bench.level_set
         worst_res = 0.0
         worst_angle = 0.0
-        for ij in classification.ghost_ij:
-            collar = g.collar_for_ghost(tuple(int(v) for v in ij), grid, ls)
+        for collar in collars_for_ghosts(classification.ghost_ij, grid, ls):
             worst_res = max(worst_res, abs(float(ls.evaluate(*collar.point))))
             d = collar.displacement
             dn = np.linalg.norm(d)
@@ -343,7 +349,7 @@ class TestBatchedCollars:
         assert len(batch) == classification.n_ghost
         assert sum(c.mode == "axis" for c in batch) == n_axis
         for ij, collar in zip(classification.ghost_ij, batch):
-            assert same_collar(collar, g.collar_for_ghost(tuple(ij), grid, ls))
+            assert same_collar(collar, collars_for_ghosts([ij], grid, ls)[0])
             scalar = _scalar_projection(grid.node_xy(*ij), ls)
             if scalar is None:
                 assert collar.mode == "axis"
@@ -416,10 +422,14 @@ class TestDiameter:
         members = np.array([[3, 3], [3, 4]])
         assert pairwise_diameter(members) == 1.0
         assert pairwise_diameter(members[:1]) == 0.0
-        row = g.BoundaryOperatorRow(
-            (3, 3), members, np.array([1.0, -1.0]), 0.0, None, 1.0, 0.0  # type: ignore[arg-type]
-        )
-        assert row.diameter() == 1.0
+        # the run's diameters are those of each row's members
+        from test_assembly import identity_ghost_rows
+
+        classification = g.classify_nodes(g.Grid(16), square_level_set(0.77))
+        ghost = classification.ghost_ij[1]
+        rows = identity_ghost_rows(classification, {1: (np.vstack([ghost, ghost + [0, 1]]), np.ones(2), 0.0)})
+        diameters = g.stencil_diagnostics(rows).diameters
+        assert diameters[1] == 1.0 and diameters[0] == diameters[2] == 0.0
 
     def test_s1_triangle_diameter(self):
         members = np.array([(l, m) for l in range(5) for m in range(5 - l)])

@@ -5,15 +5,14 @@ import pytest
 
 import ghostbc as g
 from ghostbc.benchmarks import circle_level_set
-from ghostbc.boundary_ops import GhostOperatorSolver
+from ghostbc.boundary_ops import GhostOperatorSolver, coefficient_amplification
 from ghostbc.errors import InactiveMember
 from ghostbc.geometry import CollarPoint
 from ghostbc.stencils import (
     APERTURE_STEP,
     FIRST_CONE_RADIUS,
     _CandidateStream,
-    build_S4,
-    cone_candidates,
+    _cone_stages,
     extend_classification,
 )
 
@@ -27,6 +26,37 @@ def make_collar(ghost_xy, point):
         normal=-n,
         mode="closest",
     )
+
+
+def collar_of(ghost, grid, level_set):
+    return g.collars_for_ghosts([ghost], grid, level_set)[0]
+
+
+def cone_list(ghost, collar, aperture_deg, grid, classification, limit=None):
+    """Ordered cone candidates of one stream, with the ghost itself first."""
+    stream = _CandidateStream(ghost, collar, aperture_deg, grid, classification)
+    out = [tuple(ghost)]
+    while limit is None or len(out) < limit:
+        node = stream.candidate(len(out) - 1)
+        if node is None:
+            break
+        out.append(node)
+    return out
+
+
+@pytest.fixture(scope="module")
+def annulus_160_stages(annulus_bench, annulus_160, annulus_160_rows):
+    """S4.1, S4.2 and S4.3 rows of the annulus at N=160.
+
+    Each level is the matching stage of the S4.3 construction: S4.2 swaps
+    from the S4.1 stencil and S4.3 rebuilds from the S4.2 one.
+    """
+    grid, classification = annulus_160
+    stages = {
+        kind: g.build_ghost_rows(classification, g.StencilStrategy(kind=kind), annulus_bench.coefficients, grid)
+        for kind in ("S4.1", "S4.2")
+    }
+    return {**stages, "S4.3": annulus_160_rows}
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +77,12 @@ class TestTriangles:
             if x < -0.2 and y < -0.2:
                 ghost = tuple(int(v) for v in ij)
                 break
-        collar = g.collar_for_ghost(ghost, grid, ls)
+        collar = collar_of(ghost, grid, ls)
         assert collar.inward_signs() == (1, 1)
-        stencil = g.build_S1(ghost, collar, 4, grid, classification)
-        offsets = {(int(i - ghost[0]), int(j - ghost[1])) for i, j in stencil.member_ij}
+        members = g.build_S1(ghost, collar, 4, grid, classification)
+        offsets = {(int(i - ghost[0]), int(j - ghost[1])) for i, j in members}
         assert offsets == {(l, m) for l in range(5) for m in range(5 - l)}
-        assert stencil.size == 15
+        assert len(members) == 15
 
     def test_s1_small_triangle_mixed_signs(self):
         grid = g.Grid(40)
@@ -60,8 +90,8 @@ class TestTriangles:
         # boundary up-left of the ghost: inward signs (-1, +1)
         collar = make_collar(ghost_xy, ghost_xy + np.array([-0.03, 0.02]))
         classification = _all_active_stub(grid)
-        stencil = g.build_S1((30, 10), collar, 2, grid, classification)
-        offsets = {(int(i - 30), int(j - 10)) for i, j in stencil.member_ij}
+        members = g.build_S1((30, 10), collar, 2, grid, classification)
+        offsets = {(int(i - 30), int(j - 10)) for i, j in members}
         assert offsets == {(-l, m) for l in range(3) for m in range(3 - l)}
 
     def test_s1_inactive_member_on_tiny_domain(self):
@@ -70,10 +100,8 @@ class TestTriangles:
         ls = circle_level_set(0.18)
         classification = g.classify_nodes(grid, ls)
         with pytest.raises(InactiveMember):
-            for ij in classification.ghost_ij:
-                ghost = tuple(int(v) for v in ij)
-                collar = g.collar_for_ghost(ghost, grid, ls)
-                g.build_S1(ghost, collar, 4, grid, classification)
+            for collar in g.collars_for_ghosts(classification.ghost_ij, grid, ls):
+                g.build_S1(collar.ghost_ij, collar, 4, grid, classification)
 
     def test_s2_vertex_and_members_x_branch(self):
         grid = g.Grid(40)
@@ -81,12 +109,12 @@ class TestTriangles:
         ghost_xy = grid.node_xy(*ghost)
         collar = make_collar(ghost_xy, ghost_xy + np.array([0.031, 0.004]))
         classification = _all_active_stub(grid)
-        stencil = g.build_S2(ghost, collar, 4, grid, classification)
-        offsets = {(int(i - ghost[0]), int(j - ghost[1])) for i, j in stencil.member_ij}
+        members = g.build_S2(ghost, collar, 4, grid, classification)
+        offsets = {(int(i - ghost[0]), int(j - ghost[1])) for i, j in members}
         assert (4, 0) in offsets  # vertex four nodes inward along x
         assert offsets == {(a, b) for a in range(5) for b in range(a + 1)}
-        assert stencil.size == 15
-        assert tuple(stencil.member_ij[0]) == ghost
+        assert len(members) == 15
+        assert tuple(members[0]) == ghost
 
     def test_s2_tie_takes_x_branch(self):
         grid = g.Grid(40)
@@ -94,25 +122,24 @@ class TestTriangles:
         ghost_xy = grid.node_xy(*ghost)
         collar = make_collar(ghost_xy, ghost_xy + np.array([0.02, 0.02]))
         classification = _all_active_stub(grid)
-        stencil = g.build_S2(ghost, collar, 4, grid, classification)
-        offsets = {(int(i - ghost[0]), int(j - ghost[1])) for i, j in stencil.member_ij}
+        members = g.build_S2(ghost, collar, 4, grid, classification)
+        offsets = {(int(i - ghost[0]), int(j - ghost[1])) for i, j in members}
         assert offsets == {(a, b) for a in range(5) for b in range(a + 1)}
 
     def test_s3_equals_s2_near_boundary(self, circle_setup):
         grid, ls, classification = circle_setup
-        for ij in classification.ghost_ij:
-            ghost = tuple(int(v) for v in ij)
-            collar = g.collar_for_ghost(ghost, grid, ls)
+        for collar in g.collars_for_ghosts(classification.ghost_ij, grid, ls):
+            ghost = collar.ghost_ij
             if np.linalg.norm(collar.displacement) > grid.h:
                 continue
             s2 = g.build_S2(ghost, collar, 4, grid, classification)
             ghosts_in_s2 = [
-                m for m in map(tuple, s2.member_ij) if m != ghost and classification.is_ghost(*m)
+                m for m in map(tuple, s2) if m != ghost and classification.is_ghost(*m)
             ]
             if ghosts_in_s2:
                 continue
             s3 = g.build_S3(ghost, collar, 4, grid, classification)
-            assert {tuple(m) for m in s3.member_ij} == {tuple(m) for m in s2.member_ij}
+            assert {tuple(m) for m in s3} == {tuple(m) for m in s2}
             break
         else:
             pytest.fail("no near-boundary ghost found")
@@ -120,13 +147,12 @@ class TestTriangles:
     def test_s3_ghost_exclusive_on_annulus(self, annulus_bench, annulus_160):
         grid, classification = annulus_160
         layer2_seen = 0
-        for ij in classification.ghost_ij:
-            ghost = tuple(int(v) for v in ij)
-            collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
-            stencil = g.build_S3(ghost, collar, 4, grid, classification)
+        for collar in g.collars_for_ghosts(classification.ghost_ij, grid, annulus_bench.level_set):
+            ghost = collar.ghost_ij
+            members = g.build_S3(ghost, collar, 4, grid, classification)
             others = [
                 m
-                for m in map(tuple, stencil.member_ij)
+                for m in map(tuple, members)
                 if m != ghost and classification.is_ghost(*m)
             ]
             assert others == []
@@ -139,8 +165,8 @@ class TestCone:
     def test_full_disc_matches_brute_force(self, circle_setup):
         grid, ls, classification = circle_setup
         ghost = tuple(int(v) for v in classification.ghost_ij[0])
-        collar = g.collar_for_ghost(ghost, grid, ls)
-        got = cone_candidates(ghost, collar, 360.0, grid, classification, limit=40)
+        collar = collar_of(ghost, grid, ls)
+        got = cone_list(ghost, collar, 360.0, grid, classification, limit=40)
         brute = _brute_force_cone(ghost, collar, 360.0, grid, classification)
         assert got == brute[:40]
 
@@ -150,7 +176,7 @@ class TestCone:
         ghost = (20, 20)
         ghost_xy = grid.node_xy(*ghost)
         collar = make_collar(ghost_xy, ghost_xy + np.array([0.1, 0.0]))
-        for i, j in cone_candidates(ghost, collar, 60.0, grid, classification, limit=30)[1:]:
+        for i, j in cone_list(ghost, collar, 60.0, grid, classification, limit=30)[1:]:
             v = np.array([i - ghost[0], j - ghost[1]], dtype=float)
             angle = math.degrees(math.acos(v[0] / np.linalg.norm(v)))
             assert angle <= 30.0 + 1e-9
@@ -158,17 +184,17 @@ class TestCone:
     def test_annulus_cone_matches_brute_force(self, annulus_bench, annulus_160):
         grid, classification = annulus_160
         ghost = tuple(int(v) for v in classification.ghost_ij[37])
-        collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
-        got = cone_candidates(ghost, collar, 45.0, grid, classification, limit=25)
+        collar = collar_of(ghost, grid, annulus_bench.level_set)
+        got = cone_list(ghost, collar, 45.0, grid, classification, limit=25)
         brute = _brute_force_cone(ghost, collar, 45.0, grid, classification)
         assert got == brute[:25]
 
     def test_determinism(self, circle_setup):
         grid, ls, classification = circle_setup
         ghost = tuple(int(v) for v in classification.ghost_ij[5])
-        collar = g.collar_for_ghost(ghost, grid, ls)
-        a = cone_candidates(ghost, collar, 60.0, grid, classification, limit=20)
-        b = cone_candidates(ghost, collar, 60.0, grid, classification, limit=20)
+        collar = collar_of(ghost, grid, ls)
+        a = cone_list(ghost, collar, 60.0, grid, classification, limit=20)
+        b = cone_list(ghost, collar, 60.0, grid, classification, limit=20)
         assert a == b
 
 
@@ -179,9 +205,9 @@ class TestCandidateStream:
         grid, ls, classification = circle_setup
         for k in (0, 9, 23):
             ghost = tuple(int(v) for v in classification.ghost_ij[k])
-            collar = g.collar_for_ghost(ghost, grid, ls)
+            collar = collar_of(ghost, grid, ls)
             for aperture in (360.0, 60.0):
-                got = cone_candidates(ghost, collar, aperture, grid, classification)
+                got = cone_list(ghost, collar, aperture, grid, classification)
                 brute = _brute_force_cone(ghost, collar, aperture, grid, classification)
                 assert got == brute
                 far = max((i - ghost[0]) ** 2 + (j - ghost[1]) ** 2 for i, j in got)
@@ -209,7 +235,7 @@ class TestCandidateStream:
     def test_nearest_available_after_exclusions(self, annulus_bench, annulus_160):
         grid, classification = annulus_160
         ghost = tuple(int(v) for v in classification.ghost_ij[37])
-        collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
+        collar = collar_of(ghost, grid, annulus_bench.level_set)
         brute = _brute_force_cone(ghost, collar, 60.0, grid, classification)[1:]
         stream = _CandidateStream(ghost, collar, 60.0, grid, classification)
         for _ in range(20):
@@ -230,67 +256,78 @@ class TestCandidateStream:
 
 
 class TestConeStrategies:
-    def _solver(self, bench, grid):
-        return GhostOperatorSolver(grid, bench.coefficients.robin)
-
-    def test_no_op_branch_keeps_all_stages_identical(self, annulus_bench, annulus_160):
-        grid, classification = annulus_160
-        solver = self._solver(annulus_bench, grid)
-        strategy = g.StencilStrategy(kind="S4.3")
+    def test_no_op_branch_keeps_all_stages_identical(self, annulus_160_stages):
+        members = {kind: rows.per_row(rows.member_ij) for kind, rows in annulus_160_stages.items()}
         found = False
-        for ij in classification.ghost_ij:
-            ghost = tuple(int(v) for v in ij)
-            collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
-            built = build_S4(ghost, collar, strategy, grid, classification, solver)
-            if built.stage_members["S4.1"].shape[0] == 15 and not built.swaps:
-                sets = [set(map(tuple, built.stage_members[k])) for k in ("S4.1", "S4.2", "S4.3")]
+        for k in range(len(annulus_160_stages["S4.3"])):
+            if annulus_160_stages["S4.1"].sizes[k] == 15 and not annulus_160_stages["S4.3"].swaps[k]:
+                sets = [set(map(tuple, members[kind][k])) for kind in ("S4.1", "S4.2", "S4.3")]
                 assert sets[0] == sets[1] == sets[2]
                 found = True
                 break
         assert found
 
-    def test_swap_instrumentation(self, annulus_bench, annulus_160):
-        grid, classification = annulus_160
-        solver = self._solver(annulus_bench, grid)
+    def test_swap_instrumentation(self, annulus_160, annulus_160_stages):
+        _, classification = annulus_160
         strategy = g.StencilStrategy(kind="S4.2")
+        s41, s42 = annulus_160_stages["S4.1"], annulus_160_stages["S4.2"]
+        members1, coeffs1 = s41.per_row(s41.member_ij), s41.per_row(s41.coeffs)
+        members2, coeffs2 = s42.per_row(s42.member_ij), s42.per_row(s42.coeffs)
         swapped = 0
-        for ij in classification.ghost_ij:
-            ghost = tuple(int(v) for v in ij)
-            collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
-            built = build_S4(ghost, collar, strategy, grid, classification, solver)
-            amp1 = built.stage_ratios["S4.1"]
+        for k, ghost in enumerate(map(tuple, classification.ghost_ij)):
+            amp1 = coefficient_amplification(coeffs1[k])
+            swaps = s42.swaps[k]
             if amp1 < strategy.global_tol:
-                assert not built.swaps
+                assert swaps == 0
                 continue
-            assert len(built.swaps) <= strategy.max_swaps
-            s1 = set(map(tuple, built.stage_members["S4.1"]))
-            s2 = set(map(tuple, built.stage_members["S4.2"]))
-            victims = {v for v, _ in built.swaps}
-            # every member that vanished was a swap victim (a victim may also
-            # be a later-removed replacement, so the sets need not be equal)
-            assert (s1 - s2) <= victims
-            if built.swaps:
-                assert built.stage_ratios["S4.2"] < amp1
+            assert swaps <= strategy.max_swaps
+            s1 = set(map(tuple, members1[k]))
+            s2 = set(map(tuple, members2[k]))
+            # every member that vanished was the victim of an accepted swap,
+            # one victim per swap; the ghost itself is never a victim
+            assert len(s1 - s2) <= swaps
+            assert tuple(members2[k][0]) == ghost
+            if swaps:
+                assert coefficient_amplification(coeffs2[k]) < amp1
                 swapped += 1
-            for victim, _ in built.swaps:
-                assert victim != ghost
+            else:
+                assert np.array_equal(members2[k], members1[k])
         assert swapped > 0
 
+    def test_rebuild_adds_its_swaps_and_aperture(self, annulus_bench, annulus_160, annulus_160_stages):
+        # on the annulus every closest-point projection converges, so an
+        # axis collar in the S4.3 level is an adopted rebuild
+        grid, classification = annulus_160
+        s42, s43 = annulus_160_stages["S4.2"], annulus_160_stages["S4.3"]
+        members42, members43 = s42.per_row(s42.member_ij), s43.per_row(s43.member_ij)
+        rebuilt = [k for k, collar in enumerate(s43.collars) if collar.mode == "axis"]
+        assert rebuilt
+        solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
+        strategy = g.StencilStrategy(kind="S4.3")
+        alone = solver.run(
+            _cone_stages(s43.collars[k].ghost_ij, s43.collars[k], strategy, grid, classification, 15)
+            for k in rebuilt
+        )
+        for k, (members, _, _, swaps, aperture) in zip(rebuilt, alone):
+            assert np.array_equal(members43[k], members)
+            assert s43.swaps[k] == s42.swaps[k] + swaps
+            assert s43.aperture[k] == max(s42.aperture[k], aperture)
+        for k in set(range(len(s43))) - set(rebuilt):
+            assert np.array_equal(members43[k], members42[k])
+            assert (s43.swaps[k], s43.aperture[k]) == (s42.swaps[k], s42.aperture[k])
+
     def test_sizes_within_hard_bound(self, annulus_160_rows):
-        sizes = np.array([row.size for row in annulus_160_rows])
+        sizes = annulus_160_rows.sizes
         assert sizes.min() >= 15
         assert sizes.max() <= 25
 
-    def test_cone_membership_for_final_aperture(self, annulus_bench, annulus_160):
-        grid, classification = annulus_160
-        solver = self._solver(annulus_bench, grid)
-        strategy = g.StencilStrategy(kind="S4.1")
+    def test_cone_membership_for_final_aperture(self, annulus_160, annulus_160_stages):
+        _, classification = annulus_160
+        rows = annulus_160_stages["S4.1"]
         ghost = tuple(int(v) for v in classification.ghost_ij[11])
-        collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
-        built = build_S4(ghost, collar, strategy, grid, classification, solver)
-        w = collar.toward_boundary()
-        cos_half = math.cos(math.radians(built.aperture_used / 2.0))
-        for i, j in built.stencil.member_ij[1:]:
+        w = rows.collars[11].toward_boundary()
+        cos_half = math.cos(math.radians(rows.aperture[11] / 2.0))
+        for i, j in rows.per_row(rows.member_ij)[11][1:]:
             v = np.array([i - ghost[0], j - ghost[1]], dtype=float)
             cosang = float(v @ w) / (np.linalg.norm(v) * np.linalg.norm(w))
             assert cosang >= cos_half - 1e-9
@@ -319,10 +356,8 @@ class TestExtension:
         assert extended.n_ghost > classification.n_ghost
         assert extended.n_interior == classification.n_interior
         # every triangle is now fully active
-        for ij in extended.ghost_ij:
-            ghost = tuple(int(v) for v in ij)
-            collar = g.collar_for_ghost(ghost, grid, annulus_bench.level_set)
-            g.build_S1(ghost, collar, strategy.triangle_size, grid, extended)
+        for collar in g.collars_for_ghosts(extended.ghost_ij, grid, annulus_bench.level_set):
+            g.build_S1(collar.ghost_ij, collar, strategy.triangle_size, grid, extended)
 
     def test_cone_strategies_do_not_extend(self, annulus_bench, annulus_160):
         grid, classification = annulus_160
