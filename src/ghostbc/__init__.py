@@ -33,7 +33,6 @@ from .boundary_ops import (
     ConstraintMatrix,
     GhostOperatorSolver,
     assemble_constraints,
-    global_ratio,
 )
 from .cli import PAPER13, RunConfig, execute_level, run_single, run_sweep
 from .geometry import (
@@ -46,6 +45,6 @@ from .geometry import (
     collars_for_ghosts,
     pairwise_diameter,
 )
-from .stencils import StencilStrategy, build_S1, build_S2, build_S3
+from .stencils import StencilStrategy, triangle_stencils
 
 __version__ = "0.1.0"

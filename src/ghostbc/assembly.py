@@ -19,10 +19,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import DEFAULT_ORDER, RobinData
-from .boundary_ops import GhostOperatorSolver, global_ratio
+from .boundary_ops import GhostOperatorSolver
 from .errors import MissingNeighbor, SingularMatrix, SolveFailed
 from .geometry import CollarPoint, Grid, NodeClassification, collars_for_ghosts
-from .stencils import StencilStrategy, ghost_trials
+from .stencils import TRIANGLE_KINDS, StencilStrategy, ghost_trials, triangle_stencils, triangle_trial
 
 #: Fourth-order centred weights for the second derivative (offsets -2..2), * 1/h^2.
 LAPLACE_WEIGHTS = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0])
@@ -80,8 +80,8 @@ class GhostRows:
     ``member_ij`` with their coefficients at the same positions of
     ``coeffs``, and the datum ``rhs[k]`` enforced at ``collars[k]``.
     ``chi`` is the condition number of the row's constraint matrix and
-    ``r_ratio`` its largest ghost-to-centre coefficient ratio (see
-    ``global_ratio``).  ``swaps`` counts the accepted S4.2 swaps and
+    ``r_ratio`` the largest ratio of another ghost member's coefficient to
+    the ghost's own.  ``swaps`` counts the accepted S4.2 swaps and
     ``aperture`` is the final cone aperture in degrees; both are 0 for the
     triangle strategies.
     """
@@ -160,6 +160,20 @@ def _interior_block(
     return rows, cols.ravel(), vals.ravel(), rhs
 
 
+def _ghost_ratios(
+    classification: NodeClassification, sizes: np.ndarray, member_ij: np.ndarray, coeffs: np.ndarray
+) -> np.ndarray:
+    """``GhostRows.r_ratio``: 0 without other ghost members, ``inf`` for a vanishing centre."""
+    starts = np.cumsum(sizes) - sizes
+    ghost = classification.ghost_mask[tuple(member_ij.T)]
+    ghost[starts] = False
+    largest = np.maximum.reduceat(np.where(ghost, np.abs(coeffs), -np.inf), starts)
+    center = np.abs(coeffs[starts])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(center <= 1e-14, np.inf, largest / center)
+    return np.where(largest == -np.inf, 0.0, ratio)
+
+
 def build_ghost_rows(
     classification: NodeClassification,
     strategy: StencilStrategy,
@@ -169,22 +183,28 @@ def build_ghost_rows(
 ) -> GhostRows:
     """Collar, stencil and minimum-norm coefficients for every ghost node.
 
-    The ghosts' trial stencils are solved in lock-step (``GhostOperatorSolver.run``).
+    The ghosts' trial stencils are solved in lock-step (``GhostOperatorSolver.run``);
+    a triangle strategy's one trial per ghost comes from ``triangle_stencils``.
     """
     solver = GhostOperatorSolver(grid, coeffs.robin, order=order)
-    built = solver.run(
-        ghost_trials(collar, strategy, grid, classification, solver.n_constraints)
-        for collar in collars_for_ghosts(classification.ghost_ij, grid, classification.level_set)
-    )
-    members, collars, solves, swaps, aperture = zip(*built)
+    collars = collars_for_ghosts(classification.ghost_ij, grid, classification.level_set)
+    if strategy.kind in TRIANGLE_KINDS:
+        triangles, errors = triangle_stencils(strategy.kind, collars, strategy.triangle_size, classification)
+        trials = (triangle_trial(strategy.kind, *trial) for trial in zip(triangles, collars, errors))
+    else:
+        trials = (ghost_trials(c, strategy, grid, classification, solver.n_constraints) for c in collars)
+    members, collars, solves, swaps, aperture = zip(*solver.run(trials))
+    sizes = np.array([len(m) for m in members])
+    member_ij = np.concatenate(members)
+    row_coeffs = np.concatenate([solve.coeffs for solve in solves])
     return GhostRows(
         ghost_ij=classification.ghost_ij,
-        sizes=np.array([len(m) for m in members]),
-        member_ij=np.concatenate(members),
-        coeffs=np.concatenate([solve.coeffs for solve in solves]),
+        sizes=sizes,
+        member_ij=member_ij,
+        coeffs=row_coeffs,
         rhs=np.array([coeffs.robin(collar).value for collar in collars], dtype=float),
         chi=np.array([solve.chi for solve in solves]),
-        r_ratio=np.array([global_ratio(s.coeffs, m, classification) for m, s in zip(members, solves)]),
+        r_ratio=_ghost_ratios(classification, sizes, member_ij, row_coeffs),
         collars=list(collars),
         swaps=np.array(swaps),
         aperture=np.array(aperture),

@@ -28,7 +28,7 @@ from .basis import (
     monomial_matrix,
 )
 from .errors import GhostBcError
-from .geometry import CollarPoint, Grid, NodeClassification
+from .geometry import CollarPoint, Grid
 
 #: sigma_min/sigma_max below this means the stencil is rank-deficient.
 RANK_TOLERANCE = 1e-13
@@ -135,26 +135,6 @@ def coefficient_amplification(coeffs: np.ndarray) -> float:
     if center <= 1e-14:
         return float("inf")
     return others / center
-
-
-def global_ratio(coeffs: np.ndarray, member_ij: np.ndarray, classification: NodeClassification) -> float:
-    """Largest ghost-to-centre coefficient ratio of a row.
-
-    The centre value is ``coeffs[0]`` (the stencil always lists the ghost
-    node first).  Rows without other ghost members get 0; a vanishing centre
-    coefficient reports ``inf``.
-    """
-    center = abs(float(coeffs[0]))
-    i, j = np.asarray(member_ij[1:]).T
-    n = classification.grid.n
-    inside = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
-    ghost = np.zeros(len(i), dtype=bool)
-    ghost[inside] = classification.ghost_mask[i[inside], j[inside]]
-    if not ghost.any():
-        return 0.0
-    if center <= 1e-14:
-        return float("inf")
-    return float(np.abs(coeffs[1:][ghost]).max()) / center
 
 
 #: A trial generator yields trial stencils ``(member_ij, collar)``, is sent

@@ -72,8 +72,7 @@ class RunConfig:
                 raise ConfigError(f"sweep grid sizes must be >= {MIN_GRID}")
             if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
                 raise ConfigError("sweep grid list must be strictly increasing")
-        if self.lambda_loc <= 0.0 or self.lambda_glo <= 0.0:
-            raise ConfigError("conditioning tolerances must be positive")
+        self.stencil_strategy()  # every strategy knob is checked before any level runs
         if self.order < 2:
             raise ConfigError(f"polynomial order must be >= 2, got {self.order}")
         # a triangle with fewer members than constraints is never admissible

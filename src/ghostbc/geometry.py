@@ -74,9 +74,6 @@ class Grid:
         x, y = self.coords(i, j)
         return np.array([float(x), float(y)])
 
-    def in_bounds(self, i: int, j: int) -> bool:
-        return 0 <= i <= self.n and 0 <= j <= self.n
-
     def meshgrid(self):
         """All node coordinates as (n+1, n+1) arrays indexed [i, j]."""
         side = np.arange(self.nodes_per_side)
@@ -153,18 +150,6 @@ class NodeClassification:
     @property
     def n_active(self) -> int:
         return self.n_interior + self.n_ghost
-
-    def is_active(self, i: int, j: int) -> bool:
-        return self.grid.in_bounds(i, j) and self.active_index[i, j] >= 0
-
-    def is_ghost(self, i: int, j: int) -> bool:
-        return self.grid.in_bounds(i, j) and bool(self.ghost_mask[i, j])
-
-    def index_of(self, i: int, j: int) -> int:
-        k = int(self.active_index[i, j])
-        if k < 0:
-            raise KeyError(f"node ({i}, {j}) is not active")
-        return k
 
     def active_coords(self) -> np.ndarray:
         """(n_active, 2) coordinates in active-index order."""

@@ -67,56 +67,83 @@ class StencilStrategy:
             raise ValueError("max_swaps must be >= 0")
 
 
-def _check_members(
-    members: list[tuple[int, int]],
-    ghost_ij: tuple[int, int],
-    classification: NodeClassification,
-    kind: str,
-) -> np.ndarray:
-    for i, j in members:
-        if (i, j) != tuple(ghost_ij) and not classification.is_active(i, j):
-            raise InactiveMember(
-                f"{kind} stencil of ghost {tuple(ghost_ij)} references inactive node ({i}, {j})"
-            )
-    return np.array(members, dtype=np.int64)
+def _mask_at(mask: np.ndarray, ij: np.ndarray) -> np.ndarray:
+    """``mask`` at the lattice nodes ``ij`` (..., 2); False off the lattice."""
+    i, j = ij[..., 0], ij[..., 1]
+    n = mask.shape[0] - 1
+    inside = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
+    return inside & mask[np.where(inside, i, 0), np.where(inside, j, 0)]
 
 
-def build_S1(
-    ghost_ij: tuple[int, int],
-    collar: CollarPoint,
-    p: int,
-    grid: Grid,
-    classification: NodeClassification,
-) -> np.ndarray:
-    """Right triangle with the right angle at the ghost, opening inward.
+def triangle_stencils(
+    kind: str, collars: list[CollarPoint], p: int, classification: NodeClassification
+) -> tuple[np.ndarray, list[InactiveMember | None]]:
+    """Every ghost's S1, S2 or S3 triangle of size ``p``, as one (G, M, 2) array.
 
-    Members are the lattice offsets ``(l*sx, m*sy)`` with ``l + m <= p``
-    where ``(sx, sy)`` steps from the ghost toward the boundary; the ghost
-    comes first.
+    Row k holds the members of the ghost of ``collars[k]``, the ghost first.
+    S1 has its right angle at the ghost, S2 at the innermost internal point,
+    ``p`` nodes inward along the dominant displacement axis (x wins ties).
+    S3 pushes the S2 members but the ghost along that axis, by the first
+    shift (from 0 within one spacing of the boundary, else from 1, up to
+    ``MAX_S3_SHIFT``) whose members are active and hold no other ghost.
+    Also returns, per ghost, None or the ``InactiveMember`` it fails with.
     """
-    return _check_members(triangle_members("S1", ghost_ij, collar, p), ghost_ij, classification, "S1")
-
-
-def _s2_offsets(p: int, x_branch: bool) -> list[tuple[int, int]]:
-    """Unsigned S2 offsets; right angle at the innermost internal point."""
-    if x_branch:
-        return [(a, b) for a in range(p + 1) for b in range(a + 1)]
-    return [(a, b) for b in range(p + 1) for a in range(b + 1)]
-
-
-def triangle_members(
-    kind: str, ghost_ij: tuple[int, int], collar: CollarPoint, p: int
-) -> list[tuple[int, int]]:
-    """Member nodes of the S1 or S2 triangle, without any activity check."""
-    i0, j0 = int(ghost_ij[0]), int(ghost_ij[1])
-    sx, sy = collar.inward_signs()
+    ghosts = np.array([c.ghost_ij for c in collars], dtype=np.int64).reshape(-1, 1, 2)
+    signs = np.array([c.inward_signs() for c in collars], dtype=np.int64).reshape(-1, 1, 2)
+    d = np.array([c.displacement for c in collars], dtype=float).reshape(-1, 2)
     if kind == "S1":
-        return [(i0 + l * sx, j0 + m * sy) for l in range(p + 1) for m in range(p + 1 - l)]
-    if kind == "S2":
-        d = collar.displacement
-        x_branch = abs(d[0]) >= abs(d[1])
-        return [(i0 + a * sx, j0 + b * sy) for a, b in _s2_offsets(p, x_branch)]
-    raise ValueError(f"no plain triangle for strategy {kind!r}")
+        offsets = np.array([(l, m) for l in range(p + 1) for m in range(p + 1 - l)])
+    else:  # the x branch; the y branch swaps the two coordinates
+        offsets = np.array([(a, b) for a in range(p + 1) for b in range(a + 1)])
+    x_branch = (kind == "S1") | (np.abs(d[:, 0]) >= np.abs(d[:, 1]))[:, None, None]  # S1 has no branch
+    push = np.zeros_like(offsets)  # one S3 shift: every member but the ghost, along the branch
+    push[1:, 0] = 1
+    first_shift = ((kind == "S3") & (np.sqrt(np.vecdot(d, d)) > classification.grid.h)).astype(int)
+    active = classification.active_index >= 0
+    unresolved = np.ones(len(collars), dtype=bool)
+    had_bad = np.zeros(len(collars), dtype=bool)
+    bad_node = np.zeros((len(collars), 2), dtype=np.int64)
+    for shift in range(MAX_S3_SHIFT + 1 if kind == "S3" else 1):
+        off = offsets + shift * push
+        trial = ghosts + signs * np.where(x_branch, off, off[:, ::-1])
+        if shift == 0:
+            members = trial  # a failing S1/S2 ghost keeps its triangle
+        bad = ~_mask_at(active, trial[:, 1:])
+        trying = unresolved & (first_shift <= shift)
+        inactive = trying & bad.any(axis=1)
+        had_bad |= inactive
+        bad_node[inactive] = trial[inactive, 1 + bad[inactive].argmax(axis=1)]
+        fits = trying & ~inactive
+        if kind == "S3":
+            fits &= ~_mask_at(classification.ghost_mask, trial[:, 1:]).any(axis=1)
+        members[fits] = trial[fits]
+        unresolved &= ~fits
+
+    errors: list[InactiveMember | None] = [None] * len(collars)
+    for k in np.flatnonzero(unresolved):
+        reason = (
+            f"references inactive node ({bad_node[k, 0]}, {bad_node[k, 1]})" if had_bad[k]
+            else f"cannot exclude other ghosts within shift {MAX_S3_SHIFT}"
+        )
+        errors[k] = InactiveMember(f"{kind} stencil of ghost {collars[k].ghost_ij} {reason}")
+    return members, errors
+
+
+def triangle_trial(kind: str, member_ij: np.ndarray, collar: CollarPoint, error: InactiveMember | None) -> Trials:
+    """One-trial generator of a fixed triangle, returning like ``ghost_trials``.
+
+    Raises the ghost's triangle ``error`` on its first step; the solve of
+    the triangle must be admissible.
+    """
+    if error is not None:
+        raise error
+    solve = yield member_ij, collar
+    if not solve.admissible:
+        raise NotAdmissible(
+            f"{kind} stencil of ghost {collar.ghost_ij} is rank-deficient or misses its "
+            f"constraints (relative residual {solve.residual:.3e})"
+        )
+    return member_ij, collar, solve, 0, 0.0
 
 
 def extend_classification(
@@ -131,7 +158,8 @@ def extend_classification(
     of deep ghosts can reach exterior nodes just beyond the band (their
     along-boundary arm).  Promoting those nodes to ghosts, repeatedly, makes
     the triangle strategies well posed; each new ghost gets its own collar
-    and boundary row like any other.
+    and boundary row like any other.  The triangles are those of
+    ``triangle_stencils``, whose activity check this closure replaces.
     """
     if strategy.kind not in ("S1", "S2"):
         return classification
@@ -141,21 +169,19 @@ def extend_classification(
         ghosts = [(int(i), int(j)) for i, j in classification.ghost_ij]
         new = [ghost for ghost in ghosts if ghost not in collars]
         collars.update(zip(new, collars_for_ghosts(new, grid, classification.level_set)))
-        missing: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for ghost in ghosts:
-            collar = collars[ghost]
-            for node in triangle_members(strategy.kind, ghost, collar, strategy.triangle_size):
-                if node in seen:
-                    continue
-                seen.add(node)
-                if not grid.in_bounds(*node):
-                    raise InactiveMember(
-                        f"{strategy.kind} stencil of ghost {ghost} leaves the lattice at {node}"
-                    )
-                if not classification.is_active(*node):
-                    missing.append(node)
-        if not missing:
+        members, _ = triangle_stencils(
+            strategy.kind, [collars[ghost] for ghost in ghosts], strategy.triangle_size, classification
+        )
+        nodes = members.reshape(-1, 2)
+        off_lattice = ((nodes < 0) | (nodes > grid.n)).any(axis=1)
+        if off_lattice.any():
+            k = int(off_lattice.argmax())
+            raise InactiveMember(
+                f"{strategy.kind} stencil of ghost {ghosts[k // members.shape[1]]} "
+                f"leaves the lattice at {tuple(nodes[k].tolist())}"
+            )
+        missing = np.unique(nodes[classification.active_index[tuple(nodes.T)] < 0], axis=0)
+        if not len(missing):
             return classification
         logger.info(
             "%s closure: promoting %d exterior nodes to ghosts", strategy.kind, len(missing)
@@ -163,78 +189,6 @@ def extend_classification(
         classification = classification.with_extra_ghosts(missing)
     raise InactiveMember(
         f"{strategy.kind} ghost band did not close within {MAX_EXTENSION_ROUNDS} extension rounds"
-    )
-
-
-def build_S2(
-    ghost_ij: tuple[int, int],
-    collar: CollarPoint,
-    p: int,
-    grid: Grid,
-    classification: NodeClassification,
-) -> np.ndarray:
-    """Right triangle whose right-angle vertex is the innermost internal point.
-
-    The branch follows the dominant displacement component (x wins ties);
-    the triangle spans from the ghost to the vertex ``p`` nodes inward.
-    """
-    return _check_members(triangle_members("S2", ghost_ij, collar, p), ghost_ij, classification, "S2")
-
-
-def build_S3(
-    ghost_ij: tuple[int, int],
-    collar: CollarPoint,
-    p: int,
-    grid: Grid,
-    classification: NodeClassification,
-) -> np.ndarray:
-    """S2 shifted inward until the ghost is its only ghost member.
-
-    Ghosts within one spacing of the boundary keep the plain S2 set when it
-    is already ghost-exclusive; otherwise the non-centre members are pushed
-    along the dominant axis, one node at a time, replacing ghost lines with
-    interior lines.  The resulting row couples to no other ghost unknown.
-    """
-    i0, j0 = int(ghost_ij[0]), int(ghost_ij[1])
-    sx, sy = collar.inward_signs()
-    d = collar.displacement
-    x_branch = abs(d[0]) >= abs(d[1])
-    offsets = _s2_offsets(p, x_branch)
-
-    def signed(members_offsets, shift):
-        out = []
-        for a, b in members_offsets:
-            if (a, b) == (0, 0):
-                out.append((i0, j0))
-            elif x_branch:
-                out.append((i0 + (a + shift) * sx, j0 + b * sy))
-            else:
-                out.append((i0 + a * sx, j0 + (b + shift) * sy))
-        return out
-
-    def foreign_ghosts(members):
-        return [
-            (i, j)
-            for i, j in members
-            if (i, j) != (i0, j0) and classification.is_ghost(i, j)
-        ]
-
-    near = float(np.linalg.norm(d)) <= grid.h
-    start = 0 if near else 1
-    last_error: InactiveMember | None = None
-    for shift in range(start, MAX_S3_SHIFT + 1):
-        members = signed(offsets, shift)
-        try:
-            member_arr = _check_members(members, ghost_ij, classification, "S3")
-        except InactiveMember as exc:
-            last_error = exc
-            continue
-        if not foreign_ghosts(members):
-            return member_arr
-    if last_error is not None:
-        raise last_error
-    raise InactiveMember(
-        f"S3 stencil of ghost {tuple(ghost_ij)} cannot exclude other ghosts within shift {MAX_S3_SHIFT}"
     )
 
 
@@ -464,30 +418,19 @@ def ghost_trials(
     classification: NodeClassification,
     n_constraints: int,
 ) -> Trials:
-    """Trial generator of one ghost's stencil under any strategy.
+    """Trial generator of one ghost's cone stencil (S4.1-S4.3).
 
     Returns ``(member_ij, collar, solve, swaps, aperture)``: the final
     members (the ghost first), the collar point their row closes, their
-    solve, the accepted S4.2 swaps and the final cone aperture (0 swaps and
-    aperture 0 for the triangles).  S1-S3 yield their one triangle, whose
-    solve must be admissible.  S4.1 grows the candidate set until
-    admissible and locally well conditioned; S4.2 additionally swaps out
-    the largest-coefficient member while the row's amplification exceeds
-    the global tolerance (at most ``max_swaps`` improving swaps); S4.3
-    retries the whole construction with an axis-projected collar point if
-    the amplification still exceeds the tolerance.
+    solve, the accepted S4.2 swaps and the final cone aperture.  S4.1 grows
+    the candidate set until admissible and locally well conditioned; S4.2
+    additionally swaps out the largest-coefficient member while the row's
+    amplification exceeds the global tolerance (at most ``max_swaps``
+    improving swaps); S4.3 retries the whole construction with an
+    axis-projected collar point if the amplification still exceeds the
+    tolerance.  The triangles are built level-wide by ``triangle_stencils``.
     """
     ij = collar.ghost_ij
-    if strategy.kind not in CONE_KINDS:
-        builder = {"S1": build_S1, "S2": build_S2, "S3": build_S3}[strategy.kind]
-        members = builder(ij, collar, strategy.triangle_size, grid, classification)
-        solve = yield members, collar
-        if not solve.admissible:
-            raise NotAdmissible(
-                f"{strategy.kind} stencil of ghost {ij} is rank-deficient or misses its "
-                f"constraints (relative residual {solve.residual:.3e})"
-            )
-        return members, collar, solve, 0, 0.0
     row = yield from _cone_stages(ij, collar, strategy, grid, classification, n_constraints)
     if strategy.kind == "S4.3" and coefficient_amplification(row[2].coeffs) >= strategy.global_tol:
         rebuilt = yield from _axis_rebuild(ij, collar, strategy, grid, classification, n_constraints)

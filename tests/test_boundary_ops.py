@@ -5,17 +5,18 @@ from conftest import rows_of
 import ghostbc as g
 from ghostbc.basis import BasisConfig, RobinData, enumerate_basis
 from ghostbc import boundary_ops
+from ghostbc.assembly import _ghost_ratios
 from ghostbc.boundary_ops import (
     RESIDUAL_TOLERANCE,
     GhostOperatorSolver,
     assemble_constraints,
     coefficient_amplification,
-    global_ratio,
     solve_constraints,
 )
 from ghostbc.errors import InactiveMember, NotAdmissible
 from ghostbc.geometry import CollarPoint
-from ghostbc.stencils import _CandidateStream, ghost_trials
+from ghostbc.stencils import TRIANGLE_KINDS, _CandidateStream, ghost_trials, triangle_trial
+from test_stencils import reference_triangle, triangle
 
 
 def make_collar(center, point, normal=(1.0, 0.0)):
@@ -54,6 +55,17 @@ def solve_alone(solver, member_ij, collar):
 
 def collar_of(ghost, grid, level_set):
     return g.collars_for_ghosts([ghost], grid, level_set)[0]
+
+
+def reference_ratio(coeffs, member_ij, classification):
+    """Largest ghost-to-centre coefficient ratio of one row, one member at a time."""
+    center = abs(float(coeffs[0]))
+    ghost = [bool(classification.ghost_mask[i, j]) for i, j in member_ij[1:]]
+    if not any(ghost):
+        return 0.0
+    if center <= 1e-14:
+        return float("inf")
+    return float(np.abs(coeffs[1:][ghost]).max()) / center
 
 
 def row_constraints(solver, member_ij, collar):
@@ -130,7 +142,7 @@ class TestSolveMinNorm:
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         ghost = tuple(int(v) for v in classification.ghost_ij[17])
         collar = collar_of(ghost, grid, annulus_bench.level_set)
-        members = g.build_S2(ghost, collar, 4, grid, classification)
+        members = triangle("S2", collar, 4, classification)
         a_scaled = solve_alone(solver, members, collar).coeffs
 
         # independent raw-basis oracle
@@ -168,11 +180,19 @@ class TestConditioning:
         interior = classification.interior_ij[40]
         ghost = classification.ghost_ij[3]
         members = np.array([ghost, interior, classification.interior_ij[41]])
-        # no other ghost member -> empty max convention
-        assert global_ratio(np.array([1.0, 5.0, -2.0]), members, classification) == 0.0
         members_with_ghost = np.array([ghost, classification.ghost_ij[4], interior])
-        assert global_ratio(np.array([1.0, -2.5, 0.3]), members_with_ghost, classification) == 2.5
-        assert global_ratio(np.array([1e-15, -2.5, 0.3]), members_with_ghost, classification) == np.inf
+        ratios = _ghost_ratios(
+            classification,
+            np.array([3, 3, 3]),
+            np.concatenate([members, members_with_ghost, members_with_ghost]),
+            np.array([1.0, 5.0, -2.0, 1.0, -2.5, 0.3, 1e-15, -2.5, 0.3]),
+        )
+        # no other ghost member -> empty max convention; a vanishing centre -> inf
+        assert ratios.tolist() == [0.0, 2.5, np.inf]
+        # a ghost member with a zero coefficient still counts as a ghost member
+        ratios = _ghost_ratios(classification, np.array([3, 3]), np.concatenate([members_with_ghost] * 2),
+                               np.array([2.0, 0.0, 9.0, 0.0, 0.0, 9.0]))
+        assert ratios.tolist() == [0.0, np.inf]
 
     def test_amplification(self):
         assert coefficient_amplification(np.array([2.0, -6.0, 1.0])) == 3.0
@@ -261,7 +281,7 @@ class TestRowProperties:
                 ghost = tuple(int(v) for v in ij)
                 break
         collar = collar_of(ghost, grid, ls)
-        members = g.build_S1(ghost, collar, 4, grid, classification)
+        members = triangle("S1", collar, 4, classification)
         a = solve_alone(solver, members, collar).coeffs
 
         # rotate (i, j) -> (n - j, i), i.e. (x, y) -> (-y, x)
@@ -344,7 +364,7 @@ class TestResidualContract:
         grid, classification = annulus_160
         ghost = tuple(int(v) for v in classification.ghost_ij[0])
         collar = collar_of(ghost, grid, annulus_bench.level_set)
-        trials = ghost_trials(collar, g.StencilStrategy(kind="S2"), grid, classification, 15)
+        trials = triangle_trial("S2", triangle("S2", collar, 4, classification), collar, None)
         next(trials)
         with pytest.raises(NotAdmissible, match=f"relative residual {result.residual:.3e}"):
             trials.send(result)
@@ -409,14 +429,17 @@ class TestLockstepLevel:
         collars = g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)
         assert len(rows) == len(collars) > 100
         for row, collar in zip(rows_of(rows), collars):
-            ((members, row_collar, solve, swaps, aperture),) = solver.run(
-                [ghost_trials(collar, strategy, grid, classification, 15)]
-            )
+            if kind in TRIANGLE_KINDS:
+                members = reference_triangle(kind, collar, strategy.triangle_size, classification)
+                one = triangle_trial(kind, members, collar, None)
+            else:
+                one = ghost_trials(collar, strategy, grid, classification, 15)
+            ((members, row_collar, solve, swaps, aperture),) = solver.run([one])
             assert row.ghost_ij == collar.ghost_ij == tuple(row.member_ij[0])
             assert np.array_equal(row.member_ij, members)
             assert np.array_equal(row.coeffs, solve.coeffs)
             assert row.chi == solve.chi
-            assert row.r_ratio == global_ratio(solve.coeffs, members, classification)
+            assert row.r_ratio == reference_ratio(solve.coeffs, members, classification)
             assert row.rhs == bench.coefficients.robin(row_collar).value
             assert row.collar.mode == row_collar.mode
             assert np.array_equal(row.collar.point, row_collar.point)

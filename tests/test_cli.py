@@ -106,6 +106,25 @@ class TestMain:
         ])
         assert code == 0
 
+    def test_bad_strategy_knob_refuses_a_sweep_before_any_level(self, tmp_path, capsys, monkeypatch):
+        # checked when the config is built: a sweep exits 2 and writes no
+        # results, instead of recording a ConfigError as every level's failure
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(cli, "execute_level", no_level)
+        knobs = {"theta": ["--theta", "0"], "kind": ["--strategy", "S5"], "swaps": ["--max-swaps", "-1"]}
+        for name, knob in knobs.items():
+            out = tmp_path / name
+            code = main(["run", "--benchmark", "annulus", "--sweep", "64,80,96", *knob, "--out", str(out)])
+            assert code == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["error"] == "ConfigError"
+            assert json.loads((out / "error.json").read_text()) == record
+            assert not (out / "orders.json").exists() and not (out / "convergence.csv").exists()
+        assert main(["run", "--benchmark", "annulus", "--n", "64", "--theta", "0"]) == 2
+        assert "cone aperture must be in (0, 360] degrees" in capsys.readouterr().err
+
     def test_export_matrix(self, tmp_path):
         out = tmp_path / "mtx"
         code = main([

@@ -128,7 +128,7 @@ class TestClassifyNodes:
         idx = classification.active_index
         assert idx.max() == classification.n_active - 1
         first_ghost = classification.ghost_ij[0]
-        assert classification.index_of(*first_ghost) == classification.n_interior
+        assert idx[tuple(first_ghost)] == classification.n_interior
 
     def test_extra_ghost_extension(self, annulus_160):
         grid, classification = annulus_160
@@ -136,14 +136,14 @@ class TestClassifyNodes:
         side = grid.nodes_per_side
         for i in range(side):
             for j in range(side):
-                if not classification.is_active(i, j) and not classification.interior_mask[i, j]:
+                if classification.active_index[i, j] < 0 and not classification.interior_mask[i, j]:
                     outside = (i, j)
                     break
             if outside:
                 break
         extended = classification.with_extra_ghosts([outside])
         assert extended.n_ghost == classification.n_ghost + 1
-        assert extended.is_ghost(*outside)
+        assert extended.ghost_mask[outside]
         assert extended.ghost_layer_grid[outside] == 3
 
 

@@ -2,22 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghostbc as g
-from ghostbc.benchmarks import circle_level_set
+from ghostbc.benchmarks import circle_level_set, flower_level_set, hourglass_level_set
 from ghostbc.boundary_ops import GhostOperatorSolver, coefficient_amplification
-from ghostbc.errors import InactiveMember
+from ghostbc.errors import GhostBcError, InactiveMember
 from ghostbc.geometry import CollarPoint
 from ghostbc.stencils import (
     APERTURE_STEP,
     FIRST_CONE_RADIUS,
+    MAX_S3_SHIFT,
     _CandidateStream,
     _cone_stages,
     extend_classification,
+    triangle_stencils,
 )
 
 
-def make_collar(ghost_xy, point):
+def make_collar(ghost_xy, point, ghost_ij=None):
     d = np.asarray(point, dtype=float) - np.asarray(ghost_xy, dtype=float)
     n = d / np.linalg.norm(d)
     return CollarPoint(
@@ -25,7 +29,108 @@ def make_collar(ghost_xy, point):
         point=np.asarray(point, dtype=float),
         normal=-n,
         mode="closest",
+        ghost_ij=ghost_ij,
     )
+
+
+def triangle(kind, collar, p, classification):
+    """One ghost's triangle through the level-wide builder; raises its error."""
+    (members,), (error,) = triangle_stencils(kind, [collar], p, classification)
+    if error is not None:
+        raise error
+    return members
+
+
+# The per-ghost S1/S2/S3 rule, one node at a time: the reference the
+# level-wide ``triangle_stencils`` must equal member for member and error for
+# error.
+
+
+def _reference_active(classification, i, j):
+    n = classification.grid.n
+    return 0 <= i <= n and 0 <= j <= n and classification.active_index[i, j] >= 0
+
+
+def _reference_ghost(classification, i, j):
+    n = classification.grid.n
+    return 0 <= i <= n and 0 <= j <= n and bool(classification.ghost_mask[i, j])
+
+
+def _reference_checked(members, ghost, classification, kind):
+    for i, j in members:
+        if (i, j) != ghost and not _reference_active(classification, i, j):
+            raise InactiveMember(f"{kind} stencil of ghost {ghost} references inactive node ({i}, {j})")
+    return np.array(members, dtype=np.int64)
+
+
+def _reference_s2_offsets(p, x_branch):
+    if x_branch:
+        return [(a, b) for a in range(p + 1) for b in range(a + 1)]
+    return [(a, b) for b in range(p + 1) for a in range(b + 1)]
+
+
+def reference_members(kind, collar, p):
+    """Members of one ghost's S1 or S2 triangle, without any activity check."""
+    i0, j0 = collar.ghost_ij
+    sx, sy = collar.inward_signs()
+    if kind == "S1":
+        return [(i0 + l * sx, j0 + m * sy) for l in range(p + 1) for m in range(p + 1 - l)]
+    d = collar.displacement
+    return [(i0 + a * sx, j0 + b * sy) for a, b in _reference_s2_offsets(p, abs(d[0]) >= abs(d[1]))]
+
+
+def reference_triangle(kind, collar, p, classification):
+    """Members of one ghost's triangle, or the ``InactiveMember`` it raises."""
+    ghost = collar.ghost_ij
+    if kind != "S3":
+        return _reference_checked(reference_members(kind, collar, p), ghost, classification, kind)
+    i0, j0 = ghost
+    sx, sy = collar.inward_signs()
+    d = collar.displacement
+    x_branch = abs(d[0]) >= abs(d[1])
+    last_error = None
+    start = 0 if float(np.linalg.norm(d)) <= classification.grid.h else 1
+    for shift in range(start, MAX_S3_SHIFT + 1):
+        members = [
+            (i0, j0) if (a, b) == (0, 0)
+            else (i0 + (a + shift) * sx, j0 + b * sy) if x_branch
+            else (i0 + a * sx, j0 + (b + shift) * sy)
+            for a, b in _reference_s2_offsets(p, x_branch)
+        ]
+        try:
+            checked = _reference_checked(members, ghost, classification, kind)
+        except InactiveMember as exc:
+            last_error = exc
+            continue
+        if not any(m != ghost and _reference_ghost(classification, *m) for m in members):
+            return checked
+    if last_error is not None:
+        raise last_error
+    raise InactiveMember(f"S3 stencil of ghost {ghost} cannot exclude other ghosts within shift {MAX_S3_SHIFT}")
+
+
+def assert_level_matches_reference(kind, collars, p, classification):
+    """Level-wide members and errors equal the per-ghost rule; returns the failing count.
+
+    A failing S1/S2 ghost keeps its unchecked triangle, which the band
+    closure reads.
+    """
+    members, errors = triangle_stencils(kind, collars, p, classification)
+    assert members.shape == (len(collars), (p + 1) * (p + 2) // 2, 2)
+    assert len(errors) == len(collars)
+    failed = 0
+    for collar, row, error in zip(collars, members, errors):
+        try:
+            expected = reference_triangle(kind, collar, p, classification)
+        except InactiveMember as exc:
+            assert type(error) is InactiveMember and str(error) == str(exc)
+            failed += 1
+            if kind != "S3":
+                assert np.array_equal(row, reference_members(kind, collar, p))
+        else:
+            assert error is None
+            assert row.dtype == expected.dtype and np.array_equal(row, expected)
+    return failed
 
 
 def collar_of(ghost, grid, level_set):
@@ -79,7 +184,7 @@ class TestTriangles:
                 break
         collar = collar_of(ghost, grid, ls)
         assert collar.inward_signs() == (1, 1)
-        members = g.build_S1(ghost, collar, 4, grid, classification)
+        members = triangle("S1", collar, 4, classification)
         offsets = {(int(i - ghost[0]), int(j - ghost[1])) for i, j in members}
         assert offsets == {(l, m) for l in range(5) for m in range(5 - l)}
         assert len(members) == 15
@@ -88,28 +193,33 @@ class TestTriangles:
         grid = g.Grid(40)
         ghost_xy = grid.node_xy(30, 10)
         # boundary up-left of the ghost: inward signs (-1, +1)
-        collar = make_collar(ghost_xy, ghost_xy + np.array([-0.03, 0.02]))
+        collar = make_collar(ghost_xy, ghost_xy + np.array([-0.03, 0.02]), (30, 10))
         classification = _all_active_stub(grid)
-        members = g.build_S1((30, 10), collar, 2, grid, classification)
+        members = triangle("S1", collar, 2, classification)
         offsets = {(int(i - 30), int(j - 10)) for i, j in members}
         assert offsets == {(-l, m) for l in range(3) for m in range(3 - l)}
 
-    def test_s1_inactive_member_on_tiny_domain(self):
+    def test_s1_inactive_member_on_tiny_domain(self, annulus_bench):
         # p=4 spans half the domain; the far arm leaves the ghost band
         grid = g.Grid(16)
         ls = circle_level_set(0.18)
         classification = g.classify_nodes(grid, ls)
-        with pytest.raises(InactiveMember):
-            for collar in g.collars_for_ghosts(classification.ghost_ij, grid, ls):
-                g.build_S1(collar.ghost_ij, collar, 4, grid, classification)
+        collars = g.collars_for_ghosts(classification.ghost_ij, grid, ls)
+        _, errors = triangle_stencils("S1", collars, 4, classification)
+        failing = [error for error in errors if error is not None]
+        assert failing and all(type(error) is InactiveMember for error in failing)
+        # the level raises the first failing ghost's error
+        with pytest.raises(InactiveMember) as raised:
+            g.build_ghost_rows(classification, g.StencilStrategy(kind="S1"), annulus_bench.coefficients, grid)
+        assert type(raised.value) is InactiveMember and str(raised.value) == str(failing[0])
 
     def test_s2_vertex_and_members_x_branch(self):
         grid = g.Grid(40)
         ghost = (8, 20)
         ghost_xy = grid.node_xy(*ghost)
-        collar = make_collar(ghost_xy, ghost_xy + np.array([0.031, 0.004]))
+        collar = make_collar(ghost_xy, ghost_xy + np.array([0.031, 0.004]), ghost)
         classification = _all_active_stub(grid)
-        members = g.build_S2(ghost, collar, 4, grid, classification)
+        members = triangle("S2", collar, 4, classification)
         offsets = {(int(i - ghost[0]), int(j - ghost[1])) for i, j in members}
         assert (4, 0) in offsets  # vertex four nodes inward along x
         assert offsets == {(a, b) for a in range(5) for b in range(a + 1)}
@@ -118,47 +228,122 @@ class TestTriangles:
 
     def test_s2_tie_takes_x_branch(self):
         grid = g.Grid(40)
-        ghost = (8, 20)
+        ghost = (20, 20)  # at the origin, so the displacement is an exact tie
         ghost_xy = grid.node_xy(*ghost)
-        collar = make_collar(ghost_xy, ghost_xy + np.array([0.02, 0.02]))
+        collar = make_collar(ghost_xy, ghost_xy + np.array([0.02, 0.02]), ghost)
+        assert collar.displacement[0] == collar.displacement[1]
         classification = _all_active_stub(grid)
-        members = g.build_S2(ghost, collar, 4, grid, classification)
+        members = triangle("S2", collar, 4, classification)
         offsets = {(int(i - ghost[0]), int(j - ghost[1])) for i, j in members}
         assert offsets == {(a, b) for a in range(5) for b in range(a + 1)}
 
     def test_s3_equals_s2_near_boundary(self, circle_setup):
         grid, ls, classification = circle_setup
-        for collar in g.collars_for_ghosts(classification.ghost_ij, grid, ls):
-            ghost = collar.ghost_ij
-            if np.linalg.norm(collar.displacement) > grid.h:
+        collars = g.collars_for_ghosts(classification.ghost_ij, grid, ls)
+        s2, s2_errors = triangle_stencils("S2", collars, 4, classification)
+        s3, s3_errors = triangle_stencils("S3", collars, 4, classification)
+        for k, collar in enumerate(collars):
+            if np.linalg.norm(collar.displacement) > grid.h or s2_errors[k] is not None:
                 continue
-            s2 = g.build_S2(ghost, collar, 4, grid, classification)
-            ghosts_in_s2 = [
-                m for m in map(tuple, s2) if m != ghost and classification.is_ghost(*m)
-            ]
-            if ghosts_in_s2:
+            if classification.ghost_mask[tuple(s2[k, 1:].T)].any():
                 continue
-            s3 = g.build_S3(ghost, collar, 4, grid, classification)
-            assert {tuple(m) for m in s3} == {tuple(m) for m in s2}
+            assert s3_errors[k] is None
+            assert {tuple(m) for m in s3[k]} == {tuple(m) for m in s2[k]}
             break
         else:
             pytest.fail("no near-boundary ghost found")
 
     def test_s3_ghost_exclusive_on_annulus(self, annulus_bench, annulus_160):
         grid, classification = annulus_160
+        collars = g.collars_for_ghosts(classification.ghost_ij, grid, annulus_bench.level_set)
+        members, errors = triangle_stencils("S3", collars, 4, classification)
+        assert errors == [None] * len(collars)
         layer2_seen = 0
-        for collar in g.collars_for_ghosts(classification.ghost_ij, grid, annulus_bench.level_set):
-            ghost = collar.ghost_ij
-            members = g.build_S3(ghost, collar, 4, grid, classification)
-            others = [
-                m
-                for m in map(tuple, members)
-                if m != ghost and classification.is_ghost(*m)
-            ]
-            assert others == []
-            if classification.ghost_layer_grid[ghost] == 2:
+        for collar, row in zip(collars, members):
+            assert tuple(row[0]) == collar.ghost_ij
+            assert (classification.active_index[tuple(row.T)] >= 0).all()
+            assert not classification.ghost_mask[tuple(row[1:].T)].any()
+            if classification.ghost_layer_grid[collar.ghost_ij] == 2:
                 layer2_seen += 1
         assert layer2_seen > 0
+
+
+def _triangle_level(name, kind, n):
+    """Collars and classification of a triangle level, band closed for S1/S2."""
+    bench = g.RunConfig(benchmark=name, strategy=kind, n=n).make_benchmark()
+    grid = g.Grid(n)
+    strategy = g.StencilStrategy(kind=kind)
+    classification = extend_classification(g.classify_nodes(grid, bench.level_set), strategy, grid)
+    return g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set), classification
+
+
+class TestLevelTriangles:
+    """``triangle_stencils`` against the per-ghost reference rule."""
+
+    @pytest.mark.parametrize(
+        "name, kind, n, p, failing",
+        [("annulus", "S1", 64, 4, 0), ("annulus", "S2", 160, 3, 0), ("annulus", "S3", 160, 4, 0),
+         ("flower", "S2", 96, 4, 0), ("flower", "S3", 160, 4, 0), ("hourglass", "S1", 128, 4, 0),
+         ("conv-bl2", "S3", 96, 4, 0), ("conv-bl2", "S3", 502, 4, 0), ("leaf", "S3", 128, 4, 1)],
+    )
+    def test_level_equals_per_ghost_reference(self, name, kind, n, p, failing):
+        collars, classification = _triangle_level(name, kind, n)
+        assert assert_level_matches_reference(kind, collars, p, classification) == failing
+
+    @pytest.mark.parametrize("kind", ["S1", "S2", "S3"])
+    def test_failing_ghosts_equal_reference(self, kind):
+        # on the coarse hourglass, before any band closure, some triangles of
+        # every kind reach inactive nodes
+        grid = g.Grid(64)
+        level_set = hourglass_level_set()
+        classification = g.classify_nodes(grid, level_set)
+        collars = g.collars_for_ghosts(classification.ghost_ij, grid, level_set)
+        assert assert_level_matches_reference(kind, collars, 4, classification) > 0
+
+
+def translated(level_set, dx, dy):
+    """``level_set`` moved by (dx, dy), as a LevelSet of its own."""
+    return g.LevelSet(
+        f"{level_set.name}+({dx}, {dy})",
+        evaluate=lambda x, y: level_set.evaluate(np.asarray(x) - dx, np.asarray(y) - dy),
+        gradient=lambda x, y: level_set.gradient(np.asarray(x) - dx, np.asarray(y) - dy),
+    )
+
+
+PERTURBED_SHAPES = {
+    "circle": lambda: circle_level_set(0.61),
+    "flower": flower_level_set,
+    "hourglass": hourglass_level_set,
+}
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(PERTURBED_SHAPES)),
+    n=st.sampled_from([48, 64, 80, 96]),
+    shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+)
+def test_perturbed_geometry_triangles(annulus_bench, shape, n, shift):
+    """Sub-cell translations: level-wide triangles equal the per-ghost rule,
+    and a triangle level either builds its rows or raises a typed error."""
+    grid = g.Grid(n)
+    level_set = translated(PERTURBED_SHAPES[shape](), shift[0] * grid.h, shift[1] * grid.h)
+    try:
+        base = g.classify_nodes(grid, level_set)
+    except GhostBcError:
+        return
+    collars = g.collars_for_ghosts(base.ghost_ij, grid, level_set)
+    for kind in ("S1", "S2", "S3"):
+        assert_level_matches_reference(kind, collars, 4, base)
+        strategy = g.StencilStrategy(kind=kind)
+        try:
+            classification = extend_classification(base, strategy, grid)
+            rows = g.build_ghost_rows(classification, strategy, annulus_bench.coefficients, grid)
+        except GhostBcError:
+            continue
+        members, errors = triangle_stencils(kind, rows.collars, 4, classification)
+        assert errors == [None] * len(rows)
+        assert np.array_equal(rows.member_ij, members.reshape(-1, 2))
 
 
 class TestCone:
@@ -356,8 +541,10 @@ class TestExtension:
         assert extended.n_ghost > classification.n_ghost
         assert extended.n_interior == classification.n_interior
         # every triangle is now fully active
-        for collar in g.collars_for_ghosts(extended.ghost_ij, grid, annulus_bench.level_set):
-            g.build_S1(collar.ghost_ij, collar, strategy.triangle_size, grid, extended)
+        collars = g.collars_for_ghosts(extended.ghost_ij, grid, annulus_bench.level_set)
+        members, errors = triangle_stencils("S1", collars, strategy.triangle_size, extended)
+        assert errors == [None] * len(collars)
+        assert (extended.active_index[tuple(members.reshape(-1, 2).T)] >= 0).all()
 
     def test_cone_strategies_do_not_extend(self, annulus_bench, annulus_160):
         grid, classification = annulus_160
@@ -386,7 +573,7 @@ def _brute_force_cone(ghost, collar, aperture, grid, classification):
     side = grid.nodes_per_side
     for i in range(side):
         for j in range(side):
-            if (i, j) == ghost or not classification.is_active(i, j):
+            if (i, j) == ghost or classification.active_index[i, j] < 0:
                 continue
             v = np.array([i - ghost[0], j - ghost[1]], dtype=float)
             if aperture < 360.0:
