@@ -22,7 +22,7 @@ from .basis import DEFAULT_ORDER, RobinData
 from .boundary_ops import GhostOperatorSolver
 from .errors import MissingNeighbor, SingularMatrix, SolveFailed
 from .geometry import CollarPoint, Grid, NodeClassification, collars_for_ghosts
-from .stencils import TRIANGLE_KINDS, StencilStrategy, ghost_trials, triangle_stencils, triangle_trial
+from .stencils import TRIANGLE_KINDS, StencilStrategy, cone_rows, triangle_stencils, triangle_trial
 
 #: Fourth-order centred weights for the second derivative (offsets -2..2), * 1/h^2.
 LAPLACE_WEIGHTS = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0])
@@ -83,7 +83,10 @@ class GhostRows:
     ``r_ratio`` the largest ratio of another ghost member's coefficient to
     the ghost's own.  ``swaps`` counts the accepted S4.2 swaps and
     ``aperture`` is the final cone aperture in degrees; both are 0 for the
-    triangle strategies.
+    triangle strategies.  ``rebuilt`` flags the S4.3 rows adopted from a
+    rebuild on an axis-projected collar; a row whose closest-point
+    projection fell back to the axis has collar mode ``axis`` too, but is
+    not flagged.
     """
 
     ghost_ij: np.ndarray  # (G, 2)
@@ -96,6 +99,7 @@ class GhostRows:
     collars: list[CollarPoint]
     swaps: np.ndarray
     aperture: np.ndarray
+    rebuilt: np.ndarray
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -184,16 +188,18 @@ def build_ghost_rows(
     """Collar, stencil and minimum-norm coefficients for every ghost node.
 
     The ghosts' trial stencils are solved in lock-step (``GhostOperatorSolver.run``);
-    a triangle strategy's one trial per ghost comes from ``triangle_stencils``.
+    a triangle strategy's one trial per ghost comes from ``triangle_stencils``,
+    and the cone strategies run in the two phases of ``cone_rows``.
     """
     solver = GhostOperatorSolver(grid, coeffs.robin, order=order)
     collars = collars_for_ghosts(classification.ghost_ij, grid, classification.level_set)
     if strategy.kind in TRIANGLE_KINDS:
         triangles, errors = triangle_stencils(strategy.kind, collars, strategy.triangle_size, classification)
-        trials = (triangle_trial(strategy.kind, *trial) for trial in zip(triangles, collars, errors))
+        rows = solver.run(triangle_trial(strategy.kind, *trial) for trial in zip(triangles, collars, errors))
+        rebuilt = np.zeros(len(rows), dtype=bool)
     else:
-        trials = (ghost_trials(c, strategy, grid, classification, solver.n_constraints) for c in collars)
-    members, collars, solves, swaps, aperture = zip(*solver.run(trials))
+        rows, rebuilt = cone_rows(collars, strategy, grid, classification, solver)
+    members, collars, solves, swaps, aperture = zip(*rows)
     sizes = np.array([len(m) for m in members])
     member_ij = np.concatenate(members)
     row_coeffs = np.concatenate([solve.coeffs for solve in solves])
@@ -208,6 +214,7 @@ def build_ghost_rows(
         collars=list(collars),
         swaps=np.array(swaps),
         aperture=np.array(aperture),
+        rebuilt=rebuilt,
     )
 
 

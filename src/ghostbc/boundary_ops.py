@@ -14,6 +14,7 @@ rank check and the Gram-matrix condition number.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable
 
@@ -172,7 +173,8 @@ class GhostOperatorSolver:
     def run(self, generators: Iterable[Trials]) -> list:
         """Drive trial generators in lock-step; returns what each one returns.
 
-        Generators are taken ``LOCKSTEP_BATCH`` at a time.  Every round
+        Generators are taken from the iterable ``LOCKSTEP_BATCH`` at a time,
+        so a lazy iterable need build only one batch ahead.  Every round
         solves the pending trial of every generator of the batch: the
         right-hand sides of collars not seen before in one vectorized call,
         then one stacked SVD per member count.  A collar's right-hand side
@@ -181,13 +183,27 @@ class GhostOperatorSolver:
         input order) is raised, as a one-ghost-at-a-time loop would; the
         generators after it are not driven further.
         """
-        generators = list(generators)
-        results: list = []
-        for start in range(0, len(generators), LOCKSTEP_BATCH):
-            results += self._lockstep(generators[start:start + LOCKSTEP_BATCH])
+        results, error = self.drive(generators)
+        if error is not None:
+            raise error
         return results
 
-    def _lockstep(self, generators: list[Trials]) -> list:
+    def drive(self, generators: Iterable[Trials]) -> tuple[list, GhostBcError | None]:
+        """``run``, handing back the error instead of raising it.
+
+        Returns the results of the generators before the first one that
+        raised a ``GhostBcError``, and that error (None when none did).
+        """
+        generators = iter(generators)
+        results: list = []
+        while batch := list(itertools.islice(generators, LOCKSTEP_BATCH)):
+            done, error = self._lockstep(batch)
+            results += done
+            if error is not None:
+                return results, error
+        return results, None
+
+    def _lockstep(self, generators: list[Trials]) -> tuple[list, GhostBcError | None]:
         results: list = [None] * len(generators)
         first_failed, error = len(generators), None
         collars: dict[int, tuple[CollarPoint, RobinData]] = {}  # holding a collar keeps its id unique
@@ -231,6 +247,4 @@ class GhostOperatorSolver:
                 g = np.array([rhs[id(c)] for _, _, c in group])
                 for (k, _, _), solve in zip(group, solve_constraints(ConstraintMatrix(matrix, g))):
                     advance(k, solve)
-        if error is not None:
-            raise error
-        return results
+        return results[:first_failed], error

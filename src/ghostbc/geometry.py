@@ -101,14 +101,6 @@ class LevelSet:
     def __call__(self, x, y):
         return self.evaluate(x, y)
 
-    def unit_normal(self, x: float, y: float) -> np.ndarray:
-        """Outward unit normal ``grad(phi)/|grad(phi)|`` at a point."""
-        gx, gy = self.gradient(x, y)
-        norm = float(np.hypot(gx, gy))
-        if norm < NODE_TOLERANCE:
-            raise ZeroGradient(f"level set '{self.name}' has zero gradient at ({x}, {y})")
-        return np.array([float(gx) / norm, float(gy) / norm])
-
 
 @dataclass
 class NodeClassification:
@@ -286,6 +278,11 @@ class CollarPoint:
         return (1 if d[0] >= 0.0 else -1, 1 if d[1] >= 0.0 else -1)
 
 
+def _evaluate(level_set: LevelSet, q: np.ndarray) -> np.ndarray:
+    """``phi`` at the points ``q`` (N, 2), as an (N,) float array."""
+    return np.broadcast_to(np.asarray(level_set.evaluate(q[:, 0], q[:, 1]), dtype=float), len(q))
+
+
 def _closest_points(
     ghost_xy: np.ndarray,
     level_set: LevelSet,
@@ -313,9 +310,6 @@ def _closest_points(
     out: list = [None] * len(x0)
     live = np.arange(len(x0))
 
-    def phi(q):
-        return np.broadcast_to(np.asarray(level_set.evaluate(q[:, 0], q[:, 1]), dtype=float), len(q))
-
     def norm(v):
         return np.sqrt(np.vecdot(v, v))
 
@@ -323,7 +317,7 @@ def _closest_points(
         if not live.size:
             return out
         q = p[live]
-        f = phi(q)
+        f = _evaluate(level_set, q)
         g = np.empty_like(q)
         g[:, 0], g[:, 1] = level_set.gradient(q[:, 0], q[:, 1])
         g2 = np.vecdot(g, g)
@@ -343,7 +337,7 @@ def _closest_points(
         pending = np.arange(idx.size)
         while pending.size:
             trial = q[idx[pending]] - damping[pending, None] * step[pending]
-            better = np.abs(phi(trial)) < np.abs(f[idx[pending]])
+            better = np.abs(_evaluate(level_set, trial)) < np.abs(f[idx[pending]])
             p[live[idx[pending[better]]]] = trial[better]
             pending = pending[~better]
             damping[pending] *= 0.5
@@ -379,7 +373,7 @@ def _closest_points(
         while pending.size:
             trial = q[idx[pending]] + damping[pending, None] * t[pending]
             budget = 0.25 * damping[pending] * t_norm[pending] * g_norm[idx[pending]]
-            pending = pending[~(np.abs(phi(trial)) <= budget)]
+            pending = pending[~(np.abs(_evaluate(level_set, trial)) <= budget)]
             damping[pending] *= 0.5
             pending = pending[damping[pending] > 1e-12]
         p[live[idx]] = q[idx] + damping[:, None] * t
@@ -392,67 +386,91 @@ def _closest_points(
     return out
 
 
-def _bisect_level(level_set: LevelSet, a: np.ndarray, b: np.ndarray, fa: float, tol: float) -> np.ndarray:
-    """Bisection along segment [a, b] bracketing a sign change of phi."""
-    lo, hi = a, b
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = float(level_set.evaluate(mid[0], mid[1]))
-        if abs(fm) <= tol:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    raise ProjectionDiverged("axis bisection could not reach the residual tolerance")
-
-
 def axis_projection(
     ghost_xy,
     level_set: LevelSet,
     h: float,
-    ghost_ij: tuple[int, int] | None = None,
+    ghost_ij: list | None = None,
     tol: float = PROJECTION_TOLERANCE,
     reach: float = 3.0,
-) -> CollarPoint:
-    """Project a ghost onto the boundary along a horizontal or vertical ray.
+) -> list:
+    """Project points onto the boundary along horizontal or vertical rays.
 
-    Each of the four axis directions is scanned up to ``reach * h`` for the
-    first sign change of ``phi``; the closest intersection wins, the first
-    direction in the order +x, -x, +y, -y on a tie.  All scan points are
-    evaluated in one call; only the directions whose first sign change lies
-    in the nearest bracket are bisected, since a crossing in a later bracket
-    is strictly farther away.  The normal at the intersection still comes
-    from the level-set gradient.
+    From each point, each of the four axis directions is scanned up to
+    ``reach * h`` for the first sign change of ``phi``; the closest
+    intersection wins, the first direction in the order +x, -x, +y, -y on a
+    tie.  The points and the scan points of all their rays are evaluated in
+    one level-set call.  Only the rays whose first sign change lies in their
+    point's nearest bracket are bisected, since a crossing in a later
+    bracket is strictly farther away: one masked bisection runs over all
+    those brackets, at most 200 halvings each.  The normal at the
+    intersection comes from the level-set gradient.  The ``LevelSet``
+    contract makes every point's result equal, bit for bit, to projecting
+    it alone.
 
-    Raises:
-        NoAxisIntersection: no ray crosses within ``reach * h``.
+    Returns one entry per point, like ``_closest_points``: its
+    ``CollarPoint`` (mode ``"axis"``), or the ``NoAxisIntersection`` (no
+    ray crosses within ``reach * h``), ``ProjectionDiverged`` (a bisection
+    missed ``tol``) or ``ZeroGradient`` that stopped it.
     """
-    x0 = np.array(ghost_xy, dtype=float)
-    f0 = float(level_set.evaluate(x0[0], x0[1]))
+    x0 = np.array(ghost_xy, dtype=float).reshape(-1, 2)
+    keys = [None] * len(x0) if ghost_ij is None else list(ghost_ij)
+    if not len(x0):
+        return []
     n_sub = 48
     s = reach * h * np.arange(1, n_sub + 1) / n_sub
     directions = np.array(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
-    q = x0 + s[None, :, None] * directions[:, None, :]
-    fq = np.broadcast_to(np.asarray(level_set.evaluate(q[..., 0], q[..., 1]), dtype=float), q.shape[:2])
-    prev_f = np.concatenate([np.full((len(directions), 1), f0), fq[:, :-1]], axis=1)
+    q = x0[:, None, None, :] + s[:, None] * directions[:, None, :]  # (point, ray, step, xy)
+    f = _evaluate(level_set, np.concatenate([x0, q.reshape(-1, 2)]))
+    fq = f[len(x0):].reshape(q.shape[:3])
+    prev_f = np.concatenate([np.repeat(f[:len(x0), None, None], len(directions), axis=1), fq[..., :-1]], axis=2)
     crossing = (fq == 0.0) | ((fq > 0.0) != (prev_f > 0.0))
-    hit = crossing.any(axis=1)
-    if not hit.any():
-        raise NoAxisIntersection(
-            f"no axis ray from {x0} crosses the boundary within {reach} h"
-        )
-    first = crossing.argmax(axis=1)
-    step = first[hit].min()
-    prev_s = s[step - 1] if step else 0.0
-    best: tuple[float, np.ndarray] | None = None
-    for k in np.flatnonzero(hit & (first == step)):
-        p = _bisect_level(level_set, x0 + prev_s * directions[k], q[k, step], prev_f[k, step], tol)
-        dist = float(np.linalg.norm(p - x0))
-        if best is None or dist < best[0]:
-            best = (dist, p)
-    p = best[1]
-    return CollarPoint(x0, p, level_set.unit_normal(p[0], p[1]), "axis", ghost_ij)
+    hit = crossing.any(axis=2)
+    first = np.where(hit, crossing.argmax(axis=2), n_sub)
+    step = first.min(axis=1)
+    point, ray = np.nonzero(hit & (first == step[:, None]))
+    at = step[point]
+
+    # Bisect every nearest bracket; each stops once |phi(mid)| <= tol.
+    lo = x0[point] + np.concatenate([[0.0], s])[at, None] * directions[ray]
+    hi = q[point, ray, at]
+    fa = prev_f[point, ray, at]
+    root = np.full_like(lo, np.nan)
+    live = np.arange(len(point))
+    for _ in range(200):
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        fm = _evaluate(level_set, mid)
+        done = np.abs(fm) <= tol
+        root[live[done]] = mid[done]
+        same = (fm > 0.0) == (fa[live] > 0.0)
+        lo[live[same]] = mid[same]
+        hi[live[~same]] = mid[~same]
+        live = live[~done]
+
+    out: list = [None] * len(x0)
+    for k in np.flatnonzero(~hit.any(axis=1)):
+        out[k] = NoAxisIntersection(f"no axis ray from {x0[k]} crosses the boundary within {reach} h")
+    for k in np.unique(point[live]):
+        out[k] = ProjectionDiverged("axis bisection could not reach the residual tolerance")
+    # The nearest root of each point; argmin takes the first ray on a tie.
+    d = root - x0[point]
+    dist = np.full(hit.shape, np.inf)
+    dist[point, ray] = np.sqrt(np.vecdot(d, d))
+    roots = np.full(q.shape[:2] + (2,), np.nan)
+    roots[point, ray] = root
+    ok = np.array([result is None for result in out])
+    p = roots[ok, dist[ok].argmin(axis=1)]
+    g = np.empty_like(p)
+    g[:, 0], g[:, 1] = level_set.gradient(p[:, 0], p[:, 1])
+    g_norm = np.hypot(g[:, 0], g[:, 1])
+    for k, pk, gk, norm in zip(np.flatnonzero(ok), p, g, g_norm):
+        if norm < NODE_TOLERANCE:
+            out[k] = ZeroGradient(f"level set '{level_set.name}' has zero gradient at ({pk[0]}, {pk[1]})")
+        else:
+            out[k] = CollarPoint(x0[k], pk, gk / norm, "axis", keys[k])
+    return out
 
 
 def collars_for_ghosts(ghost_ij, grid: Grid, level_set: LevelSet) -> list[CollarPoint]:
@@ -460,18 +478,21 @@ def collars_for_ghosts(ghost_ij, grid: Grid, level_set: LevelSet) -> list[Collar
 
     All ghosts are projected onto the boundary in one closest-point
     iteration.  It can stall near corners or saddle points of the level
-    set; those ghosts fall back to the axis projection, one at a time, and
-    are logged.
+    set; those ghosts fall back to one batched axis projection and are
+    logged.  Raises the axis projection's error of the first ghost whose
+    fallback fails too.
     """
     ij = np.asarray(ghost_ij, dtype=np.int64).reshape(-1, 2)
     keys = [(int(i), int(j)) for i, j in ij]
     x, y = grid.coords(ij[:, 0], ij[:, 1])
     xy = np.column_stack([x, y])
     collars = _closest_points(xy, level_set, keys, PROJECTION_TOLERANCE, PROJECTION_MAX_ITER)
-    for k, result in enumerate(collars):
-        if isinstance(result, GeometryError):
-            logger.info("ghost %s: closest-point projection failed (%s); using axis projection", keys[k], result)
-            collars[k] = axis_projection(xy[k], level_set, grid.h, ghost_ij=keys[k])
+    failed = [k for k, result in enumerate(collars) if isinstance(result, GeometryError)]
+    for k, fallback in zip(failed, axis_projection(xy[failed], level_set, grid.h, [keys[k] for k in failed])):
+        logger.info("ghost %s: closest-point projection failed (%s); using axis projection", keys[k], collars[k])
+        if isinstance(fallback, GeometryError):
+            raise fallback
+        collars[k] = fallback
     return collars
 
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .boundary_ops import Trials, coefficient_amplification
-from .errors import CandidatesExhausted, InactiveMember, NoAxisIntersection, NotAdmissible
+from .boundary_ops import LOCKSTEP_BATCH, GhostOperatorSolver, Trials, coefficient_amplification
+from .errors import CandidatesExhausted, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
 from .geometry import CollarPoint, Grid, NodeClassification, axis_projection, collars_for_ghosts
 
 logger = logging.getLogger(__name__)
@@ -130,7 +131,7 @@ def triangle_stencils(
 
 
 def triangle_trial(kind: str, member_ij: np.ndarray, collar: CollarPoint, error: InactiveMember | None) -> Trials:
-    """One-trial generator of a fixed triangle, returning like ``ghost_trials``.
+    """One-trial generator of a fixed triangle, returning like ``_cone_stages``.
 
     Raises the ghost's triangle ``error`` on its first step; the solve of
     the triangle must be admissible.
@@ -210,6 +211,32 @@ def _offset_table(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return di, dj, np.hypot(di, dj)
 
 
+def _cone_nodes(streams: list, di: np.ndarray, dj: np.ndarray, dist: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Each stream's active cone nodes among the offsets ``(di, dj)``, in their order.
+
+    One (B, T) pass for B streams and T offsets of length ``dist``: a
+    lock-step batch reads its streams' first radius with it, and a stream
+    reads each later radius, or its cone after widening, as a batch of one.
+    """
+    w = np.array([s.direction for s in streams])
+    wnorm = np.array([s.wnorm for s in streams])[:, None]
+    cos_half = np.array([s.cos_half for s in streams])[:, None]
+    full = np.array([s.full for s in streams])[:, None]
+    # The 1e-12 slack and this operation order decide the nodes on the
+    # cone edge; any other form moves stencils by a bit.
+    row, col = np.nonzero(full | (di * w[:, :1] + dj * w[:, 1:] >= (cos_half - 1e-12) * dist * wnorm))
+    i = di[col] + np.array([s.i0 for s in streams])[row]
+    j = dj[col] + np.array([s.j0 for s in streams])[row]
+    classification = streams[0].classification
+    n = classification.grid.n
+    inside = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
+    row, i, j = row[inside], i[inside], j[inside]
+    active = classification.active_index[i, j] >= 0
+    nodes = list(zip(i[active].tolist(), j[active].tolist()))
+    ends = np.cumsum(np.bincount(row[active], minlength=len(streams))).tolist()
+    return [nodes[a:b] for a, b in zip([0] + ends, ends)]
+
+
 class _CandidateStream:
     """Cone candidates with automatic aperture widening on exhaustion.
 
@@ -218,6 +245,7 @@ class _CandidateStream:
     frontier index through it and ``nearest_available`` scans it from the
     start.  Running past the table doubles its radius until the table
     reaches every lattice node; only then is the cone exhausted.
+    ``batch`` opens the streams of many ghosts with their first radius read.
     """
 
     def __init__(self, ghost_ij, collar, aperture_deg, grid, classification):
@@ -225,13 +253,20 @@ class _CandidateStream:
         self.i0, self.j0 = int(ghost_ij[0]), int(ghost_ij[1])
         self.direction = np.asarray(collar.toward_boundary(), dtype=float)
         self.wnorm = float(np.linalg.norm(self.direction))
-        self.grid = grid
         self.classification = classification
         n = grid.n
-        # tables of radius <= margin stay on the lattice; radius^2 >= reach2 covers it
-        self.margin = min(self.i0, self.j0, n - self.i0, n - self.j0)
+        # a table radius with radius^2 >= reach2 covers the lattice
         self.reach2 = max(self.i0, n - self.i0) ** 2 + max(self.j0, n - self.j0) ** 2
         self._open(aperture_deg)
+
+    @classmethod
+    def batch(cls, collars, aperture_deg, grid, classification) -> list["_CandidateStream"]:
+        """The streams of ``collars``' ghosts, their first radius read in one pass."""
+        streams = [cls(c.ghost_ij, c, aperture_deg, grid, classification) for c in collars]
+        table = _offset_table(FIRST_CONE_RADIUS)
+        for stream, nodes in zip(streams, _cone_nodes(streams, *table)):
+            stream.radius, stream.read, stream.nodes = FIRST_CONE_RADIUS, table[2].size, nodes
+        return streams
 
     def _open(self, aperture_deg: float) -> None:
         """Empty candidate list for a (new) aperture, frontier at its start."""
@@ -248,19 +283,7 @@ class _CandidateStream:
         self.radius = max(FIRST_CONE_RADIUS, 2 * self.radius)
         di, dj, dist = (a[self.read:] for a in _offset_table(self.radius))
         self.read += dist.size
-        if not self.full:
-            # The 1e-12 slack and this operation order decide the nodes on
-            # the cone edge; any other form moves stencils by a bit.
-            w = self.direction
-            cone = di * w[0] + dj * w[1] >= (self.cos_half - 1e-12) * dist * self.wnorm
-            di, dj = di[cone], dj[cone]
-        i, j = di + self.i0, dj + self.j0
-        n = self.grid.n
-        if self.radius > self.margin:
-            inside = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
-            i, j = i[inside], j[inside]
-        active = self.classification.active_index[i, j] >= 0
-        self.nodes.extend(zip(i[active].tolist(), j[active].tolist()))
+        self.nodes.extend(_cone_nodes([self], di, dj, dist)[0])
 
     def candidate(self, k: int) -> tuple[int, int] | None:
         """The k-th candidate of the current aperture; None past the last."""
@@ -330,27 +353,27 @@ def _grow_until_conditioned(
 
 
 def _cone_stages(
-    ghost_ij,
-    collar: CollarPoint,
-    strategy: StencilStrategy,
-    grid: Grid,
-    classification: NodeClassification,
-    n_constraints: int,
+    stream: _CandidateStream, collar: CollarPoint, strategy: StencilStrategy, n_constraints: int
 ) -> Trials:
     """S4.1 growth followed by the S4.2 swap loop, for one collar point.
 
-    Returns ``(member_ij, collar, solve, swaps, aperture)`` of the final
-    stencil, like ``ghost_trials``.  The swap loop is driven by the
-    coefficient amplification over all members: removing whichever member
-    carries the largest coefficient (typically a node shadowing the ghost
-    from right next to the collar point) is what restores a usable centre
-    coefficient for ghosts that sit deep in the second layer.  A swap that
+    Grows from ``stream``, the cone of the ghost aimed at ``collar``, and
+    returns ``(member_ij, collar, solve, swaps, aperture)``: the final
+    members (the ghost first), the collar point their row closes, their
+    solve, the accepted S4.2 swaps and the final cone aperture.  S4.1 grows
+    the candidate set until admissible and locally well conditioned; S4.2
+    additionally swaps out the largest-coefficient member while the row's
+    amplification exceeds the global tolerance (at most ``max_swaps``
+    improving swaps).  The swap loop is driven by the coefficient
+    amplification over all members: removing whichever member carries the
+    largest coefficient (typically a node shadowing the ghost from right
+    next to the collar point) is what restores a usable centre coefficient
+    for ghosts that sit deep in the second layer.  A swap that
     does not strictly improve the amplification is reverted and the loop
     stops; stencils the swaps cannot fix are left to the collar
-    modification of S4.3.
+    modification of S4.3 (``cone_rows``).
     """
-    stream = _CandidateStream(ghost_ij, collar, strategy.aperture_deg, grid, classification)
-    seed = tuple(int(v) for v in ghost_ij)
+    seed = (stream.i0, stream.j0)
     members: list[tuple[int, int]] = [seed]
     used = {seed}
     while len(members) < n_constraints:
@@ -391,49 +414,83 @@ def _cone_stages(
     return np.array(members, dtype=np.int64), collar, solve, swaps, stream.aperture
 
 
-def _axis_rebuild(ghost_ij, collar, strategy, grid, classification, n_constraints) -> Trials:
-    """Re-run the cone construction with an axis-projected collar point.
-
-    Returns the rebuilt stencil as ``_cone_stages`` does, or None when the
-    axis finds no boundary or the rebuild is not admissible.
-    """
-    try:
-        new_collar = axis_projection(
-            collar.ghost_xy, classification.level_set, grid.h, ghost_ij=tuple(ghost_ij)
-        )
-    except NoAxisIntersection:
-        logger.info("ghost %s: no axis intersection; keeping closest-point collar", tuple(ghost_ij))
-        return None
-    try:
-        return (yield from _cone_stages(ghost_ij, new_collar, strategy, grid, classification, n_constraints))
-    except NotAdmissible:
-        logger.info("ghost %s: rebuild with axis collar failed; keeping S4.2 result", tuple(ghost_ij))
-        return None
-
-
-def ghost_trials(
-    collar: CollarPoint,
+def cone_trials(
+    collars: list[CollarPoint],
     strategy: StencilStrategy,
     grid: Grid,
     classification: NodeClassification,
     n_constraints: int,
-) -> Trials:
-    """Trial generator of one ghost's cone stencil (S4.1-S4.3).
+) -> Iterator[Trials]:
+    """The ``_cone_stages`` trial generator of each collar, lazily.
 
-    Returns ``(member_ij, collar, solve, swaps, aperture)``: the final
-    members (the ghost first), the collar point their row closes, their
-    solve, the accepted S4.2 swaps and the final cone aperture.  S4.1 grows
-    the candidate set until admissible and locally well conditioned; S4.2
-    additionally swaps out the largest-coefficient member while the row's
-    amplification exceeds the global tolerance (at most ``max_swaps``
-    improving swaps); S4.3 retries the whole construction with an
-    axis-projected collar point if the amplification still exceeds the
-    tolerance.  The triangles are built level-wide by ``triangle_stencils``.
+    The candidate streams are opened ``LOCKSTEP_BATCH`` collars at a time,
+    the batch's first cone radius in one pass.  ``GhostOperatorSolver``
+    takes its generators a lock-step batch at a time too, so only one
+    batch's streams exist ahead of their use.
     """
-    ij = collar.ghost_ij
-    row = yield from _cone_stages(ij, collar, strategy, grid, classification, n_constraints)
-    if strategy.kind == "S4.3" and coefficient_amplification(row[2].coeffs) >= strategy.global_tol:
-        rebuilt = yield from _axis_rebuild(ij, collar, strategy, grid, classification, n_constraints)
-        if rebuilt is not None:
-            row = rebuilt[:3] + (row[3] + rebuilt[3], max(row[4], rebuilt[4]))
-    return row
+    for start in range(0, len(collars), LOCKSTEP_BATCH):
+        batch = collars[start:start + LOCKSTEP_BATCH]
+        streams = _CandidateStream.batch(batch, strategy.aperture_deg, grid, classification)
+        for stream, collar in zip(streams, batch):
+            yield _cone_stages(stream, collar, strategy, n_constraints)
+
+
+def _admissible_or_error(trials: Trials) -> Trials:
+    """``trials``, returning the ``NotAdmissible`` it raises instead of raising it."""
+    try:
+        return (yield from trials)
+    except NotAdmissible as exc:
+        return exc
+
+
+def cone_rows(
+    collars: list[CollarPoint],
+    strategy: StencilStrategy,
+    grid: Grid,
+    classification: NodeClassification,
+    solver: GhostOperatorSolver,
+) -> tuple[list, np.ndarray]:
+    """Every ghost's cone row (S4.1-S4.3), and which rows are S4.3 rebuilds.
+
+    Rows are ``(member_ij, collar, solve, swaps, aperture)`` as
+    ``_cone_stages`` returns them, one per collar.  Phase 1 runs S4.1
+    growth (and S4.2 swaps) for every ghost.  For S4.3, the ghosts whose
+    amplification still reaches the global tolerance get axis-projected
+    collars from one batched projection, and phase 2 runs the construction
+    again from those collars.  A rebuild replaces its ghost's row, with the
+    swaps of both phases summed and the wider aperture; a ghost whose axis
+    rays miss the boundary, or whose rebuild is not admissible, keeps its
+    S4.2 row.  The second element flags the replaced rows.
+
+    Raises the error of the first failing ghost in collar order, a failing
+    axis projection or rebuild counting as its ghost's failure, as one
+    ghost at a time would: phase 1 stops at its first failure, and the
+    ghosts before it are rebuilt before that error is raised.
+    """
+    rows, error = solver.drive(cone_trials(collars, strategy, grid, classification, solver.n_constraints))
+    rebuilt = np.zeros(len(collars), dtype=bool)
+    if strategy.kind == "S4.3":
+        retry = [k for k, row in enumerate(rows) if coefficient_amplification(row[2].coeffs) >= strategy.global_tol]
+        axis = axis_projection(
+            [collars[k].ghost_xy for k in retry], classification.level_set, grid.h,
+            [collars[k].ghost_ij for k in retry],
+        )
+        fresh = [collar for collar in axis if isinstance(collar, CollarPoint)]
+        rebuilds, rebuild_error = solver.drive(
+            map(_admissible_or_error, cone_trials(fresh, strategy, grid, classification, solver.n_constraints))
+        )
+        # the rebuilds in order; an error belongs to the first collar without a result
+        outcomes = iter(rebuilds + [rebuild_error])
+        for k, collar in zip(retry, axis):
+            new = next(outcomes) if isinstance(collar, CollarPoint) else collar
+            if isinstance(new, (NoAxisIntersection, NotAdmissible)):
+                logger.info("ghost %s: no S4.3 rebuild (%s); keeping the S4.2 row", collars[k].ghost_ij, new)
+            elif isinstance(new, GhostBcError):
+                raise new
+            else:
+                old = rows[k]
+                rows[k] = new[:3] + (old[3] + new[3], max(old[4], new[4]))
+                rebuilt[k] = True
+    if error is not None:
+        raise error
+    return rows, rebuilt

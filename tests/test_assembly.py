@@ -46,6 +46,7 @@ def identity_ghost_rows(classification, rows=None):
         collars=[None] * count,
         swaps=np.zeros(count, dtype=int),
         aperture=np.zeros(count),
+        rebuilt=np.zeros(count, dtype=bool),
     )
 
 

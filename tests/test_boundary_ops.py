@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import rows_of
@@ -13,9 +15,11 @@ from ghostbc.boundary_ops import (
     coefficient_amplification,
     solve_constraints,
 )
-from ghostbc.errors import InactiveMember, NotAdmissible
+from ghostbc import stencils
+from ghostbc.errors import InactiveMember, NoAxisIntersection, NotAdmissible, ProjectionDiverged
 from ghostbc.geometry import CollarPoint
-from ghostbc.stencils import TRIANGLE_KINDS, _CandidateStream, ghost_trials, triangle_trial
+from ghostbc.stencils import TRIANGLE_KINDS, _CandidateStream, _cone_stages, triangle_trial
+from test_geometry import scalar_axis_projection
 from test_stencils import reference_triangle, triangle
 
 
@@ -66,6 +70,30 @@ def reference_ratio(coeffs, member_ij, classification):
     if center <= 1e-14:
         return float("inf")
     return float(np.abs(coeffs[1:][ghost]).max()) / center
+
+
+def ghost_trials(collar, strategy, grid, classification, n_constraints):
+    """One ghost's cone row (S4.1-S4.3) the per-ghost way: the reference for ``cone_rows``.
+
+    Its stream reads every radius as a batch of one, and an S4.3 rebuild
+    projects its ghost with the scalar axis rule and runs inside the
+    ghost's own generator.  Returns like ``_cone_stages``; a rebuilt row
+    carries the new collar object.
+    """
+
+    def stages(c):
+        stream = _CandidateStream(c.ghost_ij, c, strategy.aperture_deg, grid, classification)
+        return _cone_stages(stream, c, strategy, n_constraints)
+
+    row = yield from stages(collar)
+    if strategy.kind == "S4.3" and coefficient_amplification(row[2].coeffs) >= strategy.global_tol:
+        try:
+            axis = scalar_axis_projection(collar.ghost_xy, classification.level_set, grid.h, collar.ghost_ij)
+            new = yield from stages(axis)
+        except (NoAxisIntersection, NotAdmissible):
+            return row
+        row = new[:3] + (row[3] + new[3], max(row[4], new[4]))
+    return row
 
 
 def row_constraints(solver, member_ij, collar):
@@ -428,7 +456,7 @@ class TestLockstepLevel:
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
         collars = g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)
         assert len(rows) == len(collars) > 100
-        for row, collar in zip(rows_of(rows), collars):
+        for k, (row, collar) in enumerate(zip(rows_of(rows), collars)):
             if kind in TRIANGLE_KINDS:
                 members = reference_triangle(kind, collar, strategy.triangle_size, classification)
                 one = triangle_trial(kind, members, collar, None)
@@ -445,6 +473,7 @@ class TestLockstepLevel:
             assert np.array_equal(row.collar.point, row_collar.point)
             assert np.array_equal(row.collar.normal, row_collar.normal)
             assert (row.swaps, row.aperture) == (swaps, aperture)
+            assert rows.rebuilt[k] == (row_collar is not collar)
         if name == "flower" and kind == "S4.3":
             assert {"closest", "axis"} <= {collar.mode for collar in rows.collars}
 
@@ -494,3 +523,57 @@ class TestLockstepLevel:
             g.build_ghost_rows(classification, strategy, bench.coefficients, grid)
         assert str(level.value) == str(alone.value)
         assert f"ghost {collar.ghost_ij}" in str(level.value)
+
+    @pytest.mark.parametrize("late", [1, 900])
+    def test_rebuild_errors_come_before_later_ghosts_errors(self, annulus_bench, annulus_160, monkeypatch, late):
+        # The first ghost to be rebuilt fails its axis projection, and a later
+        # ghost (in the same lock-step batch, or seven batches on) fails its
+        # S4.1 growth: phase 1 stops at the later ghost, but the earlier
+        # ghost's failure is the level's error, as one ghost at a time.
+        grid, classification = annulus_160
+        strategy = g.StencilStrategy(kind="S4.3")
+        coeffs = annulus_bench.coefficients
+        early = int(np.flatnonzero(g.build_ghost_rows(classification, strategy, coeffs, grid).rebuilt)[0])
+        late = early + late
+        late_ij = tuple(int(v) for v in classification.ghost_ij[late])
+        early_ij = tuple(int(v) for v in classification.ghost_ij[early])
+        failed = ProjectionDiverged(f"axis projection of ghost {early_ij} failed")
+        project = stencils.axis_projection
+
+        def failing_projection(ghost_xy, level_set, h, ghost_ij=None, **kwargs):
+            slots = project(ghost_xy, level_set, h, ghost_ij, **kwargs)
+            return [failed if key == early_ij else slot for key, slot in zip(ghost_ij, slots)]
+
+        def failing_growth(stream, collar, strategy, n_constraints):
+            if collar.ghost_ij == late_ij:
+                raise NotAdmissible(f"growth of ghost {late_ij} failed")
+            return (yield from cone_stages(stream, collar, strategy, n_constraints))
+
+        cone_stages = stencils._cone_stages
+        monkeypatch.setattr(stencils, "_cone_stages", failing_growth)
+        with pytest.raises(NotAdmissible, match=f"growth of ghost {re.escape(str(late_ij))} failed"):
+            g.build_ghost_rows(classification, strategy, coeffs, grid)
+        monkeypatch.setattr(stencils, "axis_projection", failing_projection)
+        with pytest.raises(ProjectionDiverged) as error:
+            g.build_ghost_rows(classification, strategy, coeffs, grid)
+        assert error.value is failed and str(error.value) == f"axis projection of ghost {early_ij} failed"
+
+    def test_failing_rebuild_is_its_ghosts_error(self, annulus_bench, annulus_160, monkeypatch):
+        # a rebuild that fails other than by being inadmissible fails its ghost
+        grid, classification = annulus_160
+        strategy = g.StencilStrategy(kind="S4.3")
+        coeffs = annulus_bench.coefficients
+        rows = g.build_ghost_rows(classification, strategy, coeffs, grid)
+        first, second, third = (tuple(int(v) for v in rows.ghost_ij[k]) for k in np.flatnonzero(rows.rebuilt)[:3])
+        cone_stages = stencils._cone_stages
+
+        def failing_rebuild(stream, collar, strategy, n_constraints):
+            if collar.mode == "axis" and collar.ghost_ij == first:
+                raise NotAdmissible("not adopted")  # keeps the S4.2 row
+            if collar.mode == "axis" and collar.ghost_ij in (second, third):
+                raise InactiveMember(f"rebuild of ghost {collar.ghost_ij} failed")
+            return (yield from cone_stages(stream, collar, strategy, n_constraints))
+
+        monkeypatch.setattr(stencils, "_cone_stages", failing_rebuild)
+        with pytest.raises(InactiveMember, match=re.escape(f"rebuild of ghost {second} failed")):
+            g.build_ghost_rows(classification, strategy, coeffs, grid)

@@ -23,10 +23,10 @@ from ghostbc.errors import (
     ZeroGradient,
 )
 from ghostbc.geometry import (
+    NODE_TOLERANCE,
     PROJECTION_MAX_ITER,
     PROJECTION_TOLERANCE,
     STENCIL_REACH,
-    _bisect_level,
     _closest_points,
     axis_projection,
     collars_for_ghosts,
@@ -208,10 +208,77 @@ class TestProjection:
         assert collar.inward_signs() == (-1, 1)
 
 
+def _bisect_level(level_set, a, b, fa, tol):
+    """Bisection along segment [a, b] bracketing a sign change of phi, one point at a time."""
+    lo, hi = a, b
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = float(level_set.evaluate(mid[0], mid[1]))
+        if abs(fm) <= tol:
+            return mid
+        if (fm > 0.0) == (fa > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    raise ProjectionDiverged("axis bisection could not reach the residual tolerance")
+
+
+def scalar_axis_projection(ghost_xy, level_set, h, ghost_ij=None, tol=PROJECTION_TOLERANCE, reach=3.0):
+    """The axis projection of one point on numpy scalars: the reference for the batch.
+
+    Scans the four rays in one call, bisects the rays whose first sign
+    change lies in the nearest bracket, keeps the nearest root (the first
+    ray in the order +x, -x, +y, -y on a tie) and raises where the batch
+    returns an error.
+    """
+    x0 = np.array(ghost_xy, dtype=float)
+    f0 = float(level_set.evaluate(x0[0], x0[1]))
+    n_sub = 48
+    s = reach * h * np.arange(1, n_sub + 1) / n_sub
+    directions = np.array(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+    q = x0 + s[None, :, None] * directions[:, None, :]
+    fq = np.broadcast_to(np.asarray(level_set.evaluate(q[..., 0], q[..., 1]), dtype=float), q.shape[:2])
+    prev_f = np.concatenate([np.full((len(directions), 1), f0), fq[:, :-1]], axis=1)
+    crossing = (fq == 0.0) | ((fq > 0.0) != (prev_f > 0.0))
+    hit = crossing.any(axis=1)
+    if not hit.any():
+        raise NoAxisIntersection(f"no axis ray from {x0} crosses the boundary within {reach} h")
+    first = crossing.argmax(axis=1)
+    step = first[hit].min()
+    prev_s = s[step - 1] if step else 0.0
+    best = None
+    for k in np.flatnonzero(hit & (first == step)):
+        p = _bisect_level(level_set, x0 + prev_s * directions[k], q[k, step], prev_f[k, step], tol)
+        dist = float(np.linalg.norm(p - x0))
+        if best is None or dist < best[0]:
+            best = (dist, p)
+    p = best[1]
+    gx, gy = level_set.gradient(p[0], p[1])
+    norm = float(np.hypot(gx, gy))
+    if norm < NODE_TOLERANCE:
+        raise ZeroGradient(f"level set '{level_set.name}' has zero gradient at ({p[0]}, {p[1]})")
+    return g.CollarPoint(x0, p, np.array([float(gx) / norm, float(gy) / norm]), "axis", ghost_ij)
+
+
+def assert_axis_matches_scalar(xy, level_set, h, keys=None):
+    """The batched axis projection of ``xy`` equals the scalar rule point by point."""
+    keys = keys or [None] * len(xy)
+    batch = axis_projection(xy, level_set, h, keys)
+    assert len(batch) == len(xy)
+    for point, key, got in zip(xy, keys, batch):
+        try:
+            expected = scalar_axis_projection(point, level_set, h, ghost_ij=key)
+        except GeometryError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+        else:
+            assert isinstance(got, g.CollarPoint) and same_collar(got, expected)
+    return batch
+
+
 class TestAxisProjection:
     def test_horizontal_intersection(self):
         ls = circle_level_set(0.5)
-        collar = axis_projection((0.52, 0.1), ls, h=0.0125)
+        (collar,) = axis_projection([(0.52, 0.1)], ls, h=0.0125)
         assert abs(collar.point[0] - 0.48989794855663562) < 1e-9
         assert abs(collar.point[1] - 0.1) < 1e-15
         assert collar.mode == "axis"
@@ -219,13 +286,60 @@ class TestAxisProjection:
 
     def test_vertical_intersection(self):
         ls = circle_level_set(0.5)
-        collar = axis_projection((0.0, 0.52), ls, h=0.0125)
+        (collar,) = axis_projection([(0.0, 0.52)], ls, h=0.0125)
         assert np.allclose(collar.point, [0.0, 0.5], atol=1e-9)
 
     def test_no_intersection(self):
         ls = circle_level_set(0.5)
-        with pytest.raises(NoAxisIntersection):
-            axis_projection((0.9, 0.9), ls, h=0.0125)
+        (slot,) = axis_projection([(0.9, 0.9)], ls, h=0.0125)
+        assert isinstance(slot, NoAxisIntersection)
+        assert str(slot) == "no axis ray from [0.9 0.9] crosses the boundary within 3.0 h"
+
+    def test_empty_batch(self):
+        assert axis_projection(np.zeros((0, 2)), circle_level_set(0.5), h=0.0125) == []
+
+
+class TestAxisProjectionBatch:
+    """One batched axis projection equals the scalar rule on every point, bit for bit."""
+
+    @pytest.mark.parametrize("name, n", [("flower", 283), ("hourglass", 160), ("leaf", 160)])
+    def test_every_ghost_equals_the_scalar_rule(self, name, n):
+        ls = CATALOG_LEVEL_SETS[name]()
+        grid = g.Grid(n)
+        ghost_ij = g.classify_nodes(grid, ls).ghost_ij
+        keys = [tuple(int(v) for v in ij) for ij in ghost_ij]
+        xy = np.column_stack(grid.coords(ghost_ij[:, 0], ghost_ij[:, 1]))
+        batch = assert_axis_matches_scalar(xy, ls, grid.h, keys)
+        assert len(batch) > 500 and all(c.ghost_ij == key for c, key in zip(batch, keys))
+
+    def test_hits_and_misses_in_one_batch(self):
+        # hits along +x, -y and +y, a miss, and a four-way tie at the origin
+        ls = circle_level_set(0.3)
+        xy = [(0.32, 0.01), (0.9, 0.9), (0.0, 0.0), (0.02, -0.33), (-0.8, 0.0), (0.01, 0.28)]
+        batch = assert_axis_matches_scalar(xy, ls, 0.125, [(k, k) for k in range(len(xy))])
+        assert [type(slot).__name__ for slot in batch] == [
+            "CollarPoint", "NoAxisIntersection", "CollarPoint", "CollarPoint", "NoAxisIntersection", "CollarPoint",
+        ]
+        tie = batch[2]
+        assert tie.point[1] == 0.0 and tie.point[0] > 0.0
+
+    def test_typed_failures_stay_in_their_slots(self):
+        # a sign jump with no zero crossing: the bisection cannot reach the
+        # tolerance; a flat gradient at the root: no normal
+        step = g.LevelSet(
+            "step",
+            evaluate=lambda x, y: np.where((np.abs(x) < 0.9) & (np.abs(y) < 0.9), -1.0, 1.0),
+            gradient=lambda x, y: (np.ones_like(x), np.zeros_like(y)),
+        )
+        batch = assert_axis_matches_scalar([(0.85, 0.0), (0.0, 0.0), (0.85, 0.85)], step, 0.125)
+        assert [type(slot) for slot in batch] == [ProjectionDiverged, NoAxisIntersection, ProjectionDiverged]
+        flat = g.LevelSet(
+            "flat",
+            evaluate=lambda x, y: np.hypot(x, y) - 0.3,
+            gradient=lambda x, y: (np.zeros_like(x), np.zeros_like(y)),
+        )
+        batch = assert_axis_matches_scalar([(0.32, 0.0), (0.9, 0.9)], flat, 0.125)
+        assert [type(slot) for slot in batch] == [ZeroGradient, NoAxisIntersection]
 
 
 class TestLevelSetContract:
@@ -377,7 +491,7 @@ class TestBatchedCollars:
         assert sum("using axis projection" in r.message for r in caplog.records) == 2
         for k, node in enumerate(failing):
             assert collars[k].mode == "axis"
-            assert same_collar(collars[k], axis_projection(grid.node_xy(*node), ls, grid.h, ghost_ij=node))
+            assert same_collar(collars[k], scalar_axis_projection(grid.node_xy(*node), ls, grid.h, ghost_ij=node))
             assert abs(float(ls.evaluate(*collars[k].point))) <= PROJECTION_TOLERANCE
         alone = collars_for_ghosts(others, grid, ls)
         for collar, ref, result in zip(collars[2:], alone, results[2:]):
@@ -393,13 +507,13 @@ class TestAxisProjectionBrackets:
         ls = _trap_level_set()
         h = 0.125
         oracle = _brute_force_axis((0.0, 0.0), ls, h)
-        got = axis_projection((0.0, 0.0), ls, h)
+        (got,) = axis_projection([(0.0, 0.0)], ls, h)
         assert same_bits(got.point, oracle[1])
         assert got.point[0] == 0.0 and got.point[1] > 0.0  # +y beats +x, which comes first
 
     def test_tie_goes_to_the_first_direction(self):
         ls = circle_level_set(0.3)
-        collar = axis_projection((0.0, 0.0), ls, 0.125)
+        (collar,) = axis_projection([(0.0, 0.0)], ls, 0.125)
         assert same_bits(collar.point, _brute_force_axis((0.0, 0.0), ls, 0.125)[1])
         assert collar.point[1] == 0.0 and collar.point[0] > 0.0
 
@@ -407,14 +521,13 @@ class TestAxisProjectionBrackets:
         ls = flower_level_set()
         grid = g.Grid(160)
         classification = g.classify_nodes(grid, ls)
-        for ij in classification.ghost_ij[::6]:
-            xy = grid.node_xy(*ij)
-            oracle = _brute_force_axis(xy, ls, grid.h)
+        xy = [grid.node_xy(*ij) for ij in classification.ghost_ij[::6]]
+        for point, got in zip(xy, axis_projection(xy, ls, grid.h)):
+            oracle = _brute_force_axis(point, ls, grid.h)
             if oracle is None:
-                with pytest.raises(NoAxisIntersection):
-                    axis_projection(xy, ls, grid.h)
+                assert isinstance(got, NoAxisIntersection)
                 continue
-            assert same_bits(axis_projection(xy, ls, grid.h).point, oracle[1])
+            assert same_bits(got.point, oracle[1])
 
 
 class TestDiameter:

@@ -486,13 +486,12 @@ class TestConeStrategies:
         s42, s43 = annulus_160_stages["S4.2"], annulus_160_stages["S4.3"]
         members42, members43 = s42.per_row(s42.member_ij), s43.per_row(s43.member_ij)
         rebuilt = [k for k, collar in enumerate(s43.collars) if collar.mode == "axis"]
-        assert rebuilt
+        assert len(rebuilt) == 131 and rebuilt == np.flatnonzero(s43.rebuilt).tolist()
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         strategy = g.StencilStrategy(kind="S4.3")
-        alone = solver.run(
-            _cone_stages(s43.collars[k].ghost_ij, s43.collars[k], strategy, grid, classification, 15)
-            for k in rebuilt
-        )
+        collars = [s43.collars[k] for k in rebuilt]
+        streams = [_CandidateStream(c.ghost_ij, c, strategy.aperture_deg, grid, classification) for c in collars]
+        alone = solver.run(_cone_stages(stream, c, strategy, 15) for stream, c in zip(streams, collars))
         for k, (members, _, _, swaps, aperture) in zip(rebuilt, alone):
             assert np.array_equal(members43[k], members)
             assert s43.swaps[k] == s42.swaps[k] + swaps
@@ -500,6 +499,32 @@ class TestConeStrategies:
         for k in set(range(len(s43))) - set(rebuilt):
             assert np.array_equal(members43[k], members42[k])
             assert (s43.swaps[k], s43.aperture[k]) == (s42.swaps[k], s42.aperture[k])
+
+    def test_rebuilt_rows_are_told_from_projection_fallbacks(self):
+        # flower-283: 222 axis collars, of which 9 are closest-point
+        # projections that fell back to the axis and 213 adopted rebuilds
+        cfg = g.RunConfig(benchmark="flower", strategy="S4.3", n=283)
+        bench, grid = cfg.make_benchmark(), g.Grid(283)
+        classification = g.classify_nodes(grid, bench.level_set)
+        rows = g.build_ghost_rows(classification, cfg.stencil_strategy(), bench.coefficients, grid)
+        axis = np.array([collar.mode == "axis" for collar in rows.collars])
+        fallbacks = [c.mode == "axis" for c in g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)]
+        assert rows.rebuilt.dtype == bool
+        assert (axis.sum(), rows.rebuilt.sum(), sum(fallbacks)) == (222, 213, 9)
+        assert np.array_equal(axis & ~rows.rebuilt, fallbacks)
+        assert not (rows.rebuilt & fallbacks).any()
+
+    def test_batch_streams_equal_one_stream_at_a_time(self, annulus_bench, annulus_160):
+        # the (B, T) first-radius pass of a batch against each stream reading
+        # its first radius as a batch of one, over two apertures
+        grid, classification = annulus_160
+        collars = g.collars_for_ghosts(classification.ghost_ij[::9], grid, annulus_bench.level_set)
+        for aperture in (60.0, 360.0):
+            batch = _CandidateStream.batch(collars, aperture, grid, classification)
+            for stream, collar in zip(batch, collars):
+                alone = _CandidateStream(collar.ghost_ij, collar, aperture, grid, classification)
+                assert alone.candidate(0) is not None
+                assert (stream.radius, stream.read, stream.nodes) == (alone.radius, alone.read, alone.nodes)
 
     def test_sizes_within_hard_bound(self, annulus_160_rows):
         sizes = annulus_160_rows.sizes
