@@ -184,15 +184,19 @@ def build_ghost_rows(
     coeffs: ProblemCoefficients,
     grid: Grid,
     order: int = DEFAULT_ORDER,
+    collars: list[CollarPoint] | None = None,
 ) -> GhostRows:
     """Collar, stencil and minimum-norm coefficients for every ghost node.
 
-    The ghosts' trial stencils are solved in lock-step (``GhostOperatorSolver.run``);
+    The ghosts' collars are ``collars`` (one per ghost, in ghost order, as
+    ``extend_classification`` returns them) or else projected here.  The
+    ghosts' trial stencils are solved in lock-step (``GhostOperatorSolver.run``);
     a triangle strategy's one trial per ghost comes from ``triangle_stencils``,
     and the cone strategies run in the two phases of ``cone_rows``.
     """
     solver = GhostOperatorSolver(grid, coeffs.robin, order=order)
-    collars = collars_for_ghosts(classification.ghost_ij, grid, classification.level_set)
+    if collars is None:
+        collars = collars_for_ghosts(classification.ghost_ij, grid, classification.level_set)
     if strategy.kind in TRIANGLE_KINDS:
         triangles, errors = triangle_stencils(strategy.kind, collars, strategy.triangle_size, classification)
         rows = solver.run(triangle_trial(strategy.kind, *trial) for trial in zip(triangles, collars, errors))

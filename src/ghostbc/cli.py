@@ -129,12 +129,12 @@ def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelR
     t0 = time.perf_counter()
     grid = Grid(n)
     classification = classify_nodes(grid, bench.level_set)
-    classification = stencils.extend_classification(classification, strategy, grid)
+    classification, collars = stencils.extend_classification(classification, strategy, grid)
     timings["classify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     rows = assembly.build_ghost_rows(
-        classification, strategy, bench.coefficients, grid, cfg.order
+        classification, strategy, bench.coefficients, grid, cfg.order, collars
     )
     timings["ghost_rows"] = time.perf_counter() - t0
 

@@ -302,6 +302,13 @@ def _closest_points(
     ``np.vecdot`` for the same reason (``einsum`` and ``norm(axis=1)``
     round differently from the 2-vector ``@`` and ``norm``).
 
+    A pass is a pure function of the point's iterate and start, since each
+    line search starts from full damping and the level-set calls are
+    pointwise.  So a point whose iterate comes back bit for bit (compared as
+    integers, so that ``-0.0`` and ``0.0`` differ) without finishing would
+    repeat that pass up to ``max_iter``: it fails at once, with the same
+    "did not converge" error it would reach at the cap.
+
     Returns one entry per point: its ``CollarPoint``, or the ``ZeroGradient``
     / ``ProjectionDiverged`` that stopped it.
     """
@@ -312,6 +319,9 @@ def _closest_points(
 
     def norm(v):
         return np.sqrt(np.vecdot(v, v))
+
+    def unconverged(j):
+        return ProjectionDiverged(f"projection from {x0[j]} did not converge in {max_iter} iterations")
 
     for _ in range(max_iter):
         if not live.size:
@@ -378,11 +388,13 @@ def _closest_points(
             pending = pending[damping[pending] > 1e-12]
         p[live[idx]] = q[idx] + damping[:, None] * t
 
-        live = np.array([j for j in live if out[j] is None], dtype=np.intp)
+        unfinished = np.array([out[j] is None for j in live], dtype=bool)
+        fixed = unfinished & (p[live].view(np.int64) == q.view(np.int64)).all(axis=1)
+        for j in live[fixed]:
+            out[j] = unconverged(j)
+        live = live[unfinished & ~fixed]
     for j in live:
-        out[j] = ProjectionDiverged(
-            f"projection from {x0[j]} did not converge in {max_iter} iterations"
-        )
+        out[j] = unconverged(j)
     return out
 
 
@@ -403,10 +415,10 @@ def axis_projection(
     one level-set call.  Only the rays whose first sign change lies in their
     point's nearest bracket are bisected, since a crossing in a later
     bracket is strictly farther away: one masked bisection runs over all
-    those brackets, at most 200 halvings each.  The normal at the
-    intersection comes from the level-set gradient.  The ``LevelSet``
-    contract makes every point's result equal, bit for bit, to projecting
-    it alone.
+    those brackets, at most 200 halvings each (fewer for a bracket that
+    stops changing).  The normal at the intersection comes from the
+    level-set gradient.  The ``LevelSet`` contract makes every point's
+    result equal, bit for bit, to projecting it alone.
 
     Returns one entry per point, like ``_closest_points``: its
     ``CollarPoint`` (mode ``"axis"``), or the ``NoAxisIntersection`` (no
@@ -431,7 +443,9 @@ def axis_projection(
     point, ray = np.nonzero(hit & (first == step[:, None]))
     at = step[point]
 
-    # Bisect every nearest bracket; each stops once |phi(mid)| <= tol.
+    # Bisect every nearest bracket; each stops once |phi(mid)| <= tol.  A
+    # bracket that comes back bit for bit would repeat its step to the
+    # limit, so it stops unresolved at once.
     lo = x0[point] + np.concatenate([[0.0], s])[at, None] * directions[ray]
     hi = q[point, ray, at]
     fa = prev_f[point, ray, at]
@@ -440,6 +454,7 @@ def axis_projection(
     for _ in range(200):
         if not live.size:
             break
+        before = np.hstack([lo[live], hi[live]])
         mid = 0.5 * (lo[live] + hi[live])
         fm = _evaluate(level_set, mid)
         done = np.abs(fm) <= tol
@@ -447,12 +462,13 @@ def axis_projection(
         same = (fm > 0.0) == (fa[live] > 0.0)
         lo[live[same]] = mid[same]
         hi[live[~same]] = mid[~same]
-        live = live[~done]
+        fixed = (np.hstack([lo[live], hi[live]]).view(np.int64) == before.view(np.int64)).all(axis=1)
+        live = live[~done & ~fixed]
 
     out: list = [None] * len(x0)
     for k in np.flatnonzero(~hit.any(axis=1)):
         out[k] = NoAxisIntersection(f"no axis ray from {x0[k]} crosses the boundary within {reach} h")
-    for k in np.unique(point[live]):
+    for k in np.unique(point[np.isnan(root[:, 0])]):
         out[k] = ProjectionDiverged("axis bisection could not reach the residual tolerance")
     # The nearest root of each point; argmin takes the first ray on a tie.
     d = root - x0[point]

@@ -151,7 +151,7 @@ def extend_classification(
     classification: NodeClassification,
     strategy: StencilStrategy,
     grid: Grid,
-) -> NodeClassification:
+) -> tuple[NodeClassification, list[CollarPoint] | None]:
     """Deepen the ghost band until every triangle stencil is closed.
 
     The finite-difference closure yields two ghost layers, which is enough
@@ -161,18 +161,21 @@ def extend_classification(
     the triangle strategies well posed; each new ghost gets its own collar
     and boundary row like any other.  The triangles are those of
     ``triangle_stencils``, whose activity check this closure replaces.
+
+    Returns the closed classification and its ghosts' collars, in ghost
+    order, for ``build_ghost_rows`` to reuse; the other strategies get their
+    classification back unchanged, with no collars.
     """
     if strategy.kind not in ("S1", "S2"):
-        return classification
+        return classification, None
 
     collars: dict[tuple[int, int], CollarPoint] = {}
     for _ in range(MAX_EXTENSION_ROUNDS):
         ghosts = [(int(i), int(j)) for i, j in classification.ghost_ij]
         new = [ghost for ghost in ghosts if ghost not in collars]
         collars.update(zip(new, collars_for_ghosts(new, grid, classification.level_set)))
-        members, _ = triangle_stencils(
-            strategy.kind, [collars[ghost] for ghost in ghosts], strategy.triangle_size, classification
-        )
+        band = [collars[ghost] for ghost in ghosts]
+        members, _ = triangle_stencils(strategy.kind, band, strategy.triangle_size, classification)
         nodes = members.reshape(-1, 2)
         off_lattice = ((nodes < 0) | (nodes > grid.n)).any(axis=1)
         if off_lattice.any():
@@ -183,7 +186,7 @@ def extend_classification(
             )
         missing = np.unique(nodes[classification.active_index[tuple(nodes.T)] < 0], axis=0)
         if not len(missing):
-            return classification
+            return classification, band
         logger.info(
             "%s closure: promoting %d exterior nodes to ghosts", strategy.kind, len(missing)
         )

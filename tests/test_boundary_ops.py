@@ -439,7 +439,7 @@ def _level(name, kind, n):
     bench = cfg.make_benchmark()
     grid = g.Grid(n)
     strategy = cfg.stencil_strategy()
-    classification = extend_classification(g.classify_nodes(grid, bench.level_set), strategy, grid)
+    classification, _ = extend_classification(g.classify_nodes(grid, bench.level_set), strategy, grid)
     return bench, grid, classification, strategy
 
 

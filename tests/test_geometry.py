@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghostbc as g
 from ghostbc.benchmarks import (
@@ -341,6 +343,23 @@ class TestAxisProjectionBatch:
         batch = assert_axis_matches_scalar([(0.32, 0.0), (0.9, 0.9)], flat, 0.125)
         assert [type(slot) for slot in batch] == [ZeroGradient, NoAxisIntersection]
 
+    def test_a_bracket_that_stops_changing_retires_at_once(self):
+        # A sign jump at x = 0.3: the +x bracket shrinks to two adjacent
+        # floats, where its midpoint is one of its ends, and |phi| stays 1.
+        calls = []
+
+        def evaluate(x, y):
+            calls.append(np.size(x))
+            return np.where(np.asarray(x) > 0.3, 1.0, -1.0)
+
+        jump = g.LevelSet("jump", evaluate, lambda x, y: (np.ones_like(x), np.zeros_like(y)))
+        batch = assert_axis_matches_scalar([(0.2, 0.0), (0.25, 0.01)], jump, 0.125)
+        assert [str(slot) for slot in batch] == ["axis bisection could not reach the residual tolerance"] * 2
+        assert all(isinstance(slot, ProjectionDiverged) for slot in batch)
+        calls.clear()
+        axis_projection([(0.2, 0.0), (0.25, 0.01)], jump, 0.125)
+        assert len(calls) < 200
+
 
 class TestLevelSetContract:
     """Array calls equal elementwise scalar calls bit for bit (see LevelSet)."""
@@ -471,6 +490,33 @@ class TestBatchedCollars:
                 assert collar.mode == "closest"
                 assert same_bits(collar.point, scalar[0]) and same_bits(collar.normal, scalar[1])
 
+    def test_fixed_points_end_without_iterating_to_the_cap(self):
+        # Three flower ghosts reach a bit-exact fixed point of the iteration
+        # within a few passes and fall back to the axis; iterating them on to
+        # PROJECTION_MAX_ITER took 4,033 level-set calls.
+        ls = flower_level_set()
+        calls = []
+
+        def evaluate(x, y):
+            calls.append(np.size(x))
+            return ls.evaluate(x, y)
+
+        counted = g.LevelSet("flower", evaluate, ls.gradient)
+        grid = g.Grid(160)
+        ghost_ij = g.classify_nodes(grid, ls).ghost_ij
+        collars = collars_for_ghosts(ghost_ij, grid, counted)
+        assert sum(c.mode == "axis" for c in collars) == 3
+        assert len(calls) < 600
+        keys = [tuple(int(v) for v in ij) for ij in ghost_ij]
+        results = _closest_points(np.column_stack(grid.coords(ghost_ij[:, 0], ghost_ij[:, 1])), ls, keys,
+                                  PROJECTION_TOLERANCE, PROJECTION_MAX_ITER)
+        failed = [(k, r) for k, r in enumerate(results) if not isinstance(r, g.CollarPoint)]
+        assert [k for k, _ in failed] == [k for k, c in enumerate(collars) if c.mode == "axis"]
+        for k, result in failed:
+            assert isinstance(result, ProjectionDiverged)
+            xy = np.array(grid.node_xy(*keys[k]))
+            assert str(result) == f"projection from {xy} did not converge in 100 iterations"
+
     def test_failures_fall_back_without_touching_the_batch(self, caplog):
         ls = _trap_level_set()
         grid = g.Grid(16)  # node (8, 8) is the origin, h = 0.125
@@ -552,3 +598,60 @@ class TestDiameter:
 def test_stencil_reach_constant():
     # interior rows use offsets up to +-2; the classification mirrors that
     assert STENCIL_REACH == 2
+
+
+def moved(level_set, angle, dx, dy):
+    """``level_set`` rotated by ``angle`` about the origin, then shifted by (dx, dy).
+
+    Written as elementwise arithmetic on top of ``level_set``, so array calls
+    still equal scalar calls bit for bit.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+
+    def frame(x, y):
+        x, y = np.asarray(x) - dx, np.asarray(y) - dy
+        return c * x + s * y, c * y - s * x
+
+    def gradient(x, y):
+        gx, gy = level_set.gradient(*frame(x, y))
+        return c * gx - s * gy, s * gx + c * gy
+
+    return g.LevelSet(f"{level_set.name}@{angle}+({dx}, {dy})", lambda x, y: level_set.evaluate(*frame(x, y)), gradient)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(
+    shape=st.sampled_from(["flower", "hourglass"]),
+    n=st.sampled_from([64, 80, 96]),
+    angle=st.floats(-math.pi, math.pi),
+    shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+)
+def test_moved_collars_equal_the_iteration_run_to_its_cap(shape, n, angle, shift):
+    """Rotated and shifted shapes: a collar ended at a fixed point is one the
+    iteration would never have finished, and every other collar is unchanged."""
+    grid = g.Grid(n)
+    ls = moved(CATALOG_LEVEL_SETS[shape](), angle, shift[0] * grid.h, shift[1] * grid.h)
+    x, y = np.random.default_rng(n).uniform(-0.9, 0.9, size=(2, 50))
+    assert same_bits(ls.evaluate(x, y), [ls.evaluate(a, b) for a, b in zip(x, y)])
+    assert same_bits(ls.gradient(x, y), np.array([ls.gradient(a, b) for a, b in zip(x, y)]).T)
+    try:
+        ghost_ij = g.classify_nodes(grid, ls).ghost_ij
+    except GeometryError:
+        return
+    keys = [tuple(int(v) for v in ij) for ij in ghost_ij]
+    xy = np.column_stack(grid.coords(ghost_ij[:, 0], ghost_ij[:, 1]))
+    oracle = [_scalar_projection(point, ls) for point in xy]
+    results = _closest_points(xy, ls, keys, PROJECTION_TOLERANCE, PROJECTION_MAX_ITER)
+    for expected, result in zip(oracle, results):
+        if expected is None:
+            assert isinstance(result, GeometryError)
+        else:
+            assert same_bits(result.point, expected[0]) and same_bits(result.normal, expected[1])
+    try:
+        collars = collars_for_ghosts(ghost_ij, grid, ls)
+    except GeometryError:  # an axis fallback failed too
+        assert any(expected is None for expected in oracle)
+        return
+    for expected, collar in zip(oracle, collars):
+        assert collar.mode == ("axis" if expected is None else "closest")
+

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghostbc as g
+from ghostbc import geometry
 from ghostbc.benchmarks import circle_level_set, flower_level_set, hourglass_level_set
 from ghostbc.boundary_ops import GhostOperatorSolver, coefficient_amplification
 from ghostbc.errors import GhostBcError, InactiveMember
@@ -19,6 +20,7 @@ from ghostbc.stencils import (
     extend_classification,
     triangle_stencils,
 )
+from test_geometry import same_bits, same_collar
 
 
 def make_collar(ghost_xy, point, ghost_ij=None):
@@ -273,7 +275,7 @@ def _triangle_level(name, kind, n):
     bench = g.RunConfig(benchmark=name, strategy=kind, n=n).make_benchmark()
     grid = g.Grid(n)
     strategy = g.StencilStrategy(kind=kind)
-    classification = extend_classification(g.classify_nodes(grid, bench.level_set), strategy, grid)
+    classification, _ = extend_classification(g.classify_nodes(grid, bench.level_set), strategy, grid)
     return g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set), classification
 
 
@@ -337,8 +339,8 @@ def test_perturbed_geometry_triangles(annulus_bench, shape, n, shift):
         assert_level_matches_reference(kind, collars, 4, base)
         strategy = g.StencilStrategy(kind=kind)
         try:
-            classification = extend_classification(base, strategy, grid)
-            rows = g.build_ghost_rows(classification, strategy, annulus_bench.coefficients, grid)
+            classification, band = extend_classification(base, strategy, grid)
+            rows = g.build_ghost_rows(classification, strategy, annulus_bench.coefficients, grid, collars=band)
         except GhostBcError:
             continue
         members, errors = triangle_stencils(kind, rows.collars, 4, classification)
@@ -562,11 +564,12 @@ class TestExtension:
         grid = g.Grid(194)
         classification = g.classify_nodes(grid, annulus_bench.level_set)
         strategy = g.StencilStrategy(kind="S1")
-        extended = extend_classification(classification, strategy, grid)
+        extended, band = extend_classification(classification, strategy, grid)
         assert extended.n_ghost > classification.n_ghost
         assert extended.n_interior == classification.n_interior
         # every triangle is now fully active
         collars = g.collars_for_ghosts(extended.ghost_ij, grid, annulus_bench.level_set)
+        assert all(same_collar(a, b) for a, b in zip(band, collars, strict=True))
         members, errors = triangle_stencils("S1", collars, strategy.triangle_size, extended)
         assert errors == [None] * len(collars)
         assert (extended.active_index[tuple(members.reshape(-1, 2).T)] >= 0).all()
@@ -574,7 +577,35 @@ class TestExtension:
     def test_cone_strategies_do_not_extend(self, annulus_bench, annulus_160):
         grid, classification = annulus_160
         strategy = g.StencilStrategy(kind="S4.3")
-        assert extend_classification(classification, strategy, grid) is classification
+        extended, collars = extend_classification(classification, strategy, grid)
+        assert extended is classification and collars is None
+
+    @pytest.mark.parametrize("kind", ["S1", "S2"])
+    def test_band_ghosts_are_projected_once(self, kind, monkeypatch):
+        # The closure hands its collars on, so building the rows does not
+        # project the band's ghosts a second time; the rows stay the same.
+        seen = []
+        project = geometry._closest_points
+
+        def counting(ghost_xy, *args):
+            seen.extend(map(tuple, np.asarray(ghost_xy).tolist()))
+            return project(ghost_xy, *args)
+
+        monkeypatch.setattr(geometry, "_closest_points", counting)
+        cfg = g.RunConfig(benchmark="annulus", strategy=kind, n=64)
+        bench = cfg.make_benchmark()
+        result = g.execute_level(cfg, bench, 64)
+        classification = result.classification
+        ghosts = classification.active_coords()[classification.n_interior:]
+        assert len(seen) == len(set(seen)) == classification.n_ghost
+        assert set(seen) == set(map(tuple, ghosts.tolist()))
+        if kind == "S1":
+            assert classification.n_ghost == 480
+        again = g.build_ghost_rows(classification, cfg.stencil_strategy(), bench.coefficients, g.Grid(64))
+        assert len(seen) == 2 * classification.n_ghost
+        assert all(same_collar(a, b) for a, b in zip(result.rows.collars, again.collars, strict=True))
+        for column in ("sizes", "member_ij", "coeffs", "rhs", "chi", "r_ratio"):
+            assert same_bits(getattr(result.rows, column), getattr(again, column)), column
 
 
 def _all_active_stub(grid):
