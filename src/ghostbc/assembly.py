@@ -20,9 +20,9 @@ import scipy.sparse.linalg as spla
 
 from .basis import DEFAULT_ORDER, RobinData
 from .boundary_ops import GhostOperatorSolver
-from .errors import MissingNeighbor, SingularMatrix, SolveFailed
+from .errors import MissingNeighbor, NotAdmissible, SingularMatrix, SolveFailed
 from .geometry import CollarPoint, Grid, NodeClassification, collars_for_ghosts
-from .stencils import TRIANGLE_KINDS, StencilStrategy, cone_rows, triangle_stencils, triangle_trial
+from .stencils import TRIANGLE_KINDS, StencilStrategy, cone_rows, triangle_stencils
 
 #: Fourth-order centred weights for the second derivative (offsets -2..2), * 1/h^2.
 LAPLACE_WEIGHTS = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0])
@@ -119,13 +119,10 @@ class SolveReport:
     factor_seconds: float
 
 
-def _interior_block(
-    interior_ij: np.ndarray,
-    coeffs: ProblemCoefficients,
-    grid: Grid,
-    classification: NodeClassification,
-):
-    """COO triplets and right-hand side for a batch of interior rows."""
+def _interior_block(coeffs: ProblemCoefficients, classification: NodeClassification):
+    """COO triplets and right-hand side for the interior rows of ``classification``."""
+    interior_ij = classification.interior_ij
+    grid = classification.grid
     n_rows = len(interior_ij)
     h = grid.h
     x, y = grid.coords(interior_ij[:, 0], interior_ij[:, 1])
@@ -189,20 +186,30 @@ def build_ghost_rows(
     """Collar, stencil and minimum-norm coefficients for every ghost node.
 
     The ghosts' collars are ``collars`` (one per ghost, in ghost order, as
-    ``extend_classification`` returns them) or else projected here.  The
-    ghosts' trial stencils are solved in lock-step (``GhostOperatorSolver.run``);
-    a triangle strategy's one trial per ghost comes from ``triangle_stencils``,
-    and the cone strategies run in the two phases of ``cone_rows``.
+    ``extend_classification`` returns them) or else projected here.  A
+    triangle strategy's level is one stacked solve of the ``triangle_stencils``
+    triangles, the first failing ghost's triangle error or inadmissible
+    solve raised in ghost order; the cone strategies run in the two phases
+    of ``cone_rows``.
     """
     solver = GhostOperatorSolver(grid, coeffs.robin, order=order)
     if collars is None:
         collars = collars_for_ghosts(classification.ghost_ij, grid, classification.level_set)
     if strategy.kind in TRIANGLE_KINDS:
         triangles, errors = triangle_stencils(strategy.kind, collars, strategy.triangle_size, classification)
-        rows = solver.run(triangle_trial(strategy.kind, *trial) for trial in zip(triangles, collars, errors))
+        solves = solver.solve(triangles, collars)
+        for collar, error, solve in zip(collars, errors, solves):
+            if error is not None:
+                raise error
+            if not solve.admissible:
+                raise NotAdmissible(
+                    f"{strategy.kind} stencil of ghost {collar.ghost_ij} is rank-deficient or misses its "
+                    f"constraints (relative residual {solve.residual:.3e})"
+                )
+        rows = [(members, collar, solve, 0, 0.0) for members, collar, solve in zip(triangles, collars, solves)]
         rebuilt = np.zeros(len(rows), dtype=bool)
     else:
-        rows, rebuilt = cone_rows(collars, strategy, grid, classification, solver)
+        rows, rebuilt = cone_rows(collars, strategy, classification, solver)
     members, collars, solves, swaps, aperture = zip(*rows)
     sizes = np.array([len(m) for m in members])
     member_ij = np.concatenate(members)
@@ -234,9 +241,7 @@ def assemble(
     equations, in classification order.  Returns the system with the ghost
     rows it was given.
     """
-    rows_i, cols_i, vals_i, rhs_i = _interior_block(
-        classification.interior_ij, coeffs, grid, classification
-    )
+    rows_i, cols_i, vals_i, rhs_i = _interior_block(coeffs, classification)
 
     owner = np.repeat(np.arange(len(ghost_rows), dtype=np.int64), ghost_rows.sizes)
     cols_g = classification.active_index[tuple(ghost_rows.member_ij.T)]

@@ -43,36 +43,20 @@ RESIDUAL_TOLERANCE = 1e-10
 LOCKSTEP_BATCH = 128
 
 
-@dataclass
-class ConstraintMatrix:
-    """Dense exactness constraints ``C a = g`` for one ghost row, or a stack."""
-
-    matrix: np.ndarray  # (..., n_constraints, n_points)
-    rhs: np.ndarray  # (..., n_constraints)
-
-    @property
-    def n_constraints(self) -> int:
-        return self.matrix.shape[-2]
-
-    @property
-    def n_points(self) -> int:
-        return self.matrix.shape[-1]
-
-
 def assemble_constraints(
     points: np.ndarray,
     collar: CollarPoint,
     robin: RobinData,
     cfg: BasisConfig,
-) -> ConstraintMatrix:
-    """Constraint matrix and right-hand side for a stencil.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint matrix (n_constraints, n_points) and right-hand side for a stencil.
 
     Rows follow the deterministic basis order, columns the stencil order.
     """
     alphas = enumerate_basis(cfg.order)
     c = monomial_matrix(alphas, points, cfg)
     g = boundary_actions(alphas, collar.point[None, :], [robin], cfg)[0]
-    return ConstraintMatrix(c, g)
+    return c, g
 
 
 @dataclass
@@ -90,10 +74,11 @@ class StencilSolve:
     residual: float
 
 
-def solve_constraints(cm: ConstraintMatrix) -> list[StencilSolve]:
+def solve_constraints(matrix: np.ndarray, rhs: np.ndarray) -> list[StencilSolve]:
     """One stacked SVD for a stack of trials: rank, condition, min-norm solve.
 
-    ``cm`` holds G systems of one shape, (G, n_constraints, n_points).  A
+    ``matrix`` (G, n_constraints, n_points) and ``rhs`` (G, n_constraints)
+    hold G systems ``C a = g`` of one shape.  A
     trial is admissible when its matrix has full row rank and the solve
     meets the constraints to ``RESIDUAL_TOLERANCE * ||g||``; otherwise it
     reports ``chi = inf`` and no coefficients.  ``chi = s_max/s_min`` of C,
@@ -103,7 +88,7 @@ def solve_constraints(cm: ConstraintMatrix) -> list[StencilSolve]:
     matrix-vector product per trial, so a trial gets the bits it would get
     alone; ``einsum`` or ``vecdot`` would round differently.
     """
-    c, g = cm.matrix, cm.rhs[..., None]
+    c, g = matrix, rhs[..., None]
     u, s, vt = np.linalg.svd(c, full_matrices=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         coeffs = np.matmul(vt.transpose(0, 2, 1), np.matmul(u.transpose(0, 2, 1), g) / s[..., None])
@@ -111,7 +96,7 @@ def solve_constraints(cm: ConstraintMatrix) -> list[StencilSolve]:
         chi = s[:, 0] / s[:, -1]
     scale = np.sqrt(np.vecdot(g[..., 0], g[..., 0]))
     residual = np.sqrt(np.vecdot(residual_vector, residual_vector)) / np.where(scale > 0.0, scale, 1.0)
-    full_rank = (s[:, 0] > 0.0) & (s[:, -1] >= RANK_TOLERANCE * s[:, 0]) & (cm.n_points >= cm.n_constraints)
+    full_rank = (s[:, 0] > 0.0) & (s[:, -1] >= RANK_TOLERANCE * s[:, 0]) & (c.shape[-1] >= c.shape[-2])
     residual = np.where(full_rank, residual, np.inf)
     return [
         StencilSolve(True, float(chi[k]), coeffs[k, :, 0], s[k], float(residual[k]))
@@ -147,9 +132,9 @@ class GhostOperatorSolver:
     """Conditioning oracle shared by the stencil strategies.
 
     Bundles the grid spacing, the basis order and the benchmark's Robin data
-    provider, and runs trial generators (the stencil strategies' per-ghost
-    logic) against them: ``run`` solves the trials of many ghosts in
-    lock-step batches.
+    provider.  ``solve`` solves a stack of same-size trial stencils, and
+    ``drive`` runs trial generators (the cone strategies' per-ghost logic)
+    against it in lock-step batches.
     """
 
     def __init__(
@@ -162,6 +147,8 @@ class GhostOperatorSolver:
         self.robin_at = robin_at
         self.order = order
         self._alphas = enumerate_basis(order)
+        # id(collar) -> (collar, right-hand side); holding a collar keeps its id unique
+        self._rhs: dict[int, tuple[CollarPoint, np.ndarray]] = {}
 
     @property
     def n_constraints(self) -> int:
@@ -170,29 +157,37 @@ class GhostOperatorSolver:
     def config_for(self, ghost_xy: np.ndarray) -> BasisConfig:
         return BasisConfig(self.grid.h, np.asarray(ghost_xy, dtype=float), self.order)
 
-    def run(self, generators: Iterable[Trials]) -> list:
+    def solve(self, member_ij: np.ndarray, collars) -> list[StencilSolve]:
+        """Solve G trial stencils of one size: ``member_ij`` (G, M, 2), one collar each.
+
+        Builds the constraints of the stack and runs ``solve_constraints``
+        on it.  The right-hand sides of collars this solver has not seen
+        come from one vectorized call; a collar's right-hand side is built
+        once, however many trials use it.
+        """
+        new = {id(c): c for c in collars if id(c) not in self._rhs}
+        if new:
+            fresh = list(new.values())
+            points = np.array([c.point for c in fresh])
+            centers = np.array([c.ghost_xy for c in fresh])
+            rhs = boundary_actions(self._alphas, points, [self.robin_at(c) for c in fresh], self.config_for(centers))
+            self._rhs.update(zip(new, zip(fresh, rhs)))
+        x, y = self.grid.coords(member_ij[..., 0], member_ij[..., 1])
+        centers = np.array([c.ghost_xy for c in collars])
+        matrix = monomial_matrix(self._alphas, np.stack([x, y], axis=-1), self.config_for(centers))
+        return solve_constraints(matrix, np.array([self._rhs[id(c)][1] for c in collars]))
+
+    def drive(self, generators: Iterable[Trials]) -> tuple[list, GhostBcError | None]:
         """Drive trial generators in lock-step; returns what each one returns.
 
         Generators are taken from the iterable ``LOCKSTEP_BATCH`` at a time,
         so a lazy iterable need build only one batch ahead.  Every round
-        solves the pending trial of every generator of the batch: the
-        right-hand sides of collars not seen before in one vectorized call,
-        then one stacked SVD per member count.  A collar's right-hand side
-        is computed once per batch, however many trials use it.  When
-        generators raise a ``GhostBcError``, the error of the first one (in
-        input order) is raised, as a one-ghost-at-a-time loop would; the
-        generators after it are not driven further.
-        """
-        results, error = self.drive(generators)
-        if error is not None:
-            raise error
-        return results
-
-    def drive(self, generators: Iterable[Trials]) -> tuple[list, GhostBcError | None]:
-        """``run``, handing back the error instead of raising it.
-
-        Returns the results of the generators before the first one that
-        raised a ``GhostBcError``, and that error (None when none did).
+        solves the pending trial of every generator of the batch, one
+        ``solve`` per member count.  Returns the results of the generators
+        before the first one (in input order) that raised a
+        ``GhostBcError``, as a one-ghost-at-a-time loop would, and that
+        error (None when none did); the generators after it are not driven
+        further.
         """
         generators = iter(generators)
         results: list = []
@@ -206,8 +201,6 @@ class GhostOperatorSolver:
     def _lockstep(self, generators: list[Trials]) -> tuple[list, GhostBcError | None]:
         results: list = [None] * len(generators)
         first_failed, error = len(generators), None
-        collars: dict[int, tuple[CollarPoint, RobinData]] = {}  # holding a collar keeps its id unique
-        rhs: dict[int, np.ndarray] = {}
         pending: list[tuple[int, np.ndarray, CollarPoint]] = []
 
         def advance(k: int, solve: StencilSolve | None) -> None:
@@ -216,8 +209,6 @@ class GhostOperatorSolver:
                 return
             try:
                 member_ij, collar = generators[k].send(solve)
-                if id(collar) not in collars:
-                    collars[id(collar)] = (collar, self.robin_at(collar))
             except StopIteration as stop:
                 results[k] = stop.value
             except GhostBcError as exc:
@@ -228,23 +219,13 @@ class GhostOperatorSolver:
         for k in range(len(generators)):
             advance(k, None)
         while pending:
-            new = [key for key in collars if key not in rhs]
-            if new:
-                new_collars, robins = zip(*(collars[key] for key in new))
-                points = np.array([c.point for c in new_collars])
-                centers = np.array([c.ghost_xy for c in new_collars])
-                rhs.update(zip(new, boundary_actions(self._alphas, points, robins, self.config_for(centers))))
             groups: dict[int, list[tuple[int, np.ndarray, CollarPoint]]] = {}
             for trial in pending:
                 if trial[0] < first_failed:
                     groups.setdefault(len(trial[1]), []).append(trial)
             pending = []
             for group in groups.values():
-                members = np.array([m for _, m, _ in group])
-                x, y = self.grid.coords(members[..., 0], members[..., 1])
-                centers = np.array([c.ghost_xy for _, _, c in group])
-                matrix = monomial_matrix(self._alphas, np.stack([x, y], axis=-1), self.config_for(centers))
-                g = np.array([rhs[id(c)] for _, _, c in group])
-                for (k, _, _), solve in zip(group, solve_constraints(ConstraintMatrix(matrix, g))):
+                ks, members, collars = zip(*group)
+                for k, solve in zip(ks, self.solve(np.array(members), collars)):
                     advance(k, solve)
         return results[:first_failed], error

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import numbers
 import os
 import sys
 import time
@@ -61,12 +62,21 @@ class RunConfig:
     inject_exact: bool = False
 
     def __post_init__(self) -> None:
+        # a config file's values arrive untyped: each must have its field's type
+        kinds = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool, "list[int]": (list, tuple)}
+        for f in dataclasses.fields(self):
+            kind = f.type.split(" | ")[0]
+            value = getattr(self, f.name)
+            if value is not None and not isinstance(value, kinds[kind]):
+                raise ConfigError(f"config key {f.name!r} must be {kind}, got {value!r}")
         self.strategy = self.strategy.upper().replace("_", ".")
         if self.n is None and not self.sweep:
             self.n = 160
         if self.n is not None and self.n < MIN_GRID:
             raise ConfigError(f"grid size must be >= {MIN_GRID}, got {self.n}")
         if self.sweep:
+            if not all(isinstance(v, numbers.Integral) for v in self.sweep):
+                raise ConfigError(f"config key 'sweep' must be list[int], got {self.sweep!r}")
             self.sweep = [int(v) for v in self.sweep]
             if any(v < MIN_GRID for v in self.sweep):
                 raise ConfigError(f"sweep grid sizes must be >= {MIN_GRID}")
@@ -108,16 +118,13 @@ class LevelResult:
     """Outcome of the pipeline on one grid level."""
 
     n: int
-    h: float
     errors: ErrorReport
     diagnostics: StencilDiagnostics
     residual: float
-    n_interior: int
-    n_ghost: int
-    rows: assembly.GhostRows | None = field(repr=False, default=None)
-    system: assembly.SparseSystem | None = None
+    rows: assembly.GhostRows = field(repr=False)
+    system: assembly.SparseSystem
     #: The classification whose active numbering indexes ``system``.
-    classification: NodeClassification | None = field(repr=False, default=None)
+    classification: NodeClassification = field(repr=False)
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -129,7 +136,7 @@ def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelR
     t0 = time.perf_counter()
     grid = Grid(n)
     classification = classify_nodes(grid, bench.level_set)
-    classification, collars = stencils.extend_classification(classification, strategy, grid)
+    classification, collars = stencils.extend_classification(classification, strategy)
     timings["classify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -161,12 +168,9 @@ def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelR
 
     return LevelResult(
         n=n,
-        h=grid.h,
         errors=errors,
         diagnostics=diagnostics,
         residual=residual,
-        n_interior=classification.n_interior,
-        n_ghost=classification.n_ghost,
         rows=rows,
         system=system,
         classification=classification,
@@ -200,12 +204,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_ghost_csv(path: Path, result: LevelResult) -> None:
     rows = result.rows
+    n_interior = result.classification.n_interior
     lines = ["k,i,j,size,diameter,chi,r_ratio,collar_mode"]
     for k, ((i, j), diameter) in enumerate(zip(rows.ghost_ij, result.diagnostics.diameters)):
         lines.append(
             ",".join(
                 [
-                    str(result.n_interior + k),
+                    str(n_interior + k),
                     str(i),
                     str(j),
                     str(rows.sizes[k]),
@@ -220,20 +225,21 @@ def _write_ghost_csv(path: Path, result: LevelResult) -> None:
 
 
 def _run_payload(cfg: RunConfig, bench: benchmarks.Benchmark, result: LevelResult) -> dict:
+    classification = result.classification
     payload = {
         "config": cfg.echo(),
         "benchmark": bench.name,
         "n": result.n,
-        "h": result.h,
-        "n_interior": result.n_interior,
-        "n_ghost": result.n_ghost,
+        "h": classification.grid.h,
+        "n_interior": classification.n_interior,
+        "n_ghost": classification.n_ghost,
         "residual": result.residual,
         "errors": result.errors.values(),
         "l1_absolute": result.errors.l1_absolute,
         "diagnostics": result.diagnostics.summary(),
     }
     if "u0" in bench.info:
-        pe, pe_loc = benchmarks.peclet_numbers(bench, Grid(result.n))
+        pe, pe_loc = benchmarks.peclet_numbers(bench, classification.grid)
         payload["peclet"] = {"global": pe, "cell": pe_loc, "nominal": bench.info.get("nominal_pe")}
     return payload
 
@@ -364,18 +370,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    for key in (
-        "benchmark", "kappa", "u0", "strategy", "triangle_size", "theta",
-        "lambda_loc", "lambda_glo", "max_swaps", "order", "n", "out",
-        "export_matrix", "export_diagnostics", "inject_exact",
-    ):
+    known = [f.name for f in dataclasses.fields(RunConfig)]
+    for key in known:
         value = getattr(args, key, None)
         if value is not None:
-            data[key] = value
-    if getattr(args, "sweep", None) is not None:
-        data["sweep"] = _parse_sweep(args.sweep)
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(data) - known
+            data[key] = _parse_sweep(value) if key == "sweep" else value
+    unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
@@ -406,16 +406,12 @@ def main(argv: list[str] | None = None) -> int:
                 sort_keys=True,
             ))
     except (ConfigError, UnknownDomain) as exc:
-        _report_error(exc, cfg_dir(args))
+        _report_error(exc, args.out)
         return 2
     except GhostBcError as exc:
-        _report_error(exc, cfg_dir(args))
+        _report_error(exc, args.out)
         return 1
     return 0
-
-
-def cfg_dir(args: argparse.Namespace) -> str | None:
-    return getattr(args, "out", None)
 
 
 def _report_error(exc: GhostBcError, out: str | None) -> None:

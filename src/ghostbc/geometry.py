@@ -42,6 +42,12 @@ PROJECTION_TOLERANCE = 1e-12
 #: Iterations the closest-point projection may take per point.
 PROJECTION_MAX_ITER = 100
 
+#: How far, in grid spacings, the axis projection scans each ray.
+AXIS_REACH = 3.0
+
+#: Ghost layer given to exterior nodes promoted by the band closure.
+EXTENSION_LAYER = 3
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -149,12 +155,12 @@ class NodeClassification:
         x, y = self.grid.coords(ij[:, 0], ij[:, 1])
         return np.column_stack([x, y])
 
-    def with_extra_ghosts(self, extra_ij, layer: int = 3) -> "NodeClassification":
+    def with_extra_ghosts(self, extra_ij) -> "NodeClassification":
         """A new classification with additional exterior nodes made active.
 
         Triangle stencils of deep ghosts can reference exterior nodes beyond
         the two finite-difference layers; promoting those nodes to ghosts
-        (conventionally layer 3 and up) restores closure.  Ghost numbering
+        (layer ``EXTENSION_LAYER``) restores closure.  Ghost numbering
         is rebuilt, still in (i, j)-lexicographic order.
         """
         ghost = self.ghost_mask.copy()
@@ -163,7 +169,7 @@ class NodeClassification:
             if self.interior_mask[i, j] or ghost[i, j]:
                 continue
             ghost[i, j] = True
-            layers[i, j] = layer
+            layers[i, j] = EXTENSION_LAYER
         return NodeClassification(self.grid, self.level_set, self.interior_mask, ghost, layers)
 
 
@@ -403,13 +409,11 @@ def axis_projection(
     level_set: LevelSet,
     h: float,
     ghost_ij: list | None = None,
-    tol: float = PROJECTION_TOLERANCE,
-    reach: float = 3.0,
 ) -> list:
     """Project points onto the boundary along horizontal or vertical rays.
 
     From each point, each of the four axis directions is scanned up to
-    ``reach * h`` for the first sign change of ``phi``; the closest
+    ``AXIS_REACH * h`` for the first sign change of ``phi``; the closest
     intersection wins, the first direction in the order +x, -x, +y, -y on a
     tie.  The points and the scan points of all their rays are evaluated in
     one level-set call.  Only the rays whose first sign change lies in their
@@ -422,15 +426,16 @@ def axis_projection(
 
     Returns one entry per point, like ``_closest_points``: its
     ``CollarPoint`` (mode ``"axis"``), or the ``NoAxisIntersection`` (no
-    ray crosses within ``reach * h``), ``ProjectionDiverged`` (a bisection
-    missed ``tol``) or ``ZeroGradient`` that stopped it.
+    ray crosses within ``AXIS_REACH * h``), ``ProjectionDiverged`` (a
+    bisection missed ``PROJECTION_TOLERANCE``) or ``ZeroGradient`` that
+    stopped it.
     """
     x0 = np.array(ghost_xy, dtype=float).reshape(-1, 2)
     keys = [None] * len(x0) if ghost_ij is None else list(ghost_ij)
     if not len(x0):
         return []
     n_sub = 48
-    s = reach * h * np.arange(1, n_sub + 1) / n_sub
+    s = AXIS_REACH * h * np.arange(1, n_sub + 1) / n_sub
     directions = np.array(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
     q = x0[:, None, None, :] + s[:, None] * directions[:, None, :]  # (point, ray, step, xy)
     f = _evaluate(level_set, np.concatenate([x0, q.reshape(-1, 2)]))
@@ -443,9 +448,9 @@ def axis_projection(
     point, ray = np.nonzero(hit & (first == step[:, None]))
     at = step[point]
 
-    # Bisect every nearest bracket; each stops once |phi(mid)| <= tol.  A
-    # bracket that comes back bit for bit would repeat its step to the
-    # limit, so it stops unresolved at once.
+    # Bisect every nearest bracket; each stops once |phi(mid)| reaches
+    # PROJECTION_TOLERANCE.  A bracket that comes back bit for bit would
+    # repeat its step to the limit, so it stops unresolved at once.
     lo = x0[point] + np.concatenate([[0.0], s])[at, None] * directions[ray]
     hi = q[point, ray, at]
     fa = prev_f[point, ray, at]
@@ -457,7 +462,7 @@ def axis_projection(
         before = np.hstack([lo[live], hi[live]])
         mid = 0.5 * (lo[live] + hi[live])
         fm = _evaluate(level_set, mid)
-        done = np.abs(fm) <= tol
+        done = np.abs(fm) <= PROJECTION_TOLERANCE
         root[live[done]] = mid[done]
         same = (fm > 0.0) == (fa[live] > 0.0)
         lo[live[same]] = mid[same]
@@ -467,7 +472,7 @@ def axis_projection(
 
     out: list = [None] * len(x0)
     for k in np.flatnonzero(~hit.any(axis=1)):
-        out[k] = NoAxisIntersection(f"no axis ray from {x0[k]} crosses the boundary within {reach} h")
+        out[k] = NoAxisIntersection(f"no axis ray from {x0[k]} crosses the boundary within {AXIS_REACH} h")
     for k in np.unique(point[np.isnan(root[:, 0])]):
         out[k] = ProjectionDiverged("axis bisection could not reach the residual tolerance")
     # The nearest root of each point; argmin takes the first ray on a tie.

@@ -21,7 +21,7 @@ import numpy as np
 
 from .boundary_ops import LOCKSTEP_BATCH, GhostOperatorSolver, Trials, coefficient_amplification
 from .errors import CandidatesExhausted, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
-from .geometry import CollarPoint, Grid, NodeClassification, axis_projection, collars_for_ghosts
+from .geometry import CollarPoint, NodeClassification, axis_projection, collars_for_ghosts
 
 logger = logging.getLogger(__name__)
 
@@ -130,27 +130,9 @@ def triangle_stencils(
     return members, errors
 
 
-def triangle_trial(kind: str, member_ij: np.ndarray, collar: CollarPoint, error: InactiveMember | None) -> Trials:
-    """One-trial generator of a fixed triangle, returning like ``_cone_stages``.
-
-    Raises the ghost's triangle ``error`` on its first step; the solve of
-    the triangle must be admissible.
-    """
-    if error is not None:
-        raise error
-    solve = yield member_ij, collar
-    if not solve.admissible:
-        raise NotAdmissible(
-            f"{kind} stencil of ghost {collar.ghost_ij} is rank-deficient or misses its "
-            f"constraints (relative residual {solve.residual:.3e})"
-        )
-    return member_ij, collar, solve, 0, 0.0
-
-
 def extend_classification(
     classification: NodeClassification,
     strategy: StencilStrategy,
-    grid: Grid,
 ) -> tuple[NodeClassification, list[CollarPoint] | None]:
     """Deepen the ghost band until every triangle stencil is closed.
 
@@ -173,11 +155,11 @@ def extend_classification(
     for _ in range(MAX_EXTENSION_ROUNDS):
         ghosts = [(int(i), int(j)) for i, j in classification.ghost_ij]
         new = [ghost for ghost in ghosts if ghost not in collars]
-        collars.update(zip(new, collars_for_ghosts(new, grid, classification.level_set)))
+        collars.update(zip(new, collars_for_ghosts(new, classification.grid, classification.level_set)))
         band = [collars[ghost] for ghost in ghosts]
         members, _ = triangle_stencils(strategy.kind, band, strategy.triangle_size, classification)
         nodes = members.reshape(-1, 2)
-        off_lattice = ((nodes < 0) | (nodes > grid.n)).any(axis=1)
+        off_lattice = ((nodes < 0) | (nodes > classification.grid.n)).any(axis=1)
         if off_lattice.any():
             k = int(off_lattice.argmax())
             raise InactiveMember(
@@ -251,21 +233,21 @@ class _CandidateStream:
     ``batch`` opens the streams of many ghosts with their first radius read.
     """
 
-    def __init__(self, ghost_ij, collar, aperture_deg, grid, classification):
-        self.ghost_ij = ghost_ij
-        self.i0, self.j0 = int(ghost_ij[0]), int(ghost_ij[1])
+    def __init__(self, collar, aperture_deg, classification):
+        self.ghost_ij = collar.ghost_ij
+        self.i0, self.j0 = int(self.ghost_ij[0]), int(self.ghost_ij[1])
         self.direction = np.asarray(collar.toward_boundary(), dtype=float)
         self.wnorm = float(np.linalg.norm(self.direction))
         self.classification = classification
-        n = grid.n
+        n = classification.grid.n
         # a table radius with radius^2 >= reach2 covers the lattice
         self.reach2 = max(self.i0, n - self.i0) ** 2 + max(self.j0, n - self.j0) ** 2
         self._open(aperture_deg)
 
     @classmethod
-    def batch(cls, collars, aperture_deg, grid, classification) -> list["_CandidateStream"]:
+    def batch(cls, collars, aperture_deg, classification) -> list["_CandidateStream"]:
         """The streams of ``collars``' ghosts, their first radius read in one pass."""
-        streams = [cls(c.ghost_ij, c, aperture_deg, grid, classification) for c in collars]
+        streams = [cls(c, aperture_deg, classification) for c in collars]
         table = _offset_table(FIRST_CONE_RADIUS)
         for stream, nodes in zip(streams, _cone_nodes(streams, *table)):
             stream.radius, stream.read, stream.nodes = FIRST_CONE_RADIUS, table[2].size, nodes
@@ -334,7 +316,7 @@ def _grow_until_conditioned(
 ) -> Trials:
     """Append candidates until the stencil is admissible and chi < local_tol.
 
-    A trial generator (see ``GhostOperatorSolver.run``) returning the final
+    A trial generator (see ``GhostOperatorSolver.drive``) returning the final
     solve.  ``used`` holds every node already consumed (members plus swap
     victims) so nothing is offered twice.
     """
@@ -420,7 +402,6 @@ def _cone_stages(
 def cone_trials(
     collars: list[CollarPoint],
     strategy: StencilStrategy,
-    grid: Grid,
     classification: NodeClassification,
     n_constraints: int,
 ) -> Iterator[Trials]:
@@ -433,7 +414,7 @@ def cone_trials(
     """
     for start in range(0, len(collars), LOCKSTEP_BATCH):
         batch = collars[start:start + LOCKSTEP_BATCH]
-        streams = _CandidateStream.batch(batch, strategy.aperture_deg, grid, classification)
+        streams = _CandidateStream.batch(batch, strategy.aperture_deg, classification)
         for stream, collar in zip(streams, batch):
             yield _cone_stages(stream, collar, strategy, n_constraints)
 
@@ -449,7 +430,6 @@ def _admissible_or_error(trials: Trials) -> Trials:
 def cone_rows(
     collars: list[CollarPoint],
     strategy: StencilStrategy,
-    grid: Grid,
     classification: NodeClassification,
     solver: GhostOperatorSolver,
 ) -> tuple[list, np.ndarray]:
@@ -470,17 +450,17 @@ def cone_rows(
     ghost at a time would: phase 1 stops at its first failure, and the
     ghosts before it are rebuilt before that error is raised.
     """
-    rows, error = solver.drive(cone_trials(collars, strategy, grid, classification, solver.n_constraints))
+    rows, error = solver.drive(cone_trials(collars, strategy, classification, solver.n_constraints))
     rebuilt = np.zeros(len(collars), dtype=bool)
     if strategy.kind == "S4.3":
         retry = [k for k, row in enumerate(rows) if coefficient_amplification(row[2].coeffs) >= strategy.global_tol]
         axis = axis_projection(
-            [collars[k].ghost_xy for k in retry], classification.level_set, grid.h,
+            [collars[k].ghost_xy for k in retry], classification.level_set, classification.grid.h,
             [collars[k].ghost_ij for k in retry],
         )
         fresh = [collar for collar in axis if isinstance(collar, CollarPoint)]
         rebuilds, rebuild_error = solver.drive(
-            map(_admissible_or_error, cone_trials(fresh, strategy, grid, classification, solver.n_constraints))
+            map(_admissible_or_error, cone_trials(fresh, strategy, classification, solver.n_constraints))
         )
         # the rebuilds in order; an error belongs to the first collar without a result
         outcomes = iter(rebuilds + [rebuild_error])

@@ -219,7 +219,7 @@ class TestAssemble:
         from ghostbc.assembly import _interior_block
 
         with pytest.raises(MissingNeighbor):
-            _interior_block(hacked.interior_ij, laplace_coefficients(), grid, hacked)
+            _interior_block(laplace_coefficients(), hacked)
 
 
 class TestSolve:

@@ -6,7 +6,7 @@ from conftest import rows_of
 
 import ghostbc as g
 from ghostbc.basis import BasisConfig, RobinData, enumerate_basis
-from ghostbc import boundary_ops
+from ghostbc import assembly, boundary_ops
 from ghostbc.assembly import _ghost_ratios
 from ghostbc.boundary_ops import (
     RESIDUAL_TOLERANCE,
@@ -16,9 +16,9 @@ from ghostbc.boundary_ops import (
     solve_constraints,
 )
 from ghostbc import stencils
-from ghostbc.errors import InactiveMember, NoAxisIntersection, NotAdmissible, ProjectionDiverged
+from ghostbc.errors import GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible, ProjectionDiverged
 from ghostbc.geometry import CollarPoint
-from ghostbc.stencils import TRIANGLE_KINDS, _CandidateStream, _cone_stages, triangle_trial
+from ghostbc.stencils import TRIANGLE_KINDS, _CandidateStream, _cone_stages
 from test_geometry import scalar_axis_projection
 from test_stencils import reference_triangle, triangle
 
@@ -37,8 +37,9 @@ def dirichlet(normal=(1.0, 0.0), value=0.0):
 
 
 def solve_one(cm):
-    """The stacked solve on a stack of one system."""
-    (solve,) = solve_constraints(g.ConstraintMatrix(cm.matrix[None], cm.rhs[None]))
+    """The stacked solve on a stack of one system ``(matrix, rhs)``."""
+    matrix, rhs = cm
+    (solve,) = solve_constraints(matrix[None], rhs[None])
     return solve
 
 
@@ -49,12 +50,37 @@ def solve_min_norm(cm):
 
 
 def solve_alone(solver, member_ij, collar):
-    """Solve of one trial stencil: a batch of one through ``run``."""
+    """Solve of one trial stencil: a stack of one through ``solve``."""
+    (solve,) = solver.solve(member_ij[None], [collar])
+    return solve
 
-    def one_trial():
-        return (yield member_ij, collar)
 
-    return solver.run([one_trial()])[0]
+def run(solver, generators):
+    """``solver.drive``, raising the error of the first failing generator."""
+    results, error = solver.drive(generators)
+    if error is not None:
+        raise error
+    return results
+
+
+def inaccurate_system():
+    """Full row rank (sigma_min/sigma_max = 1e-12, above the rank cut) but so
+    ill conditioned that the solve misses the constraints."""
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    c = u @ np.column_stack([np.diag([1.0, 0.5, 1e-12]), np.zeros((3, 2))]) @ v.T
+    return c, rng.standard_normal(3)
+
+
+def replace_solves(monkeypatch, replacements):
+    """Make ``GhostOperatorSolver.solve`` hand ``replacements[ghost]`` to those ghosts' trials."""
+    solve = GhostOperatorSolver.solve
+
+    def replaced(self, member_ij, collars):
+        return [replacements.get(c.ghost_ij, s) for c, s in zip(collars, solve(self, member_ij, collars))]
+
+    monkeypatch.setattr(GhostOperatorSolver, "solve", replaced)
 
 
 def collar_of(ghost, grid, level_set):
@@ -82,7 +108,7 @@ def ghost_trials(collar, strategy, grid, classification, n_constraints):
     """
 
     def stages(c):
-        stream = _CandidateStream(c.ghost_ij, c, strategy.aperture_deg, grid, classification)
+        stream = _CandidateStream(c, strategy.aperture_deg, classification)
         return _cone_stages(stream, c, strategy, n_constraints)
 
     row = yield from stages(collar)
@@ -97,7 +123,7 @@ def ghost_trials(collar, strategy, grid, classification, n_constraints):
 
 
 def row_constraints(solver, member_ij, collar):
-    """Constraint system of one trial stencil, built independently of ``run``."""
+    """Constraint system ``(matrix, rhs)`` of one trial stencil, built independently of ``solve``."""
     points = np.column_stack(solver.grid.coords(member_ij[:, 0], member_ij[:, 1]))
     return assemble_constraints(points, collar, solver.robin_at(collar), solver.config_for(collar.ghost_xy))
 
@@ -107,26 +133,26 @@ class TestAssembleConstraints:
         center = np.array([0.2, 0.1])
         cfg = BasisConfig(spacing=0.1, center=center, order=2)
         collar = make_collar(center, center + [0.05, 0.0])
-        cm = assemble_constraints(center[None, :], collar, dirichlet(), cfg)
-        assert cm.matrix.shape == (3, 1)
-        assert np.allclose(cm.matrix[:, 0], [1.0, 0.0, 0.0])
+        matrix, _ = assemble_constraints(center[None, :], collar, dirichlet(), cfg)
+        assert matrix.shape == (3, 1)
+        assert np.allclose(matrix[:, 0], [1.0, 0.0, 0.0])
 
     def test_square_case_shape(self, rng):
         center = np.zeros(2)
         cfg = BasisConfig(spacing=0.1, center=center, order=5)
         pts = rng.uniform(-0.3, 0.3, size=(15, 2))
         collar = make_collar(center, [0.05, 0.02])
-        cm = assemble_constraints(pts, collar, dirichlet(), cfg)
-        assert cm.matrix.shape == (15, 15)
+        matrix, _ = assemble_constraints(pts, collar, dirichlet(), cfg)
+        assert matrix.shape == (15, 15)
 
     def test_dirichlet_rhs_at_center(self):
         center = np.array([-0.3, 0.4])
         cfg = BasisConfig(spacing=0.1, center=center, order=5)
         collar = make_collar(center, center)
-        cm = assemble_constraints(center[None, :], collar, dirichlet(), cfg)
+        _, rhs = assemble_constraints(center[None, :], collar, dirichlet(), cfg)
         expected = np.zeros(15)
         expected[0] = 1.0
-        assert np.allclose(cm.rhs, expected)
+        assert np.allclose(rhs, expected)
 
 
 class TestSolveMinNorm:
@@ -193,8 +219,7 @@ class TestSolveMinNorm:
 
 class TestConditioning:
     def test_orthonormal_rows_give_unit_condition(self):
-        cm = g.ConstraintMatrix(np.eye(15), np.zeros(15))
-        assert solve_one(cm).chi == pytest.approx(1.0)
+        assert solve_one((np.eye(15), np.zeros(15))).chi == pytest.approx(1.0)
 
     def test_rank_deficiency_reports_infinity(self):
         h = 0.1
@@ -268,8 +293,8 @@ class TestRowProperties:
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         for row in rows_of(annulus_160_rows)[:: max(1, len(annulus_160_rows) // 40)]:
             cm = row_constraints(solver, row.member_ij, row.collar)
-            _, s, vt = np.linalg.svd(cm.matrix)
-            null_basis = vt[cm.n_constraints:]
+            _, s, vt = np.linalg.svd(cm[0])
+            null_basis = vt[len(cm[0]):]
             if len(null_basis) == 0:
                 continue
             a = solve_min_norm(cm)
@@ -283,7 +308,7 @@ class TestRowProperties:
             if len(row.coeffs) != solver.n_constraints:
                 continue
             cm = row_constraints(solver, row.member_ij, row.collar)
-            direct = np.linalg.solve(cm.matrix, cm.rhs)
+            direct = np.linalg.solve(*cm)
             a = solve_min_norm(cm)
             assert np.allclose(a, direct, rtol=1e-11, atol=1e-11 * np.linalg.norm(direct))
             checked += 1
@@ -338,18 +363,18 @@ def test_analyze_stencil_consistency(annulus_bench, annulus_160, annulus_160_row
         by_size.setdefault(len(row.coeffs), []).append(row_constraints(solver, row.member_ij, row.collar))
     checked = 0
     for systems in by_size.values():
-        stack = g.ConstraintMatrix(np.array([cm.matrix for cm in systems]), np.array([cm.rhs for cm in systems]))
-        for cm, result in zip(systems, solve_constraints(stack)):
+        matrices, rhs = (np.array(column) for column in zip(*systems))
+        for (c, b), result in zip(systems, solve_constraints(matrices, rhs)):
             assert result.admissible
-            u, s, vt = np.linalg.svd(cm.matrix, full_matrices=False)
+            u, s, vt = np.linalg.svd(c, full_matrices=False)
             assert np.array_equal(result.singular_values, s)
             assert result.chi == float(s[0] / s[-1])
-            assert np.array_equal(result.coeffs, vt.T @ ((u.T @ cm.rhs) / s))
-            residual = np.linalg.norm(cm.matrix @ result.coeffs - cm.rhs) / np.linalg.norm(cm.rhs)
+            assert np.array_equal(result.coeffs, vt.T @ ((u.T @ b) / s))
+            residual = np.linalg.norm(c @ result.coeffs - b) / np.linalg.norm(b)
             assert result.residual == residual
-            sv = np.linalg.svd(cm.matrix, compute_uv=False)
+            sv = np.linalg.svd(c, compute_uv=False)
             assert result.chi == pytest.approx(sv[0] / sv[-1], rel=1e-12)
-            pinv_coeffs = np.linalg.pinv(cm.matrix) @ cm.rhs
+            pinv_coeffs = np.linalg.pinv(c) @ b
             assert np.allclose(result.coeffs, pinv_coeffs, rtol=0.0, atol=1e-8 * np.linalg.norm(pinv_coeffs))
             checked += 1
     assert len(by_size) > 3 and checked > 300
@@ -360,8 +385,8 @@ class TestResidualContract:
         grid, classification = annulus_160
         solves = []
 
-        def recording(cm):
-            out = solve_constraints(cm)
+        def recording(matrix, rhs):
+            out = solve_constraints(matrix, rhs)
             solves.extend(out)
             return out
 
@@ -369,21 +394,14 @@ class TestResidualContract:
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         strategy = g.StencilStrategy(kind="S4.3")
         collars = g.collars_for_ghosts(classification.ghost_ij[::4], grid, annulus_bench.level_set)
-        solver.run(ghost_trials(collar, strategy, grid, classification, 15) for collar in collars)
+        run(solver, (ghost_trials(collar, strategy, grid, classification, 15) for collar in collars))
         admissible = [s for s in solves if s.admissible]
         assert len(admissible) > 100
         assert max(s.residual for s in admissible) <= RESIDUAL_TOLERANCE
         assert all(s.chi == np.inf and s.coeffs is None for s in solves if not s.admissible)
 
-    def test_rank_admissible_but_inaccurate_solve_is_rejected(self, annulus_bench, annulus_160):
-        # full row rank (sigma_min/sigma_max = 1e-12, above the rank cut) but
-        # so ill conditioned that the solve misses the constraints
-        rng = np.random.default_rng(7)
-        u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        c = u @ np.column_stack([np.diag([1.0, 0.5, 1e-12]), np.zeros((3, 2))]) @ v.T
-        cm = g.ConstraintMatrix(c, rng.standard_normal(3))
-        result = solve_one(cm)
+    def test_rank_admissible_but_inaccurate_solve_is_rejected(self, annulus_bench, annulus_160, monkeypatch):
+        result = solve_one(inaccurate_system())
         assert result.singular_values[-1] >= 1e-13 * result.singular_values[0]
         assert not result.admissible
         assert result.chi == np.inf and result.coeffs is None
@@ -391,11 +409,12 @@ class TestResidualContract:
         # a triangle stencil handed such a solve raises, naming the residual
         grid, classification = annulus_160
         ghost = tuple(int(v) for v in classification.ghost_ij[0])
-        collar = collar_of(ghost, grid, annulus_bench.level_set)
-        trials = triangle_trial("S2", triangle("S2", collar, 4, classification), collar, None)
-        next(trials)
-        with pytest.raises(NotAdmissible, match=f"relative residual {result.residual:.3e}"):
-            trials.send(result)
+        triangle("S2", collar_of(ghost, grid, annulus_bench.level_set), 4, classification)
+        replace_solves(monkeypatch, {ghost: result})
+        strategy = g.StencilStrategy(kind="S2")
+        message = f"S2 stencil of ghost {ghost} is rank-deficient or misses its constraints"
+        with pytest.raises(NotAdmissible, match=re.escape(f"{message} (relative residual {result.residual:.3e})")):
+            g.build_ghost_rows(classification, strategy, annulus_bench.coefficients, grid)
 
     def test_rank_deficient_reports_infinite_residual(self):
         cfg = BasisConfig(spacing=0.1, center=np.zeros(2), order=2)
@@ -415,7 +434,7 @@ def test_solver_builds_one_right_hand_side_per_collar(annulus_bench, annulus_160
     solver = GhostOperatorSolver(grid, robin_at)
     ghost = tuple(int(v) for v in classification.ghost_ij[3])
     collar = collar_of(ghost, grid, annulus_bench.level_set)
-    stream = _CandidateStream(ghost, collar, 60.0, grid, classification)
+    stream = _CandidateStream(collar, 60.0, classification)
     members = np.array([ghost] + [stream.candidate(k) for k in range(16)])
     # an equal but distinct collar object (an S4.3 rebuild's) gets its own
     other = g.CollarPoint(collar.ghost_xy, collar.point, collar.normal, "axis", ghost)
@@ -423,7 +442,7 @@ def test_solver_builds_one_right_hand_side_per_collar(annulus_bench, annulus_160
     def trials(*collars):
         return [(yield members[:15], collars[0]), (yield members, collars[1])]
 
-    first, second = solver.run([trials(collar, collar), trials(collar, other)])
+    first, second = run(solver, [trials(collar, collar), trials(collar, other)])
     assert [id(c) for c in seen] == [id(collar), id(other)]
     reference = solve_alone(solver, members, collar)
     assert all(np.array_equal(s.coeffs, reference.coeffs) for s in (first[1], second[1]))
@@ -439,7 +458,7 @@ def _level(name, kind, n):
     bench = cfg.make_benchmark()
     grid = g.Grid(n)
     strategy = cfg.stencil_strategy()
-    classification, _ = extend_classification(g.classify_nodes(grid, bench.level_set), strategy, grid)
+    classification, _ = extend_classification(g.classify_nodes(grid, bench.level_set), strategy)
     return bench, grid, classification, strategy
 
 
@@ -459,10 +478,11 @@ class TestLockstepLevel:
         for k, (row, collar) in enumerate(zip(rows_of(rows), collars)):
             if kind in TRIANGLE_KINDS:
                 members = reference_triangle(kind, collar, strategy.triangle_size, classification)
-                one = triangle_trial(kind, members, collar, None)
+                row_collar, solve, swaps, aperture = collar, solve_alone(solver, members, collar), 0, 0.0
+                assert solve.admissible
             else:
                 one = ghost_trials(collar, strategy, grid, classification, 15)
-            ((members, row_collar, solve, swaps, aperture),) = solver.run([one])
+                ((members, row_collar, solve, swaps, aperture),) = run(solver, [one])
             assert row.ghost_ij == collar.ghost_ij == tuple(row.member_ij[0])
             assert np.array_equal(row.member_ij, members)
             assert np.array_equal(row.coeffs, solve.coeffs)
@@ -496,18 +516,18 @@ class TestLockstepLevel:
         # 0's error wins, and ghosts after the first failure are not driven on
         late, early = NotAdmissible("ghost 0 failed late"), InactiveMember("ghost 1 failed early")
         with pytest.raises(NotAdmissible, match="ghost 0 failed late"):
-            solver.run([trials(0, 3, late), trials(1, 1, early), trials(2, 5), trials(3, 0, early)])
+            run(solver, [trials(0, 3, late), trials(1, 1, early), trials(2, 5), trials(3, 0, early)])
         assert sent == [0, 1, 2, 0, 0]
         sent.clear()
         with pytest.raises(InactiveMember, match="ghost 1 failed early"):
-            solver.run([trials(0, 3), trials(1, 0, early), trials(2, 5)])
+            run(solver, [trials(0, 3), trials(1, 0, early), trials(2, 5)])
         assert sent == [0, 0, 0]
         # an untyped error is a defect, not a ghost's failure: it propagates at once
         sent.clear()
         with pytest.raises(ZeroDivisionError):
-            solver.run([trials(0, 3, NotAdmissible("later")), trials(1, 1, ZeroDivisionError())])
+            run(solver, [trials(0, 3, NotAdmissible("later")), trials(1, 1, ZeroDivisionError())])
         assert sent == [0, 1, 0]
-        assert solver.run([trials(0, 2), trials(1, 0)]) == [0, 1]
+        assert run(solver, [trials(0, 2), trials(1, 0)]) == [0, 1]
 
     def test_level_raises_the_first_ghosts_error(self):
         # no stencil gets chi below 1: every ghost grows past the cap in the
@@ -518,11 +538,37 @@ class TestLockstepLevel:
         collar = g.collars_for_ghosts(classification.ghost_ij[:1], grid, bench.level_set)[0]
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
         with pytest.raises(NotAdmissible) as alone:
-            solver.run([ghost_trials(collar, strategy, grid, classification, solver.n_constraints)])
+            run(solver, [ghost_trials(collar, strategy, grid, classification, solver.n_constraints)])
         with pytest.raises(NotAdmissible) as level:
             g.build_ghost_rows(classification, strategy, bench.coefficients, grid)
         assert str(level.value) == str(alone.value)
         assert f"ghost {collar.ghost_ij}" in str(level.value)
+
+    @pytest.mark.parametrize("inadmissible_first", [True, False])
+    def test_triangle_level_raises_the_first_ghosts_error(self, annulus_bench, annulus_160, monkeypatch,
+                                                          inadmissible_first):
+        # One ghost's solve misses its constraints and another ghost's
+        # triangle has an inactive member: the level raises the error of
+        # whichever ghost comes first, as one ghost at a time would.
+        grid, classification = annulus_160
+        early, late = (tuple(int(v) for v in classification.ghost_ij[k]) for k in (10, 500))
+        bad, inactive = (early, late) if inadmissible_first else (late, early)
+        replace_solves(monkeypatch, {bad: solve_one(inaccurate_system())})
+        stored = InactiveMember(f"S3 stencil of ghost {inactive} references an inactive node")
+        build = assembly.triangle_stencils
+
+        def with_inactive(kind, collars, p, classification):
+            members, errors = build(kind, collars, p, classification)
+            return members, [stored if c.ghost_ij == inactive else e for c, e in zip(collars, errors)]
+
+        monkeypatch.setattr(assembly, "triangle_stencils", with_inactive)
+        with pytest.raises(GhostBcError) as error:
+            g.build_ghost_rows(classification, g.StencilStrategy(kind="S3"), annulus_bench.coefficients, grid)
+        if inadmissible_first:
+            assert type(error.value) is NotAdmissible
+            assert str(error.value).startswith(f"S3 stencil of ghost {early} is rank-deficient")
+        else:
+            assert error.value is stored
 
     @pytest.mark.parametrize("late", [1, 900])
     def test_rebuild_errors_come_before_later_ghosts_errors(self, annulus_bench, annulus_160, monkeypatch, late):

@@ -70,6 +70,21 @@ class TestMain:
         assert record["error"] == "UnknownDomain"
         assert (tmp_path / "x" / "error.json").exists()
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [({"strategy": 4}, "strategy"), ({"sweep": "80,113"}, "sweep"), ({"sweep": [80, "x"]}, "sweep"),
+         ({"benchmark": "convection", "kappa": "a", "u0": 1}, "kappa")],
+    )
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, config, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--n", "32", "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"config key {key!r} must be")
+        assert json.loads((out / "error.json").read_text()) == record
+
     def test_numerical_failure_exits_1(self, tmp_path, capsys):
         # the hourglass waist cannot host ghost-exclusive triangles this coarse
         code = main([

@@ -141,7 +141,7 @@ def collar_of(ghost, grid, level_set):
 
 def cone_list(ghost, collar, aperture_deg, grid, classification, limit=None):
     """Ordered cone candidates of one stream, with the ghost itself first."""
-    stream = _CandidateStream(ghost, collar, aperture_deg, grid, classification)
+    stream = _CandidateStream(collar, aperture_deg, classification)
     out = [tuple(ghost)]
     while limit is None or len(out) < limit:
         node = stream.candidate(len(out) - 1)
@@ -275,7 +275,7 @@ def _triangle_level(name, kind, n):
     bench = g.RunConfig(benchmark=name, strategy=kind, n=n).make_benchmark()
     grid = g.Grid(n)
     strategy = g.StencilStrategy(kind=kind)
-    classification, _ = extend_classification(g.classify_nodes(grid, bench.level_set), strategy, grid)
+    classification, _ = extend_classification(g.classify_nodes(grid, bench.level_set), strategy)
     return g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set), classification
 
 
@@ -339,7 +339,7 @@ def test_perturbed_geometry_triangles(annulus_bench, shape, n, shift):
         assert_level_matches_reference(kind, collars, 4, base)
         strategy = g.StencilStrategy(kind=kind)
         try:
-            classification, band = extend_classification(base, strategy, grid)
+            classification, band = extend_classification(base, strategy)
             rows = g.build_ghost_rows(classification, strategy, annulus_bench.coefficients, grid, collars=band)
         except GhostBcError:
             continue
@@ -362,7 +362,7 @@ class TestCone:
         classification = _all_active_stub(grid)
         ghost = (20, 20)
         ghost_xy = grid.node_xy(*ghost)
-        collar = make_collar(ghost_xy, ghost_xy + np.array([0.1, 0.0]))
+        collar = make_collar(ghost_xy, ghost_xy + np.array([0.1, 0.0]), ghost)
         for i, j in cone_list(ghost, collar, 60.0, grid, classification, limit=30)[1:]:
             v = np.array([i - ghost[0], j - ghost[1]], dtype=float)
             angle = math.degrees(math.acos(v[0] / np.linalg.norm(v)))
@@ -407,9 +407,9 @@ class TestCandidateStream:
         classification = _all_active_stub(grid)
         ghost = (37, 20)
         ghost_xy = grid.node_xy(*ghost)
-        collar = make_collar(ghost_xy, ghost_xy + np.array([0.1, 0.013]))
+        collar = make_collar(ghost_xy, ghost_xy + np.array([0.1, 0.013]), ghost)
         strategy = g.StencilStrategy(kind="S4.1", aperture_deg=30.0)
-        stream = _CandidateStream(ghost, collar, strategy.aperture_deg, grid, classification)
+        stream = _CandidateStream(collar, strategy.aperture_deg, classification)
         used = {ghost}
         got = []
         for _ in range(60):
@@ -424,7 +424,7 @@ class TestCandidateStream:
         ghost = tuple(int(v) for v in classification.ghost_ij[37])
         collar = collar_of(ghost, grid, annulus_bench.level_set)
         brute = _brute_force_cone(ghost, collar, 60.0, grid, classification)[1:]
-        stream = _CandidateStream(ghost, collar, 60.0, grid, classification)
+        stream = _CandidateStream(collar, 60.0, classification)
         for _ in range(20):
             stream.take({ghost})
         # every candidate inside the first table but one near the front
@@ -492,8 +492,9 @@ class TestConeStrategies:
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         strategy = g.StencilStrategy(kind="S4.3")
         collars = [s43.collars[k] for k in rebuilt]
-        streams = [_CandidateStream(c.ghost_ij, c, strategy.aperture_deg, grid, classification) for c in collars]
-        alone = solver.run(_cone_stages(stream, c, strategy, 15) for stream, c in zip(streams, collars))
+        streams = [_CandidateStream(c, strategy.aperture_deg, classification) for c in collars]
+        alone, error = solver.drive(_cone_stages(stream, c, strategy, 15) for stream, c in zip(streams, collars))
+        assert error is None
         for k, (members, _, _, swaps, aperture) in zip(rebuilt, alone):
             assert np.array_equal(members43[k], members)
             assert s43.swaps[k] == s42.swaps[k] + swaps
@@ -522,9 +523,9 @@ class TestConeStrategies:
         grid, classification = annulus_160
         collars = g.collars_for_ghosts(classification.ghost_ij[::9], grid, annulus_bench.level_set)
         for aperture in (60.0, 360.0):
-            batch = _CandidateStream.batch(collars, aperture, grid, classification)
+            batch = _CandidateStream.batch(collars, aperture, classification)
             for stream, collar in zip(batch, collars):
-                alone = _CandidateStream(collar.ghost_ij, collar, aperture, grid, classification)
+                alone = _CandidateStream(collar, aperture, classification)
                 assert alone.candidate(0) is not None
                 assert (stream.radius, stream.read, stream.nodes) == (alone.radius, alone.read, alone.nodes)
 
@@ -564,7 +565,7 @@ class TestExtension:
         grid = g.Grid(194)
         classification = g.classify_nodes(grid, annulus_bench.level_set)
         strategy = g.StencilStrategy(kind="S1")
-        extended, band = extend_classification(classification, strategy, grid)
+        extended, band = extend_classification(classification, strategy)
         assert extended.n_ghost > classification.n_ghost
         assert extended.n_interior == classification.n_interior
         # every triangle is now fully active
@@ -577,7 +578,7 @@ class TestExtension:
     def test_cone_strategies_do_not_extend(self, annulus_bench, annulus_160):
         grid, classification = annulus_160
         strategy = g.StencilStrategy(kind="S4.3")
-        extended, collars = extend_classification(classification, strategy, grid)
+        extended, collars = extend_classification(classification, strategy)
         assert extended is classification and collars is None
 
     @pytest.mark.parametrize("kind", ["S1", "S2"])
