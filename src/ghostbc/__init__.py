@@ -29,7 +29,7 @@ from .benchmarks import (
     convection_diffusion,
     peclet_numbers,
 )
-from .boundary_ops import GhostOperatorSolver, assemble_constraints
+from .boundary_ops import GhostOperatorSolver
 from .cli import PAPER13, RunConfig, execute_level, run_single, run_sweep
 from .geometry import (
     CollarPoint,

@@ -69,9 +69,9 @@ def compute_errors(
     solution: np.ndarray,
     benchmark,
     classification: NodeClassification,
-    grid: Grid,
 ) -> ErrorReport:
     """Error norms of a discrete solution against the benchmark's analytic one."""
+    grid = classification.grid
     interior = classification.interior_ij
     x, y = grid.coords(interior[:, 0], interior[:, 1])
     exact = np.asarray(benchmark.solution(x, y), dtype=float)

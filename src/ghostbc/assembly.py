@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 from .basis import DEFAULT_ORDER, RobinData
 from .boundary_ops import GhostOperatorSolver
 from .errors import MissingNeighbor, NotAdmissible, SingularMatrix, SolveFailed
-from .geometry import CollarPoint, Grid, NodeClassification, collars_for_ghosts
+from .geometry import CollarPoint, NodeClassification, collars_for_ghosts
 from .stencils import TRIANGLE_KINDS, StencilStrategy, cone_rows, triangle_stencils
 
 #: Fourth-order centred weights for the second derivative (offsets -2..2), * 1/h^2.
@@ -179,7 +179,6 @@ def build_ghost_rows(
     classification: NodeClassification,
     strategy: StencilStrategy,
     coeffs: ProblemCoefficients,
-    grid: Grid,
     order: int = DEFAULT_ORDER,
     collars: list[CollarPoint] | None = None,
 ) -> GhostRows:
@@ -192,9 +191,9 @@ def build_ghost_rows(
     solve raised in ghost order; the cone strategies run in the two phases
     of ``cone_rows``.
     """
-    solver = GhostOperatorSolver(grid, coeffs.robin, order=order)
+    solver = GhostOperatorSolver(classification.grid, coeffs.robin, order=order)
     if collars is None:
-        collars = collars_for_ghosts(classification.ghost_ij, grid, classification.level_set)
+        collars = collars_for_ghosts(classification.ghost_ij, classification.grid, classification.level_set)
     if strategy.kind in TRIANGLE_KINDS:
         triangles, errors = triangle_stencils(strategy.kind, collars, strategy.triangle_size, classification)
         solves = solver.solve(triangles, collars)
@@ -232,7 +231,6 @@ def build_ghost_rows(
 def assemble(
     classification: NodeClassification,
     coeffs: ProblemCoefficients,
-    grid: Grid,
     ghost_rows: GhostRows,
 ) -> tuple[SparseSystem, GhostRows]:
     """Assemble the global system from the interior discretization and ``ghost_rows``.

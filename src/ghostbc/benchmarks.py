@@ -73,21 +73,6 @@ class Benchmark:
 # Level sets
 # ---------------------------------------------------------------------------
 
-def circle_level_set(radius: float, center=(0.0, 0.0)) -> LevelSet:
-    cx, cy = center
-
-    def evaluate(x, y):
-        return np.hypot(x - cx, y - cy) - radius
-
-    def gradient(x, y):
-        dx, dy = x - cx, y - cy
-        r = np.hypot(dx, dy)
-        r = np.where(r > 0.0, r, 1.0)
-        return dx / r, dy / r
-
-    return LevelSet(f"circle(r={radius})", evaluate, gradient)
-
-
 def annulus_level_set(r_inner: float = R_INNER, r_outer: float = R_OUTER) -> LevelSet:
     """Single field covering both annulus boundaries: max(R1 - r, r - R2)."""
 
@@ -179,22 +164,6 @@ def hourglass_level_set() -> LevelSet:
         return -64.0 * pw(X, 3) + 72.0 * X, 1024.0 * pw(Y, 3) - 256.0 * Y
 
     return LevelSet("hourglass", evaluate, gradient)
-
-
-def square_level_set(half_width: float = 0.5) -> LevelSet:
-    """Axis-aligned square, handy for enumeration tests."""
-
-    def evaluate(x, y):
-        return np.maximum(np.abs(x), np.abs(y)) - half_width
-
-    def gradient(x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        use_x = np.abs(x) >= np.abs(y)
-        gx = np.where(use_x, np.sign(x), 0.0)
-        gy = np.where(use_x, 0.0, np.sign(y))
-        return gx, gy
-
-    return LevelSet(f"square(a={half_width})", evaluate, gradient)
 
 
 # ---------------------------------------------------------------------------

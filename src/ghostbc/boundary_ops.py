@@ -34,6 +34,13 @@ from .geometry import CollarPoint, Grid
 #: sigma_min/sigma_max below this means the stencil is rank-deficient.
 RANK_TOLERANCE = 1e-13
 
+#: sigma_min/sigma_max of a stencil's integer-offset monomial matrix below
+#: this means the stencil is rank-deficient by construction.  Rank-deficient
+#: cone stencils read at most ~3e-17 here and full-rank ones at least ~1e-6,
+#: so a threshold well under ``RANK_TOLERANCE`` only ever skips trials that
+#: ``solve_constraints`` would reject.
+STRUCTURAL_RANK_TOLERANCE = 1e-15
+
 #: Relative residual bound every admissible row must satisfy.
 RESIDUAL_TOLERANCE = 1e-10
 
@@ -41,22 +48,6 @@ RESIDUAL_TOLERANCE = 1e-10
 #: calls cheap per trial, few enough to bound the memory the live generators
 #: and the stacks hold.
 LOCKSTEP_BATCH = 128
-
-
-def assemble_constraints(
-    points: np.ndarray,
-    collar: CollarPoint,
-    robin: RobinData,
-    cfg: BasisConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint matrix (n_constraints, n_points) and right-hand side for a stencil.
-
-    Rows follow the deterministic basis order, columns the stencil order.
-    """
-    alphas = enumerate_basis(cfg.order)
-    c = monomial_matrix(alphas, points, cfg)
-    g = boundary_actions(alphas, collar.point[None, :], [robin], cfg)[0]
-    return c, g
 
 
 @dataclass
@@ -134,7 +125,8 @@ class GhostOperatorSolver:
     Bundles the grid spacing, the basis order and the benchmark's Robin data
     provider.  ``solve`` solves a stack of same-size trial stencils, and
     ``drive`` runs trial generators (the cone strategies' per-ghost logic)
-    against it in lock-step batches.
+    against it in lock-step batches, answering the trials that are
+    rank-deficient by construction without solving them.
     """
 
     def __init__(
@@ -149,6 +141,10 @@ class GhostOperatorSolver:
         self._alphas = enumerate_basis(order)
         # id(collar) -> (collar, right-hand side); holding a collar keeps its id unique
         self._rhs: dict[int, tuple[CollarPoint, np.ndarray]] = {}
+        # member offsets from the first member -> None (may be full rank) or
+        # the inadmissible solve of a stencil that is rank-deficient by construction
+        self._structural: dict[bytes, StencilSolve | None] = {}
+        self._exponents = np.array(self._alphas).T
 
     @property
     def n_constraints(self) -> int:
@@ -177,17 +173,42 @@ class GhostOperatorSolver:
         matrix = monomial_matrix(self._alphas, np.stack([x, y], axis=-1), self.config_for(centers))
         return solve_constraints(matrix, np.array([self._rhs[id(c)][1] for c in collars]))
 
+    def _deficient(self, member_ij: np.ndarray) -> StencilSolve | None:
+        """The inadmissible solve of a stencil rank-deficient by construction, else None.
+
+        The rank of a stencil's constraint matrix depends only on the
+        members' integer offsets: translating or scaling a lattice point
+        set leaves the polynomial space, hence the matrix's rank, unchanged.
+        So the verdict is one SVD per distinct offset set, memoized, of the
+        monomial matrix of the integer offsets: the constraint matrix of the
+        stencil with the ghost first, free of the rounding of the members'
+        coordinates.  A deficient stencil gets the answer
+        ``solve_constraints`` gives a rank-deficient one: ``chi = inf``, no
+        coefficients, residual ``inf``.
+        """
+        offsets = member_ij - member_ij[0]
+        key = offsets.tobytes()
+        if key not in self._structural:
+            # powers by repeated products, so the entries are exact integers (below 2**53)
+            px, py = (np.vander(v, self.order, increasing=True) for v in offsets.T.astype(float))
+            ax, ay = self._exponents
+            s = np.linalg.svd(px[:, ax] * py[:, ay], compute_uv=False)
+            deficient = s[-1] < STRUCTURAL_RANK_TOLERANCE * s[0]
+            self._structural[key] = StencilSolve(False, np.inf, None, s, np.inf) if deficient else None
+        return self._structural[key]
+
     def drive(self, generators: Iterable[Trials]) -> tuple[list, GhostBcError | None]:
         """Drive trial generators in lock-step; returns what each one returns.
 
         Generators are taken from the iterable ``LOCKSTEP_BATCH`` at a time,
         so a lazy iterable need build only one batch ahead.  Every round
         solves the pending trial of every generator of the batch, one
-        ``solve`` per member count.  Returns the results of the generators
-        before the first one (in input order) that raised a
-        ``GhostBcError``, as a one-ghost-at-a-time loop would, and that
-        error (None when none did); the generators after it are not driven
-        further.
+        ``solve`` per member count; a trial that is rank-deficient by
+        construction gets its ``_deficient`` answer at once, without a
+        round.  Returns the results of the generators before the first one
+        (in input order) that raised a ``GhostBcError``, as a
+        one-ghost-at-a-time loop would, and that error (None when none
+        did); the generators after it are not driven further.
         """
         generators = iter(generators)
         results: list = []
@@ -209,6 +230,8 @@ class GhostOperatorSolver:
                 return
             try:
                 member_ij, collar = generators[k].send(solve)
+                while (skipped := self._deficient(member_ij)) is not None:
+                    member_ij, collar = generators[k].send(skipped)
             except StopIteration as stop:
                 results[k] = stop.value
             except GhostBcError as exc:

@@ -140,13 +140,11 @@ def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelR
     timings["classify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rows = assembly.build_ghost_rows(
-        classification, strategy, bench.coefficients, grid, cfg.order, collars
-    )
+    rows = assembly.build_ghost_rows(classification, strategy, bench.coefficients, cfg.order, collars)
     timings["ghost_rows"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    system, rows = assembly.assemble(classification, bench.coefficients, grid, rows)
+    system, rows = assembly.assemble(classification, bench.coefficients, rows)
     timings["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -162,7 +160,7 @@ def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelR
     timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    errors = analysis.compute_errors(solution, bench, classification, grid)
+    errors = analysis.compute_errors(solution, bench, classification)
     diagnostics = analysis.stencil_diagnostics(rows)
     timings["analyze"] = time.perf_counter() - t0
 

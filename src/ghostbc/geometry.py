@@ -76,10 +76,6 @@ class Grid:
         h = self.h
         return -BOX_HALF_WIDTH + np.asarray(i) * h, -BOX_HALF_WIDTH + np.asarray(j) * h
 
-    def node_xy(self, i: int, j: int) -> np.ndarray:
-        x, y = self.coords(i, j)
-        return np.array([float(x), float(y)])
-
     def meshgrid(self):
         """All node coordinates as (n+1, n+1) arrays indexed [i, j]."""
         side = np.arange(self.nodes_per_side)
@@ -289,31 +285,25 @@ def _evaluate(level_set: LevelSet, q: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(level_set.evaluate(q[:, 0], q[:, 1]), dtype=float), len(q))
 
 
-def _closest_points(
-    ghost_xy: np.ndarray,
-    level_set: LevelSet,
-    ghost_ij: list,
-    tol: float,
-    max_iter: int,
-) -> list:
+def _closest_points(ghost_xy: np.ndarray, level_set: LevelSet, ghost_ij: list) -> list:
     """Orthogonal projections of many points onto the zero level set.
 
     One masked iteration over all points: every point alternates a damped
     Newton step along the gradient (drives ``|phi|`` to zero) with a
     tangential slide toward the foot point (makes the displacement parallel
     to the normal), with its own damping, until its residual is below
-    ``tol`` and its slide is negligible.  Each level-set call covers every
-    point still iterating, which the ``LevelSet`` contract makes equal, bit
-    for bit, to calling it point by point; dot products and norms are
-    ``np.vecdot`` for the same reason (``einsum`` and ``norm(axis=1)``
-    round differently from the 2-vector ``@`` and ``norm``).
+    ``PROJECTION_TOLERANCE`` and its slide is negligible.  Each level-set
+    call covers every point still iterating, which the ``LevelSet`` contract
+    makes equal, bit for bit, to calling it point by point; dot products and
+    norms are ``np.vecdot`` for the same reason (``einsum`` and
+    ``norm(axis=1)`` round differently from the 2-vector ``@`` and ``norm``).
 
     A pass is a pure function of the point's iterate and start, since each
     line search starts from full damping and the level-set calls are
     pointwise.  So a point whose iterate comes back bit for bit (compared as
     integers, so that ``-0.0`` and ``0.0`` differ) without finishing would
-    repeat that pass up to ``max_iter``: it fails at once, with the same
-    "did not converge" error it would reach at the cap.
+    repeat that pass up to ``PROJECTION_MAX_ITER``: it fails at once, with
+    the same "did not converge" error it would reach at the cap.
 
     Returns one entry per point: its ``CollarPoint``, or the ``ZeroGradient``
     / ``ProjectionDiverged`` that stopped it.
@@ -327,9 +317,9 @@ def _closest_points(
         return np.sqrt(np.vecdot(v, v))
 
     def unconverged(j):
-        return ProjectionDiverged(f"projection from {x0[j]} did not converge in {max_iter} iterations")
+        return ProjectionDiverged(f"projection from {x0[j]} did not converge in {PROJECTION_MAX_ITER} iterations")
 
-    for _ in range(max_iter):
+    for _ in range(PROJECTION_MAX_ITER):
         if not live.size:
             return out
         q = p[live]
@@ -343,7 +333,7 @@ def _closest_points(
             out[k] = ZeroGradient(
                 f"gradient of '{level_set.name}' vanished at {p[k]} during projection"
             )
-        newton = ~flat & (np.abs(f) > tol)
+        newton = ~flat & (np.abs(f) > PROJECTION_TOLERANCE)
         slide = ~flat & ~newton
 
         # Newton step, halving each point's damping until |phi| decreases.
@@ -507,7 +497,7 @@ def collars_for_ghosts(ghost_ij, grid: Grid, level_set: LevelSet) -> list[Collar
     keys = [(int(i), int(j)) for i, j in ij]
     x, y = grid.coords(ij[:, 0], ij[:, 1])
     xy = np.column_stack([x, y])
-    collars = _closest_points(xy, level_set, keys, PROJECTION_TOLERANCE, PROJECTION_MAX_ITER)
+    collars = _closest_points(xy, level_set, keys)
     failed = [k for k, result in enumerate(collars) if isinstance(result, GeometryError)]
     for k, fallback in zip(failed, axis_projection(xy[failed], level_set, grid.h, [keys[k] for k in failed])):
         logger.info("ghost %s: closest-point projection failed (%s); using axis projection", keys[k], collars[k])

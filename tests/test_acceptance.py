@@ -29,7 +29,7 @@ import pytest
 import scipy.sparse as sp
 
 import ghostbc as g
-from conftest import rows_of
+from conftest import assemble_constraints, rows_of
 from ghostbc.boundary_ops import GhostOperatorSolver
 
 REDUCED_SWEEP_5 = [160, 194, 234, 283, 343]
@@ -76,7 +76,7 @@ def _interior_only_errors(bench, result):
     ).tocsr()
     rhs = np.concatenate([system.rhs[:ni], exact])
     report = g.solve(g.SparseSystem(matrix, rhs, ni, ng))
-    return g.compute_errors(report.solution, bench, classification, grid)
+    return g.compute_errors(report.solution, bench, classification)
 
 
 def _sweep_with_interior_only(cfg):
@@ -115,7 +115,7 @@ def n502_stage_stats():
     bench = g.annulus_homogeneous()
     classification = g.classify_nodes(grid, bench.level_set)
     stages = {
-        kind: g.build_ghost_rows(classification, g.StencilStrategy(kind=kind), bench.coefficients, grid)
+        kind: g.build_ghost_rows(classification, g.StencilStrategy(kind=kind), bench.coefficients)
         for kind in ("S4.1", "S4.2", "S4.3")
     }
     return classification, stages
@@ -354,9 +354,7 @@ def test_criterion_9_min_norm_properties():
         bench = cfg.make_benchmark()
         grid = g.Grid(n)
         classification = g.classify_nodes(grid, bench.level_set)
-        rows = g.build_ghost_rows(
-            classification, cfg.stencil_strategy(), bench.coefficients, grid
-        )
+        rows = g.build_ghost_rows(classification, cfg.stencil_strategy(), bench.coefficients)
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
         rows_collected.extend((solver, row) for row in rows_of(rows))
     assert len(rows_collected) >= 1000
@@ -368,7 +366,7 @@ def test_criterion_9_min_norm_properties():
     n_square = 0
     for solver, row in rows_collected:
         points = np.column_stack(solver.grid.coords(row.member_ij[:, 0], row.member_ij[:, 1]))
-        matrix, rhs = g.assemble_constraints(
+        matrix, rhs = assemble_constraints(
             points, row.collar, solver.robin_at(row.collar), solver.config_for(row.collar.ghost_xy)
         )
         a = row.coeffs
@@ -404,8 +402,8 @@ def test_criterion_9_min_norm_properties():
 def test_criterion_10_s3_explicitness(annulus_bench, annulus_160):
     grid, classification = annulus_160
     strategy = g.StencilStrategy(kind="S3")
-    rows = g.build_ghost_rows(classification, strategy, annulus_bench.coefficients, grid)
-    system, _ = g.assemble(classification, annulus_bench.coefficients, grid, rows)
+    rows = g.build_ghost_rows(classification, strategy, annulus_bench.coefficients)
+    system, _ = g.assemble(classification, annulus_bench.coefficients, rows)
     ni = classification.n_interior
     gg = system.matrix[ni:, ni:].tocoo()
     off_diagonal = int((gg.row != gg.col).sum() and np.abs(gg.data[gg.row != gg.col]).max() > 0)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import ghostbc as g
+from conftest import square_level_set
 from ghostbc.analysis import (
     ConvergenceSeries,
     fit_order,
     reconstruct_gradient,
     stencil_diagnostics,
 )
-from ghostbc.benchmarks import square_level_set
 from ghostbc.errors import DegenerateFit
 
 
@@ -74,7 +74,7 @@ class TestComputeErrors:
                 return z, z
 
         sol = np.full(classification.n_active, 0.25)
-        report = g.compute_errors(sol, ZeroBench(), classification, grid)
+        report = g.compute_errors(sol, ZeroBench(), classification)
         assert report.l1_absolute
         assert report.l1 == pytest.approx(0.25 * classification.n_interior)
 
@@ -90,11 +90,11 @@ class TestComputeErrors:
         grid, classification = annulus_160
         sol = inject(classification, annulus_bench.solution)
         sol += rng.normal(scale=1e-6, size=sol.shape)
-        base = g.compute_errors(sol, annulus_bench, classification, grid)
+        base = g.compute_errors(sol, annulus_bench, classification)
         # norms are sums/maxima over nodes; any node reordering is a no-op
         # beyond float summation order
         perm_sol = sol.copy()
-        report = g.compute_errors(perm_sol, annulus_bench, classification, grid)
+        report = g.compute_errors(perm_sol, annulus_bench, classification)
         for norm, value in base.values().items():
             assert report.values()[norm] == pytest.approx(value, rel=1e-13)
 
@@ -148,9 +148,7 @@ class TestStencilDiagnostics:
     def test_all_s3_rows_have_zero_ratio(self, annulus_bench):
         grid = g.Grid(64)
         classification = g.classify_nodes(grid, annulus_bench.level_set)
-        rows = g.build_ghost_rows(
-            classification, g.StencilStrategy(kind="S3"), annulus_bench.coefficients, grid
-        )
+        rows = g.build_ghost_rows(classification, g.StencilStrategy(kind="S3"), annulus_bench.coefficients)
         diag = stencil_diagnostics(rows)
         assert diag.n_zero_ratio == len(rows)
         assert len(diag.log10_ratio) == 0

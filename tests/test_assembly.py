@@ -3,13 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 import ghostbc as g
+from conftest import node_xy, square_level_set
 from ghostbc.assembly import (
     ProblemCoefficients,
     SparseSystem,
     export_matrix_market,
 )
 from ghostbc.basis import RobinData
-from ghostbc.benchmarks import R_INNER, R_OUTER, annulus_level_set, square_level_set
+from ghostbc.benchmarks import R_INNER, R_OUTER, annulus_level_set
 from ghostbc.errors import MissingNeighbor, SingularMatrix
 
 
@@ -52,13 +53,13 @@ def identity_ghost_rows(classification, rows=None):
 
 def assemble_with_rows(classification, strategy, coeffs, grid):
     """Build the level's ghost rows with ``strategy``, then assemble."""
-    rows = g.build_ghost_rows(classification, strategy, coeffs, grid)
-    return g.assemble(classification, coeffs, grid, rows)
+    rows = g.build_ghost_rows(classification, strategy, coeffs)
+    return g.assemble(classification, coeffs, rows)
 
 
 def interior_row(k, coeffs, grid, classification):
     """(columns, values, rhs) of interior row k, read off the assembled system."""
-    system, _ = g.assemble(classification, coeffs, grid, identity_ghost_rows(classification))
+    system, _ = g.assemble(classification, coeffs, identity_ghost_rows(classification))
     row = system.matrix[k]
     return row.indices, row.data, float(system.rhs[k])
 
@@ -76,7 +77,7 @@ class TestInteriorRow:
         # pick a node with all 8 cross neighbors well inside
         k = None
         for idx, (i, j) in enumerate(classification.interior_ij):
-            if abs(grid.node_xy(i, j)).max() < 0.4:
+            if abs(node_xy(grid, i, j)).max() < 0.4:
                 k = idx
                 break
         cols, vals, rhs = interior_row(k, laplace_coefficients(), grid, classification)
@@ -97,7 +98,7 @@ class TestInteriorRow:
         classification = g.classify_nodes(grid, square_level_set(0.77))
         target = None
         for idx, (i, j) in enumerate(classification.interior_ij):
-            x, y = grid.node_xy(i, j)
+            x, y = node_xy(grid, i, j)
             if abs(x - 0.5) < 1e-12 and abs(y) < 1e-12:
                 target = idx
                 break
@@ -120,9 +121,7 @@ class TestGhostRow:
         grid, classification = annulus_160
         members = np.vstack([classification.ghost_ij[0], classification.interior_ij[:2]])
         row = (members, np.array([0.5, 0.5, 0.0]), 0.25)
-        system, _ = g.assemble(
-            classification, laplace_coefficients(), grid, identity_ghost_rows(classification, {0: row})
-        )
+        system, _ = g.assemble(classification, laplace_coefficients(), identity_ghost_rows(classification, {0: row}))
         ni = classification.n_interior
         assert system.rhs[ni] == 0.25
         entries = system.matrix[ni]
@@ -141,7 +140,7 @@ class TestGhostRow:
         rows = identity_ghost_rows(classification, {5: bad(5), 2: bad(2)})
         with pytest.raises(MissingNeighbor, match=rf"ghost row \({rows.ghost_ij[2][0]}, {rows.ghost_ij[2][1]}\) "
                            "references an inactive node"):
-            g.assemble(classification, laplace_coefficients(), grid, rows)
+            g.assemble(classification, laplace_coefficients(), rows)
 
     def test_annulus_rhs_by_boundary_piece(self, annulus_160_rows):
         mid = 0.5 * (R_INNER + R_OUTER)
@@ -241,7 +240,7 @@ class TestSolve:
         grid, classification = annulus_160
         _, _, report = annulus_160_solved
         assert report.residual <= 1e-10
-        errors = g.compute_errors(report.solution, annulus_bench, classification, grid)
+        errors = g.compute_errors(report.solution, annulus_bench, classification)
         assert errors.linf <= 1e-4  # discretization-scale sanity bound
 
     def test_quartic_polynomial_exactness_small_grid(self):

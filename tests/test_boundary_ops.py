@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import rows_of
+from conftest import assemble_constraints, circle_level_set, node_xy, rows_of
 
 import ghostbc as g
 from ghostbc.basis import BasisConfig, RobinData, enumerate_basis
@@ -11,7 +11,6 @@ from ghostbc.assembly import _ghost_ratios
 from ghostbc.boundary_ops import (
     RESIDUAL_TOLERANCE,
     GhostOperatorSolver,
-    assemble_constraints,
     coefficient_amplification,
     solve_constraints,
 )
@@ -61,6 +60,21 @@ def run(solver, generators):
     if error is not None:
         raise error
     return results
+
+
+def run_alone(solver, trials, solved):
+    """What one trial generator returns with every trial solved alone, none screened.
+
+    Appends each trial's solve to ``solved``.
+    """
+    solve = None
+    while True:
+        try:
+            member_ij, collar = trials.send(solve)
+        except StopIteration as stop:
+            return stop.value
+        solve = solve_alone(solver, member_ij, collar)
+        solved.append(solve)
 
 
 def inaccurate_system():
@@ -202,7 +216,7 @@ class TestSolveMinNorm:
         # independent raw-basis oracle
         alphas = enumerate_basis(5)
         x, y = grid.coords(members[:, 0], members[:, 1])
-        cx, cy = grid.node_xy(*ghost)
+        cx, cy = node_xy(grid, *ghost)
         raw = np.array([(x - cx) ** ax * (y - cy) ** ay for ax, ay in alphas])
         robin = annulus_bench.coefficients.robin(collar)
         p = collar.point
@@ -259,7 +273,7 @@ class TestRowProperties:
         alphas = enumerate_basis(5)
         for row in rows_of(annulus_160_rows)[:: max(1, len(annulus_160_rows) // 60)]:
             coeffs = rng.standard_normal(len(alphas))
-            cx, cy = grid.node_xy(*row.ghost_ij)
+            cx, cy = node_xy(grid, *row.ghost_ij)
 
             def q(x, y):
                 return sum(c * (x - cx) ** ax * (y - cy) ** ay for c, (ax, ay) in zip(coeffs, alphas))
@@ -320,7 +334,7 @@ class TestRowProperties:
         # rotating the whole Dirichlet configuration by 90 degrees about the
         # origin permutes the lattice exactly and maps the coefficients along
         radius = 0.47
-        ls = g.benchmarks.circle_level_set(radius)
+        ls = circle_level_set(radius)
         grid = g.Grid(40)
         classification = g.classify_nodes(grid, ls)
 
@@ -414,7 +428,7 @@ class TestResidualContract:
         strategy = g.StencilStrategy(kind="S2")
         message = f"S2 stencil of ghost {ghost} is rank-deficient or misses its constraints"
         with pytest.raises(NotAdmissible, match=re.escape(f"{message} (relative residual {result.residual:.3e})")):
-            g.build_ghost_rows(classification, strategy, annulus_bench.coefficients, grid)
+            g.build_ghost_rows(classification, strategy, annulus_bench.coefficients)
 
     def test_rank_deficient_reports_infinite_residual(self):
         cfg = BasisConfig(spacing=0.1, center=np.zeros(2), order=2)
@@ -468,21 +482,34 @@ class TestLockstepLevel:
         [("annulus", "S4.3", 160), ("flower", "S4.3", 160), ("annulus", "S1", 64), ("flower", "S2", 96),
          ("conv-bl2", "S3", 96), ("annulus", "S4.1", 80), ("flower", "S4.2", 96)],
     )
-    def test_level_equals_one_ghost_at_a_time(self, name, kind, n):
-        # flower-160 S4.3 has axis-collar fallbacks and rebuilds
+    def test_level_equals_one_ghost_at_a_time(self, name, kind, n, monkeypatch):
+        # flower-160 S4.3 has axis-collar fallbacks and rebuilds.  The
+        # reference solves every trial; the level skips the cone trials that
+        # are rank-deficient by construction, and must build the same rows.
         bench, grid, classification, strategy = _level(name, kind, n)
-        rows = g.build_ghost_rows(classification, strategy, bench.coefficients, grid)
+        level_solved = []
+        stacked = boundary_ops.solve_constraints
+
+        def counting(matrix, rhs):
+            level_solved.extend(rhs)
+            return stacked(matrix, rhs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(boundary_ops, "solve_constraints", counting)
+            rows = g.build_ghost_rows(classification, strategy, bench.coefficients)
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
         collars = g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)
         assert len(rows) == len(collars) > 100
+        solved = []
         for k, (row, collar) in enumerate(zip(rows_of(rows), collars)):
             if kind in TRIANGLE_KINDS:
                 members = reference_triangle(kind, collar, strategy.triangle_size, classification)
                 row_collar, solve, swaps, aperture = collar, solve_alone(solver, members, collar), 0, 0.0
+                solved.append(solve)
                 assert solve.admissible
             else:
                 one = ghost_trials(collar, strategy, grid, classification, 15)
-                ((members, row_collar, solve, swaps, aperture),) = run(solver, [one])
+                members, row_collar, solve, swaps, aperture = run_alone(solver, one, solved)
             assert row.ghost_ij == collar.ghost_ij == tuple(row.member_ij[0])
             assert np.array_equal(row.member_ij, members)
             assert np.array_equal(row.coeffs, solve.coeffs)
@@ -496,11 +523,59 @@ class TestLockstepLevel:
             assert rows.rebuilt[k] == (row_collar is not collar)
         if name == "flower" and kind == "S4.3":
             assert {"closest", "axis"} <= {collar.mode for collar in rows.collars}
+        if kind in TRIANGLE_KINDS:
+            assert len(level_solved) == len(solved)
+        else:
+            # the rank screen skips about half of the trials
+            assert len(level_solved) <= 0.6 * len(solved)
+
+    @pytest.mark.parametrize(
+        "name, kind, n", [("annulus", "S4.3", 160), ("flower", "S4.3", 160), ("hourglass", "S4.2", 128),
+                          ("leaf", "S4.3", 160)],
+    )
+    def test_screen_skips_only_inadmissible_trials(self, name, kind, n, monkeypatch):
+        # Every trial of the level, in both S4.3 phases, with the solve it was
+        # sent; a skipped trial, solved on its real constraint matrix, must
+        # be inadmissible.
+        bench, grid, classification, strategy = _level(name, kind, n)
+        trials, skips = [], []
+        cone_stages, deficient = stencils._cone_stages, GhostOperatorSolver._deficient
+
+        def recording(stream, collar, strategy, n_constraints):
+            stages, solve = cone_stages(stream, collar, strategy, n_constraints), None
+            while True:
+                try:
+                    member_ij, collar = stages.send(solve)
+                except StopIteration as stop:
+                    return stop.value
+                solve = yield member_ij, collar
+                trials.append((member_ij, collar, solve))
+
+        def screening(self, member_ij):
+            skip = deficient(self, member_ij)
+            skips.append(skip)
+            return skip
+
+        monkeypatch.setattr(stencils, "_cone_stages", recording)
+        monkeypatch.setattr(GhostOperatorSolver, "_deficient", screening)
+        g.build_ghost_rows(classification, strategy, bench.coefficients)
+        skipped_ids = {id(s) for s in skips if s is not None}
+        skipped = [(m, c) for m, c, s in trials if id(s) in skipped_ids]
+        assert len(skips) == len(trials) and 0.3 * len(trials) < len(skipped) < 0.7 * len(trials)
+        solver = GhostOperatorSolver(grid, bench.coefficients.robin)
+        by_size = {}
+        for member_ij, collar in skipped:
+            by_size.setdefault(len(member_ij), []).append((member_ij, collar))
+        for group in by_size.values():
+            members, collars = zip(*group)
+            solves = solver.solve(np.array(members), collars)
+            assert not any(s.admissible for s in solves)
+            assert max(s.singular_values[-1] / s.singular_values[0] for s in solves) < 1e-13
 
     def test_first_failing_ghost_raises(self, annulus_160):
         grid, _ = annulus_160
         solver = GhostOperatorSolver(grid, lambda collar: dirichlet(collar.normal))
-        collar = make_collar(grid.node_xy(80, 80), grid.node_xy(80, 80) + [0.001, 0.0])
+        collar = make_collar(node_xy(grid, 80, 80), node_xy(grid, 80, 80) + [0.001, 0.0])
         members = np.array([[80, 80], [81, 80], [80, 81], [79, 80], [80, 79]])
         sent = []
 
@@ -530,17 +605,17 @@ class TestLockstepLevel:
         assert run(solver, [trials(0, 2), trials(1, 0)]) == [0, 1]
 
     def test_level_raises_the_first_ghosts_error(self):
-        # no stencil gets chi below 1: every ghost grows past the cap in the
-        # same round, and the level reports the first ghost with the message
-        # that ghost raises alone
+        # no stencil gets chi below 1: every ghost grows past the cap, and the
+        # level reports the first ghost with the message that ghost raises
+        # alone, every trial solved and none screened
         bench, grid, classification, _ = _level("annulus", "S4.1", 48)
         strategy = g.StencilStrategy(kind="S4.1", local_tol=1.0)
         collar = g.collars_for_ghosts(classification.ghost_ij[:1], grid, bench.level_set)[0]
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
         with pytest.raises(NotAdmissible) as alone:
-            run(solver, [ghost_trials(collar, strategy, grid, classification, solver.n_constraints)])
+            run_alone(solver, ghost_trials(collar, strategy, grid, classification, solver.n_constraints), [])
         with pytest.raises(NotAdmissible) as level:
-            g.build_ghost_rows(classification, strategy, bench.coefficients, grid)
+            g.build_ghost_rows(classification, strategy, bench.coefficients)
         assert str(level.value) == str(alone.value)
         assert f"ghost {collar.ghost_ij}" in str(level.value)
 
@@ -563,7 +638,7 @@ class TestLockstepLevel:
 
         monkeypatch.setattr(assembly, "triangle_stencils", with_inactive)
         with pytest.raises(GhostBcError) as error:
-            g.build_ghost_rows(classification, g.StencilStrategy(kind="S3"), annulus_bench.coefficients, grid)
+            g.build_ghost_rows(classification, g.StencilStrategy(kind="S3"), annulus_bench.coefficients)
         if inadmissible_first:
             assert type(error.value) is NotAdmissible
             assert str(error.value).startswith(f"S3 stencil of ghost {early} is rank-deficient")
@@ -579,7 +654,7 @@ class TestLockstepLevel:
         grid, classification = annulus_160
         strategy = g.StencilStrategy(kind="S4.3")
         coeffs = annulus_bench.coefficients
-        early = int(np.flatnonzero(g.build_ghost_rows(classification, strategy, coeffs, grid).rebuilt)[0])
+        early = int(np.flatnonzero(g.build_ghost_rows(classification, strategy, coeffs).rebuilt)[0])
         late = early + late
         late_ij = tuple(int(v) for v in classification.ghost_ij[late])
         early_ij = tuple(int(v) for v in classification.ghost_ij[early])
@@ -598,10 +673,10 @@ class TestLockstepLevel:
         cone_stages = stencils._cone_stages
         monkeypatch.setattr(stencils, "_cone_stages", failing_growth)
         with pytest.raises(NotAdmissible, match=f"growth of ghost {re.escape(str(late_ij))} failed"):
-            g.build_ghost_rows(classification, strategy, coeffs, grid)
+            g.build_ghost_rows(classification, strategy, coeffs)
         monkeypatch.setattr(stencils, "axis_projection", failing_projection)
         with pytest.raises(ProjectionDiverged) as error:
-            g.build_ghost_rows(classification, strategy, coeffs, grid)
+            g.build_ghost_rows(classification, strategy, coeffs)
         assert error.value is failed and str(error.value) == f"axis projection of ghost {early_ij} failed"
 
     def test_failing_rebuild_is_its_ghosts_error(self, annulus_bench, annulus_160, monkeypatch):
@@ -609,7 +684,7 @@ class TestLockstepLevel:
         grid, classification = annulus_160
         strategy = g.StencilStrategy(kind="S4.3")
         coeffs = annulus_bench.coefficients
-        rows = g.build_ghost_rows(classification, strategy, coeffs, grid)
+        rows = g.build_ghost_rows(classification, strategy, coeffs)
         first, second, third = (tuple(int(v) for v in rows.ghost_ij[k]) for k in np.flatnonzero(rows.rebuilt)[:3])
         cone_stages = stencils._cone_stages
 
@@ -622,4 +697,4 @@ class TestLockstepLevel:
 
         monkeypatch.setattr(stencils, "_cone_stages", failing_rebuild)
         with pytest.raises(InactiveMember, match=re.escape(f"rebuild of ghost {second} failed")):
-            g.build_ghost_rows(classification, strategy, coeffs, grid)
+            g.build_ghost_rows(classification, strategy, coeffs)

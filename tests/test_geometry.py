@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghostbc as g
+from conftest import circle_level_set, node_xy, square_level_set
 from ghostbc.benchmarks import (
     R_INNER,
     R_OUTER,
     annulus_level_set,
-    circle_level_set,
     flower_level_set,
     hourglass_level_set,
     leaf_level_set,
-    square_level_set,
 )
 from ghostbc.errors import (
     EmptyInterior,
@@ -151,8 +150,7 @@ class TestClassifyNodes:
 
 def project_point(xy, level_set):
     """Closest-point projection of one point, which must converge."""
-    (collar,) = _closest_points(np.array([xy], dtype=float), level_set, [None],
-                                PROJECTION_TOLERANCE, PROJECTION_MAX_ITER)
+    (collar,) = _closest_points(np.array([xy], dtype=float), level_set, [None])
     assert isinstance(collar, g.CollarPoint), collar
     return collar
 
@@ -483,7 +481,7 @@ class TestBatchedCollars:
         assert sum(c.mode == "axis" for c in batch) == n_axis
         for ij, collar in zip(classification.ghost_ij, batch):
             assert same_collar(collar, collars_for_ghosts([ij], grid, ls)[0])
-            scalar = _scalar_projection(grid.node_xy(*ij), ls)
+            scalar = _scalar_projection(node_xy(grid, *ij), ls)
             if scalar is None:
                 assert collar.mode == "axis"
             else:
@@ -508,13 +506,12 @@ class TestBatchedCollars:
         assert sum(c.mode == "axis" for c in collars) == 3
         assert len(calls) < 600
         keys = [tuple(int(v) for v in ij) for ij in ghost_ij]
-        results = _closest_points(np.column_stack(grid.coords(ghost_ij[:, 0], ghost_ij[:, 1])), ls, keys,
-                                  PROJECTION_TOLERANCE, PROJECTION_MAX_ITER)
+        results = _closest_points(np.column_stack(grid.coords(ghost_ij[:, 0], ghost_ij[:, 1])), ls, keys)
         failed = [(k, r) for k, r in enumerate(results) if not isinstance(r, g.CollarPoint)]
         assert [k for k, _ in failed] == [k for k, c in enumerate(collars) if c.mode == "axis"]
         for k, result in failed:
             assert isinstance(result, ProjectionDiverged)
-            xy = np.array(grid.node_xy(*keys[k]))
+            xy = np.array(node_xy(grid, *keys[k]))
             assert str(result) == f"projection from {xy} did not converge in 100 iterations"
 
     def test_failures_fall_back_without_touching_the_batch(self, caplog):
@@ -524,10 +521,7 @@ class TestBatchedCollars:
         others = [(10, 10), (8, 11), (6, 5), (11, 9)]
         ij = np.array(failing + others)
         x, y = grid.coords(ij[:, 0], ij[:, 1])
-        results = _closest_points(
-            np.column_stack([x, y]), ls, [tuple(v) for v in ij.tolist()],
-            PROJECTION_TOLERANCE, PROJECTION_MAX_ITER,
-        )
+        results = _closest_points(np.column_stack([x, y]), ls, [tuple(v) for v in ij.tolist()])
         assert isinstance(results[0], ZeroGradient)
         assert isinstance(results[1], ProjectionDiverged) and "stalled" in str(results[1])
         assert all(isinstance(r, g.CollarPoint) for r in results[2:])
@@ -537,7 +531,7 @@ class TestBatchedCollars:
         assert sum("using axis projection" in r.message for r in caplog.records) == 2
         for k, node in enumerate(failing):
             assert collars[k].mode == "axis"
-            assert same_collar(collars[k], scalar_axis_projection(grid.node_xy(*node), ls, grid.h, ghost_ij=node))
+            assert same_collar(collars[k], scalar_axis_projection(node_xy(grid, *node), ls, grid.h, ghost_ij=node))
             assert abs(float(ls.evaluate(*collars[k].point))) <= PROJECTION_TOLERANCE
         alone = collars_for_ghosts(others, grid, ls)
         for collar, ref, result in zip(collars[2:], alone, results[2:]):
@@ -567,7 +561,7 @@ class TestAxisProjectionBrackets:
         ls = flower_level_set()
         grid = g.Grid(160)
         classification = g.classify_nodes(grid, ls)
-        xy = [grid.node_xy(*ij) for ij in classification.ghost_ij[::6]]
+        xy = [node_xy(grid, *ij) for ij in classification.ghost_ij[::6]]
         for point, got in zip(xy, axis_projection(xy, ls, grid.h)):
             oracle = _brute_force_axis(point, ls, grid.h)
             if oracle is None:
@@ -641,7 +635,7 @@ def test_moved_collars_equal_the_iteration_run_to_its_cap(shape, n, angle, shift
     keys = [tuple(int(v) for v in ij) for ij in ghost_ij]
     xy = np.column_stack(grid.coords(ghost_ij[:, 0], ghost_ij[:, 1]))
     oracle = [_scalar_projection(point, ls) for point in xy]
-    results = _closest_points(xy, ls, keys, PROJECTION_TOLERANCE, PROJECTION_MAX_ITER)
+    results = _closest_points(xy, ls, keys)
     for expected, result in zip(oracle, results):
         if expected is None:
             assert isinstance(result, GeometryError)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghostbc as g
+from conftest import circle_level_set, node_xy
 from ghostbc import geometry
-from ghostbc.benchmarks import circle_level_set, flower_level_set, hourglass_level_set
+from ghostbc.benchmarks import flower_level_set, hourglass_level_set
 from ghostbc.boundary_ops import GhostOperatorSolver, coefficient_amplification
 from ghostbc.errors import GhostBcError, InactiveMember
 from ghostbc.geometry import CollarPoint
@@ -160,7 +161,7 @@ def annulus_160_stages(annulus_bench, annulus_160, annulus_160_rows):
     """
     grid, classification = annulus_160
     stages = {
-        kind: g.build_ghost_rows(classification, g.StencilStrategy(kind=kind), annulus_bench.coefficients, grid)
+        kind: g.build_ghost_rows(classification, g.StencilStrategy(kind=kind), annulus_bench.coefficients)
         for kind in ("S4.1", "S4.2")
     }
     return {**stages, "S4.3": annulus_160_rows}
@@ -180,7 +181,7 @@ class TestTriangles:
         # a ghost in the lower-left exterior: the domain lies up-right of it
         ghost = None
         for ij in classification.ghost_ij:
-            x, y = grid.node_xy(*ij)
+            x, y = node_xy(grid, *ij)
             if x < -0.2 and y < -0.2:
                 ghost = tuple(int(v) for v in ij)
                 break
@@ -193,7 +194,7 @@ class TestTriangles:
 
     def test_s1_small_triangle_mixed_signs(self):
         grid = g.Grid(40)
-        ghost_xy = grid.node_xy(30, 10)
+        ghost_xy = node_xy(grid, 30, 10)
         # boundary up-left of the ghost: inward signs (-1, +1)
         collar = make_collar(ghost_xy, ghost_xy + np.array([-0.03, 0.02]), (30, 10))
         classification = _all_active_stub(grid)
@@ -212,13 +213,13 @@ class TestTriangles:
         assert failing and all(type(error) is InactiveMember for error in failing)
         # the level raises the first failing ghost's error
         with pytest.raises(InactiveMember) as raised:
-            g.build_ghost_rows(classification, g.StencilStrategy(kind="S1"), annulus_bench.coefficients, grid)
+            g.build_ghost_rows(classification, g.StencilStrategy(kind="S1"), annulus_bench.coefficients)
         assert type(raised.value) is InactiveMember and str(raised.value) == str(failing[0])
 
     def test_s2_vertex_and_members_x_branch(self):
         grid = g.Grid(40)
         ghost = (8, 20)
-        ghost_xy = grid.node_xy(*ghost)
+        ghost_xy = node_xy(grid, *ghost)
         collar = make_collar(ghost_xy, ghost_xy + np.array([0.031, 0.004]), ghost)
         classification = _all_active_stub(grid)
         members = triangle("S2", collar, 4, classification)
@@ -231,7 +232,7 @@ class TestTriangles:
     def test_s2_tie_takes_x_branch(self):
         grid = g.Grid(40)
         ghost = (20, 20)  # at the origin, so the displacement is an exact tie
-        ghost_xy = grid.node_xy(*ghost)
+        ghost_xy = node_xy(grid, *ghost)
         collar = make_collar(ghost_xy, ghost_xy + np.array([0.02, 0.02]), ghost)
         assert collar.displacement[0] == collar.displacement[1]
         classification = _all_active_stub(grid)
@@ -340,7 +341,7 @@ def test_perturbed_geometry_triangles(annulus_bench, shape, n, shift):
         strategy = g.StencilStrategy(kind=kind)
         try:
             classification, band = extend_classification(base, strategy)
-            rows = g.build_ghost_rows(classification, strategy, annulus_bench.coefficients, grid, collars=band)
+            rows = g.build_ghost_rows(classification, strategy, annulus_bench.coefficients, collars=band)
         except GhostBcError:
             continue
         members, errors = triangle_stencils(kind, rows.collars, 4, classification)
@@ -361,7 +362,7 @@ class TestCone:
         grid = g.Grid(40)
         classification = _all_active_stub(grid)
         ghost = (20, 20)
-        ghost_xy = grid.node_xy(*ghost)
+        ghost_xy = node_xy(grid, *ghost)
         collar = make_collar(ghost_xy, ghost_xy + np.array([0.1, 0.0]), ghost)
         for i, j in cone_list(ghost, collar, 60.0, grid, classification, limit=30)[1:]:
             v = np.array([i - ghost[0], j - ghost[1]], dtype=float)
@@ -406,7 +407,7 @@ class TestCandidateStream:
         grid = g.Grid(40)
         classification = _all_active_stub(grid)
         ghost = (37, 20)
-        ghost_xy = grid.node_xy(*ghost)
+        ghost_xy = node_xy(grid, *ghost)
         collar = make_collar(ghost_xy, ghost_xy + np.array([0.1, 0.013]), ghost)
         strategy = g.StencilStrategy(kind="S4.1", aperture_deg=30.0)
         stream = _CandidateStream(collar, strategy.aperture_deg, classification)
@@ -509,7 +510,7 @@ class TestConeStrategies:
         cfg = g.RunConfig(benchmark="flower", strategy="S4.3", n=283)
         bench, grid = cfg.make_benchmark(), g.Grid(283)
         classification = g.classify_nodes(grid, bench.level_set)
-        rows = g.build_ghost_rows(classification, cfg.stencil_strategy(), bench.coefficients, grid)
+        rows = g.build_ghost_rows(classification, cfg.stencil_strategy(), bench.coefficients)
         axis = np.array([collar.mode == "axis" for collar in rows.collars])
         fallbacks = [c.mode == "axis" for c in g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)]
         assert rows.rebuilt.dtype == bool
@@ -602,7 +603,7 @@ class TestExtension:
         assert set(seen) == set(map(tuple, ghosts.tolist()))
         if kind == "S1":
             assert classification.n_ghost == 480
-        again = g.build_ghost_rows(classification, cfg.stencil_strategy(), bench.coefficients, g.Grid(64))
+        again = g.build_ghost_rows(classification, cfg.stencil_strategy(), bench.coefficients)
         assert len(seen) == 2 * classification.n_ghost
         assert all(same_collar(a, b) for a, b in zip(result.rows.collars, again.collars, strict=True))
         for column in ("sizes", "member_ij", "coeffs", "rhs", "chi", "r_ratio"):
