@@ -8,7 +8,7 @@ import numpy as np
 
 from .assembly import DERIVATIVE_WEIGHTS, GhostRows
 from .errors import DegenerateFit, MissingNeighbor
-from .geometry import Grid, NodeClassification, pairwise_diameter
+from .geometry import NodeClassification, pairwise_diameter
 
 NORM_NAMES = ("l1", "linf", "grad_l1", "grad_linf")
 
@@ -34,17 +34,14 @@ class ErrorReport:
         return {name: getattr(self, name) for name in NORM_NAMES}
 
 
-def reconstruct_gradient(
-    solution: np.ndarray,
-    classification: NodeClassification,
-    grid: Grid,
-) -> np.ndarray:
+def reconstruct_gradient(solution: np.ndarray, classification: NodeClassification) -> np.ndarray:
     """Fourth-order centred gradient of the discrete solution.
 
     Returns an (n_interior, 2) array.  Ghost values participate through the
     active-node numbering, which is what makes the reconstruction fourth
     order up to the boundary.
     """
+    grid = classification.grid
     interior = classification.interior_ij
     index = classification.active_index
     out = np.zeros((len(interior), 2))
@@ -84,7 +81,7 @@ def compute_errors(
 
     gx, gy = benchmark.solution_gradient(x, y)
     grad_exact = np.column_stack([np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)])
-    grad_numeric = reconstruct_gradient(solution, classification, grid)
+    grad_numeric = reconstruct_gradient(solution, classification)
     grad_diff = np.linalg.norm(grad_numeric - grad_exact, axis=1)
     grad_norm = np.linalg.norm(grad_exact, axis=1).sum()
     grad_l1 = grad_diff.sum() / (grad_norm if grad_norm > 0.0 else 1.0)

@@ -50,7 +50,10 @@ class Benchmark:
         return -self.coefficients.diffusion * lap + u * gx + v * gy - f
 
     def self_check(self, n_samples: int = _SELF_CHECK_SAMPLES, tol: float = _SELF_CHECK_TOL) -> None:
-        """Assert the analytic solution satisfies the PDE at random interior points."""
+        """Check the analytic solution against the PDE at random interior points.
+
+        Raises ``ValueError`` where the residual exceeds ``tol`` or is not a number.
+        """
         rng = np.random.default_rng(_SELF_CHECK_SEED)
         found = 0
         attempts = 0
@@ -63,8 +66,8 @@ class Benchmark:
                 continue
             found += 1
             res = float(self.pde_residual(x, y))
-            if abs(res) > tol:
-                raise AssertionError(
+            if not abs(res) <= tol:
+                raise ValueError(
                     f"benchmark '{self.name}': PDE residual {res:.3e} at ({x:.4f}, {y:.4f})"
                 )
 
@@ -367,6 +370,8 @@ def _radial_solution(kappa: float, u0: float):
     else:
         beta = u0 / kappa
         denom = r2**beta - r1**beta
+        if denom == 0.0:
+            raise ValueError(f"no closed form for u0/kappa = {beta:g}: r2**beta - r1**beta is zero")
         r0 = u0 / (kappa - u0) * (r1 * r2**beta - r2 * r1**beta) / denom
         c = (r2 - r1) / ((kappa - u0) * denom)
 
@@ -444,7 +449,7 @@ def peclet_numbers(benchmark: Benchmark, grid: Grid) -> tuple[float, float]:
 
 
 def _check_annulus_boundary(bench: Benchmark, n_samples: int = 32) -> None:
-    """Spot-check the Robin data against the analytic solution on both circles."""
+    """Spot-check the Robin data against the analytic solution on both circles (``ValueError`` if off)."""
     rng = np.random.default_rng(_SELF_CHECK_SEED + 1)
     for radius, outward in ((R_INNER, -1.0), (R_OUTER, 1.0)):
         for theta in rng.uniform(0.0, 2.0 * math.pi, size=n_samples):
@@ -455,8 +460,8 @@ def _check_annulus_boundary(bench: Benchmark, n_samples: int = 32) -> None:
             gx, gy = bench.solution_gradient(p[0], p[1])
             value = (robin.dirichlet * float(bench.solution(p[0], p[1]))
                      + robin.neumann * float(gx * n[0] + gy * n[1]))
-            if abs(value - robin.value) > _SELF_CHECK_TOL:
-                raise AssertionError(
+            if not abs(value - robin.value) <= _SELF_CHECK_TOL:
+                raise ValueError(
                     f"benchmark '{bench.name}': boundary data mismatch {value - robin.value:.3e} "
                     f"at radius {radius:.4f}"
                 )

@@ -14,9 +14,8 @@ rank check and the Gram-matrix condition number.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -43,11 +42,6 @@ STRUCTURAL_RANK_TOLERANCE = 1e-15
 
 #: Relative residual bound every admissible row must satisfy.
 RESIDUAL_TOLERANCE = 1e-10
-
-#: Trial generators driven in lock-step at a time: enough to make the stacked
-#: calls cheap per trial, few enough to bound the memory the live generators
-#: and the stacks hold.
-LOCKSTEP_BATCH = 128
 
 
 @dataclass
@@ -125,8 +119,8 @@ class GhostOperatorSolver:
     Bundles the grid spacing, the basis order and the benchmark's Robin data
     provider.  ``solve`` solves a stack of same-size trial stencils, and
     ``drive`` runs trial generators (the cone strategies' per-ghost logic)
-    against it in lock-step batches, answering the trials that are
-    rank-deficient by construction without solving them.
+    against it in lock-step, answering the trials that are rank-deficient
+    by construction without solving them.
     """
 
     def __init__(
@@ -197,29 +191,18 @@ class GhostOperatorSolver:
             self._structural[key] = StencilSolve(False, np.inf, None, s, np.inf) if deficient else None
         return self._structural[key]
 
-    def drive(self, generators: Iterable[Trials]) -> tuple[list, GhostBcError | None]:
+    def drive(self, generators: list[Trials]) -> tuple[list, GhostBcError | None]:
         """Drive trial generators in lock-step; returns what each one returns.
 
-        Generators are taken from the iterable ``LOCKSTEP_BATCH`` at a time,
-        so a lazy iterable need build only one batch ahead.  Every round
-        solves the pending trial of every generator of the batch, one
-        ``solve`` per member count; a trial that is rank-deficient by
+        Every round solves the pending trial of every generator, one
+        ``solve`` per member count, so the caller bounds the stacks by the
+        generators it passes.  A trial that is rank-deficient by
         construction gets its ``_deficient`` answer at once, without a
         round.  Returns the results of the generators before the first one
         (in input order) that raised a ``GhostBcError``, as a
         one-ghost-at-a-time loop would, and that error (None when none
         did); the generators after it are not driven further.
         """
-        generators = iter(generators)
-        results: list = []
-        while batch := list(itertools.islice(generators, LOCKSTEP_BATCH)):
-            done, error = self._lockstep(batch)
-            results += done
-            if error is not None:
-                return results, error
-        return results, None
-
-    def _lockstep(self, generators: list[Trials]) -> tuple[list, GhostBcError | None]:
         results: list = [None] * len(generators)
         first_failed, error = len(generators), None
         pending: list[tuple[int, np.ndarray, CollarPoint]] = []

@@ -107,7 +107,10 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def make_benchmark(self) -> benchmarks.Benchmark:
-        return benchmarks.by_name(self.benchmark, kappa=self.kappa, u0=self.u0)
+        try:
+            return benchmarks.by_name(self.benchmark, kappa=self.kappa, u0=self.u0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def echo(self) -> dict:
         return dataclasses.asdict(self)

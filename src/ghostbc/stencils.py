@@ -15,11 +15,10 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .boundary_ops import LOCKSTEP_BATCH, GhostOperatorSolver, Trials, coefficient_amplification
+from .boundary_ops import GhostOperatorSolver, Trials, coefficient_amplification
 from .errors import CandidatesExhausted, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
 from .geometry import CollarPoint, NodeClassification, axis_projection, collars_for_ghosts
 
@@ -42,6 +41,11 @@ MAX_EXTENSION_ROUNDS = 12
 
 #: Largest inward shift S3 tries before giving up on a ghost-exclusive triangle.
 MAX_S3_SHIFT = 6
+
+#: Cone ghosts driven in lock-step at a time: enough to make the stacked
+#: calls cheap per trial, few enough to bound the memory the live generators,
+#: their candidate streams and the stacks hold.
+LOCKSTEP_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -227,10 +231,12 @@ class _CandidateStream:
 
     The active nodes inside the cone, nearest first with (i, j) breaking
     ties, are read off the offset table into a list; ``take`` advances a
-    frontier index through it and ``nearest_available`` scans it from the
-    start.  Running past the table doubles its radius until the table
-    reaches every lattice node; only then is the cone exhausted.
-    ``batch`` opens the streams of many ghosts with their first radius read.
+    frontier index through it and hands out each node once.  Running past
+    the table doubles its radius until the table reaches every lattice
+    node; only then is the cone exhausted, and ``take`` widens it: the
+    wider cone's list starts again from the ghost, skipping the nodes
+    already handed out.  ``batch`` opens the streams of many ghosts with
+    their first radius read.
     """
 
     def __init__(self, collar, aperture_deg, classification):
@@ -242,6 +248,7 @@ class _CandidateStream:
         n = classification.grid.n
         # a table radius with radius^2 >= reach2 covers the lattice
         self.reach2 = max(self.i0, n - self.i0) ** 2 + max(self.j0, n - self.j0) ** 2
+        self.given: set[tuple[int, int]] = set()
         self._open(aperture_deg)
 
     @classmethod
@@ -278,8 +285,8 @@ class _CandidateStream:
             self._extend()
         return self.nodes[k]
 
-    def take(self, exclude: set[tuple[int, int]]) -> tuple[int, int]:
-        """Next unseen candidate in distance order (the growth frontier)."""
+    def take(self) -> tuple[int, int]:
+        """Next candidate not handed out before, in distance order (the growth frontier)."""
         while True:
             node = self.candidate(self.frontier)
             if node is None:
@@ -290,26 +297,13 @@ class _CandidateStream:
                 self._open(min(360.0, self.aperture + APERTURE_STEP))
                 continue
             self.frontier += 1
-            if node not in exclude:
+            if node not in self.given:
+                self.given.add(node)
                 return node
-
-    def nearest_available(self, exclude: set[tuple[int, int]]) -> tuple[int, int]:
-        """Closest cone candidate not excluded, scanning from the ghost again.
-
-        Swap replacements use this rather than the growth frontier so a
-        replacement can be nearer than the last grown member.
-        """
-        k = 0
-        while (node := self.candidate(k)) is not None:
-            if node not in exclude:
-                return node
-            k += 1
-        return self.take(exclude)
 
 
 def _grow_until_conditioned(
     members: list[tuple[int, int]],
-    used: set[tuple[int, int]],
     collar: CollarPoint,
     stream: _CandidateStream,
     strategy: StencilStrategy,
@@ -317,8 +311,7 @@ def _grow_until_conditioned(
     """Append candidates until the stencil is admissible and chi < local_tol.
 
     A trial generator (see ``GhostOperatorSolver.drive``) returning the final
-    solve.  ``used`` holds every node already consumed (members plus swap
-    victims) so nothing is offered twice.
+    solve; ``members`` grows in place.
     """
     while True:
         solve = yield np.array(members, dtype=np.int64), collar
@@ -330,11 +323,9 @@ def _grow_until_conditioned(
                 "points without becoming well conditioned"
             )
         try:
-            node = stream.take(used)
+            members.append(stream.take())
         except CandidatesExhausted as exc:
             raise NotAdmissible(str(exc)) from exc
-        members.append(node)
-        used.add(node)
 
 
 def _cone_stages(
@@ -353,70 +344,35 @@ def _cone_stages(
     amplification over all members: removing whichever member carries the
     largest coefficient (typically a node shadowing the ghost from right
     next to the collar point) is what restores a usable centre coefficient
-    for ghosts that sit deep in the second layer.  A swap that
-    does not strictly improve the amplification is reverted and the loop
-    stops; stencils the swaps cannot fix are left to the collar
-    modification of S4.3 (``cone_rows``).
+    for ghosts that sit deep in the second layer.  The victim's
+    replacement is the stream's next candidate: every nearer one is a
+    member or an earlier victim, and a node leaves the stream once.  A
+    swap trial that cannot be grown to an admissible stencil, or does not
+    strictly improve the amplification, is dropped and the loop stops;
+    stencils the swaps cannot fix are left to the collar modification of
+    S4.3 (``cone_rows``).
     """
-    seed = (stream.i0, stream.j0)
-    members: list[tuple[int, int]] = [seed]
-    used = {seed}
+    members = [(stream.i0, stream.j0)]
     while len(members) < n_constraints:
-        node = stream.take(used)
-        members.append(node)
-        used.add(node)
-    solve = yield from _grow_until_conditioned(members, used, collar, stream, strategy)
+        members.append(stream.take())
+    solve = yield from _grow_until_conditioned(members, collar, stream, strategy)
 
     ratio = coefficient_amplification(solve.coeffs)
     swaps = 0
     max_swaps = 0 if strategy.kind == "S4.1" else strategy.max_swaps
     while ratio >= strategy.global_tol and swaps < max_swaps:
-        victim_pos = 1 + int(np.abs(solve.coeffs[1:]).argmax())
-        victim = members.pop(victim_pos)
+        victim = 1 + int(np.abs(solve.coeffs[1:]).argmax())
         try:
-            replacement = stream.nearest_available(used)
-        except CandidatesExhausted:
-            members.insert(victim_pos, victim)
-            break
-        trial_members = members + [replacement]
-        trial_used = used | {replacement}
-        try:
-            trial_solve = yield from _grow_until_conditioned(
-                trial_members, trial_used, collar, stream, strategy
-            )
-        except NotAdmissible:
-            members.insert(victim_pos, victim)
+            trial = members[:victim] + members[victim + 1:] + [stream.take()]
+            trial_solve = yield from _grow_until_conditioned(trial, collar, stream, strategy)
+        except (CandidatesExhausted, NotAdmissible):
             break
         trial_ratio = coefficient_amplification(trial_solve.coeffs)
         if not trial_ratio < ratio:
-            members.insert(victim_pos, victim)
             break
-        members = trial_members
-        used = trial_used
-        solve = trial_solve
-        ratio = trial_ratio
+        members, solve, ratio = trial, trial_solve, trial_ratio
         swaps += 1
     return np.array(members, dtype=np.int64), collar, solve, swaps, stream.aperture
-
-
-def cone_trials(
-    collars: list[CollarPoint],
-    strategy: StencilStrategy,
-    classification: NodeClassification,
-    n_constraints: int,
-) -> Iterator[Trials]:
-    """The ``_cone_stages`` trial generator of each collar, lazily.
-
-    The candidate streams are opened ``LOCKSTEP_BATCH`` collars at a time,
-    the batch's first cone radius in one pass.  ``GhostOperatorSolver``
-    takes its generators a lock-step batch at a time too, so only one
-    batch's streams exist ahead of their use.
-    """
-    for start in range(0, len(collars), LOCKSTEP_BATCH):
-        batch = collars[start:start + LOCKSTEP_BATCH]
-        streams = _CandidateStream.batch(batch, strategy.aperture_deg, classification)
-        for stream, collar in zip(streams, batch):
-            yield _cone_stages(stream, collar, strategy, n_constraints)
 
 
 def _admissible_or_error(trials: Trials) -> Trials:
@@ -425,6 +381,33 @@ def _admissible_or_error(trials: Trials) -> Trials:
         return (yield from trials)
     except NotAdmissible as exc:
         return exc
+
+
+def _drive_cones(
+    collars: list[CollarPoint],
+    strategy: StencilStrategy,
+    classification: NodeClassification,
+    solver: GhostOperatorSolver,
+    rebuild: bool = False,
+) -> tuple[list, GhostBcError | None]:
+    """The ``_cone_stages`` rows of ``collars``, ``LOCKSTEP_BATCH`` ghosts at a time.
+
+    Each batch opens its candidate streams together, its first cone radius
+    in one pass, and is one ``solver.drive``.  Returns like ``drive``: the
+    rows before the first ghost that raised a ``GhostBcError``, and that
+    error; the batches after it are not opened.  A ``rebuild`` ghost that
+    is not admissible returns its ``NotAdmissible`` as its row.
+    """
+    rows: list = []
+    for start in range(0, len(collars), LOCKSTEP_BATCH):
+        batch = collars[start:start + LOCKSTEP_BATCH]
+        streams = _CandidateStream.batch(batch, strategy.aperture_deg, classification)
+        trials = [_cone_stages(stream, c, strategy, solver.n_constraints) for stream, c in zip(streams, batch)]
+        done, error = solver.drive(list(map(_admissible_or_error, trials)) if rebuild else trials)
+        rows += done
+        if error is not None:
+            return rows, error
+    return rows, None
 
 
 def cone_rows(
@@ -450,7 +433,7 @@ def cone_rows(
     ghost at a time would: phase 1 stops at its first failure, and the
     ghosts before it are rebuilt before that error is raised.
     """
-    rows, error = solver.drive(cone_trials(collars, strategy, classification, solver.n_constraints))
+    rows, error = _drive_cones(collars, strategy, classification, solver)
     rebuilt = np.zeros(len(collars), dtype=bool)
     if strategy.kind == "S4.3":
         retry = [k for k, row in enumerate(rows) if coefficient_amplification(row[2].coeffs) >= strategy.global_tol]
@@ -459,9 +442,7 @@ def cone_rows(
             [collars[k].ghost_ij for k in retry],
         )
         fresh = [collar for collar in axis if isinstance(collar, CollarPoint)]
-        rebuilds, rebuild_error = solver.drive(
-            map(_admissible_or_error, cone_trials(fresh, strategy, classification, solver.n_constraints))
-        )
+        rebuilds, rebuild_error = _drive_cones(fresh, strategy, classification, solver, rebuild=True)
         # the rebuilds in order; an error belongs to the first collar without a result
         outcomes = iter(rebuilds + [rebuild_error])
         for k, collar in zip(retry, axis):

@@ -26,16 +26,16 @@ def inject(classification, func):
 
 class TestReconstructGradient:
     def test_exact_on_linear(self, square_classified):
-        grid, classification = square_classified
+        _, classification = square_classified
         sol = inject(classification, lambda x, y: x)
-        grad = reconstruct_gradient(sol, classification, grid)
+        grad = reconstruct_gradient(sol, classification)
         assert np.allclose(grad[:, 0], 1.0, atol=1e-13)
         assert np.allclose(grad[:, 1], 0.0, atol=1e-13)
 
     def test_exact_on_quartic(self, square_classified):
         grid, classification = square_classified
         sol = inject(classification, lambda x, y: x**4)
-        grad = reconstruct_gradient(sol, classification, grid)
+        grad = reconstruct_gradient(sol, classification)
         x, _ = grid.coords(classification.interior_ij[:, 0], classification.interior_ij[:, 1])
         assert np.allclose(grad[:, 0], 4.0 * x**3, atol=1e-11)
 
@@ -45,7 +45,7 @@ class TestReconstructGradient:
             grid = g.Grid(n)
             classification = g.classify_nodes(grid, square_level_set(0.71))
             sol = inject(classification, lambda x, y: np.sin(2 * x) * np.sin(5 * y))
-            grad = reconstruct_gradient(sol, classification, grid)
+            grad = reconstruct_gradient(sol, classification)
             x, y = grid.coords(classification.interior_ij[:, 0], classification.interior_ij[:, 1])
             gx = 2 * np.cos(2 * x) * np.sin(5 * y)
             gy = 5 * np.sin(2 * x) * np.cos(5 * y)

@@ -408,7 +408,7 @@ class TestResidualContract:
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         strategy = g.StencilStrategy(kind="S4.3")
         collars = g.collars_for_ghosts(classification.ghost_ij[::4], grid, annulus_bench.level_set)
-        run(solver, (ghost_trials(collar, strategy, grid, classification, 15) for collar in collars))
+        run(solver, [ghost_trials(collar, strategy, grid, classification, 15) for collar in collars])
         admissible = [s for s in solves if s.admissible]
         assert len(admissible) > 100
         assert max(s.residual for s in admissible) <= RESIDUAL_TOLERANCE

@@ -85,6 +85,21 @@ class TestMain:
         assert record["message"].startswith(f"config key {key!r} must be")
         assert json.loads((out / "error.json").read_text()) == record
 
+    @pytest.mark.parametrize(
+        "kappa, u0", [("0", "1"), ("-1", "1"), ("nan", "1"), ("inf", "1"), ("1", "inf"), ("1", "1e6"), ("1", "nan"),
+                      ("1", "5000")],
+    )
+    def test_bad_convection_parameters_exit_2(self, tmp_path, capsys, kappa, u0):
+        # rejected by the benchmark (non-positive diffusion, a closed form
+        # that underflows, a self-check that reads NaN) before any level runs
+        out = tmp_path / "o"
+        code = main(["run", "--benchmark", "convection", "--kappa", kappa, "--u0", u0, "--n", "32", "--out", str(out)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert json.loads((out / "error.json").read_text()) == record
+        assert not (out / "run.json").exists()
+
     def test_numerical_failure_exits_1(self, tmp_path, capsys):
         # the hourglass waist cannot host ghost-exclusive triangles this coarse
         code = main([
