@@ -52,21 +52,14 @@ def enumerate_basis(order: int) -> list[Alpha]:
 
 @dataclass(frozen=True)
 class BasisConfig:
-    """Centre (2,) or stack of centres (..., 2), scaling length and order."""
+    """Centre (2,) or stack of centres (..., 2) and scaling length of the basis."""
 
     spacing: float
     center: np.ndarray
-    order: int = DEFAULT_ORDER
 
     def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError(f"polynomial order must be >= 2, got {self.order}")
         if not self.spacing > 0.0:
             raise ValueError(f"basis scaling length must be positive, got {self.spacing}")
-
-    @property
-    def size(self) -> int:
-        return space_dimension(self.order)
 
 
 @dataclass(frozen=True)

@@ -374,6 +374,11 @@ def _radial_solution(kappa: float, u0: float):
             raise ValueError(f"no closed form for u0/kappa = {beta:g}: r2**beta - r1**beta is zero")
         r0 = u0 / (kappa - u0) * (r1 * r2**beta - r2 * r1**beta) / denom
         c = (r2 - r1) / ((kappa - u0) * denom)
+        for name, value in (("r0", r0), ("c", c)):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"no closed form for u0/kappa = {beta:g}: its constant {name} = {value:g} is not finite"
+                )
 
         def phi(r):
             return r / (u0 - kappa) + r0 / u0 + c * np.power(r, beta)

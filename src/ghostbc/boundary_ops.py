@@ -8,14 +8,14 @@ coefficients ``a`` solve
 for every basis monomial ``psi`` of total degree < ``order``.  The feasible
 system is ``C a = g`` with the constraint matrix ``C`` (one row per
 monomial, one column per stencil point); the minimum-norm solution is
-``C^T (C C^T)^{-1} g``, computed here through one SVD that also yields the
+``C^T (C C^T)^{-1} g``, computed here through one SVD that also gives the
 rank check and the Gram-matrix condition number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .basis import (
     enumerate_basis,
     monomial_matrix,
 )
-from .errors import GhostBcError
 from .geometry import CollarPoint, Grid
 
 #: sigma_min/sigma_max below this means the stencil is rank-deficient.
@@ -108,19 +107,13 @@ def coefficient_amplification(coeffs: np.ndarray) -> float:
     return others / center
 
 
-#: A trial generator yields trial stencils ``(member_ij, collar)``, is sent
-#: the ``StencilSolve`` of each, and returns its result.
-Trials = Generator[tuple[np.ndarray, CollarPoint], StencilSolve, object]
-
-
 class GhostOperatorSolver:
     """Conditioning oracle shared by the stencil strategies.
 
     Bundles the grid spacing, the basis order and the benchmark's Robin data
     provider.  ``solve`` solves a stack of same-size trial stencils, and
-    ``drive`` runs trial generators (the cone strategies' per-ghost logic)
-    against it in lock-step, answering the trials that are rank-deficient
-    by construction without solving them.
+    ``deficient`` tells the trials that are rank-deficient by construction,
+    which the cone strategies grow past without solving them.
     """
 
     def __init__(
@@ -135,9 +128,8 @@ class GhostOperatorSolver:
         self._alphas = enumerate_basis(order)
         # id(collar) -> (collar, right-hand side); holding a collar keeps its id unique
         self._rhs: dict[int, tuple[CollarPoint, np.ndarray]] = {}
-        # member offsets from the first member -> None (may be full rank) or
-        # the inadmissible solve of a stencil that is rank-deficient by construction
-        self._structural: dict[bytes, StencilSolve | None] = {}
+        # member offsets from the first member -> rank-deficient by construction
+        self._structural: dict[bytes, bool] = {}
         self._exponents = np.array(self._alphas).T
 
     @property
@@ -145,7 +137,7 @@ class GhostOperatorSolver:
         return len(self._alphas)
 
     def config_for(self, ghost_xy: np.ndarray) -> BasisConfig:
-        return BasisConfig(self.grid.h, np.asarray(ghost_xy, dtype=float), self.order)
+        return BasisConfig(self.grid.h, np.asarray(ghost_xy, dtype=float))
 
     def solve(self, member_ij: np.ndarray, collars) -> list[StencilSolve]:
         """Solve G trial stencils of one size: ``member_ij`` (G, M, 2), one collar each.
@@ -167,8 +159,8 @@ class GhostOperatorSolver:
         matrix = monomial_matrix(self._alphas, np.stack([x, y], axis=-1), self.config_for(centers))
         return solve_constraints(matrix, np.array([self._rhs[id(c)][1] for c in collars]))
 
-    def _deficient(self, member_ij: np.ndarray) -> StencilSolve | None:
-        """The inadmissible solve of a stencil rank-deficient by construction, else None.
+    def deficient(self, member_ij: np.ndarray) -> bool:
+        """Whether a stencil is rank-deficient by construction.
 
         The rank of a stencil's constraint matrix depends only on the
         members' integer offsets: translating or scaling a lattice point
@@ -176,9 +168,7 @@ class GhostOperatorSolver:
         So the verdict is one SVD per distinct offset set, memoized, of the
         monomial matrix of the integer offsets: the constraint matrix of the
         stencil with the ghost first, free of the rounding of the members'
-        coordinates.  A deficient stencil gets the answer
-        ``solve_constraints`` gives a rank-deficient one: ``chi = inf``, no
-        coefficients, residual ``inf``.
+        coordinates.  ``solve_constraints`` rejects every deficient stencil.
         """
         offsets = member_ij - member_ij[0]
         key = offsets.tobytes()
@@ -187,51 +177,5 @@ class GhostOperatorSolver:
             px, py = (np.vander(v, self.order, increasing=True) for v in offsets.T.astype(float))
             ax, ay = self._exponents
             s = np.linalg.svd(px[:, ax] * py[:, ay], compute_uv=False)
-            deficient = s[-1] < STRUCTURAL_RANK_TOLERANCE * s[0]
-            self._structural[key] = StencilSolve(False, np.inf, None, s, np.inf) if deficient else None
+            self._structural[key] = bool(s[-1] < STRUCTURAL_RANK_TOLERANCE * s[0])
         return self._structural[key]
-
-    def drive(self, generators: list[Trials]) -> tuple[list, GhostBcError | None]:
-        """Drive trial generators in lock-step; returns what each one returns.
-
-        Every round solves the pending trial of every generator, one
-        ``solve`` per member count, so the caller bounds the stacks by the
-        generators it passes.  A trial that is rank-deficient by
-        construction gets its ``_deficient`` answer at once, without a
-        round.  Returns the results of the generators before the first one
-        (in input order) that raised a ``GhostBcError``, as a
-        one-ghost-at-a-time loop would, and that error (None when none
-        did); the generators after it are not driven further.
-        """
-        results: list = [None] * len(generators)
-        first_failed, error = len(generators), None
-        pending: list[tuple[int, np.ndarray, CollarPoint]] = []
-
-        def advance(k: int, solve: StencilSolve | None) -> None:
-            nonlocal first_failed, error
-            if k > first_failed:
-                return
-            try:
-                member_ij, collar = generators[k].send(solve)
-                while (skipped := self._deficient(member_ij)) is not None:
-                    member_ij, collar = generators[k].send(skipped)
-            except StopIteration as stop:
-                results[k] = stop.value
-            except GhostBcError as exc:
-                first_failed, error = k, exc
-            else:
-                pending.append((k, member_ij, collar))
-
-        for k in range(len(generators)):
-            advance(k, None)
-        while pending:
-            groups: dict[int, list[tuple[int, np.ndarray, CollarPoint]]] = {}
-            for trial in pending:
-                if trial[0] < first_failed:
-                    groups.setdefault(len(trial[1]), []).append(trial)
-            pending = []
-            for group in groups.values():
-                ks, members, collars = zip(*group)
-                for k, solve in zip(ks, self.solve(np.array(members), collars)):
-                    advance(k, solve)
-        return results[:first_failed], error

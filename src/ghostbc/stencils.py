@@ -13,12 +13,13 @@ axis-projected collar point (S4.3).
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_ops import GhostOperatorSolver, Trials, coefficient_amplification
+from .boundary_ops import GhostOperatorSolver, StencilSolve, coefficient_amplification
 from .errors import CandidatesExhausted, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
 from .geometry import CollarPoint, NodeClassification, axis_projection, collars_for_ghosts
 
@@ -42,9 +43,9 @@ MAX_EXTENSION_ROUNDS = 12
 #: Largest inward shift S3 tries before giving up on a ghost-exclusive triangle.
 MAX_S3_SHIFT = 6
 
-#: Cone ghosts driven in lock-step at a time: enough to make the stacked
-#: calls cheap per trial, few enough to bound the memory the live generators,
-#: their candidate streams and the stacks hold.
+#: Cone ghosts whose stages run together: enough to make the stacked calls
+#: cheap per trial, few enough to bound the memory their candidate streams
+#: and the stacks hold.
 LOCKSTEP_BATCH = 128
 
 
@@ -140,7 +141,7 @@ def extend_classification(
 ) -> tuple[NodeClassification, list[CollarPoint] | None]:
     """Deepen the ghost band until every triangle stencil is closed.
 
-    The finite-difference closure yields two ghost layers, which is enough
+    The finite-difference closure gives two ghost layers, which is enough
     for the interior rows and the cone strategies, but the S1/S2 triangles
     of deep ghosts can reach exterior nodes just beyond the band (their
     along-boundary arm).  Promoting those nodes to ghosts, repeatedly, makes
@@ -204,7 +205,7 @@ def _cone_nodes(streams: list, di: np.ndarray, dj: np.ndarray, dist: np.ndarray)
     """Each stream's active cone nodes among the offsets ``(di, dj)``, in their order.
 
     One (B, T) pass for B streams and T offsets of length ``dist``: a
-    lock-step batch reads its streams' first radius with it, and a stream
+    cone batch reads its streams' first radius with it, and a stream
     reads each later radius, or its cone after widening, as a batch of one.
     """
     w = np.array([s.direction for s in streams])
@@ -302,112 +303,152 @@ class _CandidateStream:
                 return node
 
 
-def _grow_until_conditioned(
-    members: list[tuple[int, int]],
-    collar: CollarPoint,
-    stream: _CandidateStream,
-    strategy: StencilStrategy,
-) -> Trials:
-    """Append candidates until the stencil is admissible and chi < local_tol.
-
-    A trial generator (see ``GhostOperatorSolver.drive``) returning the final
-    solve; ``members`` grows in place.
-    """
-    while True:
-        solve = yield np.array(members, dtype=np.int64), collar
-        if solve.admissible and solve.chi < strategy.local_tol:
-            return solve
-        if len(members) >= MAX_STENCIL_SIZE:
-            raise NotAdmissible(
-                f"stencil for ghost {members[0]} grew past {MAX_STENCIL_SIZE} "
-                "points without becoming well conditioned"
-            )
-        try:
-            members.append(stream.take())
-        except CandidatesExhausted as exc:
-            raise NotAdmissible(str(exc)) from exc
-
-
-def _cone_stages(
-    stream: _CandidateStream, collar: CollarPoint, strategy: StencilStrategy, n_constraints: int
-) -> Trials:
-    """S4.1 growth followed by the S4.2 swap loop, for one collar point.
-
-    Grows from ``stream``, the cone of the ghost aimed at ``collar``, and
-    returns ``(member_ij, collar, solve, swaps, aperture)``: the final
-    members (the ghost first), the collar point their row closes, their
-    solve, the accepted S4.2 swaps and the final cone aperture.  S4.1 grows
-    the candidate set until admissible and locally well conditioned; S4.2
-    additionally swaps out the largest-coefficient member while the row's
-    amplification exceeds the global tolerance (at most ``max_swaps``
-    improving swaps).  The swap loop is driven by the coefficient
-    amplification over all members: removing whichever member carries the
-    largest coefficient (typically a node shadowing the ghost from right
-    next to the collar point) is what restores a usable centre coefficient
-    for ghosts that sit deep in the second layer.  The victim's
-    replacement is the stream's next candidate: every nearer one is a
-    member or an earlier victim, and a node leaves the stream once.  A
-    swap trial that cannot be grown to an admissible stencil, or does not
-    strictly improve the amplification, is dropped and the loop stops;
-    stencils the swaps cannot fix are left to the collar modification of
-    S4.3 (``cone_rows``).
-    """
-    members = [(stream.i0, stream.j0)]
-    while len(members) < n_constraints:
-        members.append(stream.take())
-    solve = yield from _grow_until_conditioned(members, collar, stream, strategy)
-
-    ratio = coefficient_amplification(solve.coeffs)
-    swaps = 0
-    max_swaps = 0 if strategy.kind == "S4.1" else strategy.max_swaps
-    while ratio >= strategy.global_tol and swaps < max_swaps:
-        victim = 1 + int(np.abs(solve.coeffs[1:]).argmax())
-        try:
-            trial = members[:victim] + members[victim + 1:] + [stream.take()]
-            trial_solve = yield from _grow_until_conditioned(trial, collar, stream, strategy)
-        except (CandidatesExhausted, NotAdmissible):
-            break
-        trial_ratio = coefficient_amplification(trial_solve.coeffs)
-        if not trial_ratio < ratio:
-            break
-        members, solve, ratio = trial, trial_solve, trial_ratio
-        swaps += 1
-    return np.array(members, dtype=np.int64), collar, solve, swaps, stream.aperture
-
-
-def _admissible_or_error(trials: Trials) -> Trials:
-    """``trials``, returning the ``NotAdmissible`` it raises instead of raising it."""
+def _add_candidate(members: list[tuple[int, int]], stream: _CandidateStream) -> None:
+    """Append ``stream``'s next candidate; ``NotAdmissible`` when ``members`` may not grow."""
+    if len(members) >= MAX_STENCIL_SIZE:
+        raise NotAdmissible(
+            f"stencil for ghost {members[0]} grew past {MAX_STENCIL_SIZE} "
+            "points without becoming well conditioned"
+        )
     try:
-        return (yield from trials)
-    except NotAdmissible as exc:
-        return exc
+        members.append(stream.take())
+    except CandidatesExhausted as exc:
+        raise NotAdmissible(str(exc)) from exc
 
 
-def _drive_cones(
+def _grow(
+    trials: dict[int, list[tuple[int, int]]],
+    collars: list[CollarPoint],
+    streams: list[_CandidateStream],
+    strategy: StencilStrategy,
+    solver: GhostOperatorSolver,
+) -> dict[int, StencilSolve | NotAdmissible]:
+    """Grow every trial stencil of a batch until admissible with chi < ``local_tol``.
+
+    ``trials[k]`` holds the members (the ghost first) of batch ghost k; it
+    closes ``collars[k]`` and grows in place from ``streams[k]``.  Every
+    round solves the pending trials of all ghosts, one ``solver.solve`` per
+    member count; a trial that is rank-deficient by construction
+    (``solver.deficient``) takes its next candidate without being solved.
+    Returns per ghost its final solve, or the ``NotAdmissible`` it ended
+    with: grown past ``MAX_STENCIL_SIZE`` or out of cone candidates.
+    """
+    outcomes: dict[int, StencilSolve | NotAdmissible] = {}
+
+    def extend(k: int) -> bool:
+        try:
+            _add_candidate(trials[k], streams[k])
+        except NotAdmissible as exc:
+            outcomes[k] = exc
+            return False
+        return True
+
+    pending = list(trials)
+    while pending:
+        by_size: dict[int, list[int]] = {}
+        for k in pending:
+            while solver.deficient(np.array(trials[k], dtype=np.int64)):
+                if not extend(k):
+                    break
+            else:
+                by_size.setdefault(len(trials[k]), []).append(k)
+        pending = []
+        for ks in by_size.values():
+            members = np.array([trials[k] for k in ks], dtype=np.int64)
+            for k, solve in zip(ks, solver.solve(members, [collars[k] for k in ks])):
+                if solve.admissible and solve.chi < strategy.local_tol:
+                    outcomes[k] = solve
+                elif extend(k):
+                    pending.append(k)
+    return outcomes
+
+
+def _cone_batch(
     collars: list[CollarPoint],
     strategy: StencilStrategy,
     classification: NodeClassification,
     solver: GhostOperatorSolver,
-    rebuild: bool = False,
-) -> tuple[list, GhostBcError | None]:
-    """The ``_cone_stages`` rows of ``collars``, ``LOCKSTEP_BATCH`` ghosts at a time.
+) -> list:
+    """S4.1 growth and the S4.2 swap rounds of one batch of collar points.
 
-    Each batch opens its candidate streams together, its first cone radius
-    in one pass, and is one ``solver.drive``.  Returns like ``drive``: the
-    rows before the first ghost that raised a ``GhostBcError``, and that
-    error; the batches after it are not opened.  A ``rebuild`` ghost that
-    is not admissible returns its ``NotAdmissible`` as its row.
+    Opens the ghosts' candidate streams together, each cone aimed at its
+    collar, and returns per ghost its row ``(member_ij, collar, solve,
+    swaps, aperture)`` (the final members, the ghost first, the collar
+    point their row closes, their solve, the accepted S4.2 swaps and the
+    final cone aperture) or the ``GhostBcError`` it failed with.  S4.1 is
+    one ``_grow`` of every ghost's first ``n_constraints`` candidates.
+    S4.2 then runs up to ``max_swaps`` swap rounds, each one ``_grow`` of
+    the swap trials of the ghosts whose amplification still reaches the
+    global tolerance.  A swap trial drops the member with the largest
+    coefficient (typically a node shadowing the ghost from right next to
+    the collar point; removing it restores a usable centre coefficient for
+    ghosts deep in the second layer) and adds the stream's next candidate:
+    every nearer one is a member or an earlier victim, and a node leaves
+    the stream once.  A swap trial that cannot be grown to an admissible
+    stencil, or does not strictly lower the amplification, is dropped and
+    its ghost stops swapping; stencils the swaps cannot fix are left to the
+    collar modification of S4.3 (``cone_rows``).
     """
-    rows: list = []
+    streams = _CandidateStream.batch(collars, strategy.aperture_deg, classification)
+    outcomes: list = [None] * len(collars)
+    members: dict[int, list[tuple[int, int]]] = {}
+    for k, stream in enumerate(streams):
+        try:
+            members[k] = [(stream.i0, stream.j0)] + [stream.take() for _ in range(solver.n_constraints - 1)]
+        except CandidatesExhausted as exc:
+            outcomes[k] = exc
+    solves = _grow(members, collars, streams, strategy, solver)
+    ratios = {}
+    for k, solve in solves.items():
+        if isinstance(solve, NotAdmissible):
+            outcomes[k] = solve
+        else:
+            ratios[k] = coefficient_amplification(solve.coeffs)
+    swaps = dict.fromkeys(ratios, 0)
+    swapping = [k for k, ratio in ratios.items() if ratio >= strategy.global_tol]
+    for _ in range(0 if strategy.kind == "S4.1" else strategy.max_swaps):
+        trials = {}
+        for k in swapping:
+            victim = 1 + int(np.abs(solves[k].coeffs[1:]).argmax())
+            try:
+                trials[k] = members[k][:victim] + members[k][victim + 1:] + [streams[k].take()]
+            except CandidatesExhausted:
+                pass
+        swapping = []
+        for k, solve in _grow(trials, collars, streams, strategy, solver).items():
+            if isinstance(solve, NotAdmissible):
+                continue
+            ratio = coefficient_amplification(solve.coeffs)
+            if ratio < ratios[k]:
+                members[k], solves[k], ratios[k] = trials[k], solve, ratio
+                swaps[k] += 1
+                if ratio >= strategy.global_tol:
+                    swapping.append(k)
+    for k in ratios:
+        outcomes[k] = (np.array(members[k], dtype=np.int64), collars[k], solves[k], swaps[k], streams[k].aperture)
+    return outcomes
+
+
+def _cone_batches(
+    collars: list[CollarPoint],
+    strategy: StencilStrategy,
+    classification: NodeClassification,
+    solver: GhostOperatorSolver,
+    tolerated: type[GhostBcError] | tuple = (),
+) -> list:
+    """The ``_cone_batch`` outcomes of ``collars``, ``LOCKSTEP_BATCH`` ghosts at a time.
+
+    The batch bounds the memory the candidate streams and the stacks hold.
+    No batch is opened after one in which a ghost failed with an error
+    that is not ``tolerated``: the level raises that ghost's error or an
+    earlier one.
+    """
+    outcomes: list = []
     for start in range(0, len(collars), LOCKSTEP_BATCH):
-        batch = collars[start:start + LOCKSTEP_BATCH]
-        streams = _CandidateStream.batch(batch, strategy.aperture_deg, classification)
-        trials = [_cone_stages(stream, c, strategy, solver.n_constraints) for stream, c in zip(streams, batch)]
-        done, error = solver.drive(list(map(_admissible_or_error, trials)) if rebuild else trials)
-        rows += done
-        if error is not None:
-            return rows, error
-    return rows, None
+        outcomes += _cone_batch(collars[start:start + LOCKSTEP_BATCH], strategy, classification, solver)
+        if any(isinstance(row, GhostBcError) and not isinstance(row, tolerated) for row in outcomes[start:]):
+            break
+    return outcomes
 
 
 def cone_rows(
@@ -419,7 +460,7 @@ def cone_rows(
     """Every ghost's cone row (S4.1-S4.3), and which rows are S4.3 rebuilds.
 
     Rows are ``(member_ij, collar, solve, swaps, aperture)`` as
-    ``_cone_stages`` returns them, one per collar.  Phase 1 runs S4.1
+    ``_cone_batch`` returns them, one per collar.  Phase 1 runs S4.1
     growth (and S4.2 swaps) for every ghost.  For S4.3, the ghosts whose
     amplification still reaches the global tolerance get axis-projected
     collars from one batched projection, and phase 2 runs the construction
@@ -430,10 +471,11 @@ def cone_rows(
 
     Raises the error of the first failing ghost in collar order, a failing
     axis projection or rebuild counting as its ghost's failure, as one
-    ghost at a time would: phase 1 stops at its first failure, and the
-    ghosts before it are rebuilt before that error is raised.
+    ghost at a time would: only the ghosts before the first failure of
+    phase 1 are rebuilt, and their failures come first.
     """
-    rows, error = _drive_cones(collars, strategy, classification, solver)
+    outcomes = _cone_batches(collars, strategy, classification, solver)
+    rows = list(itertools.takewhile(lambda row: not isinstance(row, GhostBcError), outcomes))
     rebuilt = np.zeros(len(collars), dtype=bool)
     if strategy.kind == "S4.3":
         retry = [k for k, row in enumerate(rows) if coefficient_amplification(row[2].coeffs) >= strategy.global_tol]
@@ -442,11 +484,9 @@ def cone_rows(
             [collars[k].ghost_ij for k in retry],
         )
         fresh = [collar for collar in axis if isinstance(collar, CollarPoint)]
-        rebuilds, rebuild_error = _drive_cones(fresh, strategy, classification, solver, rebuild=True)
-        # the rebuilds in order; an error belongs to the first collar without a result
-        outcomes = iter(rebuilds + [rebuild_error])
+        rebuilds = iter(_cone_batches(fresh, strategy, classification, solver, tolerated=NotAdmissible))
         for k, collar in zip(retry, axis):
-            new = next(outcomes) if isinstance(collar, CollarPoint) else collar
+            new = next(rebuilds) if isinstance(collar, CollarPoint) else collar
             if isinstance(new, (NoAxisIntersection, NotAdmissible)):
                 logger.info("ghost %s: no S4.3 rebuild (%s); keeping the S4.2 row", collars[k].ghost_ij, new)
             elif isinstance(new, GhostBcError):
@@ -455,6 +495,6 @@ def cone_rows(
                 old = rows[k]
                 rows[k] = new[:3] + (old[3] + new[3], max(old[4], new[4]))
                 rebuilt[k] = True
-    if error is not None:
-        raise error
+    if len(rows) < len(outcomes):
+        raise outcomes[len(rows)]
     return rows, rebuilt

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ghostbc as g
-from ghostbc.basis import boundary_actions, enumerate_basis, monomial_matrix
+from ghostbc.basis import DEFAULT_ORDER, boundary_actions, enumerate_basis, monomial_matrix
 from ghostbc.geometry import CollarPoint, LevelSet
 
 
@@ -74,13 +74,14 @@ def node_xy(grid, i, j):
     return np.array([float(x), float(y)])
 
 
-def assemble_constraints(points, collar, robin, cfg):
+def assemble_constraints(points, collar, robin, cfg, order=DEFAULT_ORDER):
     """Constraint matrix (n_constraints, n_points) and right-hand side of one stencil.
 
-    Rows follow the basis order, columns the order of ``points``; built
-    without ``GhostOperatorSolver``, as an independent check of its stacks.
+    Rows follow the basis of ``order``, columns the order of ``points``;
+    built without ``GhostOperatorSolver``, as an independent check of its
+    stacks.
     """
-    alphas = enumerate_basis(cfg.order)
+    alphas = enumerate_basis(order)
     c = monomial_matrix(alphas, points, cfg)
     g = boundary_actions(alphas, collar.point[None, :], [robin], cfg)[0]
     return c, g

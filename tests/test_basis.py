@@ -68,7 +68,7 @@ class TestEnumerateBasis:
 
 class TestEvalMonomial:
     def setup_method(self):
-        self.cfg = BasisConfig(spacing=0.1, center=np.array([0.3, -0.2]), order=5)
+        self.cfg = BasisConfig(spacing=0.1, center=np.array([0.3, -0.2]))
 
     def test_constant(self):
         assert monomial((0, 0), (1.7, 2.9), self.cfg) == 1.0
@@ -106,7 +106,7 @@ class TestBoundaryAction:
     def setup_method(self):
         self.h = 0.05
         self.center = np.array([0.1, 0.2])
-        self.cfg = BasisConfig(spacing=self.h, center=self.center, order=5)
+        self.cfg = BasisConfig(spacing=self.h, center=self.center)
 
     def test_dirichlet_on_constant(self):
         robin = RobinData(1.0, 0.0, np.array([1.0, 0.0]), 0.0)
@@ -153,7 +153,7 @@ class TestBoundaryAction:
 
 class TestProperties:
     def test_gradient_matches_central_differences(self, rng):
-        cfg = BasisConfig(spacing=0.07, center=np.array([0.4, -0.1]), order=5)
+        cfg = BasisConfig(spacing=0.07, center=np.array([0.4, -0.1]))
         eps = 1e-6
         for alpha in enumerate_basis(5):
             for _ in range(3):
@@ -177,7 +177,7 @@ class TestProperties:
 
     def test_polynomial_reproduction(self, rng):
         # any quartic is reproduced exactly by its expansion in the scaled basis
-        cfg = BasisConfig(spacing=0.05, center=np.array([-0.2, 0.3]), order=5)
+        cfg = BasisConfig(spacing=0.05, center=np.array([-0.2, 0.3]))
         alphas = enumerate_basis(5)
         coeffs = rng.standard_normal(len(alphas))
 

@@ -17,9 +17,9 @@ from ghostbc.boundary_ops import (
 from ghostbc import stencils
 from ghostbc.errors import GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible, ProjectionDiverged
 from ghostbc.geometry import CollarPoint
-from ghostbc.stencils import TRIANGLE_KINDS, _CandidateStream, _cone_stages
+from ghostbc.stencils import LOCKSTEP_BATCH, TRIANGLE_KINDS, _CandidateStream
 from test_geometry import scalar_axis_projection
-from test_stencils import reference_triangle, triangle
+from test_stencils import _reference_cone_row, reference_triangle, triangle
 
 
 def make_collar(center, point, normal=(1.0, 0.0)):
@@ -52,29 +52,6 @@ def solve_alone(solver, member_ij, collar):
     """Solve of one trial stencil: a stack of one through ``solve``."""
     (solve,) = solver.solve(member_ij[None], [collar])
     return solve
-
-
-def run(solver, generators):
-    """``solver.drive``, raising the error of the first failing generator."""
-    results, error = solver.drive(generators)
-    if error is not None:
-        raise error
-    return results
-
-
-def run_alone(solver, trials, solved):
-    """What one trial generator returns with every trial solved alone, none screened.
-
-    Appends each trial's solve to ``solved``.
-    """
-    solve = None
-    while True:
-        try:
-            member_ij, collar = trials.send(solve)
-        except StopIteration as stop:
-            return stop.value
-        solve = solve_alone(solver, member_ij, collar)
-        solved.append(solve)
 
 
 def inaccurate_system():
@@ -112,28 +89,45 @@ def reference_ratio(coeffs, member_ij, classification):
     return float(np.abs(coeffs[1:][ghost]).max()) / center
 
 
-def ghost_trials(collar, strategy, grid, classification, n_constraints):
+def reference_row(collar, strategy, classification, solver):
     """One ghost's cone row (S4.1-S4.3) the per-ghost way: the reference for ``cone_rows``.
 
-    Its stream reads every radius as a batch of one, and an S4.3 rebuild
-    projects its ghost with the scalar axis rule and runs inside the
-    ghost's own generator.  Returns like ``_cone_stages``; a rebuilt row
-    carries the new collar object.
+    ``_reference_cone_row`` from the ghost's collar and, for an S4.3 row
+    whose amplification still reaches the global tolerance, again from the
+    collar of the scalar axis rule; every trial is solved alone and none is
+    screened.  Returns ``(member_ij, collar, solve, swaps, aperture)``; a
+    rebuilt row carries the new collar object.
     """
-
-    def stages(c):
-        stream = _CandidateStream(c, strategy.aperture_deg, classification)
-        return _cone_stages(stream, c, strategy, n_constraints)
-
-    row = yield from stages(collar)
-    if strategy.kind == "S4.3" and coefficient_amplification(row[2].coeffs) >= strategy.global_tol:
+    members, solve, swaps, aperture, _ = _reference_cone_row(collar, strategy, classification, solver)
+    if strategy.kind == "S4.3" and coefficient_amplification(solve.coeffs) >= strategy.global_tol:
         try:
-            axis = scalar_axis_projection(collar.ghost_xy, classification.level_set, grid.h, collar.ghost_ij)
-            new = yield from stages(axis)
+            axis = scalar_axis_projection(collar.ghost_xy, classification.level_set, solver.grid.h, collar.ghost_ij)
+            new_members, new_solve, new_swaps, new_aperture, _ = _reference_cone_row(
+                axis, strategy, classification, solver
+            )
         except (NoAxisIntersection, NotAdmissible):
-            return row
-        row = new[:3] + (row[3] + new[3], max(row[4], new[4]))
-    return row
+            pass
+        else:
+            return new_members, axis, new_solve, swaps + new_swaps, max(aperture, new_aperture)
+    return members, collar, solve, swaps, aperture
+
+
+def inject_outcomes(monkeypatch, outcomes):
+    """Make the batch stage end ``outcomes[(ghost_ij, collar mode)]`` as those ghosts' outcome.
+
+    Returns the list of the ghosts that open each batch, in the order the
+    batches are opened.
+    """
+    opened = []
+    batch = stencils._cone_batch
+
+    def injected(collars, *args):
+        opened.append(collars[0].ghost_ij)
+        rows = batch(collars, *args)
+        return [outcomes.get((c.ghost_ij, c.mode), row) for c, row in zip(collars, rows)]
+
+    monkeypatch.setattr(stencils, "_cone_batch", injected)
+    return opened
 
 
 def row_constraints(solver, member_ij, collar):
@@ -145,15 +139,15 @@ def row_constraints(solver, member_ij, collar):
 class TestAssembleConstraints:
     def test_single_point_column(self):
         center = np.array([0.2, 0.1])
-        cfg = BasisConfig(spacing=0.1, center=center, order=2)
+        cfg = BasisConfig(spacing=0.1, center=center)
         collar = make_collar(center, center + [0.05, 0.0])
-        matrix, _ = assemble_constraints(center[None, :], collar, dirichlet(), cfg)
+        matrix, _ = assemble_constraints(center[None, :], collar, dirichlet(), cfg, order=2)
         assert matrix.shape == (3, 1)
         assert np.allclose(matrix[:, 0], [1.0, 0.0, 0.0])
 
     def test_square_case_shape(self, rng):
         center = np.zeros(2)
-        cfg = BasisConfig(spacing=0.1, center=center, order=5)
+        cfg = BasisConfig(spacing=0.1, center=center)
         pts = rng.uniform(-0.3, 0.3, size=(15, 2))
         collar = make_collar(center, [0.05, 0.02])
         matrix, _ = assemble_constraints(pts, collar, dirichlet(), cfg)
@@ -161,7 +155,7 @@ class TestAssembleConstraints:
 
     def test_dirichlet_rhs_at_center(self):
         center = np.array([-0.3, 0.4])
-        cfg = BasisConfig(spacing=0.1, center=center, order=5)
+        cfg = BasisConfig(spacing=0.1, center=center)
         collar = make_collar(center, center)
         _, rhs = assemble_constraints(center[None, :], collar, dirichlet(), cfg)
         expected = np.zeros(15)
@@ -173,10 +167,10 @@ class TestSolveMinNorm:
     def _three_point(self, collar_offset):
         h = 0.1
         center = np.zeros(2)
-        cfg = BasisConfig(spacing=h, center=center, order=2)
+        cfg = BasisConfig(spacing=h, center=center)
         pts = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])
         collar = make_collar(center, np.asarray(collar_offset))
-        cm = assemble_constraints(pts, collar, dirichlet(), cfg)
+        cm = assemble_constraints(pts, collar, dirichlet(), cfg, order=2)
         return cm
 
     def test_interpolation_at_center(self):
@@ -189,15 +183,15 @@ class TestSolveMinNorm:
 
     def test_not_admissible_on_duplicate_points(self):
         h = 0.1
-        cfg = BasisConfig(spacing=h, center=np.zeros(2), order=2)
+        cfg = BasisConfig(spacing=h, center=np.zeros(2))
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [h, 0.0]])
-        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg)
+        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg, order=2)
         solve = solve_one(cm)
         assert not solve.admissible and solve.coeffs is None
 
     def test_underdetermined_needs_enough_points(self):
         h = 0.1
-        cfg = BasisConfig(spacing=h, center=np.zeros(2), order=5)
+        cfg = BasisConfig(spacing=h, center=np.zeros(2))
         pts = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])  # 3 points, 15 constraints
         cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg)
         solve = solve_one(cm)
@@ -237,9 +231,9 @@ class TestConditioning:
 
     def test_rank_deficiency_reports_infinity(self):
         h = 0.1
-        cfg = BasisConfig(spacing=h, center=np.zeros(2), order=2)
+        cfg = BasisConfig(spacing=h, center=np.zeros(2))
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [h, 0.0]])
-        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg)
+        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg, order=2)
         assert solve_one(cm).chi == np.inf
 
     def test_global_ratio_examples(self, annulus_160):
@@ -408,7 +402,7 @@ class TestResidualContract:
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         strategy = g.StencilStrategy(kind="S4.3")
         collars = g.collars_for_ghosts(classification.ghost_ij[::4], grid, annulus_bench.level_set)
-        run(solver, [ghost_trials(collar, strategy, grid, classification, 15) for collar in collars])
+        stencils.cone_rows(collars, strategy, classification, solver)
         admissible = [s for s in solves if s.admissible]
         assert len(admissible) > 100
         assert max(s.residual for s in admissible) <= RESIDUAL_TOLERANCE
@@ -431,9 +425,9 @@ class TestResidualContract:
             g.build_ghost_rows(classification, strategy, annulus_bench.coefficients)
 
     def test_rank_deficient_reports_infinite_residual(self):
-        cfg = BasisConfig(spacing=0.1, center=np.zeros(2), order=2)
+        cfg = BasisConfig(spacing=0.1, center=np.zeros(2))
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0]])
-        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg)
+        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg, order=2)
         assert solve_one(cm).residual == np.inf
 
 
@@ -450,17 +444,15 @@ def test_solver_builds_one_right_hand_side_per_collar(annulus_bench, annulus_160
     collar = collar_of(ghost, grid, annulus_bench.level_set)
     stream = _CandidateStream(collar, 60.0, classification)
     members = np.array([ghost] + [stream.candidate(k) for k in range(16)])
-    # an equal but distinct collar object (an S4.3 rebuild's) gets its own
+    # an equal but distinct collar object (an S4.3 rebuild's) gets its own,
+    # and a collar seen in an earlier call gets none
     other = g.CollarPoint(collar.ghost_xy, collar.point, collar.normal, "axis", ghost)
-
-    def trials(*collars):
-        return [(yield members[:15], collars[0]), (yield members, collars[1])]
-
-    first, second = run(solver, [trials(collar, collar), trials(collar, other)])
+    first = solver.solve(np.array([members[:15], members[:15]]), [collar, collar])
+    second = solver.solve(np.array([members, members]), [collar, other])
     assert [id(c) for c in seen] == [id(collar), id(other)]
     reference = solve_alone(solver, members, collar)
-    assert all(np.array_equal(s.coeffs, reference.coeffs) for s in (first[1], second[1]))
-    assert np.array_equal(first[0].coeffs, solve_alone(solver, members[:15], collar).coeffs)
+    assert all(np.array_equal(s.coeffs, reference.coeffs) for s in second)
+    assert all(np.array_equal(s.coeffs, solve_alone(solver, members[:15], collar).coeffs) for s in first)
     cm = row_constraints(solver, members, collar)
     assert np.array_equal(reference.coeffs, solve_one(cm).coeffs)
 
@@ -498,18 +490,24 @@ class TestLockstepLevel:
             patch.setattr(boundary_ops, "solve_constraints", counting)
             rows = g.build_ghost_rows(classification, strategy, bench.coefficients)
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
+        solved = []
+        stack = solver.solve
+
+        def recording(member_ij, collars):
+            out = stack(member_ij, collars)
+            solved.extend(out)
+            return out
+
+        solver.solve = recording
         collars = g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)
         assert len(rows) == len(collars) > 100
-        solved = []
         for k, (row, collar) in enumerate(zip(rows_of(rows), collars)):
             if kind in TRIANGLE_KINDS:
                 members = reference_triangle(kind, collar, strategy.triangle_size, classification)
                 row_collar, solve, swaps, aperture = collar, solve_alone(solver, members, collar), 0, 0.0
-                solved.append(solve)
                 assert solve.admissible
             else:
-                one = ghost_trials(collar, strategy, grid, classification, 15)
-                members, row_collar, solve, swaps, aperture = run_alone(solver, one, solved)
+                members, row_collar, solve, swaps, aperture = reference_row(collar, strategy, classification, solver)
             assert row.ghost_ij == collar.ghost_ij == tuple(row.member_ij[0])
             assert np.array_equal(row.member_ij, members)
             assert np.array_equal(row.coeffs, solve.coeffs)
@@ -534,75 +532,85 @@ class TestLockstepLevel:
                           ("leaf", "S4.3", 160)],
     )
     def test_screen_skips_only_inadmissible_trials(self, name, kind, n, monkeypatch):
-        # Every trial of the level, in both S4.3 phases, with the solve it was
-        # sent; a skipped trial, solved on its real constraint matrix, must
-        # be inadmissible.
+        # Every trial of the level, in both S4.3 phases, goes through the
+        # screen, and exactly the ones it passes are solved; a skipped trial,
+        # solved on its real constraint matrix, must be inadmissible.
         bench, grid, classification, strategy = _level(name, kind, n)
-        trials, skips = [], []
-        cone_stages, deficient = stencils._cone_stages, GhostOperatorSolver._deficient
-
-        def recording(stream, collar, strategy, n_constraints):
-            stages, solve = cone_stages(stream, collar, strategy, n_constraints), None
-            while True:
-                try:
-                    member_ij, collar = stages.send(solve)
-                except StopIteration as stop:
-                    return stop.value
-                solve = yield member_ij, collar
-                trials.append((member_ij, collar, solve))
+        screened, solved = [], []
+        deficient, solve = GhostOperatorSolver.deficient, GhostOperatorSolver.solve
 
         def screening(self, member_ij):
-            skip = deficient(self, member_ij)
-            skips.append(skip)
-            return skip
+            verdict = deficient(self, member_ij)
+            screened.append((member_ij, verdict))
+            return verdict
 
-        monkeypatch.setattr(stencils, "_cone_stages", recording)
-        monkeypatch.setattr(GhostOperatorSolver, "_deficient", screening)
+        def solving(self, member_ij, collars):
+            solved.extend(member_ij)
+            return solve(self, member_ij, collars)
+
+        monkeypatch.setattr(GhostOperatorSolver, "deficient", screening)
+        monkeypatch.setattr(GhostOperatorSolver, "solve", solving)
         g.build_ghost_rows(classification, strategy, bench.coefficients)
-        skipped_ids = {id(s) for s in skips if s is not None}
-        skipped = [(m, c) for m, c, s in trials if id(s) in skipped_ids]
-        assert len(skips) == len(trials) and 0.3 * len(trials) < len(skipped) < 0.7 * len(trials)
+        monkeypatch.undo()
+        skipped = [member_ij for member_ij, verdict in screened if verdict]
+        passed = [member_ij for member_ij, verdict in screened if not verdict]
+        assert sorted(m.tobytes() for m in passed) == sorted(m.tobytes() for m in solved)
+        assert 0.3 * len(screened) < len(skipped) < 0.7 * len(screened)
+        # the constraint matrix is the ghost-centred monomial matrix of the
+        # members, whichever collar (closest or axis) the trial closes
+        collars = dict(zip(map(tuple, classification.ghost_ij.tolist()),
+                           g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)))
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
         by_size = {}
-        for member_ij, collar in skipped:
-            by_size.setdefault(len(member_ij), []).append((member_ij, collar))
+        for member_ij in skipped:
+            by_size.setdefault(len(member_ij), []).append(member_ij)
         for group in by_size.values():
-            members, collars = zip(*group)
-            solves = solver.solve(np.array(members), collars)
+            solves = solver.solve(np.array(group), [collars[tuple(m[0].tolist())] for m in group])
             assert not any(s.admissible for s in solves)
             assert max(s.singular_values[-1] / s.singular_values[0] for s in solves) < 1e-13
 
-    def test_first_failing_ghost_raises(self, annulus_160):
-        grid, _ = annulus_160
-        solver = GhostOperatorSolver(grid, lambda collar: dirichlet(collar.normal))
-        collar = make_collar(node_xy(grid, 80, 80), node_xy(grid, 80, 80) + [0.001, 0.0])
-        members = np.array([[80, 80], [81, 80], [80, 81], [79, 80], [80, 79]])
-        sent = []
+    def test_first_failing_ghost_raises(self, annulus_bench, annulus_160, monkeypatch):
+        # Outcomes injected into the batch stage: the level raises the error
+        # of the first failing ghost in collar order, opens no batch after
+        # the one that holds it, and an untyped error (a defect, not a
+        # ghost's failure) propagates at once.
+        grid, classification = annulus_160
+        strategy = g.StencilStrategy(kind="S4.1")
+        ghosts = [tuple(int(v) for v in ij) for ij in classification.ghost_ij]
+        starts = ghosts[::LOCKSTEP_BATCH]
+        assert len(starts) > 3
+        outcomes = {}
+        opened = inject_outcomes(monkeypatch, outcomes)
 
-        def trials(k, rounds, error=None):
-            for _ in range(rounds):
-                sent.append(k)
-                yield members, collar
-            if error is not None:
-                raise error
-            return k
+        def build():
+            opened.clear()
+            return g.build_ghost_rows(classification, strategy, annulus_bench.coefficients)
 
-        # ghost 1 fails after its first trial, ghost 0 after its third: ghost
-        # 0's error wins, and ghosts after the first failure are not driven on
-        late, early = NotAdmissible("ghost 0 failed late"), InactiveMember("ghost 1 failed early")
-        with pytest.raises(NotAdmissible, match="ghost 0 failed late"):
-            run(solver, [trials(0, 3, late), trials(1, 1, early), trials(2, 5), trials(3, 0, early)])
-        assert sent == [0, 1, 2, 0, 0]
-        sent.clear()
-        with pytest.raises(InactiveMember, match="ghost 1 failed early"):
-            run(solver, [trials(0, 3), trials(1, 0, early), trials(2, 5)])
-        assert sent == [0, 0, 0]
-        # an untyped error is a defect, not a ghost's failure: it propagates at once
-        sent.clear()
-        with pytest.raises(ZeroDivisionError):
-            run(solver, [trials(0, 3, NotAdmissible("later")), trials(1, 1, ZeroDivisionError())])
-        assert sent == [0, 1, 0]
-        assert run(solver, [trials(0, 2), trials(1, 0)]) == [0, 1]
+        late, early = NotAdmissible("ghost 2 failed late"), InactiveMember("ghost 3 failed early")
+        outcomes.update({(ghosts[2], "closest"): late, (ghosts[3], "closest"): early})
+        with pytest.raises(NotAdmissible) as error:
+            build()
+        assert error.value is late and opened == starts[:1]
+        outcomes.clear()
+        outcomes[ghosts[2 * LOCKSTEP_BATCH + 5], "closest"] = early
+        with pytest.raises(InactiveMember) as error:
+            build()
+        assert error.value is early and opened == starts[:3]
+        solve = GhostOperatorSolver.solve
+
+        def defective(self, member_ij, collars):
+            if any(c.ghost_ij == ghosts[7] for c in collars):
+                raise ZeroDivisionError
+            return solve(self, member_ij, collars)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(GhostOperatorSolver, "solve", defective)
+            outcomes[ghosts[2], "closest"] = late
+            with pytest.raises(ZeroDivisionError):
+                build()
+        outcomes.clear()
+        rows = build()
+        assert opened == starts and len(rows) == len(ghosts)
 
     def test_level_raises_the_first_ghosts_error(self):
         # no stencil gets chi below 1: every ghost grows past the cap, and the
@@ -613,7 +621,7 @@ class TestLockstepLevel:
         collar = g.collars_for_ghosts(classification.ghost_ij[:1], grid, bench.level_set)[0]
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
         with pytest.raises(NotAdmissible) as alone:
-            run_alone(solver, ghost_trials(collar, strategy, grid, classification, solver.n_constraints), [])
+            _reference_cone_row(collar, strategy, classification, solver)
         with pytest.raises(NotAdmissible) as level:
             g.build_ghost_rows(classification, strategy, bench.coefficients)
         assert str(level.value) == str(alone.value)
@@ -648,9 +656,9 @@ class TestLockstepLevel:
     @pytest.mark.parametrize("late", [1, 900])
     def test_rebuild_errors_come_before_later_ghosts_errors(self, annulus_bench, annulus_160, monkeypatch, late):
         # The first ghost to be rebuilt fails its axis projection, and a later
-        # ghost (in the same lock-step batch, or seven batches on) fails its
-        # S4.1 growth: phase 1 stops at the later ghost, but the earlier
-        # ghost's failure is the level's error, as one ghost at a time.
+        # ghost (in the same batch, or seven batches on) fails its S4.1
+        # growth: phase 1 stops at the later ghost, but the earlier ghost's
+        # failure is the level's error, as one ghost at a time.
         grid, classification = annulus_160
         strategy = g.StencilStrategy(kind="S4.3")
         coeffs = annulus_bench.coefficients
@@ -665,13 +673,7 @@ class TestLockstepLevel:
             slots = project(ghost_xy, level_set, h, ghost_ij, **kwargs)
             return [failed if key == early_ij else slot for key, slot in zip(ghost_ij, slots)]
 
-        def failing_growth(stream, collar, strategy, n_constraints):
-            if collar.ghost_ij == late_ij:
-                raise NotAdmissible(f"growth of ghost {late_ij} failed")
-            return (yield from cone_stages(stream, collar, strategy, n_constraints))
-
-        cone_stages = stencils._cone_stages
-        monkeypatch.setattr(stencils, "_cone_stages", failing_growth)
+        inject_outcomes(monkeypatch, {(late_ij, "closest"): NotAdmissible(f"growth of ghost {late_ij} failed")})
         with pytest.raises(NotAdmissible, match=f"growth of ghost {re.escape(str(late_ij))} failed"):
             g.build_ghost_rows(classification, strategy, coeffs)
         monkeypatch.setattr(stencils, "axis_projection", failing_projection)
@@ -686,15 +688,9 @@ class TestLockstepLevel:
         coeffs = annulus_bench.coefficients
         rows = g.build_ghost_rows(classification, strategy, coeffs)
         first, second, third = (tuple(int(v) for v in rows.ghost_ij[k]) for k in np.flatnonzero(rows.rebuilt)[:3])
-        cone_stages = stencils._cone_stages
-
-        def failing_rebuild(stream, collar, strategy, n_constraints):
-            if collar.mode == "axis" and collar.ghost_ij == first:
-                raise NotAdmissible("not adopted")  # keeps the S4.2 row
-            if collar.mode == "axis" and collar.ghost_ij in (second, third):
-                raise InactiveMember(f"rebuild of ghost {collar.ghost_ij} failed")
-            return (yield from cone_stages(stream, collar, strategy, n_constraints))
-
-        monkeypatch.setattr(stencils, "_cone_stages", failing_rebuild)
+        inject_outcomes(monkeypatch, {
+            (first, "axis"): NotAdmissible("not adopted"),  # keeps the S4.2 row
+            **{(ghost, "axis"): InactiveMember(f"rebuild of ghost {ghost} failed") for ghost in (second, third)},
+        })
         with pytest.raises(InactiveMember, match=re.escape(f"rebuild of ghost {second} failed")):
             g.build_ghost_rows(classification, strategy, coeffs)

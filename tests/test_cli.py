@@ -91,12 +91,15 @@ class TestMain:
     )
     def test_bad_convection_parameters_exit_2(self, tmp_path, capsys, kappa, u0):
         # rejected by the benchmark (non-positive diffusion, a closed form
-        # that underflows, a self-check that reads NaN) before any level runs
+        # that underflows or overflows, a self-check that reads NaN) before
+        # any level runs
         out = tmp_path / "o"
         code = main(["run", "--benchmark", "convection", "--kappa", kappa, "--u0", u0, "--n", "32", "--out", str(out)])
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
+        if (kappa, u0) == ("1", "5000"):
+            assert record["message"].endswith("its constant c = -inf is not finite")
         assert json.loads((out / "error.json").read_text()) == record
         assert not (out / "run.json").exists()
 
