@@ -39,7 +39,6 @@ from .geometry import (
     axis_projection,
     classify_nodes,
     collars_for_ghosts,
-    pairwise_diameter,
 )
 from .stencils import StencilStrategy, triangle_stencils
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .assembly import DERIVATIVE_WEIGHTS, GhostRows
 from .errors import DegenerateFit, MissingNeighbor
-from .geometry import NodeClassification, pairwise_diameter
+from .geometry import NodeClassification
 
 NORM_NAMES = ("l1", "linf", "grad_l1", "grad_linf")
 
@@ -183,13 +183,30 @@ class StencilDiagnostics:
         }
 
 
+def _diameters(rows: GhostRows) -> np.ndarray:
+    """Each row's largest distance between two members, in grid spacings.
+
+    One integer pass over the rows of each stencil size; the squared
+    distances are exact integers, so each diameter is one rounding of a
+    square root.
+    """
+    diameters = np.zeros(len(rows))
+    starts = np.cumsum(rows.sizes) - rows.sizes
+    for size in np.unique(rows.sizes).tolist():
+        ks = np.flatnonzero(rows.sizes == size)
+        ij = rows.member_ij[starts[ks, None] + np.arange(size)]
+        d2 = sum((c[:, :, None] - c[:, None, :]) ** 2 for c in ij.transpose(2, 0, 1))
+        diameters[ks] = np.sqrt(d2.max(axis=(1, 2)))
+    return diameters
+
+
 def stencil_diagnostics(rows: GhostRows) -> StencilDiagnostics:
     """Collect size, diameter and conditioning statistics from ghost rows."""
     chi, ratios = rows.chi, rows.r_ratio
     positive = ratios > 0.0
     return StencilDiagnostics(
         sizes=rows.sizes,
-        diameters=np.array([pairwise_diameter(m) for m in rows.per_row(rows.member_ij)]),
+        diameters=_diameters(rows),
         log10_chi=np.log10(chi[np.isfinite(chi) & (chi > 0.0)]),
         log10_ratio=np.log10(ratios[positive & np.isfinite(ratios)]),
         n_zero_ratio=int((~positive).sum()),

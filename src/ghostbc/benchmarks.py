@@ -369,10 +369,14 @@ def _radial_solution(kappa: float, u0: float):
         case = 3
     else:
         beta = u0 / kappa
-        denom = r2**beta - r1**beta
+        try:
+            p1, p2 = r1**beta, r2**beta
+        except OverflowError as exc:
+            raise ValueError(f"no closed form for u0/kappa = {beta:g}: r**beta overflows") from exc
+        denom = p2 - p1
         if denom == 0.0:
             raise ValueError(f"no closed form for u0/kappa = {beta:g}: r2**beta - r1**beta is zero")
-        r0 = u0 / (kappa - u0) * (r1 * r2**beta - r2 * r1**beta) / denom
+        r0 = u0 / (kappa - u0) * (r1 * p2 - r2 * p1) / denom
         c = (r2 - r1) / ((kappa - u0) * denom)
         for name, value in (("r0", r0), ("c", c)):
             if not math.isfinite(value):

@@ -90,21 +90,20 @@ def solve_constraints(matrix: np.ndarray, rhs: np.ndarray) -> list[StencilSolve]
     ]
 
 
-def coefficient_amplification(coeffs: np.ndarray) -> float:
+def coefficient_amplification(coeffs: np.ndarray) -> np.ndarray:
     """Largest member-to-centre coefficient ratio, over all members.
 
     This is the factor by which a ghost row amplifies the errors of the
     other stencil values when solved for the ghost unknown; the cone
     strategies drive it below the global tolerance.  A vanishing centre
-    coefficient reports ``inf``.
+    coefficient reports ``inf``.  ``coeffs`` is one row (M,) or a stack
+    (G, M) of rows padded with zeros, for which it gives one ratio each.
     """
-    if len(coeffs) < 2:
-        return 0.0
-    center = abs(float(coeffs[0]))
-    others = float(np.abs(coeffs[1:]).max())
-    if center <= 1e-14:
-        return float("inf")
-    return others / center
+    center = np.abs(coeffs[..., 0])
+    if coeffs.shape[-1] < 2:
+        return np.zeros_like(center)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(center <= 1e-14, np.inf, np.abs(coeffs[..., 1:]).max(axis=-1) / center)
 
 
 class GhostOperatorSolver:
@@ -112,8 +111,8 @@ class GhostOperatorSolver:
 
     Bundles the grid spacing, the basis order and the benchmark's Robin data
     provider.  ``solve`` solves a stack of same-size trial stencils, and
-    ``deficient`` tells the trials that are rank-deficient by construction,
-    which the cone strategies grow past without solving them.
+    ``deficient`` tells which of such a stack are rank-deficient by
+    construction, which the cone strategies grow past without solving them.
     """
 
     def __init__(
@@ -159,8 +158,8 @@ class GhostOperatorSolver:
         matrix = monomial_matrix(self._alphas, np.stack([x, y], axis=-1), self.config_for(centers))
         return solve_constraints(matrix, np.array([self._rhs[id(c)][1] for c in collars]))
 
-    def deficient(self, member_ij: np.ndarray) -> bool:
-        """Whether a stencil is rank-deficient by construction.
+    def deficient(self, member_ij: np.ndarray) -> np.ndarray:
+        """Which of G stencils of one size, ``member_ij`` (G, M, 2), are rank-deficient by construction.
 
         The rank of a stencil's constraint matrix depends only on the
         members' integer offsets: translating or scaling a lattice point
@@ -168,14 +167,20 @@ class GhostOperatorSolver:
         So the verdict is one SVD per distinct offset set, memoized, of the
         monomial matrix of the integer offsets: the constraint matrix of the
         stencil with the ghost first, free of the rounding of the members'
-        coordinates.  ``solve_constraints`` rejects every deficient stencil.
+        coordinates.  The distinct offset sets the memo lacks get one
+        stacked SVD.  ``solve_constraints`` rejects every deficient stencil.
         """
-        offsets = member_ij - member_ij[0]
-        key = offsets.tobytes()
-        if key not in self._structural:
+        offsets = member_ij - member_ij[:, :1]
+        keys = offsets.reshape(len(offsets), -1).view(np.dtype((np.void, offsets[0].nbytes)))[:, 0].tolist()
+        missing = {key: p for p, key in enumerate(keys) if key not in self._structural}
+        if missing:
             # powers by repeated products, so the entries are exact integers (below 2**53)
-            px, py = (np.vander(v, self.order, increasing=True) for v in offsets.T.astype(float))
+            v = offsets[list(missing.values())].astype(float)
+            px, py = (
+                np.vander(c.ravel(), self.order, increasing=True).reshape(*c.shape, -1) for c in v.transpose(2, 0, 1)
+            )
             ax, ay = self._exponents
-            s = np.linalg.svd(px[:, ax] * py[:, ay], compute_uv=False)
-            self._structural[key] = bool(s[-1] < STRUCTURAL_RANK_TOLERANCE * s[0])
-        return self._structural[key]
+            s = np.linalg.svd(px[..., ax] * py[..., ay], compute_uv=False)
+            for key, (s_max, s_min) in zip(missing, s[:, [0, -1]].tolist()):
+                self._structural[key] = s_min < STRUCTURAL_RANK_TOLERANCE * s_max
+        return np.array([self._structural[key] for key in keys], dtype=bool)

@@ -506,11 +506,3 @@ def collars_for_ghosts(ghost_ij, grid: Grid, level_set: LevelSet) -> list[Collar
         collars[k] = fallback
     return collars
 
-
-def pairwise_diameter(member_ij: np.ndarray) -> float:
-    """Maximum pairwise distance of lattice nodes, in units of the grid spacing."""
-    ij = np.asarray(member_ij)
-    if len(ij) < 2:
-        return 0.0
-    d2 = ((ij[:, None, :] - ij[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.max()))

@@ -44,7 +44,7 @@ MAX_EXTENSION_ROUNDS = 12
 MAX_S3_SHIFT = 6
 
 #: Cone ghosts whose stages run together: enough to make the stacked calls
-#: cheap per trial, few enough to bound the memory their candidate streams
+#: cheap per trial, few enough to bound the memory their candidate arrays
 #: and the stacks hold.
 LOCKSTEP_BATCH = 128
 
@@ -201,166 +201,190 @@ def _offset_table(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return di, dj, np.hypot(di, dj)
 
 
-def _cone_nodes(streams: list, di: np.ndarray, dj: np.ndarray, dist: np.ndarray) -> list[list[tuple[int, int]]]:
-    """Each stream's active cone nodes among the offsets ``(di, dj)``, in their order.
+def _cos_half(aperture_deg: float) -> float:
+    """Cosine of a cone's half aperture; any other form moves the cone edge by a bit."""
+    return np.cos(np.radians(min(aperture_deg, 360.0) / 2.0))
 
-    One (B, T) pass for B streams and T offsets of length ``dist``: a
-    cone batch reads its streams' first radius with it, and a stream
-    reads each later radius, or its cone after widening, as a batch of one.
+
+def _cone_nodes(cones: "_Cones", ks, di: np.ndarray, dj: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The active cone nodes of the ghosts ``ks`` of ``cones`` among the offsets ``(di, dj)``.
+
+    One (B, T) pass for B ghosts and T offsets of length ``dist``: a batch
+    reads its ghosts' first radius with it, and a ghost reads each later
+    radius, or its cone after widening, as a batch of one.  Returns the
+    nodes (N, 2) of the B ghosts, ghost after ghost, each in offset order,
+    and how many each ghost has.
     """
-    w = np.array([s.direction for s in streams])
-    wnorm = np.array([s.wnorm for s in streams])[:, None]
-    cos_half = np.array([s.cos_half for s in streams])[:, None]
-    full = np.array([s.full for s in streams])[:, None]
+    w, wnorm, cos_half = cones.w[ks], cones.wnorm[ks, None], cones.cos_half[ks, None]
+    full = (cones.aperture[ks, None] >= 360.0) | (wnorm == 0.0)
     # The 1e-12 slack and this operation order decide the nodes on the
     # cone edge; any other form moves stencils by a bit.
     row, col = np.nonzero(full | (di * w[:, :1] + dj * w[:, 1:] >= (cos_half - 1e-12) * dist * wnorm))
-    i = di[col] + np.array([s.i0 for s in streams])[row]
-    j = dj[col] + np.array([s.j0 for s in streams])[row]
-    classification = streams[0].classification
-    n = classification.grid.n
-    inside = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
-    row, i, j = row[inside], i[inside], j[inside]
-    active = classification.active_index[i, j] >= 0
-    nodes = list(zip(i[active].tolist(), j[active].tolist()))
-    ends = np.cumsum(np.bincount(row[active], minlength=len(streams))).tolist()
-    return [nodes[a:b] for a, b in zip([0] + ends, ends)]
+    i = di[col] + cones.ghosts[ks, 0][row]
+    j = dj[col] + cones.ghosts[ks, 1][row]
+    n = cones.classification.grid.n
+    keep = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
+    keep[keep] = cones.classification.active_index[i[keep], j[keep]] >= 0
+    return np.column_stack([i[keep], j[keep]]), np.bincount(row[keep], minlength=len(w))
 
 
-class _CandidateStream:
-    """Cone candidates with automatic aperture widening on exhaustion.
+class _Cones:
+    """The cone candidates of a batch of ghosts, as arrays.
 
-    The active nodes inside the cone, nearest first with (i, j) breaking
-    ties, are read off the offset table into a list; ``take`` advances a
-    frontier index through it and hands out each node once.  Running past
-    the table doubles its radius until the table reaches every lattice
-    node; only then is the cone exhausted, and ``take`` widens it: the
-    wider cone's list starts again from the ghost, skipping the nodes
-    already handed out.  ``batch`` opens the streams of many ghosts with
-    their first radius read.
+    ``nodes`` (N, 2) holds one segment per ghost: the ghost, then the
+    active nodes of its cone, nearest first with (i, j) breaking ties.
+    Stencil members are indices into ``nodes``, and ``take`` hands out each
+    ghost's next node by advancing its frontier index, so a node is handed
+    out once.  The batch reads every cone to ``FIRST_CONE_RADIUS`` in one
+    pass.  A ghost that runs out of its segment reads, one ghost at a time,
+    the next radius of its offset table into a new segment at the end of
+    ``nodes`` (doubling it until the table reaches every lattice node);
+    once its cone is exhausted it widens by ``APERTURE_STEP``, and the
+    wider cone is read again from the ghost, less the nodes already
+    handed out.
     """
 
-    def __init__(self, collar, aperture_deg, classification):
-        self.ghost_ij = collar.ghost_ij
-        self.i0, self.j0 = int(self.ghost_ij[0]), int(self.ghost_ij[1])
-        self.direction = np.asarray(collar.toward_boundary(), dtype=float)
-        self.wnorm = float(np.linalg.norm(self.direction))
+    def __init__(self, collars: list[CollarPoint], aperture_deg: float, classification: NodeClassification):
         self.classification = classification
+        self.ghosts = np.array([c.ghost_ij for c in collars], dtype=np.int64).reshape(-1, 2)
+        self.w = np.array([c.toward_boundary() for c in collars], dtype=float).reshape(-1, 2)
+        self.wnorm = np.array([float(np.linalg.norm(w)) for w in self.w])
         n = classification.grid.n
         # a table radius with radius^2 >= reach2 covers the lattice
-        self.reach2 = max(self.i0, n - self.i0) ** 2 + max(self.j0, n - self.j0) ** 2
-        self.given: set[tuple[int, int]] = set()
-        self._open(aperture_deg)
-
-    @classmethod
-    def batch(cls, collars, aperture_deg, classification) -> list["_CandidateStream"]:
-        """The streams of ``collars``' ghosts, their first radius read in one pass."""
-        streams = [cls(c, aperture_deg, classification) for c in collars]
+        self.reach2 = (np.maximum(self.ghosts, n - self.ghosts) ** 2).sum(axis=1)
+        batch = len(collars)
+        self.aperture = np.full(batch, float(aperture_deg))
+        self.cos_half = np.full(batch, _cos_half(aperture_deg))
         table = _offset_table(FIRST_CONE_RADIUS)
-        for stream, nodes in zip(streams, _cone_nodes(streams, *table)):
-            stream.radius, stream.read, stream.nodes = FIRST_CONE_RADIUS, table[2].size, nodes
-        return streams
+        self.radius = np.full(batch, FIRST_CONE_RADIUS)
+        self.read = np.full(batch, table[2].size)
+        nodes, counts = _cone_nodes(self, np.arange(batch), *table)
+        first = np.cumsum(counts) - counts
+        self.nodes = np.insert(nodes, first, self.ghosts, axis=0)
+        self.start = first + np.arange(batch)
+        self.frontier = self.start + 1
+        self.end = self.frontier + counts
+        # where each ghost's current segment begins, and the nodes handed
+        # out from the segments it has left
+        self.begin = self.frontier.copy()
+        self.given: dict[int, set[tuple[int, int]]] = {}
 
-    def _open(self, aperture_deg: float) -> None:
-        """Empty candidate list for a (new) aperture, frontier at its start."""
-        self.aperture = aperture_deg
-        self.cos_half = np.cos(np.radians(min(aperture_deg, 360.0) / 2.0))
-        self.full = aperture_deg >= 360.0 or self.wnorm == 0.0
-        self.radius = 0
-        self.read = 0
-        self.nodes: list[tuple[int, int]] = []
-        self.frontier = 0
+    def ghost(self, k: int) -> tuple[int, int]:
+        """Ghost k's node, as error messages name it."""
+        return tuple(self.ghosts[k].tolist())
 
-    def _extend(self) -> None:
-        """Append the cone nodes of the next radius, in table order."""
-        self.radius = max(FIRST_CONE_RADIUS, 2 * self.radius)
-        di, dj, dist = (a[self.read:] for a in _offset_table(self.radius))
-        self.read += dist.size
-        self.nodes.extend(_cone_nodes([self], di, dj, dist)[0])
+    def take(self, ks: np.ndarray) -> np.ndarray:
+        """Index in ``nodes`` of the next node of each ghost ``ks``; -1 where its cone is exhausted."""
+        for k in ks[self.frontier[ks] == self.end[ks]].tolist():
+            self._extend(k)
+        out = np.where(self.frontier[ks] < self.end[ks], self.frontier[ks], -1)
+        self.frontier[ks] += out >= 0
+        return out
 
-    def candidate(self, k: int) -> tuple[int, int] | None:
-        """The k-th candidate of the current aperture; None past the last."""
-        while k >= len(self.nodes):
-            if self.radius * self.radius >= self.reach2:
-                return None
-            self._extend()
-        return self.nodes[k]
-
-    def take(self) -> tuple[int, int]:
-        """Next candidate not handed out before, in distance order (the growth frontier)."""
+    def _extend(self, k: int) -> None:
+        """A new segment for ghost k, from its next radius or its widened cone; none once exhausted at 360 degrees."""
+        given = self.given.setdefault(k, set())
+        given.update(map(tuple, self.nodes[self.begin[k]:self.end[k]].tolist()))
         while True:
-            node = self.candidate(self.frontier)
-            if node is None:
-                if self.aperture >= 360.0:
-                    raise CandidatesExhausted(
-                        f"cone candidates exhausted for ghost {tuple(self.ghost_ij)}"
-                    )
-                self._open(min(360.0, self.aperture + APERTURE_STEP))
-                continue
-            self.frontier += 1
-            if node not in self.given:
-                self.given.add(node)
-                return node
+            if self.radius[k] ** 2 >= self.reach2[k]:
+                if self.aperture[k] >= 360.0:
+                    return
+                self.aperture[k] = min(360.0, self.aperture[k] + APERTURE_STEP)
+                self.cos_half[k] = _cos_half(self.aperture[k])
+                self.radius[k] = self.read[k] = 0
+            self.radius[k] = max(FIRST_CONE_RADIUS, 2 * self.radius[k])
+            di, dj, dist = (a[self.read[k]:] for a in _offset_table(int(self.radius[k])))
+            self.read[k] += dist.size
+            nodes, _ = _cone_nodes(self, [k], di, dj, dist)
+            fresh = [node for node in map(tuple, nodes.tolist()) if node not in given]
+            if fresh:
+                self.begin[k] = self.frontier[k] = len(self.nodes)
+                self.nodes = np.concatenate([self.nodes, np.array(fresh, dtype=np.int64)])
+                self.end[k] = len(self.nodes)
+                return
 
 
-def _add_candidate(members: list[tuple[int, int]], stream: _CandidateStream) -> None:
-    """Append ``stream``'s next candidate; ``NotAdmissible`` when ``members`` may not grow."""
-    if len(members) >= MAX_STENCIL_SIZE:
-        raise NotAdmissible(
-            f"stencil for ghost {members[0]} grew past {MAX_STENCIL_SIZE} "
-            "points without becoming well conditioned"
-        )
-    try:
-        members.append(stream.take())
-    except CandidatesExhausted as exc:
-        raise NotAdmissible(str(exc)) from exc
+def _by_size(ks: np.ndarray, sizes: np.ndarray):
+    """The ghosts ``ks`` grouped by ``sizes``: (size, ghosts) pairs."""
+    ks = ks[np.argsort(sizes[ks], kind="stable")]
+    values, first = np.unique(sizes[ks], return_index=True)
+    return zip(values.tolist(), np.split(ks, first[1:]))
+
+
+def _append(cones: _Cones, members: np.ndarray, sizes: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Append each ghost's next cone node to ``members[k, :sizes[k]]``: (grown, exhausted) ghosts."""
+    new = cones.take(ks)
+    grown = ks[new >= 0]
+    members[grown, sizes[grown]] = new[new >= 0]
+    sizes[grown] += 1
+    return grown, ks[new < 0]
 
 
 def _grow(
-    trials: dict[int, list[tuple[int, int]]],
+    cones: _Cones,
+    members: np.ndarray,
+    sizes: np.ndarray,
+    pending: np.ndarray,
     collars: list[CollarPoint],
-    streams: list[_CandidateStream],
     strategy: StencilStrategy,
     solver: GhostOperatorSolver,
 ) -> dict[int, StencilSolve | NotAdmissible]:
-    """Grow every trial stencil of a batch until admissible with chi < ``local_tol``.
+    """Grow the trial stencils of the ghosts ``pending`` until admissible with chi < ``local_tol``.
 
-    ``trials[k]`` holds the members (the ghost first) of batch ghost k; it
-    closes ``collars[k]`` and grows in place from ``streams[k]``.  Every
-    round solves the pending trials of all ghosts, one ``solver.solve`` per
-    member count; a trial that is rank-deficient by construction
-    (``solver.deficient``) takes its next candidate without being solved.
-    Returns per ghost its final solve, or the ``NotAdmissible`` it ended
-    with: grown past ``MAX_STENCIL_SIZE`` or out of cone candidates.
+    Ghost k's trial, ``members[k, :sizes[k]]``, holds indices into
+    ``cones.nodes`` (the ghost first); it closes ``collars[k]`` and grows
+    in place from ``cones``.  Every round solves the pending trials of all
+    ghosts, one ``solver.solve`` per member count; the trials that are
+    rank-deficient by construction (``solver.deficient``, one call per
+    member count of each screening pass) take their next candidate without
+    being solved.  Returns per ghost its final solve, or the
+    ``NotAdmissible`` it ended with: grown past ``MAX_STENCIL_SIZE`` or out
+    of cone candidates.
     """
     outcomes: dict[int, StencilSolve | NotAdmissible] = {}
+    ended = np.zeros(len(sizes), dtype=bool)
 
-    def extend(k: int) -> bool:
-        try:
-            _add_candidate(trials[k], streams[k])
-        except NotAdmissible as exc:
-            outcomes[k] = exc
-            return False
-        return True
+    def extend(ks: np.ndarray) -> np.ndarray:
+        full = ks[sizes[ks] >= MAX_STENCIL_SIZE]
+        for k in full.tolist():
+            outcomes[k] = NotAdmissible(
+                f"stencil for ghost {cones.ghost(k)} grew past {MAX_STENCIL_SIZE} "
+                "points without becoming well conditioned"
+            )
+        grown, exhausted = _append(cones, members, sizes, ks[sizes[ks] < MAX_STENCIL_SIZE])
+        for k in exhausted.tolist():
+            outcomes[k] = NotAdmissible(f"cone candidates exhausted for ghost {cones.ghost(k)}")
+        ended[full] = ended[exhausted] = True
+        return grown
 
-    pending = list(trials)
-    while pending:
-        by_size: dict[int, list[int]] = {}
-        for k in pending:
-            while solver.deficient(np.array(trials[k], dtype=np.int64)):
-                if not extend(k):
-                    break
-            else:
-                by_size.setdefault(len(trials[k]), []).append(k)
-        pending = []
-        for ks in by_size.values():
-            members = np.array([trials[k] for k in ks], dtype=np.int64)
-            for k, solve in zip(ks, solver.solve(members, [collars[k] for k in ks])):
-                if solve.admissible and solve.chi < strategy.local_tol:
-                    outcomes[k] = solve
-                elif extend(k):
-                    pending.append(k)
+    while len(pending):
+        screen = pending
+        while len(screen):
+            screen = extend(np.concatenate([
+                ks[solver.deficient(cones.nodes[members[ks, :m]])] for m, ks in _by_size(screen, sizes)
+            ]))
+        grown = []
+        for m, ks in _by_size(pending[~ended[pending]], sizes):
+            solves = solver.solve(cones.nodes[members[ks, :m]], [collars[k] for k in ks])
+            done = np.array([solve.admissible and solve.chi < strategy.local_tol for solve in solves])
+            outcomes.update((k, solve) for k, solve, ok in zip(ks.tolist(), solves, done) if ok)
+            grown.append(extend(ks[~done]))
+        pending = np.concatenate(grown) if grown else pending[:0]
     return outcomes
+
+
+def _padded(coeffs: list[np.ndarray], width: int) -> np.ndarray:
+    """Coefficient rows stacked and padded with zeros to ``width``."""
+    out = np.zeros((len(coeffs), width))
+    for row, c in zip(out, coeffs):
+        row[:len(c)] = c
+    return out
+
+
+def _settled(solves: dict, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ghosts with an admissible solve in ``solves``, and their coefficients padded to ``width``."""
+    ok = [k for k, solve in solves.items() if not isinstance(solve, NotAdmissible)]
+    return np.array(ok, dtype=np.int64), _padded([solves[k].coeffs for k in ok], width)
 
 
 def _cone_batch(
@@ -371,7 +395,7 @@ def _cone_batch(
 ) -> list:
     """S4.1 growth and the S4.2 swap rounds of one batch of collar points.
 
-    Opens the ghosts' candidate streams together, each cone aimed at its
+    Reads the ghosts' cones together (``_Cones``), each aimed at its
     collar, and returns per ghost its row ``(member_ij, collar, solve,
     swaps, aperture)`` (the final members, the ghost first, the collar
     point their row closes, their solve, the accepted S4.2 swaps and the
@@ -382,50 +406,55 @@ def _cone_batch(
     global tolerance.  A swap trial drops the member with the largest
     coefficient (typically a node shadowing the ghost from right next to
     the collar point; removing it restores a usable centre coefficient for
-    ghosts deep in the second layer) and adds the stream's next candidate:
-    every nearer one is a member or an earlier victim, and a node leaves
-    the stream once.  A swap trial that cannot be grown to an admissible
-    stencil, or does not strictly lower the amplification, is dropped and
-    its ghost stops swapping; stencils the swaps cannot fix are left to the
-    collar modification of S4.3 (``cone_rows``).
+    ghosts deep in the second layer) and appends the cone's next node:
+    every nearer one is a member or an earlier victim, and a node is handed
+    out once.  A swap trial that cannot be grown to an admissible stencil,
+    or does not strictly lower the amplification, is dropped and its ghost
+    stops swapping; stencils the swaps cannot fix are left to the collar
+    modification of S4.3 (``cone_rows``).
     """
-    streams = _CandidateStream.batch(collars, strategy.aperture_deg, classification)
+    cones = _Cones(collars, strategy.aperture_deg, classification)
     outcomes: list = [None] * len(collars)
-    members: dict[int, list[tuple[int, int]]] = {}
-    for k, stream in enumerate(streams):
-        try:
-            members[k] = [(stream.i0, stream.j0)] + [stream.take() for _ in range(solver.n_constraints - 1)]
-        except CandidatesExhausted as exc:
-            outcomes[k] = exc
-    solves = _grow(members, collars, streams, strategy, solver)
-    ratios = {}
+    width = max(MAX_STENCIL_SIZE, solver.n_constraints)
+    members = np.zeros((len(collars), width), dtype=np.int64)
+    members[:, 0] = cones.start
+    sizes = np.ones(len(collars), dtype=np.int64)
+    live = np.arange(len(collars))
+    for _ in range(solver.n_constraints - 1):
+        live, exhausted = _append(cones, members, sizes, live)
+        for k in exhausted.tolist():
+            outcomes[k] = CandidatesExhausted(f"cone candidates exhausted for ghost {cones.ghost(k)}")
+    solves = _grow(cones, members, sizes, live, collars, strategy, solver)
     for k, solve in solves.items():
         if isinstance(solve, NotAdmissible):
             outcomes[k] = solve
-        else:
-            ratios[k] = coefficient_amplification(solve.coeffs)
-    swaps = dict.fromkeys(ratios, 0)
-    swapping = [k for k, ratio in ratios.items() if ratio >= strategy.global_tol]
+    ok, coeffs = _settled(solves, width)
+    ratios = np.full(len(collars), np.inf)
+    ratios[ok] = coefficient_amplification(coeffs)
+    padded = np.zeros((len(collars), width))
+    padded[ok] = coeffs
+    swaps = np.zeros(len(collars), dtype=np.int64)
+    swapping = ok[ratios[ok] >= strategy.global_tol]
+    cols = np.arange(width - 1)
     for _ in range(0 if strategy.kind == "S4.1" else strategy.max_swaps):
-        trials = {}
-        for k in swapping:
-            victim = 1 + int(np.abs(solves[k].coeffs[1:]).argmax())
-            try:
-                trials[k] = members[k][:victim] + members[k][victim + 1:] + [streams[k].take()]
-            except CandidatesExhausted:
-                pass
-        swapping = []
-        for k, solve in _grow(trials, collars, streams, strategy, solver).items():
-            if isinstance(solve, NotAdmissible):
-                continue
-            ratio = coefficient_amplification(solve.coeffs)
-            if ratio < ratios[k]:
-                members[k], solves[k], ratios[k] = trials[k], solve, ratio
-                swaps[k] += 1
-                if ratio >= strategy.global_tol:
-                    swapping.append(k)
-    for k in ratios:
-        outcomes[k] = (np.array(members[k], dtype=np.int64), collars[k], solves[k], swaps[k], streams[k].aperture)
+        if not len(swapping):
+            break
+        victim = 1 + np.abs(padded[swapping, 1:]).argmax(axis=1)
+        trials, trial_sizes = members.copy(), sizes - 1
+        trials[swapping, :-1] = members[swapping[:, None], cols + (cols >= victim[:, None])]
+        swapping, _ = _append(cones, trials, trial_sizes, swapping)
+        tried = _grow(cones, trials, trial_sizes, swapping, collars, strategy, solver)
+        good, coeffs = _settled(tried, width)
+        ratio = coefficient_amplification(coeffs)
+        better = ratio < ratios[good]
+        good, ratio, coeffs = good[better], ratio[better], coeffs[better]
+        members[good], sizes[good], padded[good], ratios[good] = trials[good], trial_sizes[good], coeffs, ratio
+        swaps[good] += 1
+        solves.update((k, tried[k]) for k in good.tolist())
+        swapping = good[ratio >= strategy.global_tol]
+    for k in ok.tolist():
+        member_ij = cones.nodes[members[k, :sizes[k]]]
+        outcomes[k] = (member_ij, collars[k], solves[k], int(swaps[k]), float(cones.aperture[k]))
     return outcomes
 
 
@@ -478,7 +507,9 @@ def cone_rows(
     rows = list(itertools.takewhile(lambda row: not isinstance(row, GhostBcError), outcomes))
     rebuilt = np.zeros(len(collars), dtype=bool)
     if strategy.kind == "S4.3":
-        retry = [k for k, row in enumerate(rows) if coefficient_amplification(row[2].coeffs) >= strategy.global_tol]
+        width = max(MAX_STENCIL_SIZE, solver.n_constraints)
+        ratios = coefficient_amplification(_padded([row[2].coeffs for row in rows], width))
+        retry = np.flatnonzero(ratios >= strategy.global_tol).tolist()
         axis = axis_projection(
             [collars[k].ghost_xy for k in retry], classification.level_set, classification.grid.h,
             [collars[k].ghost_ij for k in retry],

@@ -68,6 +68,15 @@ def rows_of(rows):
     ]
 
 
+def pairwise_diameter(member_ij):
+    """Maximum pairwise distance of one stencil's lattice nodes, in grid spacings (the per-row reference)."""
+    ij = np.asarray(member_ij)
+    if len(ij) < 2:
+        return 0.0
+    d2 = ((ij[:, None, :] - ij[None, :, :]) ** 2).sum(axis=2)
+    return float(np.sqrt(d2.max()))
+
+
 def node_xy(grid, i, j):
     """Coordinates of the one node (i, j) as a (2,) array."""
     x, y = grid.coords(i, j)

@@ -15,8 +15,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import tracing  # noqa: E402
 
 #: Targets the pipeline stopped calling when collars were batched, the trial
-#: stencils became generators and swap replacements came from ``take``; the
-#: benchmark still hooks them.
+#: stencils became generators, swap replacements came from ``take`` and the
+#: cone candidates became per-batch arrays; the benchmark still hooks them.
 STALE_HOOKS = {
     "ghostbc.assembly:collar_for_ghost",
     "ghostbc.assembly:build_S4",
@@ -26,6 +26,7 @@ STALE_HOOKS = {
     "ghostbc.boundary_ops:boundary_action_vector",
     "ghostbc.boundary_ops:analyze_stencil",
     "ghostbc.stencils:_CandidateStream.nearest_available",
+    "ghostbc.stencils:_CandidateStream.take",
 }
 
 

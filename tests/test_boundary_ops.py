@@ -17,9 +17,9 @@ from ghostbc.boundary_ops import (
 from ghostbc import stencils
 from ghostbc.errors import GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible, ProjectionDiverged
 from ghostbc.geometry import CollarPoint
-from ghostbc.stencils import LOCKSTEP_BATCH, TRIANGLE_KINDS, _CandidateStream
+from ghostbc.stencils import LOCKSTEP_BATCH, TRIANGLE_KINDS
 from test_geometry import scalar_axis_projection
-from test_stencils import _reference_cone_row, reference_triangle, triangle
+from test_stencils import _reference_cone, _reference_cone_row, reference_triangle, triangle
 
 
 def make_collar(center, point, normal=(1.0, 0.0)):
@@ -442,8 +442,7 @@ def test_solver_builds_one_right_hand_side_per_collar(annulus_bench, annulus_160
     solver = GhostOperatorSolver(grid, robin_at)
     ghost = tuple(int(v) for v in classification.ghost_ij[3])
     collar = collar_of(ghost, grid, annulus_bench.level_set)
-    stream = _CandidateStream(collar, 60.0, classification)
-    members = np.array([ghost] + [stream.candidate(k) for k in range(16)])
+    members = np.array([ghost] + _reference_cone(ghost, collar, 60.0, classification)[:16])
     # an equal but distinct collar object (an S4.3 rebuild's) gets its own,
     # and a collar seen in an earlier call gets none
     other = g.CollarPoint(collar.ghost_xy, collar.point, collar.normal, "axis", ghost)
@@ -541,7 +540,7 @@ class TestLockstepLevel:
 
         def screening(self, member_ij):
             verdict = deficient(self, member_ij)
-            screened.append((member_ij, verdict))
+            screened.extend(zip(member_ij, verdict))
             return verdict
 
         def solving(self, member_ij, collars):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,7 +91,7 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "kappa, u0", [("0", "1"), ("-1", "1"), ("nan", "1"), ("inf", "1"), ("1", "inf"), ("1", "1e6"), ("1", "nan"),
-                      ("1", "5000")],
+                      ("1", "5000"), ("1", "-5000")],
     )
     def test_bad_convection_parameters_exit_2(self, tmp_path, capsys, kappa, u0):
         # rejected by the benchmark (non-positive diffusion, a closed form
@@ -100,8 +104,25 @@ class TestMain:
         assert record["error"] == "ConfigError"
         if (kappa, u0) == ("1", "5000"):
             assert record["message"].endswith("its constant c = -inf is not finite")
+        if (kappa, u0) == ("1", "-5000"):
+            assert record["message"].endswith("r**beta overflows")
         assert json.loads((out / "error.json").read_text()) == record
         assert not (out / "run.json").exists()
+
+    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+        # ``python -m ghostbc`` is the command line, and it prints nothing
+        # on stderr (``python -m ghostbc.cli`` draws a runpy warning)
+        src = str(Path(g.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "m"
+        done = subprocess.run(
+            [sys.executable, "-m", "ghostbc", "run", "--benchmark", "annulus", "--strategy", "S3", "--n", "32",
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["n"] == 32
+        assert (out / "run.json").exists()
 
     def test_numerical_failure_exits_1(self, tmp_path, capsys):
         # the hourglass waist cannot host ghost-exclusive triangles this coarse

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghostbc as g
-from conftest import circle_level_set, node_xy, square_level_set
+from conftest import circle_level_set, node_xy, pairwise_diameter, square_level_set
 from ghostbc.benchmarks import (
     R_INNER,
     R_OUTER,
@@ -31,7 +31,6 @@ from ghostbc.geometry import (
     _closest_points,
     axis_projection,
     collars_for_ghosts,
-    pairwise_diameter,
 )
 
 CATALOG_LEVEL_SETS = {
@@ -587,6 +586,13 @@ class TestDiameter:
     def test_s1_triangle_diameter(self):
         members = np.array([(l, m) for l in range(5) for m in range(5 - l)])
         assert pairwise_diameter(members) == pytest.approx(math.sqrt(32.0))
+
+    def test_level_diameters_equal_the_per_row_reference(self, annulus_160_rows):
+        # the level-wide pass, one per stencil size, against one row at a time
+        rows = annulus_160_rows
+        assert len(set(rows.sizes.tolist())) > 1
+        expected = [pairwise_diameter(m) for m in rows.per_row(rows.member_ij)]
+        assert g.stencil_diagnostics(rows).diameters.tolist() == expected
 
 
 def test_stencil_reach_constant():

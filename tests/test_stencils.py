@@ -19,7 +19,7 @@ from ghostbc.stencils import (
     MAX_S3_SHIFT,
     MAX_STENCIL_SIZE,
     TRIANGLE_KINDS,
-    _CandidateStream,
+    _Cones,
     _cone_batches,
     extend_classification,
     triangle_stencils,
@@ -143,13 +143,23 @@ def collar_of(ghost, grid, level_set):
     return g.collars_for_ghosts([ghost], grid, level_set)[0]
 
 
+def takes(cones, count):
+    """(node, aperture) of ``count`` successive takes of the one ghost of ``cones``; node None once exhausted."""
+    out = []
+    for _ in range(count):
+        (k,) = cones.take(np.array([0]))
+        out.append((tuple(cones.nodes[k].tolist()) if k >= 0 else None, float(cones.aperture[0])))
+    return out
+
+
 def cone_list(ghost, collar, aperture_deg, grid, classification, limit=None):
-    """Ordered cone candidates of one stream, with the ghost itself first."""
-    stream = _CandidateStream(collar, aperture_deg, classification)
+    """Ordered cone candidates of one ghost at one aperture, with the ghost itself first."""
+    cones = _Cones([collar], aperture_deg, classification)
     out = [tuple(ghost)]
+    assert tuple(cones.nodes[cones.start[0]].tolist()) == tuple(ghost)
     while limit is None or len(out) < limit:
-        node = stream.candidate(len(out) - 1)
-        if node is None:
+        ((node, aperture),) = takes(cones, 1)
+        if node is None or aperture != aperture_deg:
             break
         out.append(node)
     return out
@@ -478,10 +488,21 @@ class TestCandidateStream:
         ghost_xy = node_xy(grid, *ghost)
         collar = make_collar(ghost_xy, ghost_xy + np.array([0.1, 0.013]), ghost)
         strategy = g.StencilStrategy(kind="S4.1", aperture_deg=30.0)
-        stream = _CandidateStream(collar, strategy.aperture_deg, classification)
-        got = [(stream.take(), stream.aperture) for _ in range(60)]
+        got = takes(_Cones([collar], strategy.aperture_deg, classification), 60)
         assert got == _oracle_takes(ghost, collar, 30.0, grid, classification, 60)
         assert got[-1][1] > 30.0
+
+    def test_exhausted_cone_hands_out_every_active_node_once(self):
+        # a small disc: the cone widens to 360 degrees, hands out every
+        # active node once, and is then exhausted for good
+        grid, ls = g.Grid(40), circle_level_set(0.2)
+        classification = g.classify_nodes(grid, ls)
+        ghost = tuple(int(v) for v in classification.ghost_ij[0])
+        collar = collar_of(ghost, grid, ls)
+        others = int((classification.active_index >= 0).sum()) - 1
+        got = takes(_Cones([collar], 60.0, classification), others + 2)
+        assert got[:others] == _oracle_takes(ghost, collar, 60.0, grid, classification, others)
+        assert got[others:] == [(None, 360.0)] * 2
 
 
 class TestConeStrategies:
@@ -558,16 +579,40 @@ class TestConeStrategies:
         assert not (rows.rebuilt & fallbacks).any()
 
     def test_batch_streams_equal_one_stream_at_a_time(self, annulus_bench, annulus_160):
-        # the (B, T) first-radius pass of a batch against each stream reading
-        # its first radius as a batch of one, over two apertures
+        # the (B, T) first-radius pass of a batch against each ghost read as
+        # a batch of one, and both against the every-node reference cone
+        # within the first radius, over two apertures
         grid, classification = annulus_160
         collars = g.collars_for_ghosts(classification.ghost_ij[::9], grid, annulus_bench.level_set)
         for aperture in (60.0, 360.0):
-            batch = _CandidateStream.batch(collars, aperture, classification)
-            for stream, collar in zip(batch, collars):
-                alone = _CandidateStream(collar, aperture, classification)
-                assert alone.candidate(0) is not None
-                assert (stream.radius, stream.read, stream.nodes) == (alone.radius, alone.read, alone.nodes)
+            batch = _Cones(collars, aperture, classification)
+            for k, collar in enumerate(collars):
+                alone = _Cones([collar], aperture, classification)
+                segment = batch.nodes[batch.start[k]:batch.end[k]].tolist()
+                assert segment == alone.nodes.tolist()
+                ghost = collar.ghost_ij
+                near = [
+                    node for node in _reference_cone(ghost, collar, aperture, classification)
+                    if (node[0] - ghost[0]) ** 2 + (node[1] - ghost[1]) ** 2 <= FIRST_CONE_RADIUS**2
+                ]
+                assert list(map(tuple, segment)) == [ghost] + near
+
+    def test_rounds_and_solved_trials_are_pinned(self, annulus_bench, annulus_160, monkeypatch):
+        # The stacked solves of annulus S4.3-160 and the trials they hold: a
+        # round is one solve per member count, and the rank screen passes
+        # over about half of the trials, so a change that adds rounds or
+        # solves trials the screen would skip moves these counts.
+        _, classification = annulus_160
+        stacks = []
+        solve = GhostOperatorSolver.solve
+
+        def counting(self, member_ij, collars):
+            stacks.append(len(member_ij))
+            return solve(self, member_ij, collars)
+
+        monkeypatch.setattr(GhostOperatorSolver, "solve", counting)
+        g.build_ghost_rows(classification, g.StencilStrategy(kind="S4.3"), annulus_bench.coefficients)
+        assert (len(stacks), sum(stacks)) == (106, 1817)
 
     def test_sizes_within_hard_bound(self, annulus_160_rows):
         sizes = annulus_160_rows.sizes
