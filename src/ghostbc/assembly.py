@@ -195,35 +195,35 @@ def build_ghost_rows(
     if collars is None:
         collars = collars_for_ghosts(classification.ghost_ij, classification.grid, classification.level_set)
     if strategy.kind in TRIANGLE_KINDS:
-        triangles, errors = triangle_stencils(strategy.kind, collars, strategy.triangle_size, classification)
-        solves = solver.solve(triangles, collars)
-        for collar, error, solve in zip(collars, errors, solves):
+        member_ij, errors = triangle_stencils(strategy.kind, collars, strategy.triangle_size, classification)
+        solves = solver.solve(member_ij, solver.rhs(collars))
+        for collar, error, admissible, residual in zip(collars, errors, solves.admissible, solves.residual):
             if error is not None:
                 raise error
-            if not solve.admissible:
+            if not admissible:
                 raise NotAdmissible(
                     f"{strategy.kind} stencil of ghost {collar.ghost_ij} is rank-deficient or misses its "
-                    f"constraints (relative residual {solve.residual:.3e})"
+                    f"constraints (relative residual {residual:.3e})"
                 )
-        rows = [(members, collar, solve, 0, 0.0) for members, collar, solve in zip(triangles, collars, solves)]
-        rebuilt = np.zeros(len(rows), dtype=bool)
+        sizes, row_coeffs, chi = np.full(len(collars), member_ij.shape[1]), solves.coeffs, solves.chi
+        swaps, aperture, rebuilt = np.zeros_like(sizes), np.zeros(len(collars)), np.zeros(len(collars), dtype=bool)
     else:
-        rows, rebuilt = cone_rows(collars, strategy, classification, solver)
-    members, collars, solves, swaps, aperture = zip(*rows)
-    sizes = np.array([len(m) for m in members])
-    member_ij = np.concatenate(members)
-    row_coeffs = np.concatenate([solve.coeffs for solve in solves])
+        (member_ij, sizes, row_coeffs, chi, swaps, aperture), collars, rebuilt = cone_rows(
+            collars, strategy, classification, solver
+        )
+    kept = np.arange(member_ij.shape[1]) < sizes[:, None]
+    member_ij, row_coeffs = member_ij[kept], row_coeffs[kept]
     return GhostRows(
         ghost_ij=classification.ghost_ij,
         sizes=sizes,
         member_ij=member_ij,
         coeffs=row_coeffs,
         rhs=np.array([coeffs.robin(collar).value for collar in collars], dtype=float),
-        chi=np.array([solve.chi for solve in solves]),
+        chi=chi,
         r_ratio=_ghost_ratios(classification, sizes, member_ij, row_coeffs),
         collars=list(collars),
-        swaps=np.array(swaps),
-        aperture=np.array(aperture),
+        swaps=swaps,
+        aperture=aperture,
         rebuilt=rebuilt,
     )
 

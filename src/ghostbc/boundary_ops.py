@@ -44,28 +44,32 @@ RESIDUAL_TOLERANCE = 1e-10
 
 
 @dataclass
-class StencilSolve:
-    """Outcome of the constrained solve for one trial stencil.
+class StencilSolves:
+    """Outcome of the constrained solve for a stack of G trial stencils.
 
-    ``residual`` is the relative constraint residual ``||C a - g|| / ||g||``
-    (absolute when ``g`` vanishes), ``inf`` when no solve was attempted.
+    ``coeffs`` (G, M) holds each admissible trial's coefficients and zeros
+    for the others, whose ``chi`` (G,) is ``inf``.  ``residual`` (G,) is
+    the relative constraint residual ``||C a - g|| / ||g||`` (absolute when
+    ``g`` vanishes), ``inf`` for a trial without full row rank.
     """
 
-    admissible: bool
-    chi: float
-    coeffs: np.ndarray | None
-    singular_values: np.ndarray
-    residual: float
+    coeffs: np.ndarray
+    chi: np.ndarray
+    residual: np.ndarray
+
+    @property
+    def admissible(self) -> np.ndarray:
+        return self.residual <= RESIDUAL_TOLERANCE
 
 
-def solve_constraints(matrix: np.ndarray, rhs: np.ndarray) -> list[StencilSolve]:
+def solve_constraints(matrix: np.ndarray, rhs: np.ndarray) -> StencilSolves:
     """One stacked SVD for a stack of trials: rank, condition, min-norm solve.
 
     ``matrix`` (G, n_constraints, n_points) and ``rhs`` (G, n_constraints)
     hold G systems ``C a = g`` of one shape.  A
     trial is admissible when its matrix has full row rank and the solve
     meets the constraints to ``RESIDUAL_TOLERANCE * ||g||``; otherwise it
-    reports ``chi = inf`` and no coefficients.  ``chi = s_max/s_min`` of C,
+    reports ``chi = inf`` and zero coefficients.  ``chi = s_max/s_min`` of C,
     not of the Gram matrix ``C C^T`` (its square), is what the growth loops
     compare with the local tolerance.  The coefficients
     ``V (U^T g / s)`` and the residuals are stacked ``np.matmul``, one BLAS
@@ -82,12 +86,8 @@ def solve_constraints(matrix: np.ndarray, rhs: np.ndarray) -> list[StencilSolve]
     residual = np.sqrt(np.vecdot(residual_vector, residual_vector)) / np.where(scale > 0.0, scale, 1.0)
     full_rank = (s[:, 0] > 0.0) & (s[:, -1] >= RANK_TOLERANCE * s[:, 0]) & (c.shape[-1] >= c.shape[-2])
     residual = np.where(full_rank, residual, np.inf)
-    return [
-        StencilSolve(True, float(chi[k]), coeffs[k, :, 0], s[k], float(residual[k]))
-        if residual[k] <= RESIDUAL_TOLERANCE
-        else StencilSolve(False, np.inf, None, s[k], float(residual[k]))
-        for k in range(len(s))
-    ]
+    ok = residual <= RESIDUAL_TOLERANCE
+    return StencilSolves(np.where(ok[:, None], coeffs[..., 0], 0.0), np.where(ok, chi, np.inf), residual)
 
 
 def coefficient_amplification(coeffs: np.ndarray) -> np.ndarray:
@@ -110,9 +110,10 @@ class GhostOperatorSolver:
     """Conditioning oracle shared by the stencil strategies.
 
     Bundles the grid spacing, the basis order and the benchmark's Robin data
-    provider.  ``solve`` solves a stack of same-size trial stencils, and
-    ``deficient`` tells which of such a stack are rank-deficient by
-    construction, which the cone strategies grow past without solving them.
+    provider.  ``solve`` solves a stack of same-size trial stencils on the
+    right-hand sides ``rhs`` builds for their collars, and ``deficient``
+    tells which of such a stack are rank-deficient by construction, which
+    the cone strategies grow past without solving them.
     """
 
     def __init__(
@@ -125,8 +126,6 @@ class GhostOperatorSolver:
         self.robin_at = robin_at
         self.order = order
         self._alphas = enumerate_basis(order)
-        # id(collar) -> (collar, right-hand side); holding a collar keeps its id unique
-        self._rhs: dict[int, tuple[CollarPoint, np.ndarray]] = {}
         # member offsets from the first member -> rank-deficient by construction
         self._structural: dict[bytes, bool] = {}
         self._exponents = np.array(self._alphas).T
@@ -138,25 +137,22 @@ class GhostOperatorSolver:
     def config_for(self, ghost_xy: np.ndarray) -> BasisConfig:
         return BasisConfig(self.grid.h, np.asarray(ghost_xy, dtype=float))
 
-    def solve(self, member_ij: np.ndarray, collars) -> list[StencilSolve]:
-        """Solve G trial stencils of one size: ``member_ij`` (G, M, 2), one collar each.
-
-        Builds the constraints of the stack and runs ``solve_constraints``
-        on it.  The right-hand sides of collars this solver has not seen
-        come from one vectorized call; a collar's right-hand side is built
-        once, however many trials use it.
-        """
-        new = {id(c): c for c in collars if id(c) not in self._rhs}
-        if new:
-            fresh = list(new.values())
-            points = np.array([c.point for c in fresh])
-            centers = np.array([c.ghost_xy for c in fresh])
-            rhs = boundary_actions(self._alphas, points, [self.robin_at(c) for c in fresh], self.config_for(centers))
-            self._rhs.update(zip(new, zip(fresh, rhs)))
-        x, y = self.grid.coords(member_ij[..., 0], member_ij[..., 1])
+    def rhs(self, collars: list[CollarPoint]) -> np.ndarray:
+        """Constraint right-hand sides (K, n_constraints) of K collars, from one vectorized call."""
+        points = np.array([c.point for c in collars])
         centers = np.array([c.ghost_xy for c in collars])
-        matrix = monomial_matrix(self._alphas, np.stack([x, y], axis=-1), self.config_for(centers))
-        return solve_constraints(matrix, np.array([self._rhs[id(c)][1] for c in collars]))
+        return boundary_actions(self._alphas, points, [self.robin_at(c) for c in collars], self.config_for(centers))
+
+    def solve(self, member_ij: np.ndarray, rhs: np.ndarray) -> StencilSolves:
+        """Solve G trial stencils of one size: ``member_ij`` (G, M, 2), ``rhs`` (G, n_constraints).
+
+        Row k of ``rhs`` is the right-hand side of the collar trial k
+        closes.  Builds the stack's constraints, each stencil's basis
+        centred at its first member, the ghost, for ``solve_constraints``.
+        """
+        x, y = self.grid.coords(member_ij[..., 0], member_ij[..., 1])
+        points = np.stack([x, y], axis=-1)
+        return solve_constraints(monomial_matrix(self._alphas, points, self.config_for(points[:, 0])), rhs)
 
     def deficient(self, member_ij: np.ndarray) -> np.ndarray:
         """Which of G stencils of one size, ``member_ij`` (G, M, 2), are rank-deficient by construction.

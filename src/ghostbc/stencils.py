@@ -13,14 +13,13 @@ axis-projected collar point (S4.3).
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_ops import GhostOperatorSolver, StencilSolve, coefficient_amplification
-from .errors import CandidatesExhausted, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
+from .boundary_ops import GhostOperatorSolver, coefficient_amplification
+from .errors import CandidatesExhausted, GeometryError, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
 from .geometry import CollarPoint, NodeClassification, axis_projection, collars_for_ghosts
 
 logger = logging.getLogger(__name__)
@@ -151,16 +150,25 @@ def extend_classification(
 
     Returns the closed classification and its ghosts' collars, in ghost
     order, for ``build_ghost_rows`` to reuse; the other strategies get their
-    classification back unchanged, with no collars.
+    classification back unchanged, with no collars.  A promoted node that
+    cannot be projected fails the closure with an ``InactiveMember``.
     """
     if strategy.kind not in ("S1", "S2"):
         return classification, None
 
     collars: dict[tuple[int, int], CollarPoint] = {}
-    for _ in range(MAX_EXTENSION_ROUNDS):
+    for closure_round in range(MAX_EXTENSION_ROUNDS):
         ghosts = [(int(i), int(j)) for i, j in classification.ghost_ij]
         new = [ghost for ghost in ghosts if ghost not in collars]
-        collars.update(zip(new, collars_for_ghosts(new, classification.grid, classification.level_set)))
+        try:
+            collars.update(zip(new, collars_for_ghosts(new, classification.grid, classification.level_set)))
+        except GeometryError as exc:
+            if not closure_round:
+                raise
+            raise InactiveMember(
+                f"{strategy.kind} band closure round {closure_round} promoted an exterior node "
+                f"that has no collar point: {exc}"
+            ) from exc
         band = [collars[ghost] for ghost in ghosts]
         members, _ = triangle_stencils(strategy.kind, band, strategy.triangle_size, classification)
         nodes = members.reshape(-1, 2)
@@ -248,7 +256,7 @@ class _Cones:
         self.classification = classification
         self.ghosts = np.array([c.ghost_ij for c in collars], dtype=np.int64).reshape(-1, 2)
         self.w = np.array([c.toward_boundary() for c in collars], dtype=float).reshape(-1, 2)
-        self.wnorm = np.array([float(np.linalg.norm(w)) for w in self.w])
+        self.wnorm = np.sqrt(np.vecdot(self.w, self.w))
         n = classification.grid.n
         # a table radius with radius^2 >= reach2 covers the lattice
         self.reach2 = (np.maximum(self.ghosts, n - self.ghosts) ** 2).sum(axis=1)
@@ -325,35 +333,38 @@ def _grow(
     members: np.ndarray,
     sizes: np.ndarray,
     pending: np.ndarray,
-    collars: list[CollarPoint],
+    rhs: np.ndarray,
     strategy: StencilStrategy,
     solver: GhostOperatorSolver,
-) -> dict[int, StencilSolve | NotAdmissible]:
+) -> tuple[np.ndarray, np.ndarray, dict[int, NotAdmissible]]:
     """Grow the trial stencils of the ghosts ``pending`` until admissible with chi < ``local_tol``.
 
     Ghost k's trial, ``members[k, :sizes[k]]``, holds indices into
-    ``cones.nodes`` (the ghost first); it closes ``collars[k]`` and grows
-    in place from ``cones``.  Every round solves the pending trials of all
-    ghosts, one ``solver.solve`` per member count; the trials that are
-    rank-deficient by construction (``solver.deficient``, one call per
-    member count of each screening pass) take their next candidate without
-    being solved.  Returns per ghost its final solve, or the
-    ``NotAdmissible`` it ended with: grown past ``MAX_STENCIL_SIZE`` or out
-    of cone candidates.
+    ``cones.nodes`` (the ghost first); it closes the collar whose
+    right-hand side is ``rhs[k]`` and grows in place from ``cones``.  Every
+    round solves the pending trials of all ghosts, one ``solver.solve``
+    per member count; the trials that are rank-deficient by construction
+    (``solver.deficient``, one call per member count of each screening
+    pass) take their next candidate without being solved.  Returns the
+    finished ghosts' coefficients, zero-padded to the width of ``members``,
+    and chi (zeros and ``inf`` for the others), and the ``NotAdmissible``
+    of each ghost grown past ``MAX_STENCIL_SIZE`` or out of candidates.
     """
-    outcomes: dict[int, StencilSolve | NotAdmissible] = {}
+    coeffs = np.zeros(members.shape)
+    chi = np.full(len(sizes), np.inf)
+    failed: dict[int, NotAdmissible] = {}
     ended = np.zeros(len(sizes), dtype=bool)
 
     def extend(ks: np.ndarray) -> np.ndarray:
         full = ks[sizes[ks] >= MAX_STENCIL_SIZE]
         for k in full.tolist():
-            outcomes[k] = NotAdmissible(
+            failed[k] = NotAdmissible(
                 f"stencil for ghost {cones.ghost(k)} grew past {MAX_STENCIL_SIZE} "
                 "points without becoming well conditioned"
             )
         grown, exhausted = _append(cones, members, sizes, ks[sizes[ks] < MAX_STENCIL_SIZE])
         for k in exhausted.tolist():
-            outcomes[k] = NotAdmissible(f"cone candidates exhausted for ghost {cones.ghost(k)}")
+            failed[k] = NotAdmissible(f"cone candidates exhausted for ghost {cones.ghost(k)}")
         ended[full] = ended[exhausted] = True
         return grown
 
@@ -365,26 +376,12 @@ def _grow(
             ]))
         grown = []
         for m, ks in _by_size(pending[~ended[pending]], sizes):
-            solves = solver.solve(cones.nodes[members[ks, :m]], [collars[k] for k in ks])
-            done = np.array([solve.admissible and solve.chi < strategy.local_tol for solve in solves])
-            outcomes.update((k, solve) for k, solve, ok in zip(ks.tolist(), solves, done) if ok)
+            solves = solver.solve(cones.nodes[members[ks, :m]], rhs[ks])
+            done = solves.chi < strategy.local_tol  # chi is inf where not admissible
+            coeffs[ks[done], :m], chi[ks[done]] = solves.coeffs[done], solves.chi[done]
             grown.append(extend(ks[~done]))
         pending = np.concatenate(grown) if grown else pending[:0]
-    return outcomes
-
-
-def _padded(coeffs: list[np.ndarray], width: int) -> np.ndarray:
-    """Coefficient rows stacked and padded with zeros to ``width``."""
-    out = np.zeros((len(coeffs), width))
-    for row, c in zip(out, coeffs):
-        row[:len(c)] = c
-    return out
-
-
-def _settled(solves: dict, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ghosts with an admissible solve in ``solves``, and their coefficients padded to ``width``."""
-    ok = [k for k, solve in solves.items() if not isinstance(solve, NotAdmissible)]
-    return np.array(ok, dtype=np.int64), _padded([solves[k].coeffs for k in ok], width)
+    return coeffs, chi, failed
 
 
 def _cone_batch(
@@ -392,15 +389,17 @@ def _cone_batch(
     strategy: StencilStrategy,
     classification: NodeClassification,
     solver: GhostOperatorSolver,
-) -> list:
+) -> tuple[list[np.ndarray], list[GhostBcError | None]]:
     """S4.1 growth and the S4.2 swap rounds of one batch of collar points.
 
     Reads the ghosts' cones together (``_Cones``), each aimed at its
-    collar, and returns per ghost its row ``(member_ij, collar, solve,
-    swaps, aperture)`` (the final members, the ghost first, the collar
-    point their row closes, their solve, the accepted S4.2 swaps and the
-    final cone aperture) or the ``GhostBcError`` it failed with.  S4.1 is
-    one ``_grow`` of every ghost's first ``n_constraints`` candidates.
+    collar, and returns the batch's rows as columns ``member_ij`` (B, W, 2)
+    (the final members, the ghost first), ``sizes``, ``coeffs`` (B, W),
+    ``chi``, the accepted S4.2 ``swaps`` and the final cone ``aperture``,
+    with per ghost None or the ``GhostBcError`` it failed with (its row
+    then reads zero coefficients and chi ``inf``).  The collars' right-hand
+    sides are built once for every stage.  S4.1 is one ``_grow`` of every
+    ghost's first ``n_constraints`` candidates.
     S4.2 then runs up to ``max_swaps`` swap rounds, each one ``_grow`` of
     the swap trials of the ghosts whose amplification still reaches the
     global tolerance.  A swap trial drops the member with the largest
@@ -408,13 +407,15 @@ def _cone_batch(
     the collar point; removing it restores a usable centre coefficient for
     ghosts deep in the second layer) and appends the cone's next node:
     every nearer one is a member or an earlier victim, and a node is handed
-    out once.  A swap trial that cannot be grown to an admissible stencil,
-    or does not strictly lower the amplification, is dropped and its ghost
-    stops swapping; stencils the swaps cannot fix are left to the collar
+    out once.  A swap trial that cannot be grown to an admissible stencil
+    (it reads zero coefficients, so its amplification is ``inf``), or does
+    not strictly lower the amplification, is dropped and its ghost stops
+    swapping; stencils the swaps cannot fix are left to the collar
     modification of S4.3 (``cone_rows``).
     """
     cones = _Cones(collars, strategy.aperture_deg, classification)
-    outcomes: list = [None] * len(collars)
+    rhs = solver.rhs(collars)
+    errors: list[GhostBcError | None] = [None] * len(collars)
     width = max(MAX_STENCIL_SIZE, solver.n_constraints)
     members = np.zeros((len(collars), width), dtype=np.int64)
     members[:, 0] = cones.start
@@ -423,39 +424,29 @@ def _cone_batch(
     for _ in range(solver.n_constraints - 1):
         live, exhausted = _append(cones, members, sizes, live)
         for k in exhausted.tolist():
-            outcomes[k] = CandidatesExhausted(f"cone candidates exhausted for ghost {cones.ghost(k)}")
-    solves = _grow(cones, members, sizes, live, collars, strategy, solver)
-    for k, solve in solves.items():
-        if isinstance(solve, NotAdmissible):
-            outcomes[k] = solve
-    ok, coeffs = _settled(solves, width)
-    ratios = np.full(len(collars), np.inf)
-    ratios[ok] = coefficient_amplification(coeffs)
-    padded = np.zeros((len(collars), width))
-    padded[ok] = coeffs
+            errors[k] = CandidatesExhausted(f"cone candidates exhausted for ghost {cones.ghost(k)}")
+    coeffs, chi, failed = _grow(cones, members, sizes, live, rhs, strategy, solver)
+    errors = [failed.get(k, error) for k, error in enumerate(errors)]
+    ratios = coefficient_amplification(coeffs)
     swaps = np.zeros(len(collars), dtype=np.int64)
-    swapping = ok[ratios[ok] >= strategy.global_tol]
+    swapping = np.flatnonzero((chi < np.inf) & (ratios >= strategy.global_tol))
     cols = np.arange(width - 1)
     for _ in range(0 if strategy.kind == "S4.1" else strategy.max_swaps):
         if not len(swapping):
             break
-        victim = 1 + np.abs(padded[swapping, 1:]).argmax(axis=1)
+        victim = 1 + np.abs(coeffs[swapping, 1:]).argmax(axis=1)
         trials, trial_sizes = members.copy(), sizes - 1
         trials[swapping, :-1] = members[swapping[:, None], cols + (cols >= victim[:, None])]
         swapping, _ = _append(cones, trials, trial_sizes, swapping)
-        tried = _grow(cones, trials, trial_sizes, swapping, collars, strategy, solver)
-        good, coeffs = _settled(tried, width)
-        ratio = coefficient_amplification(coeffs)
-        better = ratio < ratios[good]
-        good, ratio, coeffs = good[better], ratio[better], coeffs[better]
-        members[good], sizes[good], padded[good], ratios[good] = trials[good], trial_sizes[good], coeffs, ratio
+        trial_coeffs, trial_chi, _ = _grow(cones, trials, trial_sizes, swapping, rhs, strategy, solver)
+        ratio = coefficient_amplification(trial_coeffs[swapping])
+        better = ratio < ratios[swapping]
+        good = swapping[better]
+        members[good], sizes[good], ratios[good] = trials[good], trial_sizes[good], ratio[better]
+        coeffs[good], chi[good] = trial_coeffs[good], trial_chi[good]
         swaps[good] += 1
-        solves.update((k, tried[k]) for k in good.tolist())
-        swapping = good[ratio >= strategy.global_tol]
-    for k in ok.tolist():
-        member_ij = cones.nodes[members[k, :sizes[k]]]
-        outcomes[k] = (member_ij, collars[k], solves[k], int(swaps[k]), float(cones.aperture[k]))
-    return outcomes
+        swapping = good[ratios[good] >= strategy.global_tol]
+    return [cones.nodes[members], sizes, coeffs, chi, swaps, cones.aperture], errors
 
 
 def _cone_batches(
@@ -464,20 +455,25 @@ def _cone_batches(
     classification: NodeClassification,
     solver: GhostOperatorSolver,
     tolerated: type[GhostBcError] | tuple = (),
-) -> list:
-    """The ``_cone_batch`` outcomes of ``collars``, ``LOCKSTEP_BATCH`` ghosts at a time.
+) -> tuple[list[np.ndarray], list[GhostBcError | None]]:
+    """The ``_cone_batch`` columns and errors of ``collars``, ``LOCKSTEP_BATCH`` ghosts at a time.
 
-    The batch bounds the memory the candidate streams and the stacks hold.
+    The batch bounds the memory the candidate arrays and the stacks hold.
     No batch is opened after one in which a ghost failed with an error
     that is not ``tolerated``: the level raises that ghost's error or an
-    earlier one.
+    earlier one.  Without collars the columns are empty.
     """
-    outcomes: list = []
+    width = max(MAX_STENCIL_SIZE, solver.n_constraints)
+    batches = [[np.zeros((0, width, 2), np.int64), np.zeros(0, np.int64), np.zeros((0, width)), np.zeros(0),
+                np.zeros(0, np.int64), np.zeros(0)]]
+    errors: list[GhostBcError | None] = []
     for start in range(0, len(collars), LOCKSTEP_BATCH):
-        outcomes += _cone_batch(collars[start:start + LOCKSTEP_BATCH], strategy, classification, solver)
-        if any(isinstance(row, GhostBcError) and not isinstance(row, tolerated) for row in outcomes[start:]):
+        columns, batch_errors = _cone_batch(collars[start:start + LOCKSTEP_BATCH], strategy, classification, solver)
+        batches.append(columns)
+        errors += batch_errors
+        if any(error is not None and not isinstance(error, tolerated) for error in batch_errors):
             break
-    return outcomes
+    return [np.concatenate(column) for column in zip(*batches)], errors
 
 
 def cone_rows(
@@ -485,47 +481,49 @@ def cone_rows(
     strategy: StencilStrategy,
     classification: NodeClassification,
     solver: GhostOperatorSolver,
-) -> tuple[list, np.ndarray]:
-    """Every ghost's cone row (S4.1-S4.3), and which rows are S4.3 rebuilds.
+) -> tuple[list[np.ndarray], list[CollarPoint], np.ndarray]:
+    """Every ghost's cone row (S4.1-S4.3) as columns, their collars, and which rows are S4.3 rebuilds.
 
-    Rows are ``(member_ij, collar, solve, swaps, aperture)`` as
-    ``_cone_batch`` returns them, one per collar.  Phase 1 runs S4.1
-    growth (and S4.2 swaps) for every ghost.  For S4.3, the ghosts whose
-    amplification still reaches the global tolerance get axis-projected
-    collars from one batched projection, and phase 2 runs the construction
-    again from those collars.  A rebuild replaces its ghost's row, with the
-    swaps of both phases summed and the wider aperture; a ghost whose axis
-    rays miss the boundary, or whose rebuild is not admissible, keeps its
-    S4.2 row.  The second element flags the replaced rows.
+    The columns are those of ``_cone_batch``, one row per collar.  Phase 1
+    runs S4.1 growth (and S4.2 swaps) for every ghost.  For S4.3, the
+    ghosts whose amplification still reaches the global tolerance get
+    axis-projected collars from one batched projection, and phase 2 runs
+    the construction again from those collars.  A rebuild overwrites its
+    ghost's row and collar, with the swaps of both phases summed and the
+    wider aperture; a ghost whose axis rays miss the boundary, or whose
+    rebuild is not admissible, keeps its S4.2 row.  The last element flags
+    the overwritten rows.
 
     Raises the error of the first failing ghost in collar order, a failing
     axis projection or rebuild counting as its ghost's failure, as one
     ghost at a time would: only the ghosts before the first failure of
     phase 1 are rebuilt, and their failures come first.
     """
-    outcomes = _cone_batches(collars, strategy, classification, solver)
-    rows = list(itertools.takewhile(lambda row: not isinstance(row, GhostBcError), outcomes))
+    columns, errors = _cone_batches(collars, strategy, classification, solver)
+    member_ij, sizes, coeffs, chi, swaps, aperture = columns
+    failed = next((k for k, error in enumerate(errors) if error is not None), len(errors))
+    collars = list(collars)
     rebuilt = np.zeros(len(collars), dtype=bool)
     if strategy.kind == "S4.3":
-        width = max(MAX_STENCIL_SIZE, solver.n_constraints)
-        ratios = coefficient_amplification(_padded([row[2].coeffs for row in rows], width))
-        retry = np.flatnonzero(ratios >= strategy.global_tol).tolist()
+        retry = np.flatnonzero(coefficient_amplification(coeffs[:failed]) >= strategy.global_tol).tolist()
         axis = axis_projection(
             [collars[k].ghost_xy for k in retry], classification.level_set, classification.grid.h,
             [collars[k].ghost_ij for k in retry],
         )
         fresh = [collar for collar in axis if isinstance(collar, CollarPoint)]
-        rebuilds = iter(_cone_batches(fresh, strategy, classification, solver, tolerated=NotAdmissible))
+        new, new_errors = _cone_batches(fresh, strategy, classification, solver, tolerated=NotAdmissible)
+        rebuilds = iter(enumerate(new_errors))  # ghost k's rebuild is row p of ``new``
         for k, collar in zip(retry, axis):
-            new = next(rebuilds) if isinstance(collar, CollarPoint) else collar
-            if isinstance(new, (NoAxisIntersection, NotAdmissible)):
-                logger.info("ghost %s: no S4.3 rebuild (%s); keeping the S4.2 row", collars[k].ghost_ij, new)
-            elif isinstance(new, GhostBcError):
-                raise new
+            p, error = next(rebuilds) if isinstance(collar, CollarPoint) else (None, collar)
+            if isinstance(error, (NoAxisIntersection, NotAdmissible)):
+                logger.info("ghost %s: no S4.3 rebuild (%s); keeping the S4.2 row", collars[k].ghost_ij, error)
+            elif error is not None:
+                raise error
             else:
-                old = rows[k]
-                rows[k] = new[:3] + (old[3] + new[3], max(old[4], new[4]))
-                rebuilt[k] = True
-    if len(rows) < len(outcomes):
-        raise outcomes[len(rows)]
-    return rows, rebuilt
+                member_ij[k], sizes[k], coeffs[k], chi[k] = (column[p] for column in new[:4])
+                swaps[k] += new[4][p]
+                aperture[k] = max(aperture[k], new[5][p])
+                collars[k], rebuilt[k] = collar, True
+    if failed < len(errors):
+        raise errors[failed]
+    return columns, collars, rebuilt

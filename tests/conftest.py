@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -66,6 +67,25 @@ def rows_of(rows):
             rows.chi, rows.r_ratio, rows.collars, rows.swaps, rows.aperture,
         )
     ]
+
+
+class Solve(NamedTuple):
+    """One trial of a ``StencilSolves`` stack."""
+
+    coeffs: np.ndarray
+    chi: float
+    residual: float
+    admissible: bool
+
+
+def trial(solves, k=0):
+    """Trial k of the stack ``solves``."""
+    return Solve(solves.coeffs[k], float(solves.chi[k]), float(solves.residual[k]), bool(solves.admissible[k]))
+
+
+def solve_alone(solver, member_ij, collar):
+    """Solve of one trial stencil: a stack of one through ``solve``."""
+    return trial(solver.solve(member_ij[None], solver.rhs([collar])))
 
 
 def pairwise_diameter(member_ij):

@@ -1,11 +1,13 @@
+import dataclasses
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import assemble_constraints, circle_level_set, node_xy, rows_of
+from conftest import assemble_constraints, circle_level_set, node_xy, rows_of, solve_alone, trial
 
 import ghostbc as g
-from ghostbc.basis import BasisConfig, RobinData, enumerate_basis
+from ghostbc.basis import BasisConfig, RobinData, enumerate_basis, monomial_matrix
 from ghostbc import assembly, boundary_ops
 from ghostbc.assembly import _ghost_ratios
 from ghostbc.boundary_ops import (
@@ -38,20 +40,13 @@ def dirichlet(normal=(1.0, 0.0), value=0.0):
 def solve_one(cm):
     """The stacked solve on a stack of one system ``(matrix, rhs)``."""
     matrix, rhs = cm
-    (solve,) = solve_constraints(matrix[None], rhs[None])
-    return solve
+    return trial(solve_constraints(matrix[None], rhs[None]))
 
 
 def solve_min_norm(cm):
     solve = solve_one(cm)
     assert solve.admissible
     return solve.coeffs
-
-
-def solve_alone(solver, member_ij, collar):
-    """Solve of one trial stencil: a stack of one through ``solve``."""
-    (solve,) = solver.solve(member_ij[None], [collar])
-    return solve
 
 
 def inaccurate_system():
@@ -65,11 +60,21 @@ def inaccurate_system():
 
 
 def replace_solves(monkeypatch, replacements):
-    """Make ``GhostOperatorSolver.solve`` hand ``replacements[ghost]`` to those ghosts' trials."""
+    """Make ``GhostOperatorSolver.solve`` hand ``replacements[ghost]`` to the trials of those ghosts.
+
+    A trial's ghost is its first member; the replacement's coefficients
+    are padded with zeros to the trial's size.
+    """
     solve = GhostOperatorSolver.solve
 
-    def replaced(self, member_ij, collars):
-        return [replacements.get(c.ghost_ij, s) for c, s in zip(collars, solve(self, member_ij, collars))]
+    def replaced(self, member_ij, rhs):
+        solves = solve(self, member_ij, rhs)
+        for k, ghost in enumerate(map(tuple, member_ij[:, 0].tolist())):
+            if ghost in replacements:
+                new = replacements[ghost]
+                solves.coeffs[k] = np.pad(new.coeffs, (0, solves.coeffs.shape[1] - len(new.coeffs)))
+                solves.chi[k], solves.residual[k] = new.chi, new.residual
+        return solves
 
     monkeypatch.setattr(GhostOperatorSolver, "solve", replaced)
 
@@ -123,8 +128,8 @@ def inject_outcomes(monkeypatch, outcomes):
 
     def injected(collars, *args):
         opened.append(collars[0].ghost_ij)
-        rows = batch(collars, *args)
-        return [outcomes.get((c.ghost_ij, c.mode), row) for c, row in zip(collars, rows)]
+        columns, errors = batch(collars, *args)
+        return columns, [outcomes.get((c.ghost_ij, c.mode), error) for c, error in zip(collars, errors)]
 
     monkeypatch.setattr(stencils, "_cone_batch", injected)
     return opened
@@ -187,7 +192,7 @@ class TestSolveMinNorm:
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [h, 0.0]])
         cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg, order=2)
         solve = solve_one(cm)
-        assert not solve.admissible and solve.coeffs is None
+        assert not solve.admissible and solve.chi == np.inf and not solve.coeffs.any()
 
     def test_underdetermined_needs_enough_points(self):
         h = 0.1
@@ -195,7 +200,7 @@ class TestSolveMinNorm:
         pts = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])  # 3 points, 15 constraints
         cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg)
         solve = solve_one(cm)
-        assert not solve.admissible and solve.coeffs is None
+        assert not solve.admissible and solve.chi == np.inf and not solve.coeffs.any()
 
     def test_scaled_and_raw_bases_agree(self, annulus_bench):
         # recompute one real row with raw (unscaled) monomials at h = 1/80
@@ -372,10 +377,12 @@ def test_analyze_stencil_consistency(annulus_bench, annulus_160, annulus_160_row
     checked = 0
     for systems in by_size.values():
         matrices, rhs = (np.array(column) for column in zip(*systems))
-        for (c, b), result in zip(systems, solve_constraints(matrices, rhs)):
+        solves, stacked = solve_constraints(matrices, rhs), np.linalg.svd(matrices, full_matrices=False)[1]
+        for k, (c, b) in enumerate(systems):
+            result = trial(solves, k)
             assert result.admissible
             u, s, vt = np.linalg.svd(c, full_matrices=False)
-            assert np.array_equal(result.singular_values, s)
+            assert np.array_equal(stacked[k], s)
             assert result.chi == float(s[0] / s[-1])
             assert np.array_equal(result.coeffs, vt.T @ ((u.T @ b) / s))
             residual = np.linalg.norm(c @ result.coeffs - b) / np.linalg.norm(b)
@@ -395,7 +402,7 @@ class TestResidualContract:
 
         def recording(matrix, rhs):
             out = solve_constraints(matrix, rhs)
-            solves.extend(out)
+            solves.append(out)
             return out
 
         monkeypatch.setattr(boundary_ops, "solve_constraints", recording)
@@ -403,16 +410,18 @@ class TestResidualContract:
         strategy = g.StencilStrategy(kind="S4.3")
         collars = g.collars_for_ghosts(classification.ghost_ij[::4], grid, annulus_bench.level_set)
         stencils.cone_rows(collars, strategy, classification, solver)
-        admissible = [s for s in solves if s.admissible]
-        assert len(admissible) > 100
-        assert max(s.residual for s in admissible) <= RESIDUAL_TOLERANCE
-        assert all(s.chi == np.inf and s.coeffs is None for s in solves if not s.admissible)
+        admissible = np.concatenate([s.admissible for s in solves])
+        assert admissible.sum() > 100
+        assert np.concatenate([s.residual for s in solves])[admissible].max() <= RESIDUAL_TOLERANCE
+        assert all((s.chi[~s.admissible] == np.inf).all() and not s.coeffs[~s.admissible].any() for s in solves)
 
     def test_rank_admissible_but_inaccurate_solve_is_rejected(self, annulus_bench, annulus_160, monkeypatch):
-        result = solve_one(inaccurate_system())
-        assert result.singular_values[-1] >= 1e-13 * result.singular_values[0]
+        system = inaccurate_system()
+        result = solve_one(system)
+        s = np.linalg.svd(system[0], compute_uv=False)
+        assert s[-1] >= 1e-13 * s[0]
         assert not result.admissible
-        assert result.chi == np.inf and result.coeffs is None
+        assert result.chi == np.inf and not result.coeffs.any()
         assert RESIDUAL_TOLERANCE < result.residual < np.inf
         # a triangle stencil handed such a solve raises, naming the residual
         grid, classification = annulus_160
@@ -431,29 +440,35 @@ class TestResidualContract:
         assert solve_one(cm).residual == np.inf
 
 
-def test_solver_builds_one_right_hand_side_per_collar(annulus_bench, annulus_160):
+def test_right_hand_sides_are_built_once_per_batch(annulus_bench, annulus_160, monkeypatch):
+    # ``rhs`` gives each collar the right-hand side of its own constraint
+    # system, bit for bit; a cone level builds them once per batch, so a
+    # collar reaches ``robin`` for its right-hand side and for its datum
     grid, classification = annulus_160
-    seen = []
-
-    def robin_at(collar):
-        seen.append(collar)
-        return annulus_bench.coefficients.robin(collar)
-
-    solver = GhostOperatorSolver(grid, robin_at)
-    ghost = tuple(int(v) for v in classification.ghost_ij[3])
-    collar = collar_of(ghost, grid, annulus_bench.level_set)
-    members = np.array([ghost] + _reference_cone(ghost, collar, 60.0, classification)[:16])
-    # an equal but distinct collar object (an S4.3 rebuild's) gets its own,
-    # and a collar seen in an earlier call gets none
-    other = g.CollarPoint(collar.ghost_xy, collar.point, collar.normal, "axis", ghost)
-    first = solver.solve(np.array([members[:15], members[:15]]), [collar, collar])
-    second = solver.solve(np.array([members, members]), [collar, other])
-    assert [id(c) for c in seen] == [id(collar), id(other)]
-    reference = solve_alone(solver, members, collar)
-    assert all(np.array_equal(s.coeffs, reference.coeffs) for s in second)
-    assert all(np.array_equal(s.coeffs, solve_alone(solver, members[:15], collar).coeffs) for s in first)
-    cm = row_constraints(solver, members, collar)
-    assert np.array_equal(reference.coeffs, solve_one(cm).coeffs)
+    robin = annulus_bench.coefficients.robin
+    solver = GhostOperatorSolver(grid, robin)
+    collars = g.collars_for_ghosts(classification.ghost_ij, grid, annulus_bench.level_set)
+    for collar, rhs in zip(collars, solver.rhs(collars), strict=True):
+        _, expected = assemble_constraints(collar.point[None], collar, robin(collar), solver.config_for(collar.ghost_xy))
+        assert rhs.tobytes() == expected.tobytes()
+        # ``solve`` centres the basis at the first member, with the collar's bits
+        assert np.array(grid.coords(*collar.ghost_ij)).tobytes() == collar.ghost_xy.tobytes()
+    # a stacked trial equals the solve of its independently built constraints
+    collar = collars[3]
+    members = np.array([collar.ghost_ij] + _reference_cone(collar.ghost_ij, collar, 60.0, classification)[:16])
+    stacked = trial(solver.solve(np.array([members, members]), solver.rhs([collar, collar])), 1)
+    assert np.array_equal(stacked.coeffs, solve_one(row_constraints(solver, members, collar)).coeffs)
+    assert np.array_equal(stacked.coeffs, solve_alone(solver, members, collar).coeffs)
+    actions, batches, seen = [], [], []
+    build, batch = boundary_ops.boundary_actions, stencils._cone_batch
+    monkeypatch.setattr(boundary_ops, "boundary_actions", lambda *args: actions.append(args) or build(*args))
+    monkeypatch.setattr(stencils, "_cone_batch", lambda *args: batches.append(args) or batch(*args))
+    coefficients = dataclasses.replace(annulus_bench.coefficients, robin=lambda c: seen.append(c) or robin(c))
+    rows = g.build_ghost_rows(classification, g.StencilStrategy(kind="S4.3"), coefficients)
+    assert len(actions) == len(batches) == 12  # 10 batches of phase 1, 2 of phase 2
+    reached = Counter(map(id, seen))  # ``seen`` keeps every collar alive, so ids are unique
+    assert max(reached.values()) == 2
+    assert all(reached[id(collar)] == 2 for collar in rows.collars)
 
 
 def _level(name, kind, n):
@@ -492,9 +507,9 @@ class TestLockstepLevel:
         solved = []
         stack = solver.solve
 
-        def recording(member_ij, collars):
-            out = stack(member_ij, collars)
-            solved.extend(out)
+        def recording(member_ij, rhs):
+            out = stack(member_ij, rhs)
+            solved.extend(out.chi)
             return out
 
         solver.solve = recording
@@ -543,9 +558,9 @@ class TestLockstepLevel:
             screened.extend(zip(member_ij, verdict))
             return verdict
 
-        def solving(self, member_ij, collars):
+        def solving(self, member_ij, rhs):
             solved.extend(member_ij)
-            return solve(self, member_ij, collars)
+            return solve(self, member_ij, rhs)
 
         monkeypatch.setattr(GhostOperatorSolver, "deficient", screening)
         monkeypatch.setattr(GhostOperatorSolver, "solve", solving)
@@ -564,9 +579,13 @@ class TestLockstepLevel:
         for member_ij in skipped:
             by_size.setdefault(len(member_ij), []).append(member_ij)
         for group in by_size.values():
-            solves = solver.solve(np.array(group), [collars[tuple(m[0].tolist())] for m in group])
-            assert not any(s.admissible for s in solves)
-            assert max(s.singular_values[-1] / s.singular_values[0] for s in solves) < 1e-13
+            group = np.array(group)
+            solves = solver.solve(group, solver.rhs([collars[tuple(m[0].tolist())] for m in group]))
+            assert not solves.admissible.any()
+            points = np.stack(grid.coords(group[..., 0], group[..., 1]), axis=-1)
+            matrix = monomial_matrix(enumerate_basis(5), points, BasisConfig(grid.h, points[:, 0]))
+            s = np.linalg.svd(matrix, full_matrices=False)[1]
+            assert (s[:, -1] / s[:, 0]).max() < 1e-13
 
     def test_first_failing_ghost_raises(self, annulus_bench, annulus_160, monkeypatch):
         # Outcomes injected into the batch stage: the level raises the error
@@ -597,10 +616,10 @@ class TestLockstepLevel:
         assert error.value is early and opened == starts[:3]
         solve = GhostOperatorSolver.solve
 
-        def defective(self, member_ij, collars):
-            if any(c.ghost_ij == ghosts[7] for c in collars):
+        def defective(self, member_ij, rhs):
+            if ghosts[7] in map(tuple, member_ij[:, 0].tolist()):
                 raise ZeroDivisionError
-            return solve(self, member_ij, collars)
+            return solve(self, member_ij, rhs)
 
         with monkeypatch.context() as patch:
             patch.setattr(GhostOperatorSolver, "solve", defective)

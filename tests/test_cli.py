@@ -135,6 +135,19 @@ class TestMain:
         assert record["error"] in {"InactiveMember", "NotAdmissible", "GeometryError"}
         assert (tmp_path / "f" / "error.json").exists()
 
+    def test_closure_failure_names_the_closure(self, tmp_path, capsys):
+        # the S1 closure of the coarse flower promotes an exterior node whose
+        # axis rays miss the boundary: a stencil error that says so, exit 1
+        code = main(["run", "--benchmark", "flower", "--strategy", "S1", "--n", "48", "--out", str(tmp_path / "f")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == json.loads((tmp_path / "f" / "error.json").read_text())
+        assert record["error"] == "InactiveMember"
+        assert record["message"] == (
+            "S1 band closure round 1 promoted an exterior node that has no collar point: "
+            "no axis ray from [-0.66666667  0.375     ] crosses the boundary within 3.0 h"
+        )
+
     def test_triangle_with_too_few_members_exits_2(self, tmp_path, capsys, monkeypatch):
         # a size-4 triangle has 15 members against the 21 constraints of
         # order 6: refused before any level runs, for single runs and sweeps

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghostbc as g
-from conftest import circle_level_set, node_xy
-from ghostbc import benchmarks, geometry
+from conftest import circle_level_set, node_xy, solve_alone
+from ghostbc import benchmarks, geometry, stencils
 from ghostbc.benchmarks import flower_level_set, hourglass_level_set
 from ghostbc.boundary_ops import GhostOperatorSolver, coefficient_amplification
-from ghostbc.errors import CandidatesExhausted, GhostBcError, InactiveMember, NotAdmissible
+from ghostbc.errors import CandidatesExhausted, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
 from ghostbc.geometry import CollarPoint
 from ghostbc.stencils import (
     APERTURE_STEP,
@@ -554,10 +555,12 @@ class TestConeStrategies:
         assert len(rebuilt) == 131 and rebuilt == np.flatnonzero(s43.rebuilt).tolist()
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         strategy = g.StencilStrategy(kind="S4.3")
-        alone = _cone_batches([s43.collars[k] for k in rebuilt], strategy, classification, solver)
-        assert not any(isinstance(row, GhostBcError) for row in alone)
-        for k, (members, _, _, swaps, aperture) in zip(rebuilt, alone):
-            assert np.array_equal(members43[k], members)
+        (members, sizes, _, _, swaps, aperture), errors = _cone_batches(
+            [s43.collars[k] for k in rebuilt], strategy, classification, solver
+        )
+        assert errors == [None] * len(rebuilt)
+        for k, member_ij, size, swaps, aperture in zip(rebuilt, members, sizes, swaps, aperture, strict=True):
+            assert np.array_equal(members43[k], member_ij[:size])
             assert s43.swaps[k] == s42.swaps[k] + swaps
             assert s43.aperture[k] == max(s42.aperture[k], aperture)
         for k in set(range(len(s43))) - set(rebuilt):
@@ -596,6 +599,36 @@ class TestConeStrategies:
                     if (node[0] - ghost[0]) ** 2 + (node[1] - ghost[1]) ** 2 <= FIRST_CONE_RADIUS**2
                 ]
                 assert list(map(tuple, segment)) == [ghost] + near
+
+    def test_direction_norms_equal_the_per_ghost_norm(self, annulus_bench, annulus_160):
+        # the batch's one vecdot gives each ghost the bits of its own norm
+        grid, classification = annulus_160
+        collars = g.collars_for_ghosts(classification.ghost_ij, grid, annulus_bench.level_set)
+        wnorm = _Cones(collars, 60.0, classification).wnorm
+        assert wnorm.tobytes() == np.array([np.linalg.norm(c.toward_boundary()) for c in collars]).tobytes()
+
+    def test_phase_2_without_collars(self, annulus_bench, annulus_160, monkeypatch):
+        # Without collars the batches give empty columns.  At order 6 phase 1
+        # fails in its first batch before any ghost is to be rebuilt, so
+        # phase 2 gets no collars and the level raises phase 1's error.
+        grid, classification = annulus_160
+        strategy = g.StencilStrategy(kind="S4.3")
+        solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
+        columns, errors = _cone_batches([], strategy, classification, solver)
+        assert errors == []
+        assert [(c.shape, c.dtype.kind) for c in columns] == [
+            ((0, MAX_STENCIL_SIZE, 2), "i"), ((0,), "i"), ((0, MAX_STENCIL_SIZE), "f"), ((0,), "f"), ((0,), "i"),
+            ((0,), "f"),
+        ]
+        calls = []
+        batches = stencils._cone_batches
+        monkeypatch.setattr(stencils, "_cone_batches", lambda collars, *args, **kw: (
+            calls.append(len(collars)) or batches(collars, *args, **kw)
+        ))
+        message = "stencil for ghost (9, 74) grew past 60 points without becoming well conditioned"
+        with pytest.raises(NotAdmissible, match=re.escape(message)):
+            g.build_ghost_rows(classification, strategy, annulus_bench.coefficients, order=6)
+        assert calls == [len(classification.ghost_ij), 0]
 
     def test_rounds_and_solved_trials_are_pinned(self, annulus_bench, annulus_160, monkeypatch):
         # The stacked solves of annulus S4.3-160 and the trials they hold: a
@@ -684,6 +717,33 @@ class TestExtension:
         members, errors = triangle_stencils("S1", collars, strategy.triangle_size, extended)
         assert errors == [None] * len(collars)
         assert (extended.active_index[tuple(members.reshape(-1, 2).T)] >= 0).all()
+
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_promoted_node_without_collar_fails_the_closure(self, annulus_bench, monkeypatch, failing_call):
+        # A band ghost's projection error is raised as it is; a promoted
+        # node's becomes a stencil error that names the closure round.
+        classification = g.classify_nodes(g.Grid(194), annulus_bench.level_set)  # its closure promotes nodes
+        failure = NoAxisIntersection("no axis ray from the node crosses the boundary")
+        calls = []
+        project = stencils.collars_for_ghosts
+
+        def failing(ghosts, *args):
+            calls.append(len(ghosts))
+            if len(calls) == failing_call:
+                raise failure
+            return project(ghosts, *args)
+
+        monkeypatch.setattr(stencils, "collars_for_ghosts", failing)
+        with pytest.raises(GhostBcError) as error:
+            extend_classification(classification, g.StencilStrategy(kind="S1"))
+        if failing_call == 1:
+            assert error.value is failure
+        else:
+            assert type(error.value) is InactiveMember and error.value.__cause__ is failure
+            assert str(error.value) == (
+                "S1 band closure round 1 promoted an exterior node that has no collar point: "
+                "no axis ray from the node crosses the boundary"
+            )
 
     def test_cone_strategies_do_not_extend(self, annulus_bench, annulus_160):
         grid, classification = annulus_160
@@ -795,7 +855,7 @@ def _reference_cone_row(collar, strategy, classification, solver):
 
     def grow(members, used):
         while True:
-            (solve,) = solver.solve(np.array(members, dtype=np.int64)[None], [collar])
+            solve = solve_alone(solver, np.array(members, dtype=np.int64), collar)
             if solve.admissible and solve.chi < strategy.local_tol:
                 return solve
             if len(members) >= MAX_STENCIL_SIZE:
