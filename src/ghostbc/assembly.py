@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -301,4 +300,6 @@ def solve(system: SparseSystem) -> SolveReport:
 
 def export_matrix_market(system: SparseSystem, path) -> None:
     """Write the assembled matrix in Matrix Market coordinate format."""
+    import scipy.io  # only this export needs it; a run that does not export skips its import
+
     scipy.io.mmwrite(str(path), system.matrix.tocoo())

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import numbers
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -131,6 +133,19 @@ class LevelResult:
     timings: dict[str, float] = field(default_factory=dict)
 
 
+@dataclass
+class SweepLevel:
+    """What a sweep's artifacts need of one level: not its system or classification."""
+
+    n: int
+    errors: ErrorReport
+    diagnostics: StencilDiagnostics
+    n_interior: int
+    timings: dict[str, float]
+    #: The ghost rows, kept only when the sweep exports them.
+    rows: assembly.GhostRows | None = field(default=None, repr=False)
+
+
 def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelResult:
     """Run the whole pipeline on one grid."""
     strategy = cfg.stencil_strategy()
@@ -203,11 +218,9 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
-def _write_ghost_csv(path: Path, result: LevelResult) -> None:
-    rows = result.rows
-    n_interior = result.classification.n_interior
+def _write_ghost_csv(path: Path, rows: assembly.GhostRows, diagnostics: StencilDiagnostics, n_interior: int) -> None:
     lines = ["k,i,j,size,diameter,chi,r_ratio,collar_mode"]
-    for k, ((i, j), diameter) in enumerate(zip(rows.ghost_ij, result.diagnostics.diameters)):
+    for k, ((i, j), diameter) in enumerate(zip(rows.ghost_ij, diagnostics.diameters)):
         lines.append(
             ",".join(
                 [
@@ -253,11 +266,49 @@ def run_single(cfg: RunConfig) -> LevelResult:
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "run.json", _run_payload(cfg, bench, result))
-        _write_ghost_csv(out / "ghosts.csv", result)
+        _write_ghost_csv(out / "ghosts.csv", result.rows, result.diagnostics, result.classification.n_interior)
         _write_json(out / "timings.json", {"seconds": result.timings})
         if cfg.export_matrix:
             assembly.export_matrix_market(result.system, out / "matrix.mtx")
     return result
+
+
+def _sweep_level(cfg: RunConfig, n: int) -> SweepLevel | GhostBcError:
+    """Run one sweep level; its ``GhostBcError`` comes back as the value."""
+    try:
+        result = execute_level(cfg, cfg.make_benchmark(), n)
+    except GhostBcError as exc:
+        return exc
+    rows = result.rows if cfg.export_diagnostics else None
+    return SweepLevel(n, result.errors, result.diagnostics, result.classification.n_interior, result.timings, rows)
+
+
+def _sweep_levels(cfg: RunConfig) -> list[SweepLevel | GhostBcError]:
+    """Every sweep level's outcome, in sweep order.
+
+    The levels are independent, so they run largest first in up to two
+    forked worker processes, no more than the CPUs this process may use.
+    With one worker, or when this process runs other threads (a fork could
+    copy a lock one of them holds), they run in this process.  A worker
+    builds its own benchmark (which holds closures) and sends back a
+    ``SweepLevel``, or the level's ``GhostBcError``; any other exception
+    propagates.  The workers are joined before this returns.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    level = functools.partial(_sweep_level, cfg)
+    largest_first = cfg.sweep[::-1]  # a sweep is strictly increasing
+    if min(2, cpus, len(cfg.sweep)) == 1 or threading.active_count() > 1:
+        outcomes = list(map(level, largest_first))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # forked workers start with this process's imports and logging set-up;
+        # a forkserver or spawned worker would import the pipeline again
+        # (Python 3.11's forkserver drops a sys.path added at run time)
+        with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+            outcomes = list(pool.map(level, largest_first))
+    return outcomes[::-1]
 
 
 def run_sweep(cfg: RunConfig) -> ConvergenceSeries:
@@ -265,18 +316,16 @@ def run_sweep(cfg: RunConfig) -> ConvergenceSeries:
     bench = cfg.make_benchmark()
     series = ConvergenceSeries()
     failures: list[dict] = []
-    results: list[LevelResult] = []
+    levels: list[SweepLevel] = []
     timings: dict[str, dict[str, float]] = {}
-    for n in cfg.sweep:
-        try:
-            result = execute_level(cfg, bench, n)
-        except GhostBcError as exc:
-            logger.warning("level n=%d failed: %s", n, exc)
-            failures.append({"n": n, "error": type(exc).__name__, "message": str(exc)})
+    for n, outcome in zip(cfg.sweep, _sweep_levels(cfg)):
+        if isinstance(outcome, GhostBcError):
+            logger.warning("level n=%d failed: %s", n, outcome)
+            failures.append({"n": n, "error": type(outcome).__name__, "message": str(outcome)})
             continue
-        series.add(n, result.errors)
-        results.append(result)
-        timings[str(n)] = result.timings
+        series.add(n, outcome.errors)
+        levels.append(outcome)
+        timings[str(n)] = outcome.timings
 
     orders: dict[str, float] | None = None
     fit_warning = None
@@ -320,8 +369,8 @@ def run_sweep(cfg: RunConfig) -> ConvergenceSeries:
             _write_atomic(out / f"plot_{norm}.dat", "\n".join(rows) + "\n")
 
         if cfg.export_diagnostics:
-            for result in results:
-                _write_ghost_csv(out / f"ghosts_n{result.n}.csv", result)
+            for level in levels:
+                _write_ghost_csv(out / f"ghosts_n{level.n}.csv", level.rows, level.diagnostics, level.n_interior)
     return series
 
 

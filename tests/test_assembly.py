@@ -11,7 +11,7 @@ from ghostbc.assembly import (
 )
 from ghostbc.basis import RobinData
 from ghostbc.benchmarks import R_INNER, R_OUTER, annulus_level_set
-from ghostbc.errors import MissingNeighbor, SingularMatrix
+from ghostbc.errors import MissingNeighbor, SingularMatrix, SolveFailed
 
 
 def _zero(x, y):
@@ -235,6 +235,16 @@ class TestSolve:
         m = sp.csr_matrix((n, n))
         with pytest.raises((SingularMatrix, g.errors.SolveFailed)):
             g.solve(SparseSystem(m, np.ones(n), n, 0))
+
+    def test_refinement_that_misses_the_tolerance_raises(self):
+        # condition 1e12: the LU's relative residual is 5.8e-5 and stays
+        # above 5e-5 through every refinement, far from the 1e-10 contract
+        rng = np.random.default_rng(7)
+        q1, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        q2, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        matrix = sp.csc_matrix(q1 @ np.diag(np.logspace(0, -12, 40)) @ q2.T)
+        with pytest.raises(SolveFailed, match=f"after {g.assembly.MAX_REFINEMENTS} refinements"):
+            g.solve(SparseSystem(matrix, q1[:, -1], 40, 0))
 
     def test_annulus_residual_and_accuracy(self, annulus_bench, annulus_160, annulus_160_solved):
         grid, classification = annulus_160

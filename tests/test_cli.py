@@ -1,13 +1,17 @@
+import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import ghostbc as g
 from ghostbc import cli
+from ghostbc.analysis import NORM_NAMES
 from ghostbc.cli import PAPER13, RunConfig, _parse_sweep, build_config, main
 from ghostbc.errors import ConfigError
 
@@ -239,6 +243,50 @@ class TestMain:
             lines = (out / f"plot_{norm}.dat").read_text().strip().splitlines()
             assert len(lines) == 3
             assert all(len(line.split()) == 2 for line in lines)
+
+
+class TestSweepLevels:
+    def test_failed_levels_come_back_in_sweep_order(self, tmp_path):
+        # S1 on the flower fails at 40 and 80 and runs at 96: the levels run
+        # largest first, and the failures and the row go back in sweep order
+        out = tmp_path / "s1"
+        cfg = RunConfig(benchmark="flower", strategy="S1", sweep=[40, 80, 96], out=str(out))
+        cli.run_sweep(cfg)
+        orders = json.loads((out / "orders.json").read_text())
+        assert [(f["n"], f["error"]) for f in orders["failures"]] == [(40, "InactiveMember"), (80, "InactiveMember")]
+        assert orders["levels_used"] == [96]
+        errors = cli.execute_level(cfg, cfg.make_benchmark(), 96).errors
+        row = ",".join(["96", cli._fmt(errors.h)] + [cli._fmt(getattr(errors, norm)) for norm in NORM_NAMES])
+        assert (out / "convergence.csv").read_text().splitlines()[1:] == [row]
+
+    def test_no_worker_outlives_the_sweep(self, tmp_path):
+        cfg = RunConfig(benchmark="annulus-quartic", inject_exact=True, sweep=[32, 48], out=str(tmp_path / "q"))
+        cli.run_sweep(cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_one_level_sweep_runs_in_process(self, tmp_path, monkeypatch):
+        calls = []
+        execute_level = cli.execute_level
+
+        def recording(cfg, bench, n):
+            calls.append(n)
+            return execute_level(cfg, bench, n)
+
+        monkeypatch.setattr(cli, "execute_level", recording)
+        cfg = RunConfig(benchmark="annulus-quartic", inject_exact=True, sweep=[48], out=str(tmp_path / "q"))
+        assert [n for n, _, _ in cli.run_sweep(cfg).levels] == [48]
+        assert calls == [48]
+        # a process that runs another thread is not forked: its levels run here
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        waiter.start()
+        try:
+            cli.run_sweep(dataclasses.replace(cfg, sweep=[32, 48]))
+        finally:
+            stop.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert calls == [48, 48, 32]
 
 
 class TestDeterminism:
