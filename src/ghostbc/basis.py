@@ -115,7 +115,7 @@ def boundary_actions(
 
     gx = np.where(ax > 0, ax / cfg.spacing * monomial(np.maximum(ax - 1, 0), ay), 0.0)
     gy = np.where(ay > 0, ay / cfg.spacing * monomial(ax, np.maximum(ay - 1, 0)), 0.0)
-    normal = np.array([r.normal for r in robins], dtype=float)[:, None, :]
+    normal = np.array([r.normal for r in robins], dtype=float).reshape(-1, 1, 2)
     normal_derivative = np.vecdot(np.stack([gx, gy], axis=-1), normal)
     dirichlet = np.array([r.dirichlet for r in robins], dtype=float)[:, None]
     neumann = np.array([r.neumann for r in robins], dtype=float)[:, None]

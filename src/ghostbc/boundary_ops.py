@@ -32,13 +32,6 @@ from .geometry import CollarPoint, Grid
 #: sigma_min/sigma_max below this means the stencil is rank-deficient.
 RANK_TOLERANCE = 1e-13
 
-#: sigma_min/sigma_max of a stencil's integer-offset monomial matrix below
-#: this means the stencil is rank-deficient by construction.  Rank-deficient
-#: cone stencils read at most ~3e-17 here and full-rank ones at least ~1e-6,
-#: so a threshold well under ``RANK_TOLERANCE`` only ever skips trials that
-#: ``solve_constraints`` would reject.
-STRUCTURAL_RANK_TOLERANCE = 1e-15
-
 #: Relative residual bound every admissible row must satisfy.
 RESIDUAL_TOLERANCE = 1e-10
 
@@ -124,11 +117,9 @@ class GhostOperatorSolver:
     ):
         self.grid = grid
         self.robin_at = robin_at
-        self.order = order
         self._alphas = enumerate_basis(order)
         # member offsets from the first member -> rank-deficient by construction
         self._structural: dict[bytes, bool] = {}
-        self._exponents = np.array(self._alphas).T
 
     @property
     def n_constraints(self) -> int:
@@ -139,8 +130,8 @@ class GhostOperatorSolver:
 
     def rhs(self, collars: list[CollarPoint]) -> np.ndarray:
         """Constraint right-hand sides (K, n_constraints) of K collars, from one vectorized call."""
-        points = np.array([c.point for c in collars])
-        centers = np.array([c.ghost_xy for c in collars])
+        points = np.array([c.point for c in collars]).reshape(-1, 2)
+        centers = np.array([c.ghost_xy for c in collars]).reshape(-1, 2)
         return boundary_actions(self._alphas, points, [self.robin_at(c) for c in collars], self.config_for(centers))
 
     def solve(self, member_ij: np.ndarray, rhs: np.ndarray) -> StencilSolves:
@@ -161,22 +152,20 @@ class GhostOperatorSolver:
         members' integer offsets: translating or scaling a lattice point
         set leaves the polynomial space, hence the matrix's rank, unchanged.
         So the verdict is one SVD per distinct offset set, memoized, of the
-        monomial matrix of the integer offsets: the constraint matrix of the
-        stencil with the ghost first, free of the rounding of the members'
-        coordinates.  The distinct offset sets the memo lacks get one
-        stacked SVD.  ``solve_constraints`` rejects every deficient stencil.
+        monomial matrix of the integer offsets (spacing 1, centre 0): the
+        constraint matrix of the stencil with the ghost first, free of the
+        rounding of the members' coordinates, whose powers of small integers
+        are exact.  The distinct offset sets the memo lacks get one stacked
+        SVD and the rank test of ``solve_constraints``, ``RANK_TOLERANCE``:
+        deficient sets read at most ~3e-17 there and full-rank ones at least
+        ~1e-6, so ``solve_constraints`` rejects every deficient stencil.
         """
         offsets = member_ij - member_ij[:, :1]
         keys = offsets.reshape(len(offsets), -1).view(np.dtype((np.void, offsets[0].nbytes)))[:, 0].tolist()
         missing = {key: p for p, key in enumerate(keys) if key not in self._structural}
         if missing:
-            # powers by repeated products, so the entries are exact integers (below 2**53)
-            v = offsets[list(missing.values())].astype(float)
-            px, py = (
-                np.vander(c.ravel(), self.order, increasing=True).reshape(*c.shape, -1) for c in v.transpose(2, 0, 1)
-            )
-            ax, ay = self._exponents
-            s = np.linalg.svd(px[..., ax] * py[..., ay], compute_uv=False)
+            matrix = monomial_matrix(self._alphas, offsets[list(missing.values())], BasisConfig(1.0, np.zeros(2)))
+            s = np.linalg.svd(matrix, compute_uv=False)
             for key, (s_max, s_min) in zip(missing, s[:, [0, -1]].tolist()):
-                self._structural[key] = s_min < STRUCTURAL_RANK_TOLERANCE * s_max
+                self._structural[key] = s_min < RANK_TOLERANCE * s_max
         return np.array([self._structural[key] for key in keys], dtype=bool)

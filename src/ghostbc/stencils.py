@@ -42,11 +42,6 @@ MAX_EXTENSION_ROUNDS = 12
 #: Largest inward shift S3 tries before giving up on a ghost-exclusive triangle.
 MAX_S3_SHIFT = 6
 
-#: Cone ghosts whose stages run together: enough to make the stacked calls
-#: cheap per trial, few enough to bound the memory their candidate arrays
-#: and the stacks hold.
-LOCKSTEP_BATCH = 128
-
 
 @dataclass(frozen=True)
 class StencilStrategy:
@@ -217,11 +212,11 @@ def _cos_half(aperture_deg: float) -> float:
 def _cone_nodes(cones: "_Cones", ks, di: np.ndarray, dj: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The active cone nodes of the ghosts ``ks`` of ``cones`` among the offsets ``(di, dj)``.
 
-    One (B, T) pass for B ghosts and T offsets of length ``dist``: a batch
-    reads its ghosts' first radius with it, and a ghost reads each later
-    radius, or its cone after widening, as a batch of one.  Returns the
-    nodes (N, 2) of the B ghosts, ghost after ghost, each in offset order,
-    and how many each ghost has.
+    One (B, T) pass for B ghosts and T offsets of length ``dist``: a phase
+    reads all its ghosts' first radius with it, and a ghost reads each
+    later radius, or its cone after widening, as a pass of one.  Returns
+    the nodes (N, 2) of the B ghosts, ghost after ghost, each in offset
+    order, and how many each ghost has.
     """
     w, wnorm, cos_half = cones.w[ks], cones.wnorm[ks, None], cones.cos_half[ks, None]
     full = (cones.aperture[ks, None] >= 360.0) | (wnorm == 0.0)
@@ -237,15 +232,15 @@ def _cone_nodes(cones: "_Cones", ks, di: np.ndarray, dj: np.ndarray, dist: np.nd
 
 
 class _Cones:
-    """The cone candidates of a batch of ghosts, as arrays.
+    """The cone candidates of a phase's ghosts, as arrays.
 
     ``nodes`` (N, 2) holds one segment per ghost: the ghost, then the
     active nodes of its cone, nearest first with (i, j) breaking ties.
     Stencil members are indices into ``nodes``, and ``take`` hands out each
     ghost's next node by advancing its frontier index, so a node is handed
-    out once.  The batch reads every cone to ``FIRST_CONE_RADIUS`` in one
-    pass.  A ghost that runs out of its segment reads, one ghost at a time,
-    the next radius of its offset table into a new segment at the end of
+    out once.  Every cone is read to ``FIRST_CONE_RADIUS`` in one pass.
+    A ghost that runs out of its segment reads, one ghost at a time, the
+    next radius of its offset table into a new segment at the end of
     ``nodes`` (doubling it until the table reaches every lattice node);
     once its cone is exhausted it widens by ``APERTURE_STEP``, and the
     wider cone is read again from the ghost, less the nodes already
@@ -390,16 +385,17 @@ def _cone_batch(
     classification: NodeClassification,
     solver: GhostOperatorSolver,
 ) -> tuple[list[np.ndarray], list[GhostBcError | None]]:
-    """S4.1 growth and the S4.2 swap rounds of one batch of collar points.
+    """S4.1 growth and the S4.2 swap rounds of all the collar points of a phase.
 
     Reads the ghosts' cones together (``_Cones``), each aimed at its
-    collar, and returns the batch's rows as columns ``member_ij`` (B, W, 2)
+    collar, and returns their rows as columns ``member_ij`` (B, W, 2)
     (the final members, the ghost first), ``sizes``, ``coeffs`` (B, W),
     ``chi``, the accepted S4.2 ``swaps`` and the final cone ``aperture``,
     with per ghost None or the ``GhostBcError`` it failed with (its row
     then reads zero coefficients and chi ``inf``).  The collars' right-hand
-    sides are built once for every stage.  S4.1 is one ``_grow`` of every
-    ghost's first ``n_constraints`` candidates.
+    sides are built once for every stage; without collars the columns are
+    empty.  S4.1 is one ``_grow`` of every ghost's first ``n_constraints``
+    candidates.
     S4.2 then runs up to ``max_swaps`` swap rounds, each one ``_grow`` of
     the swap trials of the ghosts whose amplification still reaches the
     global tolerance.  A swap trial drops the member with the largest
@@ -449,33 +445,6 @@ def _cone_batch(
     return [cones.nodes[members], sizes, coeffs, chi, swaps, cones.aperture], errors
 
 
-def _cone_batches(
-    collars: list[CollarPoint],
-    strategy: StencilStrategy,
-    classification: NodeClassification,
-    solver: GhostOperatorSolver,
-    tolerated: type[GhostBcError] | tuple = (),
-) -> tuple[list[np.ndarray], list[GhostBcError | None]]:
-    """The ``_cone_batch`` columns and errors of ``collars``, ``LOCKSTEP_BATCH`` ghosts at a time.
-
-    The batch bounds the memory the candidate arrays and the stacks hold.
-    No batch is opened after one in which a ghost failed with an error
-    that is not ``tolerated``: the level raises that ghost's error or an
-    earlier one.  Without collars the columns are empty.
-    """
-    width = max(MAX_STENCIL_SIZE, solver.n_constraints)
-    batches = [[np.zeros((0, width, 2), np.int64), np.zeros(0, np.int64), np.zeros((0, width)), np.zeros(0),
-                np.zeros(0, np.int64), np.zeros(0)]]
-    errors: list[GhostBcError | None] = []
-    for start in range(0, len(collars), LOCKSTEP_BATCH):
-        columns, batch_errors = _cone_batch(collars[start:start + LOCKSTEP_BATCH], strategy, classification, solver)
-        batches.append(columns)
-        errors += batch_errors
-        if any(error is not None and not isinstance(error, tolerated) for error in batch_errors):
-            break
-    return [np.concatenate(column) for column in zip(*batches)], errors
-
-
 def cone_rows(
     collars: list[CollarPoint],
     strategy: StencilStrategy,
@@ -485,12 +454,12 @@ def cone_rows(
     """Every ghost's cone row (S4.1-S4.3) as columns, their collars, and which rows are S4.3 rebuilds.
 
     The columns are those of ``_cone_batch``, one row per collar.  Phase 1
-    runs S4.1 growth (and S4.2 swaps) for every ghost.  For S4.3, the
-    ghosts whose amplification still reaches the global tolerance get
-    axis-projected collars from one batched projection, and phase 2 runs
-    the construction again from those collars.  A rebuild overwrites its
-    ghost's row and collar, with the swaps of both phases summed and the
-    wider aperture; a ghost whose axis rays miss the boundary, or whose
+    is one ``_cone_batch`` of every ghost: S4.1 growth (and S4.2 swaps).
+    For S4.3, the ghosts whose amplification still reaches the global
+    tolerance get axis-projected collars from one batched projection, and
+    phase 2 is one ``_cone_batch`` of those collars.  A rebuild overwrites
+    its ghost's row and collar, with the swaps of both phases summed and
+    the wider aperture; a ghost whose axis rays miss the boundary, or whose
     rebuild is not admissible, keeps its S4.2 row.  The last element flags
     the overwritten rows.
 
@@ -499,7 +468,7 @@ def cone_rows(
     ghost at a time would: only the ghosts before the first failure of
     phase 1 are rebuilt, and their failures come first.
     """
-    columns, errors = _cone_batches(collars, strategy, classification, solver)
+    columns, errors = _cone_batch(collars, strategy, classification, solver)
     member_ij, sizes, coeffs, chi, swaps, aperture = columns
     failed = next((k for k, error in enumerate(errors) if error is not None), len(errors))
     collars = list(collars)
@@ -511,7 +480,7 @@ def cone_rows(
             [collars[k].ghost_ij for k in retry],
         )
         fresh = [collar for collar in axis if isinstance(collar, CollarPoint)]
-        new, new_errors = _cone_batches(fresh, strategy, classification, solver, tolerated=NotAdmissible)
+        new, new_errors = _cone_batch(fresh, strategy, classification, solver)
         rebuilds = iter(enumerate(new_errors))  # ghost k's rebuild is row p of ``new``
         for k, collar in zip(retry, axis):
             p, error = next(rebuilds) if isinstance(collar, CollarPoint) else (None, collar)

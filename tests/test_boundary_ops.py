@@ -19,7 +19,7 @@ from ghostbc.boundary_ops import (
 from ghostbc import stencils
 from ghostbc.errors import GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible, ProjectionDiverged
 from ghostbc.geometry import CollarPoint
-from ghostbc.stencils import LOCKSTEP_BATCH, TRIANGLE_KINDS
+from ghostbc.stencils import TRIANGLE_KINDS
 from test_geometry import scalar_axis_projection
 from test_stencils import _reference_cone, _reference_cone_row, reference_triangle, triangle
 
@@ -118,21 +118,14 @@ def reference_row(collar, strategy, classification, solver):
 
 
 def inject_outcomes(monkeypatch, outcomes):
-    """Make the batch stage end ``outcomes[(ghost_ij, collar mode)]`` as those ghosts' outcome.
-
-    Returns the list of the ghosts that open each batch, in the order the
-    batches are opened.
-    """
-    opened = []
+    """Make the cone stage end ``outcomes[(ghost_ij, collar mode)]`` as those ghosts' outcome."""
     batch = stencils._cone_batch
 
     def injected(collars, *args):
-        opened.append(collars[0].ghost_ij)
         columns, errors = batch(collars, *args)
         return columns, [outcomes.get((c.ghost_ij, c.mode), error) for c, error in zip(collars, errors)]
 
     monkeypatch.setattr(stencils, "_cone_batch", injected)
-    return opened
 
 
 def row_constraints(solver, member_ij, collar):
@@ -445,7 +438,7 @@ class TestResidualContract:
 
 def test_right_hand_sides_are_built_once_per_batch(annulus_bench, annulus_160, monkeypatch):
     # ``rhs`` gives each collar the right-hand side of its own constraint
-    # system, bit for bit; a cone level builds them once per batch, so a
+    # system, bit for bit; a cone level builds them once per phase, so a
     # collar reaches ``robin`` for its right-hand side and for its datum
     grid, classification = annulus_160
     robin = annulus_bench.coefficients.robin
@@ -468,7 +461,7 @@ def test_right_hand_sides_are_built_once_per_batch(annulus_bench, annulus_160, m
     monkeypatch.setattr(stencils, "_cone_batch", lambda *args: batches.append(args) or batch(*args))
     coefficients = dataclasses.replace(annulus_bench.coefficients, robin=lambda c: seen.append(c) or robin(c))
     rows = g.build_ghost_rows(classification, g.StencilStrategy(kind="S4.3"), coefficients)
-    assert len(actions) == len(batches) == 12  # 10 batches of phase 1, 2 of phase 2
+    assert len(actions) == len(batches) == 2  # one per phase
     reached = Counter(map(id, seen))  # ``seen`` keeps every collar alive, so ids are unique
     assert max(reached.values()) == 2
     assert all(reached[id(collar)] == 2 for collar in rows.collars)
@@ -591,32 +584,28 @@ class TestLockstepLevel:
             assert (s[:, -1] / s[:, 0]).max() < 1e-13
 
     def test_first_failing_ghost_raises(self, annulus_bench, annulus_160, monkeypatch):
-        # Outcomes injected into the batch stage: the level raises the error
-        # of the first failing ghost in collar order, opens no batch after
-        # the one that holds it, and an untyped error (a defect, not a
-        # ghost's failure) propagates at once.
+        # Outcomes injected into the cone stage: the level raises the error
+        # of the first failing ghost in collar order, and an untyped error
+        # (a defect, not a ghost's failure) propagates at once.
         grid, classification = annulus_160
         strategy = g.StencilStrategy(kind="S4.1")
         ghosts = [tuple(int(v) for v in ij) for ij in classification.ghost_ij]
-        starts = ghosts[::LOCKSTEP_BATCH]
-        assert len(starts) > 3
         outcomes = {}
-        opened = inject_outcomes(monkeypatch, outcomes)
+        inject_outcomes(monkeypatch, outcomes)
 
         def build():
-            opened.clear()
             return g.build_ghost_rows(classification, strategy, annulus_bench.coefficients)
 
         late, early = NotAdmissible("ghost 2 failed late"), InactiveMember("ghost 3 failed early")
         outcomes.update({(ghosts[2], "closest"): late, (ghosts[3], "closest"): early})
         with pytest.raises(NotAdmissible) as error:
             build()
-        assert error.value is late and opened == starts[:1]
+        assert error.value is late
         outcomes.clear()
-        outcomes[ghosts[2 * LOCKSTEP_BATCH + 5], "closest"] = early
+        outcomes[ghosts[261], "closest"] = early
         with pytest.raises(InactiveMember) as error:
             build()
-        assert error.value is early and opened == starts[:3]
+        assert error.value is early
         solve = GhostOperatorSolver.solve
 
         def defective(self, member_ij, rhs):
@@ -631,7 +620,7 @@ class TestLockstepLevel:
                 build()
         outcomes.clear()
         rows = build()
-        assert opened == starts and len(rows) == len(ghosts)
+        assert len(rows) == len(ghosts)
 
     def test_level_raises_the_first_ghosts_error(self):
         # no stencil gets chi below 1: every ghost grows past the cap, and the
@@ -677,8 +666,8 @@ class TestLockstepLevel:
     @pytest.mark.parametrize("late", [1, 900])
     def test_rebuild_errors_come_before_later_ghosts_errors(self, annulus_bench, annulus_160, monkeypatch, late):
         # The first ghost to be rebuilt fails its axis projection, and a later
-        # ghost (in the same batch, or seven batches on) fails its S4.1
-        # growth: phase 1 stops at the later ghost, but the earlier ghost's
+        # ghost (the next one, or 900 on) fails its S4.1 growth: only the
+        # ghosts before the later ghost are rebuilt, and the earlier ghost's
         # failure is the level's error, as one ghost at a time.
         grid, classification = annulus_160
         strategy = g.StencilStrategy(kind="S4.3")

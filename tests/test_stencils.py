@@ -21,7 +21,7 @@ from ghostbc.stencils import (
     MAX_STENCIL_SIZE,
     TRIANGLE_KINDS,
     _Cones,
-    _cone_batches,
+    _cone_batch,
     extend_classification,
     triangle_stencils,
 )
@@ -555,7 +555,7 @@ class TestConeStrategies:
         assert len(rebuilt) == 131 and rebuilt == np.flatnonzero(s43.rebuilt).tolist()
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         strategy = g.StencilStrategy(kind="S4.3")
-        (members, sizes, _, _, swaps, aperture), errors = _cone_batches(
+        (members, sizes, _, _, swaps, aperture), errors = _cone_batch(
             [s43.collars[k] for k in rebuilt], strategy, classification, solver
         )
         assert errors == [None] * len(rebuilt)
@@ -607,45 +607,51 @@ class TestConeStrategies:
         wnorm = _Cones(collars, 60.0, classification).wnorm
         assert wnorm.tobytes() == np.array([np.linalg.norm(c.toward_boundary()) for c in collars]).tobytes()
 
-    def test_phase_2_without_collars(self, annulus_bench, annulus_160, monkeypatch):
-        # Without collars the batches give empty columns.  At order 6 phase 1
-        # fails in its first batch before any ghost is to be rebuilt, so
-        # phase 2 gets no collars and the level raises phase 1's error.
-        grid, classification = annulus_160
-        strategy = g.StencilStrategy(kind="S4.3")
-        solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
-        columns, errors = _cone_batches([], strategy, classification, solver)
+    def test_phase_2_without_collars(self, monkeypatch):
+        # Without collars the cone stage gives empty columns.  No stencil
+        # gets chi below 1, so the first ghost fails phase 1 before any
+        # ghost is to be rebuilt: phase 2 gets no collars and the level
+        # raises phase 1's error.  Order 2 keeps the failing level cheap.
+        bench, grid = g.RunConfig(benchmark="annulus", strategy="S4.3", n=16).make_benchmark(), g.Grid(16)
+        classification = g.classify_nodes(grid, bench.level_set)
+        strategy = g.StencilStrategy(kind="S4.3", local_tol=1.0)
+        solver = GhostOperatorSolver(grid, bench.coefficients.robin, order=2)
+        columns, errors = _cone_batch([], strategy, classification, solver)
         assert errors == []
         assert [(c.shape, c.dtype.kind) for c in columns] == [
             ((0, MAX_STENCIL_SIZE, 2), "i"), ((0,), "i"), ((0, MAX_STENCIL_SIZE), "f"), ((0,), "f"), ((0,), "i"),
             ((0,), "f"),
         ]
+        assert solver.rhs([]).shape == (0, solver.n_constraints)
         calls = []
-        batches = stencils._cone_batches
-        monkeypatch.setattr(stencils, "_cone_batches", lambda collars, *args, **kw: (
-            calls.append(len(collars)) or batches(collars, *args, **kw)
+        batch = stencils._cone_batch
+        monkeypatch.setattr(stencils, "_cone_batch", lambda collars, *args: (
+            calls.append(len(collars)) or batch(collars, *args)
         ))
-        message = "stencil for ghost (9, 74) grew past 60 points without becoming well conditioned"
+        message = "stencil for ghost (0, 5) grew past 60 points without becoming well conditioned"
         with pytest.raises(NotAdmissible, match=re.escape(message)):
-            g.build_ghost_rows(classification, strategy, annulus_bench.coefficients, order=6)
+            g.build_ghost_rows(classification, strategy, bench.coefficients, order=2)
         assert calls == [len(classification.ghost_ij), 0]
 
     def test_rounds_and_solved_trials_are_pinned(self, annulus_bench, annulus_160, monkeypatch):
-        # The stacked solves of annulus S4.3-160 and the trials they hold: a
-        # round is one solve per member count, and the rank screen passes
-        # over about half of the trials, so a change that adds rounds or
-        # solves trials the screen would skip moves these counts.
+        # The stacked solves and rank screens of annulus S4.3-160 and the
+        # trials they hold: a round is one solve per member count, a
+        # screening pass one screen per member count, and the screen passes
+        # over about half of the screened trials, so a change that adds
+        # rounds, solves trials the screen would skip or screens none moves
+        # these counts.
         _, classification = annulus_160
-        stacks = []
-        solve = GhostOperatorSolver.solve
-
-        def counting(self, member_ij, collars):
-            stacks.append(len(member_ij))
-            return solve(self, member_ij, collars)
-
-        monkeypatch.setattr(GhostOperatorSolver, "solve", counting)
+        solved, screened = [], []
+        solve, deficient = GhostOperatorSolver.solve, GhostOperatorSolver.deficient
+        monkeypatch.setattr(GhostOperatorSolver, "solve", lambda self, member_ij, rhs: (
+            solved.append(len(member_ij)) or solve(self, member_ij, rhs)
+        ))
+        monkeypatch.setattr(GhostOperatorSolver, "deficient", lambda self, member_ij: (
+            screened.append(len(member_ij)) or deficient(self, member_ij)
+        ))
         g.build_ghost_rows(classification, g.StencilStrategy(kind="S4.3"), annulus_bench.coefficients)
-        assert (len(stacks), sum(stacks)) == (106, 1817)
+        assert (len(solved), sum(solved)) == (19, 1817)
+        assert (len(screened), sum(screened)) == (28, 3409)
 
     def test_sizes_within_hard_bound(self, annulus_160_rows):
         sizes = annulus_160_rows.sizes
