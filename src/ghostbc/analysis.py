@@ -41,22 +41,18 @@ def reconstruct_gradient(solution: np.ndarray, classification: NodeClassificatio
     active-node numbering, which is what makes the reconstruction fourth
     order up to the boundary.
     """
-    grid = classification.grid
     interior = classification.interior_ij
-    index = classification.active_index
     out = np.zeros((len(interior), 2))
-    h = grid.h
+    h = classification.grid.h
     for axis in (0, 1):
         acc = np.zeros(len(interior))
         for pos, off in enumerate((-2, -1, 1, 2)):
             w = DERIVATIVE_WEIGHTS[(0, 1, 3, 4)[pos]]
             ii = interior[:, 0] + (off if axis == 0 else 0)
             jj = interior[:, 1] + (off if axis == 1 else 0)
-            if ii.min() < 0 or jj.min() < 0 or ii.max() > grid.n or jj.max() > grid.n:
-                raise MissingNeighbor("gradient stencil leaves the lattice")
-            idx = index[ii, jj]
+            idx = classification.index_at(ii, jj)
             if idx.min() < 0:
-                raise MissingNeighbor("gradient stencil references an inactive node")
+                raise MissingNeighbor("gradient stencil references an inactive or off-lattice node")
             acc += w * solution[idx]
         out[:, axis] = acc / h
     return out

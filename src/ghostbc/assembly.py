@@ -103,10 +103,6 @@ class GhostRows:
     def __len__(self) -> int:
         return len(self.sizes)
 
-    def per_row(self, column: np.ndarray) -> list[np.ndarray]:
-        """``member_ij`` or ``coeffs`` cut into one array per row."""
-        return np.split(column, np.cumsum(self.sizes)[:-1])
-
 
 @dataclass
 class SolveReport:
@@ -130,7 +126,7 @@ def _interior_block(coeffs: ProblemCoefficients, classification: NodeClassificat
     v = np.broadcast_to(np.asarray(v, dtype=float), (n_rows,))
     rhs = np.broadcast_to(np.asarray(coeffs.source(x, y), dtype=float), (n_rows,)).copy()
 
-    rows = np.repeat(classification.active_index[tuple(interior_ij.T)], 9)
+    rows = np.repeat(np.arange(n_rows), 9)  # interior nodes are numbered first
     cols = np.empty((n_rows, 9), dtype=np.int64)
     vals = np.empty((n_rows, 9), dtype=float)
     diffusion = -coeffs.diffusion / h**2 * LAPLACE_WEIGHTS
@@ -142,13 +138,11 @@ def _interior_block(coeffs: ProblemCoefficients, classification: NodeClassificat
                 continue  # centre slot shared between the two crosses
             ii = interior_ij[:, 0] + (off if axis == 0 else 0)
             jj = interior_ij[:, 1] + (off if axis == 1 else 0)
-            if ii.min() < 0 or jj.min() < 0 or ii.max() > grid.n or jj.max() > grid.n:
-                raise MissingNeighbor("interior row references a node outside the lattice")
-            idx = classification.active_index[ii, jj]
+            idx = classification.index_at(ii, jj)
             if idx.min() < 0:
                 bad = np.argmin(idx)
                 raise MissingNeighbor(
-                    f"interior row at {tuple(interior_ij[bad])} references inactive node "
+                    f"interior row at {tuple(interior_ij[bad])} references inactive or off-lattice node "
                     f"({ii[bad]}, {jj[bad]})"
                 )
             cols[:, slot] = idx
@@ -165,7 +159,7 @@ def _ghost_ratios(
 ) -> np.ndarray:
     """``GhostRows.r_ratio``: 0 without other ghost members, ``inf`` for a vanishing centre."""
     starts = np.cumsum(sizes) - sizes
-    ghost = classification.ghost_mask[tuple(member_ij.T)]
+    ghost = classification.index_at(*member_ij.T) >= classification.n_interior
     ghost[starts] = False
     largest = np.maximum.reduceat(np.where(ghost, np.abs(coeffs), -np.inf), starts)
     center = np.abs(coeffs[starts])
@@ -241,7 +235,7 @@ def assemble(
     rows_i, cols_i, vals_i, rhs_i = _interior_block(coeffs, classification)
 
     owner = np.repeat(np.arange(len(ghost_rows), dtype=np.int64), ghost_rows.sizes)
-    cols_g = classification.active_index[tuple(ghost_rows.member_ij.T)]
+    cols_g = classification.index_at(*ghost_rows.member_ij.T)
     if (cols_g < 0).any():
         bad = tuple(int(v) for v in ghost_rows.ghost_ij[owner[np.argmax(cols_g < 0)]])
         raise MissingNeighbor(f"ghost row {bad} references an inactive node")

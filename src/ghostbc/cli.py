@@ -84,6 +84,8 @@ class RunConfig:
                 raise ConfigError(f"sweep grid sizes must be >= {MIN_GRID}")
             if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
                 raise ConfigError("sweep grid list must be strictly increasing")
+            if self.export_matrix:
+                raise ConfigError("a sweep writes no matrix; --export-matrix needs a single run (--n)")
         self.stencil_strategy()  # every strategy knob is checked before any level runs
         if self.order < 2:
             raise ConfigError(f"polynomial order must be >= 2, got {self.order}")

@@ -11,7 +11,7 @@ boundary where the Robin condition will be enforced.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,9 +44,6 @@ PROJECTION_MAX_ITER = 100
 
 #: How far, in grid spacings, the axis projection scans each ray.
 AXIS_REACH = 3.0
-
-#: Ghost layer given to exterior nodes promoted by the band closure.
-EXTENSION_LAYER = 3
 
 
 @dataclass(frozen=True)
@@ -110,27 +107,21 @@ class NodeClassification:
 
     Active nodes are numbered contiguously: interior nodes first (in
     (i, j)-lexicographic order), then ghosts, so column indices of the
-    assembled system line up with this numbering.
+    assembled system line up with this numbering.  ``index_at`` reads it.
     """
 
     grid: Grid
     level_set: LevelSet
     interior_mask: np.ndarray
     ghost_mask: np.ndarray
-    ghost_layer_grid: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         # np.argwhere returns (i, j) pairs in lexicographic order: numbering is deterministic.
         self.interior_ij = np.argwhere(self.interior_mask)
         self.ghost_ij = np.argwhere(self.ghost_mask)
-        if len(self.ghost_ij):
-            self.ghost_layer = self.ghost_layer_grid[tuple(self.ghost_ij.T)]
-        else:
-            self.ghost_layer = np.zeros(0, dtype=int)
         index = np.full(self.interior_mask.shape, -1, dtype=np.int64)
         index[tuple(self.interior_ij.T)] = np.arange(self.n_interior)
-        if self.n_ghost:
-            index[tuple(self.ghost_ij.T)] = self.n_interior + np.arange(self.n_ghost)
+        index[tuple(self.ghost_ij.T)] = self.n_interior + np.arange(self.n_ghost)
         self.active_index = index
 
     @property
@@ -145,9 +136,15 @@ class NodeClassification:
     def n_active(self) -> int:
         return self.n_interior + self.n_ghost
 
+    def index_at(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Active index of the nodes (i, j), integer arrays of one shape; -1 off the lattice or inactive."""
+        n = self.grid.n
+        inside = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
+        return np.where(inside, self.active_index[np.where(inside, i, 0), np.where(inside, j, 0)], -1)
+
     def active_coords(self) -> np.ndarray:
         """(n_active, 2) coordinates in active-index order."""
-        ij = np.vstack([self.interior_ij, self.ghost_ij]) if self.n_ghost else self.interior_ij
+        ij = np.vstack([self.interior_ij, self.ghost_ij])
         x, y = self.grid.coords(ij[:, 0], ij[:, 1])
         return np.column_stack([x, y])
 
@@ -156,30 +153,13 @@ class NodeClassification:
 
         Triangle stencils of deep ghosts can reference exterior nodes beyond
         the two finite-difference layers; promoting those nodes to ghosts
-        (layer ``EXTENSION_LAYER``) restores closure.  Ghost numbering
-        is rebuilt, still in (i, j)-lexicographic order.
+        restores closure.  Interior nodes among ``extra_ij`` stay interior.
+        Ghost numbering is rebuilt, still in (i, j)-lexicographic order.
         """
         ghost = self.ghost_mask.copy()
-        layers = self.ghost_layer_grid.copy()
-        for i, j in extra_ij:
-            if self.interior_mask[i, j] or ghost[i, j]:
-                continue
-            ghost[i, j] = True
-            layers[i, j] = EXTENSION_LAYER
-        return NodeClassification(self.grid, self.level_set, self.interior_mask, ghost, layers)
-
-
-def _shift_mask(mask: np.ndarray, offset: int, axis: int) -> np.ndarray:
-    """Mask of nodes at ``+offset`` along ``axis`` from any True node (no wrap)."""
-    out = np.zeros_like(mask)
-    if offset > 0:
-        src = (slice(None, -offset), slice(None)) if axis == 0 else (slice(None), slice(None, -offset))
-        dst = (slice(offset, None), slice(None)) if axis == 0 else (slice(None), slice(offset, None))
-    else:
-        src = (slice(-offset, None), slice(None)) if axis == 0 else (slice(None), slice(-offset, None))
-        dst = (slice(None, offset), slice(None)) if axis == 0 else (slice(None), slice(None, offset))
-    out[dst] = mask[src]
-    return out
+        extra = tuple(np.asarray(extra_ij, dtype=np.int64).reshape(-1, 2).T)
+        ghost[extra] = ~self.interior_mask[extra]
+        return NodeClassification(self.grid, self.level_set, self.interior_mask, ghost)
 
 
 def classify_nodes(grid: Grid, level_set: LevelSet) -> NodeClassification:
@@ -213,7 +193,6 @@ def classify_nodes(grid: Grid, level_set: LevelSet) -> NodeClassification:
     if not interior.any():
         raise EmptyInterior(f"level set '{level_set.name}' contains no grid node")
 
-    edge = max(STENCIL_REACH - 1, 0)
     if (
         interior[: STENCIL_REACH, :].any()
         or interior[-STENCIL_REACH:, :].any()
@@ -221,23 +200,17 @@ def classify_nodes(grid: Grid, level_set: LevelSet) -> NodeClassification:
         or interior[:, -STENCIL_REACH:].any()
     ):
         raise GeometryError(
-            f"domain '{level_set.name}' comes within {edge + 1} nodes of the box edge; "
+            f"domain '{level_set.name}' comes within {STENCIL_REACH} nodes of the box edge; "
             "interior stencils would leave the lattice"
         )
 
+    # No interior node lies within STENCIL_REACH of the box edge, so a
+    # shift by at most that much never wraps an interior node around.
     referenced = np.zeros_like(interior)
-    adjacent = np.zeros_like(interior)
     for axis in (0, 1):
-        for off in (1, 2, -1, -2):
-            shifted = _shift_mask(interior, off, axis)
-            referenced |= shifted
-            if abs(off) == 1:
-                adjacent |= shifted
-    ghost = referenced & ~interior
-    layer = np.zeros(interior.shape, dtype=np.int8)
-    layer[ghost & adjacent] = 1
-    layer[ghost & ~adjacent] = 2
-    return NodeClassification(grid, level_set, interior, ghost, layer)
+        for off in range(-STENCIL_REACH, STENCIL_REACH + 1):
+            referenced |= np.roll(interior, off, axis)
+    return NodeClassification(grid, level_set, interior, referenced & ~interior)
 
 
 @dataclass(frozen=True)

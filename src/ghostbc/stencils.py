@@ -67,14 +67,6 @@ class StencilStrategy:
             raise ValueError("max_swaps must be >= 0")
 
 
-def _mask_at(mask: np.ndarray, ij: np.ndarray) -> np.ndarray:
-    """``mask`` at the lattice nodes ``ij`` (..., 2); False off the lattice."""
-    i, j = ij[..., 0], ij[..., 1]
-    n = mask.shape[0] - 1
-    inside = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
-    return inside & mask[np.where(inside, i, 0), np.where(inside, j, 0)]
-
-
 def triangle_stencils(
     kind: str, collars: list[CollarPoint], p: int, classification: NodeClassification
 ) -> tuple[np.ndarray, list[InactiveMember | None]]:
@@ -99,7 +91,6 @@ def triangle_stencils(
     push = np.zeros_like(offsets)  # one S3 shift: every member but the ghost, along the branch
     push[1:, 0] = 1
     first_shift = ((kind == "S3") & (np.sqrt(np.vecdot(d, d)) > classification.grid.h)).astype(int)
-    active = classification.active_index >= 0
     unresolved = np.ones(len(collars), dtype=bool)
     had_bad = np.zeros(len(collars), dtype=bool)
     bad_node = np.zeros((len(collars), 2), dtype=np.int64)
@@ -108,14 +99,15 @@ def triangle_stencils(
         trial = ghosts + signs * np.where(x_branch, off, off[:, ::-1])
         if shift == 0:
             members = trial  # a failing S1/S2 ghost keeps its triangle
-        bad = ~_mask_at(active, trial[:, 1:])
+        index = classification.index_at(trial[:, 1:, 0], trial[:, 1:, 1])
+        bad = index < 0
         trying = unresolved & (first_shift <= shift)
         inactive = trying & bad.any(axis=1)
         had_bad |= inactive
         bad_node[inactive] = trial[inactive, 1 + bad[inactive].argmax(axis=1)]
         fits = trying & ~inactive
         if kind == "S3":
-            fits &= ~_mask_at(classification.ghost_mask, trial[:, 1:]).any(axis=1)
+            fits &= ~(index >= classification.n_interior).any(axis=1)
         members[fits] = trial[fits]
         unresolved &= ~fits
 
@@ -174,7 +166,7 @@ def extend_classification(
                 f"{strategy.kind} stencil of ghost {ghosts[k // members.shape[1]]} "
                 f"leaves the lattice at {tuple(nodes[k].tolist())}"
             )
-        missing = np.unique(nodes[classification.active_index[tuple(nodes.T)] < 0], axis=0)
+        missing = np.unique(nodes[classification.index_at(*nodes.T) < 0], axis=0)
         if not len(missing):
             return classification, band
         logger.info(
@@ -221,13 +213,19 @@ def _cone_nodes(cones: "_Cones", ks, di: np.ndarray, dj: np.ndarray, dist: np.nd
     w, wnorm, cos_half = cones.w[ks], cones.wnorm[ks, None], cones.cos_half[ks, None]
     full = (cones.aperture[ks, None] >= 360.0) | (wnorm == 0.0)
     # The 1e-12 slack and this operation order decide the nodes on the
-    # cone edge; any other form moves stencils by a bit.
-    row, col = np.nonzero(full | (di * w[:, :1] + dj * w[:, 1:] >= (cos_half - 1e-12) * dist * wnorm))
+    # cone edge; any other form moves stencils by a bit.  Both float sides
+    # are freed before np.nonzero, so no more than two float (B, T) arrays live.
+    lhs = di * w[:, :1]
+    lhs += dj * w[:, 1:]
+    rhs = (cos_half - 1e-12) * dist
+    rhs *= wnorm
+    inside = lhs >= rhs
+    del lhs, rhs
+    inside |= full
+    row, col = np.nonzero(inside)
     i = di[col] + cones.ghosts[ks, 0][row]
     j = dj[col] + cones.ghosts[ks, 1][row]
-    n = cones.classification.grid.n
-    keep = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
-    keep[keep] = cones.classification.active_index[i[keep], j[keep]] >= 0
+    keep = cones.classification.index_at(i, j) >= 0
     return np.column_stack([i[keep], j[keep]]), np.bincount(row[keep], minlength=len(w))
 
 

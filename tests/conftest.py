@@ -58,15 +58,28 @@ class Row:
     aperture: float
 
 
+def per_row(rows, column):
+    """``rows.member_ij`` or ``rows.coeffs`` cut into one array per row."""
+    return np.split(column, np.cumsum(rows.sizes)[:-1])
+
+
 def rows_of(rows):
     """The rows of a table one at a time, for per-row checks."""
     return [
         Row(tuple(int(v) for v in ij), *fields)
         for ij, *fields in zip(
-            rows.ghost_ij, rows.per_row(rows.member_ij), rows.per_row(rows.coeffs), rows.rhs,
+            rows.ghost_ij, per_row(rows, rows.member_ij), per_row(rows, rows.coeffs), rows.rhs,
             rows.chi, rows.r_ratio, rows.collars, rows.swaps, rows.aperture,
         )
     ]
+
+
+def ghost_layers(classification):
+    """Each ghost's layer, in ghost order: 1 next to an interior node along an axis, else 2."""
+    padded = np.pad(classification.interior_mask, 1)
+    i, j = classification.ghost_ij.T + 1
+    adjacent = padded[i - 1, j] | padded[i + 1, j] | padded[i, j - 1] | padded[i, j + 1]
+    return np.where(adjacent, 1, 2)
 
 
 class Solve(NamedTuple):

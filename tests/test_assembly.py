@@ -142,6 +142,18 @@ class TestGhostRow:
                            "references an inactive node"):
             g.assemble(classification, laplace_coefficients(), rows)
 
+    def test_off_lattice_member_raises(self, square_setup):
+        # a member one node past the box edge; an index of -1 would wrap
+        # to the active ghost on the opposite edge
+        grid, classification = square_setup
+        k = int(np.flatnonzero(classification.ghost_ij[:, 0] == 0)[0])
+        ghost = classification.ghost_ij[k]
+        past = ghost - (1, 0)
+        assert classification.active_index[tuple(past)] >= 0
+        rows = identity_ghost_rows(classification, {k: (np.vstack([ghost, past]), np.ones(2), 0.0)})
+        with pytest.raises(MissingNeighbor, match=rf"ghost row \({ghost[0]}, {ghost[1]}\) references"):
+            g.assemble(classification, laplace_coefficients(), rows)
+
     def test_annulus_rhs_by_boundary_piece(self, annulus_160_rows):
         mid = 0.5 * (R_INNER + R_OUTER)
         for collar, rhs in zip(annulus_160_rows.collars, annulus_160_rows.rhs):
@@ -213,7 +225,6 @@ class TestAssemble:
             classification.level_set,
             classification.interior_mask,
             classification.ghost_mask & ~_one_hot(classification.ghost_mask.shape, ghost0),
-            classification.ghost_layer_grid,
         )
         from ghostbc.assembly import _interior_block
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import assemble_constraints, circle_level_set, node_xy, rows_of, solve_alone, trial
+from conftest import assemble_constraints, circle_level_set, ghost_layers, node_xy, rows_of, solve_alone, trial
 
 import ghostbc as g
 from ghostbc.basis import BasisConfig, RobinData, enumerate_basis, monomial_matrix
@@ -334,11 +334,7 @@ class TestRowProperties:
             return RobinData(1.0, 0.0, collar.normal, 0.0)
 
         solver = GhostOperatorSolver(grid, robin)
-        ghost = None
-        for ij in classification.ghost_ij:
-            if classification.ghost_layer_grid[tuple(ij)] == 1:
-                ghost = tuple(int(v) for v in ij)
-                break
+        ghost = tuple(int(v) for v in classification.ghost_ij[ghost_layers(classification) == 1][0])
         collar = collar_of(ghost, grid, ls)
         members = triangle("S1", collar, 4, classification)
         a = solve_alone(solver, members, collar).coeffs

@@ -206,6 +206,21 @@ class TestMain:
         header = (out / "matrix.mtx").read_text().splitlines()[0]
         assert header.startswith("%%MatrixMarket matrix coordinate real general")
 
+    def test_export_matrix_refuses_a_sweep(self, tmp_path, capsys, monkeypatch):
+        # a sweep writes no matrix: asking for one exits 2 before any level runs
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(cli, "execute_level", no_level)
+        out = tmp_path / "mtx-sweep"
+        code = main(["run", "--benchmark", "annulus", "--sweep", "32,48,64", "--export-matrix", "--out", str(out)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "--export-matrix" in record["message"]
+        assert json.loads((out / "error.json").read_text()) == record
+        assert not (out / "orders.json").exists() and not (out / "matrix.mtx").exists()
+
     def test_exact_injection_validates_plumbing(self, tmp_path):
         out = tmp_path / "inj"
         code = main([

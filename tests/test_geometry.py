@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghostbc as g
-from conftest import circle_level_set, node_xy, pairwise_diameter, square_level_set
+from conftest import circle_level_set, node_xy, pairwise_diameter, per_row, square_level_set
 from ghostbc.benchmarks import (
     R_INNER,
     R_OUTER,
@@ -82,13 +82,19 @@ class TestClassifyNodes:
 
     def test_square_ghosts_match_brute_force_enumeration(self):
         grid = g.Grid(24)
-        level_set = square_level_set(0.51)  # keep nodes off the lines x,y = +-0.51
-        classification = g.classify_nodes(grid, level_set)
-        x, y = grid.meshgrid()
-        inside = np.asarray(level_set.evaluate(x, y)) < 0
-        expected = brute_force_reference_set(grid, inside)
-        got = {tuple(ij) for ij in classification.ghost_ij}
-        assert got == expected
+        # half-widths off the lattice lines; at 0.87 the interior comes to
+        # exactly STENCIL_REACH nodes of the box edge, so ghosts lie on it
+        for half_width in (0.51, 0.87):
+            level_set = square_level_set(half_width)
+            classification = g.classify_nodes(grid, level_set)
+            x, y = grid.meshgrid()
+            inside = np.asarray(level_set.evaluate(x, y)) < 0
+            expected = brute_force_reference_set(grid, inside)
+            got = {tuple(ij) for ij in classification.ghost_ij}
+            assert got == expected
+        # the 0.87 square reaches the edge the np.roll shifts rely on
+        assert not inside[:STENCIL_REACH].any() and inside[STENCIL_REACH].any()
+        assert {0, grid.n} <= {int(i) for i in classification.ghost_ij[:, 0]}
 
     def test_node_exactly_on_boundary_rejected(self):
         # 0.5 is binary-exact and lies on the lattice at N=16, so phi == 0 there.
@@ -123,7 +129,6 @@ class TestClassifyNodes:
 
     def test_layers_and_numbering(self, annulus_160):
         grid, classification = annulus_160
-        assert set(np.unique(classification.ghost_layer)) <= {1, 2}
         # active numbering: interior first, ghosts after, no gaps
         idx = classification.active_index
         assert idx.max() == classification.n_active - 1
@@ -141,10 +146,36 @@ class TestClassifyNodes:
                     break
             if outside:
                 break
-        extended = classification.with_extra_ghosts([outside])
+        inside = tuple(classification.interior_ij[0])
+        extended = classification.with_extra_ghosts([outside, inside])
         assert extended.n_ghost == classification.n_ghost + 1
         assert extended.ghost_mask[outside]
-        assert extended.ghost_layer_grid[outside] == 3
+        assert not extended.ghost_mask[inside]  # an interior node stays interior
+        assert np.array_equal(extended.interior_mask, classification.interior_mask)
+
+    def test_index_at_reads_the_lattice_and_minus_one_off_it(self):
+        grid = g.Grid(24)
+        classification = g.classify_nodes(grid, square_level_set(0.87))  # ghosts on the box edge
+        n = grid.n
+        ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        # (G, M) and (N,) reads on the lattice equal active_index
+        assert np.array_equal(classification.index_at(ii, jj), classification.active_index)
+        assert np.array_equal(classification.index_at(ii.ravel(), jj.ravel()), classification.active_index.ravel())
+        off = np.array([-1, -2, n + 1, n + 2])
+        mid = np.full(4, n // 2)
+        # a wrapped read of -1 and -2 would find the active ghosts on the far edge
+        assert (classification.active_index[off[:2], mid[:2]] >= 0).all()
+        assert (classification.active_index[mid[:2], off[:2]] >= 0).all()
+        assert classification.index_at(off, mid).tolist() == [-1] * 4
+        assert classification.index_at(mid, off).tolist() == [-1] * 4
+        i = np.array([[-1, 0, n], [n + 2, mid[0], -2]])
+        j = np.array([[mid[0], mid[0], mid[0]], [mid[0], n + 1, mid[0]]])
+        expected = np.array([
+            [-1, classification.active_index[0, n // 2], classification.active_index[n, n // 2]],
+            [-1, -1, -1],
+        ])
+        assert (expected[0, 1:] >= 0).all()
+        assert np.array_equal(classification.index_at(i, j), expected)
 
 
 def project_point(xy, level_set):
@@ -591,7 +622,7 @@ class TestDiameter:
         # the level-wide pass, one per stencil size, against one row at a time
         rows = annulus_160_rows
         assert len(set(rows.sizes.tolist())) > 1
-        expected = [pairwise_diameter(m) for m in rows.per_row(rows.member_ij)]
+        expected = [pairwise_diameter(m) for m in per_row(rows, rows.member_ij)]
         assert g.stencil_diagnostics(rows).diameters.tolist() == expected
 
 

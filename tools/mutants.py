@@ -81,6 +81,34 @@ MUTANTS = {
         "return np.zeros(len(keys), dtype=bool)",
         ["tests/test_stencils.py", "tests/test_boundary_ops.py"],
     ),
+    "M8": (
+        "a triangle with fewer members than constraints is not refused",
+        "src/ghostbc/cli.py",
+        "if self.strategy in stencils.TRIANGLE_KINDS and members < space_dimension(self.order):",
+        "if False:",
+        ["tests/test_cli.py::TestMain::test_triangle_with_too_few_members_exits_2"],
+    ),
+    "M9": (
+        "a cone level raises its last failing ghost's error, not its first",
+        "src/ghostbc/stencils.py",
+        "failed = next((k for k, error in enumerate(errors) if error is not None), len(errors))",
+        "failed = max((k for k, error in enumerate(errors) if error is not None), default=len(errors))",
+        ["tests/test_boundary_ops.py::TestLockstepLevel::test_first_failing_ghost_raises"],
+    ),
+    "M10": (
+        "a sweep that asks for a matrix is not refused",
+        "src/ghostbc/cli.py",
+        "            if self.export_matrix:\n                raise ConfigError(",
+        "            if False:\n                raise ConfigError(",
+        ["tests/test_cli.py::TestMain::test_export_matrix_refuses_a_sweep"],
+    ),
+    "M11": (
+        "a negative lattice index wraps to the far edge",
+        "src/ghostbc/geometry.py",
+        "inside = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)",
+        "inside = (i <= n) & (j <= n)",
+        ["tests/test_geometry.py::TestClassifyNodes", "tests/test_assembly.py::TestGhostRow"],
+    ),
 }
 
 
