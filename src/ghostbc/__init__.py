@@ -19,7 +19,7 @@ from .assembly import (
     export_matrix_market,
     solve,
 )
-from .basis import BasisConfig, RobinData, enumerate_basis
+from .basis import RobinData, enumerate_basis
 from .benchmarks import (
     Benchmark,
     annulus_homogeneous,

@@ -42,14 +42,17 @@ MAX_REFINEMENTS = 3
 class ProblemCoefficients:
     """PDE data: diffusion, velocity field, source, and Robin boundary rule.
 
-    ``velocity`` and ``source`` are vectorized over coordinate arrays;
-    ``robin`` maps a collar point to the Robin data enforced there.
+    All three callables take arrays: ``velocity(x, y)`` and ``source(x, y)``
+    coordinate arrays, ``robin(points, normals)`` K collar points and their
+    unit outward normals, (K, 2) each, for the ``RobinData`` enforced there.
+    An array call must equal per-point calls bit for bit, as for
+    ``LevelSet``: a level's right-hand sides come from one call.
     """
 
     diffusion: float
     velocity: Callable
     source: Callable
-    robin: Callable[[CollarPoint], RobinData]
+    robin: Callable[[np.ndarray, np.ndarray], RobinData]
 
     def __post_init__(self) -> None:
         if not self.diffusion > 0.0:
@@ -206,12 +209,13 @@ def build_ghost_rows(
         )
     kept = np.arange(member_ij.shape[1]) < sizes[:, None]
     member_ij, row_coeffs = member_ij[kept], row_coeffs[kept]
+    points, normals = (np.array([getattr(c, name) for c in collars]).reshape(-1, 2) for name in ("point", "normal"))
     return GhostRows(
         ghost_ij=classification.ghost_ij,
         sizes=sizes,
         member_ij=member_ij,
         coeffs=row_coeffs,
-        rhs=np.array([coeffs.robin(collar).value for collar in collars], dtype=float),
+        rhs=np.asarray(coeffs.robin(points, normals).value, dtype=float),
         chi=chi,
         r_ratio=_ghost_ratios(classification, sizes, member_ij, row_coeffs),
         collars=list(collars),

@@ -51,43 +51,33 @@ def enumerate_basis(order: int) -> list[Alpha]:
 
 
 @dataclass(frozen=True)
-class BasisConfig:
-    """Centre (2,) or stack of centres (..., 2) and scaling length of the basis."""
-
-    spacing: float
-    center: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.spacing > 0.0:
-            raise ValueError(f"basis scaling length must be positive, got {self.spacing}")
-
-
-@dataclass(frozen=True)
 class RobinData:
-    """Robin boundary data at one collar point: a_D*phi + a_N*dphi/dn = g."""
+    """Robin data at K collar points, a_D*phi + a_N*dphi/dn = g: ``dirichlet``, ``neumann``, ``value``, (K,) each."""
 
-    dirichlet: float
-    neumann: float
-    normal: np.ndarray
-    value: float
+    dirichlet: np.ndarray
+    neumann: np.ndarray
+    value: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dirichlet == 0.0 and self.neumann == 0.0:
+        shapes = [np.shape(field) for field in (self.dirichlet, self.neumann, self.value)]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"Robin data must be three (K,) arrays of one length, got shapes {shapes}")
+        if np.any((np.asarray(self.dirichlet) == 0.0) & (np.asarray(self.neumann) == 0.0)):
             raise ValueError("Robin coefficients (a_D, a_N) must not both vanish")
 
 
-def monomial_matrix(alphas: list[Alpha], points: np.ndarray, cfg: BasisConfig) -> np.ndarray:
+def monomial_matrix(alphas: list[Alpha], points: np.ndarray, center: np.ndarray, spacing: float) -> np.ndarray:
     """All basis monomials at all points: shape (..., len(alphas), n_points).
 
-    ``points`` is (..., n_points, 2) and ``cfg.center`` (2,) or a matching
+    ``points`` is (..., n_points, 2) and ``center`` (2,) or a matching
     stack (..., 2), so one call fills the constraint matrices of a whole
     stack of trial stencils; each slice equals the matrix of that stencil
     alone, bit for bit.
     """
     pts = np.asarray(points, dtype=float)
-    center = np.asarray(cfg.center, dtype=float)[..., None, :]
-    xi = (pts[..., 0] - center[..., 0]) / cfg.spacing
-    eta = (pts[..., 1] - center[..., 1]) / cfg.spacing
+    center = np.asarray(center, dtype=float)[..., None, :]
+    xi = (pts[..., 0] - center[..., 0]) / spacing
+    eta = (pts[..., 1] - center[..., 1]) / spacing
     ax, ay = np.array(alphas).T
     # each distinct power once; np.power rounds the same in any layout
     k = np.arange(max(ax.max(), ay.max()) + 1)[:, None]
@@ -95,29 +85,30 @@ def monomial_matrix(alphas: list[Alpha], points: np.ndarray, cfg: BasisConfig) -
 
 
 def boundary_actions(
-    alphas: list[Alpha], points: np.ndarray, robins: list[RobinData], cfg: BasisConfig
+    alphas: list[Alpha], points: np.ndarray, normals: np.ndarray, robin: RobinData, center: np.ndarray, spacing: float
 ) -> np.ndarray:
     """Boundary operator on every basis monomial at a batch of collar points.
 
-    Row k is ``a_D * psi(p_k) + a_N * grad(psi)(p_k) . n_k`` over the basis
-    centred at ``cfg.center[k]`` (the constraint right-hand side of collar
-    k); ``points`` is (K, 2), ``cfg.center`` (2,) or (K, 2).  The powers are
+    Row k is ``a_D[k] * psi(p_k) + a_N[k] * grad(psi)(p_k) . n_k`` over the
+    basis centred at ``center[k]`` (the constraint right-hand side of
+    collar k); ``points`` and ``normals`` are (K, 2), ``center`` (2,) or
+    (K, 2), and ``robin`` holds the K points' data.  The powers are
     ``np.float_power``, for the reason in the module docstring.
     """
     p = np.asarray(points, dtype=float)
-    center = np.asarray(cfg.center, dtype=float)
-    xi = ((p[:, 0] - center[..., 0]) / cfg.spacing)[:, None]
-    eta = ((p[:, 1] - center[..., 1]) / cfg.spacing)[:, None]
+    center = np.asarray(center, dtype=float)
+    xi = ((p[:, 0] - center[..., 0]) / spacing)[:, None]
+    eta = ((p[:, 1] - center[..., 1]) / spacing)[:, None]
     ax, ay = np.array(alphas, dtype=float).T
 
     def monomial(ex, ey):
         return np.float_power(xi, ex) * np.float_power(eta, ey)
 
-    gx = np.where(ax > 0, ax / cfg.spacing * monomial(np.maximum(ax - 1, 0), ay), 0.0)
-    gy = np.where(ay > 0, ay / cfg.spacing * monomial(ax, np.maximum(ay - 1, 0)), 0.0)
-    normal = np.array([r.normal for r in robins], dtype=float).reshape(-1, 1, 2)
+    gx = np.where(ax > 0, ax / spacing * monomial(np.maximum(ax - 1, 0), ay), 0.0)
+    gy = np.where(ay > 0, ay / spacing * monomial(ax, np.maximum(ay - 1, 0)), 0.0)
+    normal = np.asarray(normals, dtype=float).reshape(-1, 1, 2)
     normal_derivative = np.vecdot(np.stack([gx, gy], axis=-1), normal)
-    dirichlet = np.array([r.dirichlet for r in robins], dtype=float)[:, None]
-    neumann = np.array([r.neumann for r in robins], dtype=float)[:, None]
+    dirichlet = np.asarray(robin.dirichlet, dtype=float)[:, None]
+    neumann = np.asarray(robin.neumann, dtype=float)[:, None]
     value = dirichlet * monomial(ax, ay)
     return np.where(neumann != 0.0, value + neumann * normal_derivative, value)

@@ -18,7 +18,7 @@ import numpy as np
 from .assembly import ProblemCoefficients
 from .basis import RobinData
 from .errors import UnknownDomain
-from .geometry import CollarPoint, Grid, LevelSet
+from .geometry import Grid, LevelSet
 
 #: Annulus radii shared by several benchmarks.
 R_INNER = math.sqrt(5.0) / 5.0
@@ -173,16 +173,17 @@ def hourglass_level_set() -> LevelSet:
 # Annulus benchmarks
 # ---------------------------------------------------------------------------
 
-def _annulus_robin(inner: Callable[[np.ndarray, np.ndarray], RobinData],
-                   outer: Callable[[np.ndarray, np.ndarray], RobinData]):
-    """Dispatch collar points to the inner or outer circle by radius."""
+def _annulus_robin(inner: Callable, outer: Callable):
+    """Robin rule taking ``inner`` on the inner circle and ``outer`` on the outer one, by radius.
+
+    Each maps collar points and normals, (K, 2) each, to (a_D, a_N, g) as
+    scalars or (K,) arrays.
+    """
     mid = 0.5 * (R_INNER + R_OUTER)
 
-    def robin(collar: CollarPoint) -> RobinData:
-        p = collar.point
-        if float(np.hypot(p[0], p[1])) < mid:
-            return inner(p, collar.normal)
-        return outer(p, collar.normal)
+    def robin(points: np.ndarray, normals: np.ndarray) -> RobinData:
+        on_inner = np.hypot(points[:, 0], points[:, 1]) < mid
+        return RobinData(*(np.where(on_inner, a, b) for a, b in zip(inner(points, normals), outer(points, normals))))
 
     return robin
 
@@ -204,10 +205,7 @@ def annulus_homogeneous() -> Benchmark:
     def solution_laplacian(x, y):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    robin = _annulus_robin(
-        inner=lambda p, n: RobinData(1.0, 0.0, n, 0.0),
-        outer=lambda p, n: RobinData(0.0, 1.0, n, 1.0),
-    )
+    robin = _annulus_robin(inner=lambda p, n: (1.0, 0.0, 0.0), outer=lambda p, n: (0.0, 1.0, 1.0))
     coeffs = ProblemCoefficients(
         diffusion=1.0,
         velocity=lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),
@@ -257,11 +255,11 @@ def annulus_quartic() -> Benchmark:
         return -q_lap(x, y) + gx + gy
 
     def inner(p, n):
-        return RobinData(1.0, 0.0, n, float(q(p[0], p[1])))
+        return 1.0, 0.0, q(p[:, 0], p[:, 1])
 
     def outer(p, n):
-        gx, gy = q_grad(p[0], p[1])
-        return RobinData(0.0, 1.0, n, float(gx * n[0] + gy * n[1]))
+        gx, gy = q_grad(p[:, 0], p[:, 1])
+        return 0.0, 1.0, gx * n[:, 0] + gy * n[:, 1]
 
     coeffs = ProblemCoefficients(
         diffusion=1.0,
@@ -309,12 +307,15 @@ def complex_domain(name: str) -> Benchmark:
     def solution_laplacian(x, y):
         return -29.0 * solution(x, y)
 
-    def robin(collar: CollarPoint) -> RobinData:
-        p, n = collar.point, collar.normal
-        if p[0] >= 0.0:
-            return RobinData(1.0, 0.0, n, float(solution(p[0], p[1])))
-        gx, gy = solution_gradient(p[0], p[1])
-        return RobinData(0.0, 1.0, n, float(gx * n[0] + gy * n[1]))
+    def robin(points: np.ndarray, normals: np.ndarray) -> RobinData:
+        x, y = points[:, 0], points[:, 1]
+        gx, gy = solution_gradient(x, y)
+        dirichlet = x >= 0.0
+        return RobinData(
+            np.where(dirichlet, 1.0, 0.0),
+            np.where(dirichlet, 0.0, 1.0),
+            np.where(dirichlet, solution(x, y), gx * normals[:, 0] + gy * normals[:, 1]),
+        )
 
     coeffs = ProblemCoefficients(
         diffusion=1.0,
@@ -431,10 +432,7 @@ def convection_diffusion(kappa: float, u0: float) -> Benchmark:
         diffusion=kappa,
         velocity=velocity,
         source=source,
-        robin=_annulus_robin(
-            inner=lambda p, n: RobinData(1.0, 0.0, n, 0.0),
-            outer=lambda p, n: RobinData(1.0, 0.0, n, 0.0),
-        ),
+        robin=_annulus_robin(inner=lambda p, n: (1.0, 0.0, 0.0), outer=lambda p, n: (1.0, 0.0, 0.0)),
     )
     nominal = {(1.0, 10.0): 8.0, (1.0, 25.0): 20.0}.get((kappa, u0))
     bench = Benchmark(
@@ -461,19 +459,18 @@ def _check_annulus_boundary(bench: Benchmark, n_samples: int = 32) -> None:
     """Spot-check the Robin data against the analytic solution on both circles (``ValueError`` if off)."""
     rng = np.random.default_rng(_SELF_CHECK_SEED + 1)
     for radius, outward in ((R_INNER, -1.0), (R_OUTER, 1.0)):
-        for theta in rng.uniform(0.0, 2.0 * math.pi, size=n_samples):
-            p = np.array([radius * math.cos(theta), radius * math.sin(theta)])
-            n = outward * p / radius
-            collar = CollarPoint(ghost_xy=p, point=p, normal=n, mode="closest")
-            robin = bench.coefficients.robin(collar)
-            gx, gy = bench.solution_gradient(p[0], p[1])
-            value = (robin.dirichlet * float(bench.solution(p[0], p[1]))
-                     + robin.neumann * float(gx * n[0] + gy * n[1]))
-            if not abs(value - robin.value) <= _SELF_CHECK_TOL:
-                raise ValueError(
-                    f"benchmark '{bench.name}': boundary data mismatch {value - robin.value:.3e} "
-                    f"at radius {radius:.4f}"
-                )
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=n_samples)
+        p = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        n = outward * p / radius
+        robin = bench.coefficients.robin(p, n)
+        gx, gy = bench.solution_gradient(p[:, 0], p[:, 1])
+        value = robin.dirichlet * bench.solution(p[:, 0], p[:, 1]) + robin.neumann * (gx * n[:, 0] + gy * n[:, 1])
+        mismatch = value - robin.value
+        bad = np.flatnonzero(~(np.abs(mismatch) <= _SELF_CHECK_TOL))
+        if len(bad):
+            raise ValueError(
+                f"benchmark '{bench.name}': boundary data mismatch {mismatch[bad[0]]:.3e} at radius {radius:.4f}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import (
-    BasisConfig,
-    DEFAULT_ORDER,
-    RobinData,
-    boundary_actions,
-    enumerate_basis,
-    monomial_matrix,
-)
+from .basis import DEFAULT_ORDER, RobinData, boundary_actions, enumerate_basis, monomial_matrix
 from .geometry import CollarPoint, Grid
 
 #: sigma_min/sigma_max below this means the stencil is rank-deficient.
@@ -102,8 +95,8 @@ def coefficient_amplification(coeffs: np.ndarray) -> np.ndarray:
 class GhostOperatorSolver:
     """Conditioning oracle shared by the stencil strategies.
 
-    Bundles the grid spacing, the basis order and the benchmark's Robin data
-    provider.  ``solve`` solves a stack of same-size trial stencils on the
+    Bundles the grid spacing, the basis order and the benchmark's Robin
+    rule.  ``solve`` solves a stack of same-size trial stencils on the
     right-hand sides ``rhs`` builds for their collars, and ``deficient``
     tells which of such a stack are rank-deficient by construction, which
     the cone strategies grow past without solving them.
@@ -112,11 +105,11 @@ class GhostOperatorSolver:
     def __init__(
         self,
         grid: Grid,
-        robin_at: Callable[[CollarPoint], RobinData],
+        robin: Callable[[np.ndarray, np.ndarray], RobinData],
         order: int = DEFAULT_ORDER,
     ):
         self.grid = grid
-        self.robin_at = robin_at
+        self.robin = robin
         self._alphas = enumerate_basis(order)
         # member offsets from the first member -> rank-deficient by construction
         self._structural: dict[bytes, bool] = {}
@@ -125,14 +118,12 @@ class GhostOperatorSolver:
     def n_constraints(self) -> int:
         return len(self._alphas)
 
-    def config_for(self, ghost_xy: np.ndarray) -> BasisConfig:
-        return BasisConfig(self.grid.h, np.asarray(ghost_xy, dtype=float))
-
     def rhs(self, collars: list[CollarPoint]) -> np.ndarray:
-        """Constraint right-hand sides (K, n_constraints) of K collars, from one vectorized call."""
-        points = np.array([c.point for c in collars]).reshape(-1, 2)
-        centers = np.array([c.ghost_xy for c in collars]).reshape(-1, 2)
-        return boundary_actions(self._alphas, points, [self.robin_at(c) for c in collars], self.config_for(centers))
+        """Constraint right-hand sides (K, n_constraints) of K collars: one call of the rule, one of the action."""
+        points, normals, centers = (
+            np.array([getattr(c, name) for c in collars]).reshape(-1, 2) for name in ("point", "normal", "ghost_xy")
+        )
+        return boundary_actions(self._alphas, points, normals, self.robin(points, normals), centers, self.grid.h)
 
     def solve(self, member_ij: np.ndarray, rhs: np.ndarray) -> StencilSolves:
         """Solve G trial stencils of one size: ``member_ij`` (G, M, 2), ``rhs`` (G, n_constraints).
@@ -143,7 +134,7 @@ class GhostOperatorSolver:
         """
         x, y = self.grid.coords(member_ij[..., 0], member_ij[..., 1])
         points = np.stack([x, y], axis=-1)
-        return solve_constraints(monomial_matrix(self._alphas, points, self.config_for(points[:, 0])), rhs)
+        return solve_constraints(monomial_matrix(self._alphas, points, points[:, 0], self.grid.h), rhs)
 
     def deficient(self, member_ij: np.ndarray) -> np.ndarray:
         """Which of G stencils of one size, ``member_ij`` (G, M, 2), are rank-deficient by construction.
@@ -164,7 +155,7 @@ class GhostOperatorSolver:
         keys = offsets.reshape(len(offsets), -1).view(np.dtype((np.void, offsets[0].nbytes)))[:, 0].tolist()
         missing = {key: p for p, key in enumerate(keys) if key not in self._structural}
         if missing:
-            matrix = monomial_matrix(self._alphas, offsets[list(missing.values())], BasisConfig(1.0, np.zeros(2)))
+            matrix = monomial_matrix(self._alphas, offsets[list(missing.values())], np.zeros(2), 1.0)
             s = np.linalg.svd(matrix, compute_uv=False)
             for key, (s_max, s_min) in zip(missing, s[:, [0, -1]].tolist()):
                 self._structural[key] = s_min < RANK_TOLERANCE * s_max

@@ -336,12 +336,14 @@ def _grow(
     ``cones.nodes`` (the ghost first); it closes the collar whose
     right-hand side is ``rhs[k]`` and grows in place from ``cones``.  Every
     round solves the pending trials of all ghosts, one ``solver.solve``
-    per member count; the trials that are rank-deficient by construction
-    (``solver.deficient``, one call per member count of each screening
-    pass) take their next candidate without being solved.  Returns the
-    finished ghosts' coefficients, zero-padded to the width of ``members``,
-    and chi (zeros and ``inf`` for the others), and the ``NotAdmissible``
-    of each ghost grown past ``MAX_STENCIL_SIZE`` or out of candidates.
+    per member count.  Before the first round, the trials that are
+    rank-deficient by construction (``solver.deficient``, one call per
+    member count of each screening pass) take their next candidate without
+    being solved; grown from a trial that passed, a trial keeps full rank.
+    Returns the finished ghosts' coefficients, zero-padded to the width of
+    ``members``, and chi (zeros and ``inf`` for the others), and the
+    ``NotAdmissible`` of each ghost grown past ``MAX_STENCIL_SIZE`` or out
+    of candidates.
     """
     coeffs = np.zeros(members.shape)
     chi = np.full(len(sizes), np.inf)
@@ -361,12 +363,12 @@ def _grow(
         ended[full] = ended[exhausted] = True
         return grown
 
+    screen = pending
+    while len(screen):
+        screen = extend(np.concatenate([
+            ks[solver.deficient(cones.nodes[members[ks, :m]])] for m, ks in _by_size(screen, sizes)
+        ]))
     while len(pending):
-        screen = pending
-        while len(screen):
-            screen = extend(np.concatenate([
-                ks[solver.deficient(cones.nodes[members[ks, :m]])] for m, ks in _by_size(screen, sizes)
-            ]))
         grown = []
         for m, ks in _by_size(pending[~ended[pending]], sizes):
             solves = solver.solve(cones.nodes[members[ks, :m]], rhs[ks])

@@ -116,16 +116,27 @@ def node_xy(grid, i, j):
     return np.array([float(x), float(y)])
 
 
-def assemble_constraints(points, collar, robin, cfg, order=DEFAULT_ORDER):
+def robin_of(rule, collar):
+    """The Robin data ``rule`` gives one collar: a batch of one."""
+    return rule(collar.point[None, :], collar.normal[None, :])
+
+
+def dirichlet_rule(value=0.0):
+    """A Robin rule with Dirichlet data ``value`` at every point."""
+    return lambda points, normals: g.RobinData(np.ones(len(points)), np.zeros(len(points)), np.full(len(points), value))
+
+
+def assemble_constraints(points, collar, robin, center, spacing, order=DEFAULT_ORDER):
     """Constraint matrix (n_constraints, n_points) and right-hand side of one stencil.
 
-    Rows follow the basis of ``order``, columns the order of ``points``;
-    built without ``GhostOperatorSolver``, as an independent check of its
-    stacks.
+    Rows follow the basis of ``order`` centred at ``center`` and scaled by
+    ``spacing``, columns the order of ``points``; ``robin`` is the collar's
+    data, a batch of one.  Built without ``GhostOperatorSolver``, as an
+    independent check of its stacks.
     """
     alphas = enumerate_basis(order)
-    c = monomial_matrix(alphas, points, cfg)
-    g = boundary_actions(alphas, collar.point[None, :], [robin], cfg)[0]
+    c = monomial_matrix(alphas, points, center, spacing)
+    g = boundary_actions(alphas, collar.point[None, :], collar.normal[None, :], robin, center, spacing)[0]
     return c, g
 
 

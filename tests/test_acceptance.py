@@ -29,7 +29,7 @@ import pytest
 import scipy.sparse as sp
 
 import ghostbc as g
-from conftest import assemble_constraints, rows_of
+from conftest import assemble_constraints, robin_of, rows_of
 from ghostbc.boundary_ops import GhostOperatorSolver
 
 REDUCED_SWEEP_5 = [160, 194, 234, 283, 343]
@@ -367,7 +367,7 @@ def test_criterion_9_min_norm_properties():
     for solver, row in rows_collected:
         points = np.column_stack(solver.grid.coords(row.member_ij[:, 0], row.member_ij[:, 1]))
         matrix, rhs = assemble_constraints(
-            points, row.collar, solver.robin_at(row.collar), solver.config_for(row.collar.ghost_xy)
+            points, row.collar, robin_of(solver.robin, row.collar), row.collar.ghost_xy, solver.grid.h
         )
         a = row.coeffs
         scale = np.linalg.norm(rhs)

@@ -3,13 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 import ghostbc as g
-from conftest import node_xy, square_level_set
+from conftest import dirichlet_rule, node_xy, square_level_set
 from ghostbc.assembly import (
     ProblemCoefficients,
     SparseSystem,
     export_matrix_market,
 )
-from ghostbc.basis import RobinData
 from ghostbc.benchmarks import R_INNER, R_OUTER, annulus_level_set
 from ghostbc.errors import MissingNeighbor, SingularMatrix, SolveFailed
 
@@ -24,7 +23,7 @@ def laplace_coefficients(k=1.0, u=0.0, v=0.0):
         velocity=lambda x, y: (np.full_like(np.asarray(x, dtype=float), u),
                                np.full_like(np.asarray(y, dtype=float), v)),
         source=_zero,
-        robin=lambda collar: RobinData(1.0, 0.0, collar.normal, 0.0),
+        robin=dirichlet_rule(),
     )
 
 
@@ -200,7 +199,7 @@ class TestAssemble:
             diffusion=1.0,
             velocity=lambda x, y: (_zero(x, y), _zero(x, y)),
             source=_zero,
-            robin=lambda collar: RobinData(1.0, 0.0, collar.normal, c),
+            robin=dirichlet_rule(c),
         )
         system, _ = assemble_with_rows(classification, g.StencilStrategy(kind="S4.3"), coeffs, grid)
         resid = system.matrix @ np.full(system.n, c) - system.rhs

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostbc.basis import (
-    BasisConfig,
     RobinData,
     boundary_actions,
     enumerate_basis,
@@ -15,32 +14,35 @@ from ghostbc.basis import (
 
 # Scalar reference of the basis: one monomial at one point, with numpy
 # scalar powers (libm pow), exactly as the library computed it term by term.
-def eval_monomial(alpha, xy, cfg):
-    xi = (xy[0] - cfg.center[0]) / cfg.spacing
-    eta = (xy[1] - cfg.center[1]) / cfg.spacing
+def eval_monomial(alpha, xy, center, spacing):
+    xi = (xy[0] - center[0]) / spacing
+    eta = (xy[1] - center[1]) / spacing
     return float(xi ** alpha[0] * eta ** alpha[1])
 
 
-def monomial_gradient(alpha, xy, cfg):
+def monomial_gradient(alpha, xy, center, spacing):
     ax, ay = alpha
-    gx = ax / cfg.spacing * eval_monomial((ax - 1, ay), xy, cfg) if ax > 0 else 0.0
-    gy = ay / cfg.spacing * eval_monomial((ax, ay - 1), xy, cfg) if ay > 0 else 0.0
+    gx = ax / spacing * eval_monomial((ax - 1, ay), xy, center, spacing) if ax > 0 else 0.0
+    gy = ay / spacing * eval_monomial((ax, ay - 1), xy, center, spacing) if ay > 0 else 0.0
     return np.array([gx, gy])
 
 
-def boundary_action(alpha, point, robin, cfg):
-    value = robin.dirichlet * eval_monomial(alpha, point, cfg)
-    if robin.neumann != 0.0:
-        value += robin.neumann * float(monomial_gradient(alpha, point, cfg) @ robin.normal)
+def boundary_action(alpha, point, normal, a_d, a_n, center, spacing):
+    value = a_d * eval_monomial(alpha, point, center, spacing)
+    if a_n != 0.0:
+        value += a_n * float(monomial_gradient(alpha, point, center, spacing) @ normal)
     return value
 
 
-def monomial(alpha, xy, cfg):
-    return float(monomial_matrix([alpha], np.asarray(xy, dtype=float)[None, :], cfg)[0, 0])
+def monomial(alpha, xy, center, spacing):
+    return float(monomial_matrix([alpha], np.asarray(xy, dtype=float)[None, :], center, spacing)[0, 0])
 
 
-def action(alphas, point, robin, cfg):
-    return boundary_actions(alphas, np.asarray(point, dtype=float)[None, :], [robin], cfg)[0]
+def action(alphas, point, normal, a_d, a_n, center, spacing):
+    """The boundary action at one collar point, a batch of one."""
+    robin = RobinData(np.array([a_d]), np.array([a_n]), np.zeros(1))
+    points, normals = (np.asarray(v, dtype=float)[None, :] for v in (point, normal))
+    return boundary_actions(alphas, points, normals, robin, center, spacing)[0]
 
 
 class TestEnumerateBasis:
@@ -68,26 +70,27 @@ class TestEnumerateBasis:
 
 class TestEvalMonomial:
     def setup_method(self):
-        self.cfg = BasisConfig(spacing=0.1, center=np.array([0.3, -0.2]))
+        self.h = 0.1
+        self.center = np.array([0.3, -0.2])
 
     def test_constant(self):
-        assert monomial((0, 0), (1.7, 2.9), self.cfg) == 1.0
+        assert monomial((0, 0), (1.7, 2.9), self.center, self.h) == 1.0
 
     def test_unit_offset(self):
-        x = self.cfg.center + np.array([self.cfg.spacing, 0.0])
-        assert monomial((1, 0), x, self.cfg) == pytest.approx(1.0, abs=1e-14)
+        x = self.center + np.array([self.h, 0.0])
+        assert monomial((1, 0), x, self.center, self.h) == pytest.approx(1.0, abs=1e-14)
 
     def test_mixed(self):
-        x = self.cfg.center + np.array([2 * self.cfg.spacing, -self.cfg.spacing])
-        assert monomial((2, 1), x, self.cfg) == pytest.approx(-4.0, abs=1e-12)
+        x = self.center + np.array([2 * self.h, -self.h])
+        assert monomial((2, 1), x, self.center, self.h) == pytest.approx(-4.0, abs=1e-12)
 
     def test_matrix_matches_scalar(self, rng):
         alphas = enumerate_basis(4)
         pts = rng.uniform(-1, 1, size=(7, 2))
-        m = monomial_matrix(alphas, pts, self.cfg)
+        m = monomial_matrix(alphas, pts, self.center, self.h)
         for a, alpha in enumerate(alphas):
             for p, pt in enumerate(pts):
-                assert m[a, p] == pytest.approx(eval_monomial(alpha, pt, self.cfg), rel=1e-13)
+                assert m[a, p] == pytest.approx(eval_monomial(alpha, pt, self.center, self.h), rel=1e-13)
 
     def test_stack_equals_its_slices(self, rng):
         # one call for a stack of stencils, each with its own centre, gives
@@ -95,10 +98,10 @@ class TestEvalMonomial:
         alphas = enumerate_basis(5)
         centers = rng.uniform(-1, 1, size=(40, 2))
         pts = centers[:, None, :] + rng.uniform(-0.3, 0.3, size=(40, 17, 2))
-        stacked = monomial_matrix(alphas, pts, BasisConfig(0.05, centers))
+        stacked = monomial_matrix(alphas, pts, centers, 0.05)
         assert stacked.shape == (40, 15, 17)
         for k in range(40):
-            alone = monomial_matrix(alphas, pts[k], BasisConfig(0.05, centers[k]))
+            alone = monomial_matrix(alphas, pts[k], centers[k], 0.05)
             assert np.array_equal(stacked[k], alone)
 
 
@@ -106,23 +109,19 @@ class TestBoundaryAction:
     def setup_method(self):
         self.h = 0.05
         self.center = np.array([0.1, 0.2])
-        self.cfg = BasisConfig(spacing=self.h, center=self.center)
 
     def test_dirichlet_on_constant(self):
-        robin = RobinData(1.0, 0.0, np.array([1.0, 0.0]), 0.0)
-        assert action([(0, 0)], self.center + [0.01, 0.02], robin, self.cfg)[0] == 1.0
+        assert action([(0, 0)], self.center + [0.01, 0.02], (1.0, 0.0), 1.0, 0.0, self.center, self.h)[0] == 1.0
 
     def test_neumann_on_linear(self):
-        robin = RobinData(0.0, 1.0, np.array([1.0, 0.0]), 0.0)
-        value = action([(1, 0)], self.center + [0.01, 0.0], robin, self.cfg)[0]
+        value = action([(1, 0)], self.center + [0.01, 0.0], (1.0, 0.0), 0.0, 1.0, self.center, self.h)[0]
         assert value == pytest.approx(1.0 / self.h)
 
     def test_mixed_on_quadratic(self):
         delta = 0.013
         normal = np.array([0.6, 0.8])
-        robin = RobinData(1.0, 1.0, normal, 0.0)
         expected = (delta / self.h) ** 2 + 2.0 * normal[0] * delta / self.h**2
-        value = action([(2, 0)], self.center + [delta, 0.0], robin, self.cfg)[0]
+        value = action([(2, 0)], self.center + [delta, 0.0], normal, 1.0, 1.0, self.center, self.h)[0]
         assert value == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin"])
@@ -136,40 +135,53 @@ class TestBoundaryAction:
         normals = np.column_stack([np.cos(angle), np.sin(angle)])
         a_d = {"dirichlet": 1.0, "neumann": 0.0, "robin": 1.0}[kind]
         a_n = {"dirichlet": 0.0, "neumann": 1.0, "robin": 0.37}[kind]
-        robins = [RobinData(a_d, a_n, nrm, 0.0) for nrm in normals]
+        robin = RobinData(np.full(k, a_d), np.full(k, a_n), np.zeros(k))
         alphas = enumerate_basis(5)
-        batch = boundary_actions(alphas, points, robins, BasisConfig(self.h, centers))
+        batch = boundary_actions(alphas, points, normals, robin, centers, self.h)
         reference = np.array([
-            [boundary_action(alpha, p, robin, BasisConfig(self.h, c)) for alpha in alphas]
-            for p, robin, c in zip(points, robins, centers)
+            [boundary_action(alpha, p, nrm, a_d, a_n, c, self.h) for alpha in alphas]
+            for p, nrm, c in zip(points, normals, centers)
         ])
         assert batch.shape == (k, 15)
         assert np.array_equal(batch.view(np.int64), reference.view(np.int64))
 
-    def test_robin_coefficients_must_not_vanish(self):
-        with pytest.raises(ValueError):
-            RobinData(0.0, 0.0, np.array([1.0, 0.0]), 0.0)
+    @pytest.mark.parametrize("a_d, a_n", [
+        ([0.0], [0.0]),
+        ([1.0, 0.0, 0.5, 0.0], [0.0, 0.0, 1.0, 1.0]),  # one point of a batch
+    ])
+    def test_robin_coefficients_must_not_vanish(self, a_d, a_n):
+        with pytest.raises(ValueError, match="must not both vanish"):
+            RobinData(np.array(a_d), np.array(a_n), np.zeros(len(a_d)))
+
+    @pytest.mark.parametrize("a_d, a_n, g", [
+        (1.0, 0.0, 0.0),  # scalars
+        (np.ones(3), np.zeros(3), 0.0),  # a scalar value
+        (np.ones(3), np.zeros(2), np.zeros(3)),
+    ])
+    def test_robin_data_must_be_arrays_of_one_length(self, a_d, a_n, g):
+        with pytest.raises(ValueError, match=r"must be three \(K,\) arrays of one length"):
+            RobinData(a_d, a_n, g)
 
 
 class TestProperties:
     def test_gradient_matches_central_differences(self, rng):
-        cfg = BasisConfig(spacing=0.07, center=np.array([0.4, -0.1]))
+        h, center = 0.07, np.array([0.4, -0.1])
         eps = 1e-6
         for alpha in enumerate_basis(5):
             for _ in range(3):
-                x = cfg.center + rng.uniform(-0.3, 0.3, size=2)
+                x = center + rng.uniform(-0.3, 0.3, size=2)
                 # the gradient is the pure-Neumann action along each axis
                 gx, gy = (
-                    action([alpha], x, RobinData(0.0, 1.0, np.array(nrm), 0.0), cfg)[0]
+                    action([alpha], x, nrm, 0.0, 1.0, center, h)[0]
                     for nrm in ((1.0, 0.0), (0.0, 1.0))
                 )
                 fd_x = (
-                    monomial(alpha, x + [eps, 0.0], cfg)
-                    - monomial(alpha, x - [eps, 0.0], cfg)
+                    monomial(alpha, x + [eps, 0.0], center, h)
+                    - monomial(alpha, x - [eps, 0.0], center, h)
                 ) / (2 * eps)
                 fd_y = (
-                    monomial(alpha, x + [0.0, eps], cfg)
-                    - monomial(alpha, x - [0.0, eps], cfg)
+                    monomial(alpha, x + [0.0, eps], center, h)
+                    - monomial(alpha, x - [0.0, eps], center, h)
                 ) / (2 * eps)
                 scale = max(1.0, abs(gx), abs(gy))
                 assert abs(gx - fd_x) <= 1e-7 * scale
@@ -177,21 +189,21 @@ class TestProperties:
 
     def test_polynomial_reproduction(self, rng):
         # any quartic is reproduced exactly by its expansion in the scaled basis
-        cfg = BasisConfig(spacing=0.05, center=np.array([-0.2, 0.3]))
+        h, center = 0.05, np.array([-0.2, 0.3])
         alphas = enumerate_basis(5)
         coeffs = rng.standard_normal(len(alphas))
 
         def poly(x, y):
             return sum(
-                c * (x - cfg.center[0]) ** ax * (y - cfg.center[1]) ** ay
+                c * (x - center[0]) ** ax * (y - center[1]) ** ay
                 for c, (ax, ay) in zip(coeffs, alphas)
             )
 
         scaled_coeffs = np.array(
-            [c * cfg.spacing ** (ax + ay) for c, (ax, ay) in zip(coeffs, alphas)]
+            [c * h ** (ax + ay) for c, (ax, ay) in zip(coeffs, alphas)]
         )
-        pts = rng.uniform(-0.5, 0.5, size=(20, 2)) + cfg.center
-        m = monomial_matrix(alphas, pts, cfg)
+        pts = rng.uniform(-0.5, 0.5, size=(20, 2)) + center
+        m = monomial_matrix(alphas, pts, center, h)
         reproduced = scaled_coeffs @ m
         expected = np.array([poly(x, y) for x, y in pts])
         assert np.allclose(reproduced, expected, rtol=1e-13, atol=1e-13)
@@ -206,9 +218,7 @@ class TestProperties:
     def test_scaling_covariance(self, dx, dy, ax, ay):
         center = np.array([0.05, -0.35])
         h = 0.01
-        fine = BasisConfig(spacing=h, center=center)
-        coarse = BasisConfig(spacing=2 * h, center=center)
         offset = np.array([dx, dy]) * h
-        v1 = monomial((ax, ay), center + offset, fine)
-        v2 = monomial((ax, ay), center + 2 * offset, coarse)
+        v1 = monomial((ax, ay), center + offset, center, h)
+        v2 = monomial((ax, ay), center + 2 * offset, center, 2 * h)
         assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)

@@ -12,17 +12,11 @@ from ghostbc.benchmarks import (
     peclet_numbers,
 )
 from ghostbc.errors import UnknownDomain
-from ghostbc.geometry import CollarPoint
 
 # frozen with 30-digit evaluation of R2*log(r/R1) at r = 0.6
 SOLP_AT_06 = 0.254519091905483073
 # frozen with 30-digit evaluation of -(R2-R1)/(log R2 - log R1)
 CASE2_R0 = -0.633720382563368089
-
-
-def boundary_collar(radius, theta, outward_sign):
-    p = np.array([radius * math.cos(theta), radius * math.sin(theta)])
-    return CollarPoint(ghost_xy=p, point=p, normal=outward_sign * p / radius, mode="closest")
 
 
 class TestAnnulusHomogeneous:
@@ -41,10 +35,14 @@ class TestAnnulusHomogeneous:
         assert float(gy) == pytest.approx(0.0, abs=1e-14)
 
     def test_robin_dispatch_by_radius(self):
-        inner = self.bench.coefficients.robin(boundary_collar(R_INNER, 0.3, -1.0))
-        outer = self.bench.coefficients.robin(boundary_collar(R_OUTER, 0.3, 1.0))
-        assert (inner.dirichlet, inner.neumann, inner.value) == (1.0, 0.0, 0.0)
-        assert (outer.dirichlet, outer.neumann, outer.value) == (0.0, 1.0, 1.0)
+        # one batch holding a point of each circle, with its outward normal
+        direction = np.array([math.cos(0.3), math.sin(0.3)])
+        robin = self.bench.coefficients.robin(
+            np.array([R_INNER * direction, R_OUTER * direction]), np.array([-direction, direction])
+        )
+        assert robin.dirichlet.tolist() == [1.0, 0.0]
+        assert robin.neumann.tolist() == [0.0, 1.0]
+        assert robin.value.tolist() == [0.0, 1.0]
 
 
 class TestComplexDomains:
@@ -67,15 +65,10 @@ class TestComplexDomains:
 
     def test_dirichlet_neumann_split(self):
         bench = g.complex_domain("leaf")
-        p_right = np.array([0.3, 0.57])
-        n = np.array([0.6, 0.8])
-        collar = CollarPoint(ghost_xy=p_right, point=p_right, normal=n, mode="closest")
-        robin = bench.coefficients.robin(collar)
-        assert robin.dirichlet == 1.0 and robin.neumann == 0.0
-        p_left = np.array([-0.3, 0.57])
-        collar = CollarPoint(ghost_xy=p_left, point=p_left, normal=n, mode="closest")
-        robin = bench.coefficients.robin(collar)
-        assert robin.dirichlet == 0.0 and robin.neumann == 1.0
+        points = np.array([[0.3, 0.57], [-0.3, 0.57]])
+        normals = np.array([[0.6, 0.8], [0.6, 0.8]])
+        robin = bench.coefficients.robin(points, normals)
+        assert robin.dirichlet.tolist() == [1.0, 0.0] and robin.neumann.tolist() == [0.0, 1.0]
 
     def test_level_set_gradients_match_finite_differences(self, rng):
         eps = 1e-6
@@ -184,7 +177,24 @@ def test_catalog_self_checks():
 
 
 def test_robin_data_normal_is_unit(annulus_bench, annulus_160):
+    # the Robin data is enforced along the collars' normals
     grid, classification = annulus_160
     for collar in g.collars_for_ghosts(classification.ghost_ij[::97], grid, annulus_bench.level_set):
-        robin = annulus_bench.coefficients.robin(collar)
-        assert np.linalg.norm(robin.normal) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(collar.normal) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_robin_rule_on_a_level_equals_the_rule_per_row(name):
+    # a phase's right-hand sides and a level's row data come from one call
+    # of the rule, so each row must get the bits of a call of its own
+    bench = by_name(name, kappa=1.5, u0=3.0)
+    grid = g.Grid(64)
+    collars = g.collars_for_ghosts(g.classify_nodes(grid, bench.level_set).ghost_ij, grid, bench.level_set)
+    points = np.array([c.point for c in collars])
+    normals = np.array([c.normal for c in collars])
+    level = bench.coefficients.robin(points, normals)
+    assert len(collars) > 100 and level.value.shape == (len(collars),)
+    for field in ("dirichlet", "neumann", "value"):
+        alone = [getattr(bench.coefficients.robin(points[k:k + 1], normals[k:k + 1]), field)
+                 for k in range(len(collars))]
+        assert np.concatenate(alone).tobytes() == np.asarray(getattr(level, field), dtype=float).tobytes()

@@ -1,13 +1,22 @@
 import dataclasses
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import assemble_constraints, circle_level_set, ghost_layers, node_xy, rows_of, solve_alone, trial
+from conftest import (
+    assemble_constraints,
+    circle_level_set,
+    dirichlet_rule,
+    ghost_layers,
+    node_xy,
+    robin_of,
+    rows_of,
+    solve_alone,
+    trial,
+)
 
 import ghostbc as g
-from ghostbc.basis import BasisConfig, RobinData, enumerate_basis, monomial_matrix
+from ghostbc.basis import RobinData, enumerate_basis, monomial_matrix
 from ghostbc import assembly, boundary_ops
 from ghostbc.assembly import _ghost_ratios
 from ghostbc.boundary_ops import (
@@ -33,8 +42,9 @@ def make_collar(center, point, normal=(1.0, 0.0)):
     )
 
 
-def dirichlet(normal=(1.0, 0.0), value=0.0):
-    return RobinData(1.0, 0.0, np.asarray(normal, dtype=float), value)
+def dirichlet(value=0.0):
+    """Dirichlet data at one collar point."""
+    return RobinData(np.ones(1), np.zeros(1), np.full(1, value))
 
 
 def solve_one(cm):
@@ -131,31 +141,28 @@ def inject_outcomes(monkeypatch, outcomes):
 def row_constraints(solver, member_ij, collar):
     """Constraint system ``(matrix, rhs)`` of one trial stencil, built independently of ``solve``."""
     points = np.column_stack(solver.grid.coords(member_ij[:, 0], member_ij[:, 1]))
-    return assemble_constraints(points, collar, solver.robin_at(collar), solver.config_for(collar.ghost_xy))
+    return assemble_constraints(points, collar, robin_of(solver.robin, collar), collar.ghost_xy, solver.grid.h)
 
 
 class TestAssembleConstraints:
     def test_single_point_column(self):
         center = np.array([0.2, 0.1])
-        cfg = BasisConfig(spacing=0.1, center=center)
         collar = make_collar(center, center + [0.05, 0.0])
-        matrix, _ = assemble_constraints(center[None, :], collar, dirichlet(), cfg, order=2)
+        matrix, _ = assemble_constraints(center[None, :], collar, dirichlet(), center, 0.1, order=2)
         assert matrix.shape == (3, 1)
         assert np.allclose(matrix[:, 0], [1.0, 0.0, 0.0])
 
     def test_square_case_shape(self, rng):
         center = np.zeros(2)
-        cfg = BasisConfig(spacing=0.1, center=center)
         pts = rng.uniform(-0.3, 0.3, size=(15, 2))
         collar = make_collar(center, [0.05, 0.02])
-        matrix, _ = assemble_constraints(pts, collar, dirichlet(), cfg)
+        matrix, _ = assemble_constraints(pts, collar, dirichlet(), center, 0.1)
         assert matrix.shape == (15, 15)
 
     def test_dirichlet_rhs_at_center(self):
         center = np.array([-0.3, 0.4])
-        cfg = BasisConfig(spacing=0.1, center=center)
         collar = make_collar(center, center)
-        _, rhs = assemble_constraints(center[None, :], collar, dirichlet(), cfg)
+        _, rhs = assemble_constraints(center[None, :], collar, dirichlet(), center, 0.1)
         expected = np.zeros(15)
         expected[0] = 1.0
         assert np.allclose(rhs, expected)
@@ -165,10 +172,9 @@ class TestSolveMinNorm:
     def _three_point(self, collar_offset):
         h = 0.1
         center = np.zeros(2)
-        cfg = BasisConfig(spacing=h, center=center)
         pts = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])
         collar = make_collar(center, np.asarray(collar_offset))
-        cm = assemble_constraints(pts, collar, dirichlet(), cfg, order=2)
+        cm = assemble_constraints(pts, collar, dirichlet(), center, h, order=2)
         return cm
 
     def test_interpolation_at_center(self):
@@ -181,17 +187,15 @@ class TestSolveMinNorm:
 
     def test_not_admissible_on_duplicate_points(self):
         h = 0.1
-        cfg = BasisConfig(spacing=h, center=np.zeros(2))
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [h, 0.0]])
-        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg, order=2)
+        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), np.zeros(2), h, order=2)
         solve = solve_one(cm)
         assert not solve.admissible and solve.chi == np.inf and not solve.coeffs.any()
 
     def test_underdetermined_needs_enough_points(self):
         h = 0.1
-        cfg = BasisConfig(spacing=h, center=np.zeros(2))
         pts = np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])  # 3 points, 15 constraints
-        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg)
+        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), np.zeros(2), h)
         solve = solve_one(cm)
         assert not solve.admissible and solve.chi == np.inf and not solve.coeffs.any()
 
@@ -210,14 +214,14 @@ class TestSolveMinNorm:
         x, y = grid.coords(members[:, 0], members[:, 1])
         cx, cy = node_xy(grid, *ghost)
         raw = np.array([(x - cx) ** ax * (y - cy) ** ay for ax, ay in alphas])
-        robin = annulus_bench.coefficients.robin(collar)
-        p = collar.point
+        robin = robin_of(annulus_bench.coefficients.robin, collar)
+        p, n = collar.point, collar.normal
         rhs = []
         for ax, ay in alphas:
-            val = robin.dirichlet * (p[0] - cx) ** ax * (p[1] - cy) ** ay
+            val = robin.dirichlet[0] * (p[0] - cx) ** ax * (p[1] - cy) ** ay
             gx = ax * (p[0] - cx) ** (ax - 1) * (p[1] - cy) ** ay if ax else 0.0
             gy = ay * (p[0] - cx) ** ax * (p[1] - cy) ** (ay - 1) if ay else 0.0
-            val += robin.neumann * (gx * robin.normal[0] + gy * robin.normal[1])
+            val += robin.neumann[0] * (gx * n[0] + gy * n[1])
             rhs.append(val)
         a_raw, *_ = np.linalg.lstsq(raw, np.array(rhs), rcond=None)
         assert np.allclose(a_scaled, a_raw, atol=1e-8)
@@ -229,9 +233,8 @@ class TestConditioning:
 
     def test_rank_deficiency_reports_infinity(self):
         h = 0.1
-        cfg = BasisConfig(spacing=h, center=np.zeros(2))
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [h, 0.0]])
-        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg, order=2)
+        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), np.zeros(2), h, order=2)
         assert solve_one(cm).chi == np.inf
 
     def test_global_ratio_examples(self, annulus_160):
@@ -283,14 +286,12 @@ class TestRowProperties:
                 )
                 return gx, gy
 
-            robin = annulus_bench.coefficients.robin(row.collar)
+            robin = robin_of(annulus_bench.coefficients.robin, row.collar)
             x, y = grid.coords(row.member_ij[:, 0], row.member_ij[:, 1])
             lhs = float(row.coeffs @ q(x, y))
-            p = row.collar.point
+            p, n = row.collar.point, row.collar.normal
             gx, gy = q_grad(p[0], p[1])
-            rhs = robin.dirichlet * q(p[0], p[1]) + robin.neumann * (
-                gx * robin.normal[0] + gy * robin.normal[1]
-            )
+            rhs = robin.dirichlet[0] * q(p[0], p[1]) + robin.neumann[0] * (gx * n[0] + gy * n[1])
             scale = max(1.0, abs(rhs))
             assert abs(lhs - rhs) <= 1e-9 * scale
 
@@ -330,10 +331,7 @@ class TestRowProperties:
         grid = g.Grid(40)
         classification = g.classify_nodes(grid, ls)
 
-        def robin(collar):
-            return RobinData(1.0, 0.0, collar.normal, 0.0)
-
-        solver = GhostOperatorSolver(grid, robin)
+        solver = GhostOperatorSolver(grid, dirichlet_rule())
         ghost = tuple(int(v) for v in classification.ghost_ij[ghost_layers(classification) == 1][0])
         collar = collar_of(ghost, grid, ls)
         members = triangle("S1", collar, 4, classification)
@@ -426,22 +424,21 @@ class TestResidualContract:
             g.build_ghost_rows(classification, strategy, annulus_bench.coefficients)
 
     def test_rank_deficient_reports_infinite_residual(self):
-        cfg = BasisConfig(spacing=0.1, center=np.zeros(2))
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0]])
-        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), cfg, order=2)
+        cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), np.zeros(2), 0.1, order=2)
         assert solve_one(cm).residual == np.inf
 
 
 def test_right_hand_sides_are_built_once_per_batch(annulus_bench, annulus_160, monkeypatch):
     # ``rhs`` gives each collar the right-hand side of its own constraint
-    # system, bit for bit; a cone level builds them once per phase, so a
-    # collar reaches ``robin`` for its right-hand side and for its datum
+    # system, bit for bit; a cone level builds them once per phase, and
+    # calls the Robin rule once per phase and once for the rows' data
     grid, classification = annulus_160
     robin = annulus_bench.coefficients.robin
     solver = GhostOperatorSolver(grid, robin)
     collars = g.collars_for_ghosts(classification.ghost_ij, grid, annulus_bench.level_set)
     for collar, rhs in zip(collars, solver.rhs(collars), strict=True):
-        _, expected = assemble_constraints(collar.point[None], collar, robin(collar), solver.config_for(collar.ghost_xy))
+        _, expected = assemble_constraints(collar.point[None], collar, robin_of(robin, collar), collar.ghost_xy, grid.h)
         assert rhs.tobytes() == expected.tobytes()
         # ``solve`` centres the basis at the first member, with the collar's bits
         assert np.array(grid.coords(*collar.ghost_ij)).tobytes() == collar.ghost_xy.tobytes()
@@ -455,12 +452,13 @@ def test_right_hand_sides_are_built_once_per_batch(annulus_bench, annulus_160, m
     build, batch = boundary_ops.boundary_actions, stencils._cone_batch
     monkeypatch.setattr(boundary_ops, "boundary_actions", lambda *args: actions.append(args) or build(*args))
     monkeypatch.setattr(stencils, "_cone_batch", lambda *args: batches.append(args) or batch(*args))
-    coefficients = dataclasses.replace(annulus_bench.coefficients, robin=lambda c: seen.append(c) or robin(c))
+    coefficients = dataclasses.replace(
+        annulus_bench.coefficients, robin=lambda points, normals: seen.append(len(points)) or robin(points, normals)
+    )
     rows = g.build_ghost_rows(classification, g.StencilStrategy(kind="S4.3"), coefficients)
     assert len(actions) == len(batches) == 2  # one per phase
-    reached = Counter(map(id, seen))  # ``seen`` keeps every collar alive, so ids are unique
-    assert max(reached.values()) == 2
-    assert all(reached[id(collar)] == 2 for collar in rows.collars)
+    assert seen == [len(collars), len(batches[1][0]), len(rows)]
+    assert 0 < seen[1] < seen[0] == seen[2]
 
 
 def _level(name, kind, n):
@@ -519,7 +517,7 @@ class TestLockstepLevel:
             assert np.array_equal(row.coeffs, solve.coeffs)
             assert row.chi == solve.chi
             assert row.r_ratio == reference_ratio(solve.coeffs, members, classification)
-            assert row.rhs == bench.coefficients.robin(row_collar).value
+            assert row.rhs == robin_of(bench.coefficients.robin, row_collar).value[0]
             assert row.collar.mode == row_collar.mode
             assert np.array_equal(row.collar.point, row_collar.point)
             assert np.array_equal(row.collar.normal, row_collar.normal)
@@ -575,7 +573,7 @@ class TestLockstepLevel:
             solves = solver.solve(group, solver.rhs([collars[tuple(m[0].tolist())] for m in group]))
             assert not solves.admissible.any()
             points = np.stack(grid.coords(group[..., 0], group[..., 1]), axis=-1)
-            matrix = monomial_matrix(enumerate_basis(5), points, BasisConfig(grid.h, points[:, 0]))
+            matrix = monomial_matrix(enumerate_basis(5), points, points[:, 0], grid.h)
             s = np.linalg.svd(matrix, full_matrices=False)[1]
             assert (s[:, -1] / s[:, 0]).max() < 1e-13
 

@@ -372,12 +372,15 @@ def quartic_on(level_set):
         gx, gy = q_grad(x, y)
         return -q_lap(x, y) + gx + gy
 
-    def robin(collar):
-        p, n = collar.point, collar.normal
-        if p[0] >= 0.0:
-            return g.RobinData(1.0, 0.0, n, float(q(p[0], p[1])))
-        gx, gy = q_grad(p[0], p[1])
-        return g.RobinData(0.0, 1.0, n, float(gx * n[0] + gy * n[1]))
+    def robin(points, normals):
+        x, y = points[:, 0], points[:, 1]
+        gx, gy = q_grad(x, y)
+        dirichlet = x >= 0.0
+        return g.RobinData(
+            np.where(dirichlet, 1.0, 0.0),
+            np.where(dirichlet, 0.0, 1.0),
+            np.where(dirichlet, q(x, y), gx * normals[:, 0] + gy * normals[:, 1]),
+        )
 
     def velocity(x, y):
         return np.ones_like(np.asarray(x, dtype=float)), np.ones_like(np.asarray(y, dtype=float))
@@ -649,6 +652,28 @@ class TestConeStrategies:
         g.build_ghost_rows(classification, g.StencilStrategy(kind="S4.3"), annulus_bench.coefficients)
         assert (len(solved), sum(solved)) == (19, 1817)
         assert (len(screened), sum(screened)) == (28, 3409)
+
+    def test_screen_runs_once_per_grow(self, annulus_bench, monkeypatch):
+        # With local_tol = 1 no stencil is ever conditioned enough, so every
+        # trial grows to MAX_STENCIL_SIZE, through 178 stacked solves.  A
+        # trial grown from one that passed the rank screen has full rank, so
+        # the screen runs only before the first round: 4 screens, not 178.
+        grid = g.Grid(24)
+        classification = g.classify_nodes(grid, annulus_bench.level_set)
+        solved, screened = [], []
+        solve, deficient = GhostOperatorSolver.solve, GhostOperatorSolver.deficient
+        monkeypatch.setattr(GhostOperatorSolver, "solve", lambda self, member_ij, rhs: (
+            solved.append(len(member_ij)) or solve(self, member_ij, rhs)
+        ))
+        monkeypatch.setattr(GhostOperatorSolver, "deficient", lambda self, member_ij: (
+            screened.append(len(member_ij)) or deficient(self, member_ij)
+        ))
+        message = "stencil for ghost (0, 10) grew past 60 points without becoming well conditioned"
+        strategy = g.StencilStrategy(kind="S4.3", local_tol=1.0)
+        with pytest.raises(NotAdmissible, match=re.escape(message)):
+            g.build_ghost_rows(classification, strategy, annulus_bench.coefficients)
+        assert (len(solved), sum(solved)) == (178, 7924)
+        assert (len(screened), sum(screened)) == (4, 348)
 
     def test_sizes_within_hard_bound(self, annulus_160_rows):
         sizes = annulus_160_rows.sizes

@@ -109,6 +109,13 @@ MUTANTS = {
         "inside = (i <= n) & (j <= n)",
         ["tests/test_geometry.py::TestClassifyNodes", "tests/test_assembly.py::TestGhostRow"],
     ),
+    "M12": (
+        "RobinData accepts a point where both coefficients vanish, unless every point's do",
+        "src/ghostbc/basis.py",
+        "if np.any((np.asarray(self.dirichlet) == 0.0) & (np.asarray(self.neumann) == 0.0)):",
+        "if np.all((np.asarray(self.dirichlet) == 0.0) & (np.asarray(self.neumann) == 0.0)):",
+        ["tests/test_basis.py::TestBoundaryAction::test_robin_coefficients_must_not_vanish"],
+    ),
 }
 
 
