@@ -32,7 +32,7 @@ from .benchmarks import (
 from .boundary_ops import GhostOperatorSolver
 from .cli import PAPER13, RunConfig, execute_level, run_single, run_sweep
 from .geometry import (
-    CollarPoint,
+    Collars,
     Grid,
     LevelSet,
     NodeClassification,

@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from .basis import DEFAULT_ORDER, RobinData
 from .boundary_ops import GhostOperatorSolver
 from .errors import MissingNeighbor, NotAdmissible, SingularMatrix, SolveFailed
-from .geometry import CollarPoint, NodeClassification, collars_for_ghosts
+from .geometry import Collars, NodeClassification, collars_for_ghosts
 from .stencils import TRIANGLE_KINDS, StencilStrategy, cone_rows, triangle_stencils
 
 #: Fourth-order centred weights for the second derivative (offsets -2..2), * 1/h^2.
@@ -85,10 +85,9 @@ class GhostRows:
     ``r_ratio`` the largest ratio of another ghost member's coefficient to
     the ghost's own.  ``swaps`` counts the accepted S4.2 swaps and
     ``aperture`` is the final cone aperture in degrees; both are 0 for the
-    triangle strategies.  ``rebuilt`` flags the S4.3 rows adopted from a
-    rebuild on an axis-projected collar; a row whose closest-point
-    projection fell back to the axis has collar mode ``axis`` too, but is
-    not flagged.
+    triangle strategies.  The source column of ``collars`` tells an S4.3
+    row adopted from a rebuild on an axis-projected collar from a row whose
+    closest-point projection fell back to the axis.
     """
 
     ghost_ij: np.ndarray  # (G, 2)
@@ -98,10 +97,9 @@ class GhostRows:
     rhs: np.ndarray
     chi: np.ndarray
     r_ratio: np.ndarray
-    collars: list[CollarPoint]
+    collars: Collars
     swaps: np.ndarray
     aperture: np.ndarray
-    rebuilt: np.ndarray
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -176,7 +174,7 @@ def build_ghost_rows(
     strategy: StencilStrategy,
     coeffs: ProblemCoefficients,
     order: int = DEFAULT_ORDER,
-    collars: list[CollarPoint] | None = None,
+    collars: Collars | None = None,
 ) -> GhostRows:
     """Collar, stencil and minimum-norm coefficients for every ghost node.
 
@@ -193,35 +191,33 @@ def build_ghost_rows(
     if strategy.kind in TRIANGLE_KINDS:
         member_ij, errors = triangle_stencils(strategy.kind, collars, strategy.triangle_size, classification)
         solves = solver.solve(member_ij, solver.rhs(collars))
-        for collar, error, admissible, residual in zip(collars, errors, solves.admissible, solves.residual):
+        for k, (error, admissible, residual) in enumerate(zip(errors, solves.admissible, solves.residual)):
             if error is not None:
                 raise error
             if not admissible:
                 raise NotAdmissible(
-                    f"{strategy.kind} stencil of ghost {collar.ghost_ij} is rank-deficient or misses its "
-                    f"constraints (relative residual {residual:.3e})"
+                    f"{strategy.kind} stencil of ghost {tuple(collars.ghost_ij[k].tolist())} is rank-deficient or "
+                    f"misses its constraints (relative residual {residual:.3e})"
                 )
         sizes, row_coeffs, chi = np.full(len(collars), member_ij.shape[1]), solves.coeffs, solves.chi
-        swaps, aperture, rebuilt = np.zeros_like(sizes), np.zeros(len(collars)), np.zeros(len(collars), dtype=bool)
+        swaps, aperture = np.zeros_like(sizes), np.zeros(len(collars))
     else:
-        (member_ij, sizes, row_coeffs, chi, swaps, aperture), collars, rebuilt = cone_rows(
+        (member_ij, sizes, row_coeffs, chi, swaps, aperture), collars = cone_rows(
             collars, strategy, classification, solver
         )
     kept = np.arange(member_ij.shape[1]) < sizes[:, None]
     member_ij, row_coeffs = member_ij[kept], row_coeffs[kept]
-    points, normals = (np.array([getattr(c, name) for c in collars]).reshape(-1, 2) for name in ("point", "normal"))
     return GhostRows(
         ghost_ij=classification.ghost_ij,
         sizes=sizes,
         member_ij=member_ij,
         coeffs=row_coeffs,
-        rhs=np.asarray(coeffs.robin(points, normals).value, dtype=float),
+        rhs=np.asarray(coeffs.robin(collars.point, collars.normal).value, dtype=float),
         chi=chi,
         r_ratio=_ghost_ratios(classification, sizes, member_ij, row_coeffs),
-        collars=list(collars),
+        collars=collars,
         swaps=swaps,
         aperture=aperture,
-        rebuilt=rebuilt,
     )
 
 

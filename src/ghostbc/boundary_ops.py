@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import DEFAULT_ORDER, RobinData, boundary_actions, enumerate_basis, monomial_matrix
-from .geometry import CollarPoint, Grid
+from .geometry import Collars, Grid
 
 #: sigma_min/sigma_max below this means the stencil is rank-deficient.
 RANK_TOLERANCE = 1e-13
@@ -118,12 +118,10 @@ class GhostOperatorSolver:
     def n_constraints(self) -> int:
         return len(self._alphas)
 
-    def rhs(self, collars: list[CollarPoint]) -> np.ndarray:
+    def rhs(self, collars: Collars) -> np.ndarray:
         """Constraint right-hand sides (K, n_constraints) of K collars: one call of the rule, one of the action."""
-        points, normals, centers = (
-            np.array([getattr(c, name) for c in collars]).reshape(-1, 2) for name in ("point", "normal", "ghost_xy")
-        )
-        return boundary_actions(self._alphas, points, normals, self.robin(points, normals), centers, self.grid.h)
+        robin = self.robin(collars.point, collars.normal)
+        return boundary_actions(self._alphas, collars.point, collars.normal, robin, collars.ghost_xy, self.grid.h)
 
     def solve(self, member_ij: np.ndarray, rhs: np.ndarray) -> StencilSolves:
         """Solve G trial stencils of one size: ``member_ij`` (G, M, 2), ``rhs`` (G, n_constraints).

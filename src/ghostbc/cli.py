@@ -221,22 +221,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_ghost_csv(path: Path, rows: assembly.GhostRows, diagnostics: StencilDiagnostics, n_interior: int) -> None:
-    lines = ["k,i,j,size,diameter,chi,r_ratio,collar_mode"]
-    for k, ((i, j), diameter) in enumerate(zip(rows.ghost_ij, diagnostics.diameters)):
-        lines.append(
-            ",".join(
-                [
-                    str(n_interior + k),
-                    str(i),
-                    str(j),
-                    str(rows.sizes[k]),
-                    _fmt(diameter),
-                    _fmt(rows.chi[k]),
-                    _fmt(rows.r_ratio[k]),
-                    rows.collars[k].mode,
-                ]
-            )
-        )
+    columns = zip(rows.ghost_ij.tolist(), rows.sizes, diagnostics.diameters, rows.chi, rows.r_ratio, rows.collars.mode)
+    lines = ["k,i,j,size,diameter,chi,r_ratio,collar_mode"] + [
+        f"{n_interior + k},{i},{j},{size},{_fmt(diameter)},{_fmt(chi)},{_fmt(ratio)},{mode}"
+        for k, ((i, j), size, diameter, chi, ratio, mode) in enumerate(columns)
+    ]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

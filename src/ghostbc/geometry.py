@@ -213,44 +213,39 @@ def classify_nodes(grid: Grid, level_set: LevelSet) -> NodeClassification:
     return NodeClassification(grid, level_set, interior, referenced & ~interior)
 
 
-@dataclass(frozen=True)
-class CollarPoint:
-    """Boundary point tied to a ghost node, with outward normal.
+@dataclass
+class Collars:
+    """Collar points of a batch of ghosts, one row per ghost: boundary points with outward normals.
 
-    ``mode`` records how the point was obtained: ``"closest"`` for the
-    orthogonal projection, ``"axis"`` for a horizontal/vertical projection.
+    ``source`` tells how a point was found: ``CLOSEST`` (orthogonal
+    projection), ``AXIS`` (the axis projection a failed orthogonal one
+    falls back to) or ``REBUILD`` (the axis collar of an adopted S4.3
+    rebuild).  A failed projection's row reads NaN.
     """
 
-    ghost_xy: np.ndarray
-    point: np.ndarray
-    normal: np.ndarray
-    mode: str
-    ghost_ij: tuple[int, int] | None = None
+    CLOSEST, AXIS, REBUILD = 0, 1, 2
+
+    ghost_ij: np.ndarray  # (G, 2) int64
+    ghost_xy: np.ndarray  # (G, 2)
+    point: np.ndarray  # (G, 2)
+    normal: np.ndarray  # (G, 2)
+    source: np.ndarray  # (G,) int8
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def take(self, rows) -> "Collars":
+        """The rows ``rows`` (indices or a mask), in that order, as a new record."""
+        return Collars(**{name: column[rows] for name, column in vars(self).items()})
+
+    def join(self, other: "Collars") -> "Collars":
+        """These rows, then those of ``other``."""
+        return Collars(**{name: np.concatenate([column, getattr(other, name)]) for name, column in vars(self).items()})
 
     @property
-    def displacement(self) -> np.ndarray:
-        """Ghost minus collar point (points away from the domain)."""
-        return self.ghost_xy - self.point
-
-    def toward_boundary(self) -> np.ndarray:
-        """Direction from the ghost toward the domain.
-
-        Normally the displacement toward the collar point; when the ghost
-        sits on the boundary to within rounding (so the displacement is
-        noise), the inward normal takes over.
-        """
-        d = self.point - self.ghost_xy
-        if float(np.linalg.norm(d)) > 1e-12:
-            return d
-        return -self.normal
-
-    def inward_signs(self) -> tuple[int, int]:
-        """Per-axis lattice direction from the ghost toward the boundary.
-
-        A vanishing component maps to +1 so the choice is deterministic.
-        """
-        d = self.toward_boundary()
-        return (1 if d[0] >= 0.0 else -1, 1 if d[1] >= 0.0 else -1)
+    def mode(self) -> np.ndarray:
+        """Each row's ``collar_mode`` text: ``closest``, or ``axis`` for both axis sources."""
+        return np.where(self.source == self.CLOSEST, "closest", "axis")
 
 
 def _evaluate(level_set: LevelSet, q: np.ndarray) -> np.ndarray:
@@ -258,7 +253,7 @@ def _evaluate(level_set: LevelSet, q: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(level_set.evaluate(q[:, 0], q[:, 1]), dtype=float), len(q))
 
 
-def _closest_points(ghost_xy: np.ndarray, level_set: LevelSet, ghost_ij: list) -> list:
+def _closest_points(ghost_xy: np.ndarray, level_set: LevelSet, ghost_ij) -> tuple[Collars, dict[int, GeometryError]]:
     """Orthogonal projections of many points onto the zero level set.
 
     One masked iteration over all points: every point alternates a damped
@@ -278,12 +273,16 @@ def _closest_points(ghost_xy: np.ndarray, level_set: LevelSet, ghost_ij: list) -
     repeat that pass up to ``PROJECTION_MAX_ITER``: it fails at once, with
     the same "did not converge" error it would reach at the cap.
 
-    Returns one entry per point: its ``CollarPoint``, or the ``ZeroGradient``
-    / ``ProjectionDiverged`` that stopped it.
+    Returns the points' ``Collars`` (source ``CLOSEST``, one row per point,
+    of the ghosts ``ghost_ij``) and, by point index, the ``ZeroGradient`` /
+    ``ProjectionDiverged`` that stopped a point, whose row reads NaN.
     """
     x0 = np.array(ghost_xy, dtype=float).reshape(-1, 2)
     p = x0.copy()
-    out: list = [None] * len(x0)
+    point, normal = np.full_like(x0, np.nan), np.full_like(x0, np.nan)
+    ij = np.asarray(ghost_ij, dtype=np.int64).reshape(-1, 2)
+    collars = Collars(ij, x0, point, normal, np.full(len(x0), Collars.CLOSEST, dtype=np.int8))
+    failures: dict[int, GeometryError] = {}
     live = np.arange(len(x0))
 
     def norm(v):
@@ -294,7 +293,7 @@ def _closest_points(ghost_xy: np.ndarray, level_set: LevelSet, ghost_ij: list) -
 
     for _ in range(PROJECTION_MAX_ITER):
         if not live.size:
-            return out
+            break
         q = p[live]
         f = _evaluate(level_set, q)
         g = np.empty_like(q)
@@ -302,10 +301,8 @@ def _closest_points(ghost_xy: np.ndarray, level_set: LevelSet, ghost_ij: list) -
         g2 = np.vecdot(g, g)
         g_norm = np.sqrt(g2)
         flat = g_norm < NODE_TOLERANCE
-        for k in live[flat]:
-            out[k] = ZeroGradient(
-                f"gradient of '{level_set.name}' vanished at {p[k]} during projection"
-            )
+        for k in live[flat].tolist():
+            failures[k] = ZeroGradient(f"gradient of '{level_set.name}' vanished at {p[k]} during projection")
         newton = ~flat & (np.abs(f) > PROJECTION_TOLERANCE)
         slide = ~flat & ~newton
 
@@ -321,16 +318,13 @@ def _closest_points(ghost_xy: np.ndarray, level_set: LevelSet, ghost_ij: list) -
             pending = pending[~better]
             damping[pending] *= 0.5
             stalled = damping[pending] < 1e-12
-            for k in pending[stalled]:
-                j = live[idx[k]]
-                out[j] = ProjectionDiverged(
-                    f"projection stalled at {p[j]} (|phi| = {abs(f[idx[k]]):.3e})"
-                )
+            for k in pending[stalled].tolist():
+                j = int(live[idx[k]])
+                failures[j] = ProjectionDiverged(f"projection stalled at {p[j]} (|phi| = {abs(f[idx[k]]):.3e})")
             pending = pending[~stalled]
         moved = live[idx]
-        for j in moved[norm(p[moved] - x0[moved]) > BOX_HALF_WIDTH]:
-            if out[j] is None:
-                out[j] = ProjectionDiverged(f"projection escaped from {x0[j]}")
+        for j in moved[norm(p[moved] - x0[moved]) > BOX_HALF_WIDTH].tolist():
+            failures.setdefault(j, ProjectionDiverged(f"projection escaped from {x0[j]}"))
 
         # On the zero set: slide tangentially toward the orthogonal foot point.
         idx = np.flatnonzero(slide)
@@ -339,9 +333,7 @@ def _closest_points(ghost_xy: np.ndarray, level_set: LevelSet, ghost_ij: list) -
         t = d - np.vecdot(d, n)[:, None] * n
         t_norm = norm(t)
         done = t_norm <= np.maximum(1e-13, 1e-9 * norm(d))
-        for k in np.flatnonzero(done):
-            j = live[idx[k]]
-            out[j] = CollarPoint(x0[j], q[idx[k]], n[k], "closest", ghost_ij[j])
+        point[live[idx[done]]], normal[live[idx[done]]] = q[idx[done]], n[done]
         # Damp the slide where the boundary curves strongly: the residual
         # after a step of length s grows like curvature * s^2 * |grad|, so
         # requiring it to stay below a fraction of s * |grad| keeps the
@@ -357,22 +349,22 @@ def _closest_points(ghost_xy: np.ndarray, level_set: LevelSet, ghost_ij: list) -
             pending = pending[damping[pending] > 1e-12]
         p[live[idx]] = q[idx] + damping[:, None] * t
 
-        unfinished = np.array([out[j] is None for j in live], dtype=bool)
+        unfinished = np.isnan(point[live, 0]) & ~np.isin(live, list(failures))
         fixed = unfinished & (p[live].view(np.int64) == q.view(np.int64)).all(axis=1)
-        for j in live[fixed]:
-            out[j] = unconverged(j)
+        for j in live[fixed].tolist():
+            failures[j] = unconverged(j)
         live = live[unfinished & ~fixed]
-    for j in live:
-        out[j] = unconverged(j)
-    return out
+    for j in live.tolist():
+        failures[j] = unconverged(j)
+    return collars, failures
 
 
 def axis_projection(
     ghost_xy,
     level_set: LevelSet,
     h: float,
-    ghost_ij: list | None = None,
-) -> list:
+    ghost_ij=None,
+) -> tuple[Collars, dict[int, GeometryError]]:
     """Project points onto the boundary along horizontal or vertical rays.
 
     From each point, each of the four axis directions is scanned up to
@@ -387,16 +379,19 @@ def axis_projection(
     level-set gradient.  The ``LevelSet`` contract makes every point's
     result equal, bit for bit, to projecting it alone.
 
-    Returns one entry per point, like ``_closest_points``: its
-    ``CollarPoint`` (mode ``"axis"``), or the ``NoAxisIntersection`` (no
-    ray crosses within ``AXIS_REACH * h``), ``ProjectionDiverged`` (a
-    bisection missed ``PROJECTION_TOLERANCE``) or ``ZeroGradient`` that
-    stopped it.
+    Returns, like ``_closest_points``, the points' ``Collars`` (source
+    ``AXIS``; the ghost column reads -1 without ``ghost_ij``) and, by point
+    index, the ``NoAxisIntersection`` (no ray crosses within
+    ``AXIS_REACH * h``), ``ProjectionDiverged`` (a bisection missed
+    ``PROJECTION_TOLERANCE``) or ``ZeroGradient`` that stopped a point.
     """
     x0 = np.array(ghost_xy, dtype=float).reshape(-1, 2)
-    keys = [None] * len(x0) if ghost_ij is None else list(ghost_ij)
+    point, normal = np.full_like(x0, np.nan), np.full_like(x0, np.nan)
+    ij = np.full(x0.shape, -1) if ghost_ij is None else np.asarray(ghost_ij, dtype=np.int64).reshape(-1, 2)
+    collars = Collars(ij, x0, point, normal, np.full(len(x0), Collars.AXIS, dtype=np.int8))
+    failures: dict[int, GeometryError] = {}
     if not len(x0):
-        return []
+        return collars, failures
     n_sub = 48
     s = AXIS_REACH * h * np.arange(1, n_sub + 1) / n_sub
     directions = np.array(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
@@ -408,17 +403,17 @@ def axis_projection(
     hit = crossing.any(axis=2)
     first = np.where(hit, crossing.argmax(axis=2), n_sub)
     step = first.min(axis=1)
-    point, ray = np.nonzero(hit & (first == step[:, None]))
-    at = step[point]
+    point_of, ray = np.nonzero(hit & (first == step[:, None]))
+    at = step[point_of]
 
     # Bisect every nearest bracket; each stops once |phi(mid)| reaches
     # PROJECTION_TOLERANCE.  A bracket that comes back bit for bit would
     # repeat its step to the limit, so it stops unresolved at once.
-    lo = x0[point] + np.concatenate([[0.0], s])[at, None] * directions[ray]
-    hi = q[point, ray, at]
-    fa = prev_f[point, ray, at]
+    lo = x0[point_of] + np.concatenate([[0.0], s])[at, None] * directions[ray]
+    hi = q[point_of, ray, at]
+    fa = prev_f[point_of, ray, at]
     root = np.full_like(lo, np.nan)
-    live = np.arange(len(point))
+    live = np.arange(len(point_of))
     for _ in range(200):
         if not live.size:
             break
@@ -433,31 +428,32 @@ def axis_projection(
         fixed = (np.hstack([lo[live], hi[live]]).view(np.int64) == before.view(np.int64)).all(axis=1)
         live = live[~done & ~fixed]
 
-    out: list = [None] * len(x0)
-    for k in np.flatnonzero(~hit.any(axis=1)):
-        out[k] = NoAxisIntersection(f"no axis ray from {x0[k]} crosses the boundary within {AXIS_REACH} h")
-    for k in np.unique(point[np.isnan(root[:, 0])]):
-        out[k] = ProjectionDiverged("axis bisection could not reach the residual tolerance")
+    ok = hit.any(axis=1)
+    for k in np.flatnonzero(~ok).tolist():
+        failures[k] = NoAxisIntersection(f"no axis ray from {x0[k]} crosses the boundary within {AXIS_REACH} h")
+    unresolved = np.unique(point_of[np.isnan(root[:, 0])])
+    for k in unresolved.tolist():
+        failures[k] = ProjectionDiverged("axis bisection could not reach the residual tolerance")
+    ok[unresolved] = False
     # The nearest root of each point; argmin takes the first ray on a tie.
-    d = root - x0[point]
+    d = root - x0[point_of]
     dist = np.full(hit.shape, np.inf)
-    dist[point, ray] = np.sqrt(np.vecdot(d, d))
+    dist[point_of, ray] = np.sqrt(np.vecdot(d, d))
     roots = np.full(q.shape[:2] + (2,), np.nan)
-    roots[point, ray] = root
-    ok = np.array([result is None for result in out])
+    roots[point_of, ray] = root
     p = roots[ok, dist[ok].argmin(axis=1)]
     g = np.empty_like(p)
     g[:, 0], g[:, 1] = level_set.gradient(p[:, 0], p[:, 1])
     g_norm = np.hypot(g[:, 0], g[:, 1])
-    for k, pk, gk, norm in zip(np.flatnonzero(ok), p, g, g_norm):
-        if norm < NODE_TOLERANCE:
-            out[k] = ZeroGradient(f"level set '{level_set.name}' has zero gradient at ({pk[0]}, {pk[1]})")
-        else:
-            out[k] = CollarPoint(x0[k], pk, gk / norm, "axis", keys[k])
-    return out
+    flat = g_norm < NODE_TOLERANCE
+    for k, (x, y) in zip(np.flatnonzero(ok)[flat].tolist(), p[flat].tolist()):
+        failures[k] = ZeroGradient(f"level set '{level_set.name}' has zero gradient at ({x}, {y})")
+    found = np.flatnonzero(ok)[~flat]
+    point[found], normal[found] = p[~flat], g[~flat] / g_norm[~flat, None]
+    return collars, failures
 
 
-def collars_for_ghosts(ghost_ij, grid: Grid, level_set: LevelSet) -> list[CollarPoint]:
+def collars_for_ghosts(ghost_ij, grid: Grid, level_set: LevelSet) -> Collars:
     """Collar points for a batch of ghost nodes, with axis fallback.
 
     All ghosts are projected onto the boundary in one closest-point
@@ -467,15 +463,15 @@ def collars_for_ghosts(ghost_ij, grid: Grid, level_set: LevelSet) -> list[Collar
     fallback fails too.
     """
     ij = np.asarray(ghost_ij, dtype=np.int64).reshape(-1, 2)
-    keys = [(int(i), int(j)) for i, j in ij]
     x, y = grid.coords(ij[:, 0], ij[:, 1])
     xy = np.column_stack([x, y])
-    collars = _closest_points(xy, level_set, keys)
-    failed = [k for k, result in enumerate(collars) if isinstance(result, GeometryError)]
-    for k, fallback in zip(failed, axis_projection(xy[failed], level_set, grid.h, [keys[k] for k in failed])):
-        logger.info("ghost %s: closest-point projection failed (%s); using axis projection", keys[k], collars[k])
-        if isinstance(fallback, GeometryError):
-            raise fallback
-        collars[k] = fallback
-    return collars
-
+    collars, failures = _closest_points(xy, level_set, ij)
+    failed = np.array(sorted(failures), dtype=np.int64)
+    fallback, misses = axis_projection(xy[failed], level_set, grid.h, ij[failed])
+    for p, (k, ghost) in enumerate(zip(failed.tolist(), map(tuple, ij[failed].tolist()))):
+        logger.info("ghost %s: closest-point projection failed (%s); using axis projection", ghost, failures[k])
+        if p in misses:
+            raise misses[p]
+    rows = np.arange(len(ij))
+    rows[failed] = len(ij) + np.arange(len(failed))
+    return collars.join(fallback).take(rows)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .boundary_ops import GhostOperatorSolver, coefficient_amplification
 from .errors import CandidatesExhausted, GeometryError, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
-from .geometry import CollarPoint, NodeClassification, axis_projection, collars_for_ghosts
+from .geometry import Collars, NodeClassification, axis_projection, collars_for_ghosts
 
 logger = logging.getLogger(__name__)
 
@@ -67,12 +67,24 @@ class StencilStrategy:
             raise ValueError("max_swaps must be >= 0")
 
 
+def _toward_boundary(collars: Collars) -> np.ndarray:
+    """Each ghost's direction toward the domain, (G, 2).
+
+    Normally the displacement toward the collar point; where the ghost sits
+    on the boundary to within rounding (so the displacement is noise), the
+    inward normal takes over.
+    """
+    d = collars.point - collars.ghost_xy
+    return np.where((np.sqrt(np.vecdot(d, d)) > 1e-12)[:, None], d, -collars.normal)
+
+
 def triangle_stencils(
-    kind: str, collars: list[CollarPoint], p: int, classification: NodeClassification
+    kind: str, collars: Collars, p: int, classification: NodeClassification
 ) -> tuple[np.ndarray, list[InactiveMember | None]]:
     """Every ghost's S1, S2 or S3 triangle of size ``p``, as one (G, M, 2) array.
 
-    Row k holds the members of the ghost of ``collars[k]``, the ghost first.
+    Row k holds the members of the ghost of collar k, the ghost first,
+    oriented per axis toward the boundary (a zero component counts as +).
     S1 has its right angle at the ghost, S2 at the innermost internal point,
     ``p`` nodes inward along the dominant displacement axis (x wins ties).
     S3 pushes the S2 members but the ghost along that axis, by the first
@@ -80,9 +92,9 @@ def triangle_stencils(
     ``MAX_S3_SHIFT``) whose members are active and hold no other ghost.
     Also returns, per ghost, None or the ``InactiveMember`` it fails with.
     """
-    ghosts = np.array([c.ghost_ij for c in collars], dtype=np.int64).reshape(-1, 1, 2)
-    signs = np.array([c.inward_signs() for c in collars], dtype=np.int64).reshape(-1, 1, 2)
-    d = np.array([c.displacement for c in collars], dtype=float).reshape(-1, 2)
+    ghosts = collars.ghost_ij[:, None]
+    signs = np.where(_toward_boundary(collars) >= 0.0, 1, -1)[:, None]
+    d = collars.ghost_xy - collars.point
     if kind == "S1":
         offsets = np.array([(l, m) for l in range(p + 1) for m in range(p + 1 - l)])
     else:  # the x branch; the y branch swaps the two coordinates
@@ -117,14 +129,14 @@ def triangle_stencils(
             f"references inactive node ({bad_node[k, 0]}, {bad_node[k, 1]})" if had_bad[k]
             else f"cannot exclude other ghosts within shift {MAX_S3_SHIFT}"
         )
-        errors[k] = InactiveMember(f"{kind} stencil of ghost {collars[k].ghost_ij} {reason}")
+        errors[k] = InactiveMember(f"{kind} stencil of ghost {tuple(collars.ghost_ij[k].tolist())} {reason}")
     return members, errors
 
 
 def extend_classification(
     classification: NodeClassification,
     strategy: StencilStrategy,
-) -> tuple[NodeClassification, list[CollarPoint] | None]:
+) -> tuple[NodeClassification, Collars | None]:
     """Deepen the ghost band until every triangle stencil is closed.
 
     The finite-difference closure gives two ghost layers, which is enough
@@ -143,12 +155,12 @@ def extend_classification(
     if strategy.kind not in ("S1", "S2"):
         return classification, None
 
-    collars: dict[tuple[int, int], CollarPoint] = {}
+    band = None
     for closure_round in range(MAX_EXTENSION_ROUNDS):
-        ghosts = [(int(i), int(j)) for i, j in classification.ghost_ij]
-        new = [ghost for ghost in ghosts if ghost not in collars]
+        ghosts = classification.ghost_ij
+        new = np.ones(len(ghosts), dtype=bool) if band is None else ~known[tuple(ghosts.T)]
         try:
-            collars.update(zip(new, collars_for_ghosts(new, classification.grid, classification.level_set)))
+            fresh = collars_for_ghosts(ghosts[new], classification.grid, classification.level_set)
         except GeometryError as exc:
             if not closure_round:
                 raise
@@ -156,14 +168,15 @@ def extend_classification(
                 f"{strategy.kind} band closure round {closure_round} promoted an exterior node "
                 f"that has no collar point: {exc}"
             ) from exc
-        band = [collars[ghost] for ghost in ghosts]
+        band = fresh if band is None else band.join(fresh)  # earlier rounds' ghosts keep their collars
+        band = band.take(np.lexsort(band.ghost_ij.T[::-1]))  # in ghost order, (i, j)-lexicographic
         members, _ = triangle_stencils(strategy.kind, band, strategy.triangle_size, classification)
         nodes = members.reshape(-1, 2)
         off_lattice = ((nodes < 0) | (nodes > classification.grid.n)).any(axis=1)
         if off_lattice.any():
             k = int(off_lattice.argmax())
             raise InactiveMember(
-                f"{strategy.kind} stencil of ghost {ghosts[k // members.shape[1]]} "
+                f"{strategy.kind} stencil of ghost {tuple(ghosts[k // members.shape[1]].tolist())} "
                 f"leaves the lattice at {tuple(nodes[k].tolist())}"
             )
         missing = np.unique(nodes[classification.index_at(*nodes.T) < 0], axis=0)
@@ -172,7 +185,7 @@ def extend_classification(
         logger.info(
             "%s closure: promoting %d exterior nodes to ghosts", strategy.kind, len(missing)
         )
-        classification = classification.with_extra_ghosts(missing)
+        known, classification = classification.ghost_mask, classification.with_extra_ghosts(missing)
     raise InactiveMember(
         f"{strategy.kind} ghost band did not close within {MAX_EXTENSION_ROUNDS} extension rounds"
     )
@@ -245,10 +258,10 @@ class _Cones:
     handed out.
     """
 
-    def __init__(self, collars: list[CollarPoint], aperture_deg: float, classification: NodeClassification):
+    def __init__(self, collars: Collars, aperture_deg: float, classification: NodeClassification):
         self.classification = classification
-        self.ghosts = np.array([c.ghost_ij for c in collars], dtype=np.int64).reshape(-1, 2)
-        self.w = np.array([c.toward_boundary() for c in collars], dtype=float).reshape(-1, 2)
+        self.ghosts = collars.ghost_ij
+        self.w = _toward_boundary(collars)
         self.wnorm = np.sqrt(np.vecdot(self.w, self.w))
         n = classification.grid.n
         # a table radius with radius^2 >= reach2 covers the lattice
@@ -380,7 +393,7 @@ def _grow(
 
 
 def _cone_batch(
-    collars: list[CollarPoint],
+    collars: Collars,
     strategy: StencilStrategy,
     classification: NodeClassification,
     solver: GhostOperatorSolver,
@@ -446,22 +459,21 @@ def _cone_batch(
 
 
 def cone_rows(
-    collars: list[CollarPoint],
+    collars: Collars,
     strategy: StencilStrategy,
     classification: NodeClassification,
     solver: GhostOperatorSolver,
-) -> tuple[list[np.ndarray], list[CollarPoint], np.ndarray]:
-    """Every ghost's cone row (S4.1-S4.3) as columns, their collars, and which rows are S4.3 rebuilds.
+) -> tuple[list[np.ndarray], Collars]:
+    """Every ghost's cone row (S4.1-S4.3) as columns, and their collars.
 
     The columns are those of ``_cone_batch``, one row per collar.  Phase 1
     is one ``_cone_batch`` of every ghost: S4.1 growth (and S4.2 swaps).
     For S4.3, the ghosts whose amplification still reaches the global
     tolerance get axis-projected collars from one batched projection, and
     phase 2 is one ``_cone_batch`` of those collars.  A rebuild overwrites
-    its ghost's row and collar, with the swaps of both phases summed and
-    the wider aperture; a ghost whose axis rays miss the boundary, or whose
-    rebuild is not admissible, keeps its S4.2 row.  The last element flags
-    the overwritten rows.
+    its ghost's row and collar (source ``REBUILD``), with the swaps of both
+    phases summed and the wider aperture; a ghost whose axis rays miss the
+    boundary, or whose rebuild is not admissible, keeps its S4.2 row.
 
     Raises the error of the first failing ghost in collar order, a failing
     axis projection or rebuild counting as its ghost's failure, as one
@@ -471,28 +483,32 @@ def cone_rows(
     columns, errors = _cone_batch(collars, strategy, classification, solver)
     member_ij, sizes, coeffs, chi, swaps, aperture = columns
     failed = next((k for k, error in enumerate(errors) if error is not None), len(errors))
-    collars = list(collars)
-    rebuilt = np.zeros(len(collars), dtype=bool)
     if strategy.kind == "S4.3":
-        retry = np.flatnonzero(coefficient_amplification(coeffs[:failed]) >= strategy.global_tol).tolist()
-        axis = axis_projection(
-            [collars[k].ghost_xy for k in retry], classification.level_set, classification.grid.h,
-            [collars[k].ghost_ij for k in retry],
+        retry = np.flatnonzero(coefficient_amplification(coeffs[:failed]) >= strategy.global_tol)
+        axis, misses = axis_projection(
+            collars.ghost_xy[retry], classification.level_set, classification.grid.h, collars.ghost_ij[retry]
         )
-        fresh = [collar for collar in axis if isinstance(collar, CollarPoint)]
+        projected = ~np.isin(np.arange(len(retry)), list(misses))
+        fresh = axis.take(projected)
         new, new_errors = _cone_batch(fresh, strategy, classification, solver)
-        rebuilds = iter(enumerate(new_errors))  # ghost k's rebuild is row p of ``new``
-        for k, collar in zip(retry, axis):
-            p, error = next(rebuilds) if isinstance(collar, CollarPoint) else (None, collar)
+        row = np.cumsum(projected) - 1  # retry r's rebuild is row row[r] of ``new``
+        adopted = np.zeros(len(retry), dtype=bool)
+        for r, k in enumerate(retry.tolist()):
+            error = new_errors[row[r]] if projected[r] else misses[r]
             if isinstance(error, (NoAxisIntersection, NotAdmissible)):
-                logger.info("ghost %s: no S4.3 rebuild (%s); keeping the S4.2 row", collars[k].ghost_ij, error)
+                ghost = tuple(collars.ghost_ij[k].tolist())
+                logger.info("ghost %s: no S4.3 rebuild (%s); keeping the S4.2 row", ghost, error)
             elif error is not None:
                 raise error
-            else:
-                member_ij[k], sizes[k], coeffs[k], chi[k] = (column[p] for column in new[:4])
-                swaps[k] += new[4][p]
-                aperture[k] = max(aperture[k], new[5][p])
-                collars[k], rebuilt[k] = collar, True
+            adopted[r] = error is None
+        ks, ps = retry[adopted], row[adopted]
+        member_ij[ks], sizes[ks], coeffs[ks], chi[ks] = (column[ps] for column in new[:4])
+        swaps[ks] += new[4][ps]
+        aperture[ks] = np.maximum(aperture[ks], new[5][ps])
+        rows = np.arange(len(collars))
+        rows[ks] = len(collars) + ps
+        collars = collars.join(fresh).take(rows)
+        collars.source[ks] = Collars.REBUILD
     if failed < len(errors):
         raise errors[failed]
-    return columns, collars, rebuilt
+    return columns, collars

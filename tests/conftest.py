@@ -6,7 +6,7 @@ import pytest
 
 import ghostbc as g
 from ghostbc.basis import DEFAULT_ORDER, boundary_actions, enumerate_basis, monomial_matrix
-from ghostbc.geometry import CollarPoint, LevelSet
+from ghostbc.geometry import Collars, LevelSet
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +53,7 @@ class Row:
     rhs: float
     chi: float
     r_ratio: float
-    collar: CollarPoint
+    collar: Collars  # a record of one row
     swaps: int
     aperture: float
 
@@ -69,9 +69,22 @@ def rows_of(rows):
         Row(tuple(int(v) for v in ij), *fields)
         for ij, *fields in zip(
             rows.ghost_ij, per_row(rows, rows.member_ij), per_row(rows, rows.coeffs), rows.rhs,
-            rows.chi, rows.r_ratio, rows.collars, rows.swaps, rows.aperture,
+            rows.chi, rows.r_ratio, collar_rows(rows.collars), rows.swaps, rows.aperture,
         )
     ]
+
+
+def one_collar(ghost_xy, point, normal, ghost_ij=(-1, -1), source=Collars.CLOSEST):
+    """A ``Collars`` record of one row."""
+    return Collars(
+        np.array([ghost_ij], dtype=np.int64), np.array([ghost_xy], dtype=float), np.array([point], dtype=float),
+        np.array([normal], dtype=float), np.array([source], dtype=np.int8),
+    )
+
+
+def collar_rows(collars):
+    """The rows of a ``Collars`` one at a time, each a record of one row, for per-ghost checks."""
+    return [collars.take([k]) for k in range(len(collars))]
 
 
 def ghost_layers(classification):
@@ -98,7 +111,7 @@ def trial(solves, k=0):
 
 def solve_alone(solver, member_ij, collar):
     """Solve of one trial stencil: a stack of one through ``solve``."""
-    return trial(solver.solve(member_ij[None], solver.rhs([collar])))
+    return trial(solver.solve(member_ij[None], solver.rhs(collar)))
 
 
 def pairwise_diameter(member_ij):
@@ -117,8 +130,8 @@ def node_xy(grid, i, j):
 
 
 def robin_of(rule, collar):
-    """The Robin data ``rule`` gives one collar: a batch of one."""
-    return rule(collar.point[None, :], collar.normal[None, :])
+    """The Robin data ``rule`` gives a collar record of one row: a batch of one."""
+    return rule(collar.point, collar.normal)
 
 
 def dirichlet_rule(value=0.0):
@@ -130,13 +143,14 @@ def assemble_constraints(points, collar, robin, center, spacing, order=DEFAULT_O
     """Constraint matrix (n_constraints, n_points) and right-hand side of one stencil.
 
     Rows follow the basis of ``order`` centred at ``center`` and scaled by
-    ``spacing``, columns the order of ``points``; ``robin`` is the collar's
-    data, a batch of one.  Built without ``GhostOperatorSolver``, as an
-    independent check of its stacks.
+    ``spacing``, columns the order of ``points``; ``collar`` is a record of
+    one row and ``robin`` its data, a batch of one.  Built without
+    ``GhostOperatorSolver``, as an independent check of its stacks.
     """
     alphas = enumerate_basis(order)
+    center = np.reshape(center, 2)  # a collar's ghost_xy is (1, 2)
     c = monomial_matrix(alphas, points, center, spacing)
-    g = boundary_actions(alphas, collar.point[None, :], collar.normal[None, :], robin, center, spacing)[0]
+    g = boundary_actions(alphas, collar.point, collar.normal, robin, center, spacing)[0]
     return c, g
 
 

@@ -43,10 +43,9 @@ def identity_ghost_rows(classification, rows=None):
         rhs=np.array([rhs for _, _, rhs in pieces]),
         chi=np.ones(count),
         r_ratio=np.zeros(count),
-        collars=[None] * count,
+        collars=None,  # the rows enforce no boundary datum, and nothing here reads a collar
         swaps=np.zeros(count, dtype=int),
         aperture=np.zeros(count),
-        rebuilt=np.zeros(count, dtype=bool),
     )
 
 
@@ -155,9 +154,8 @@ class TestGhostRow:
 
     def test_annulus_rhs_by_boundary_piece(self, annulus_160_rows):
         mid = 0.5 * (R_INNER + R_OUTER)
-        for collar, rhs in zip(annulus_160_rows.collars, annulus_160_rows.rhs):
-            r = float(np.hypot(*collar.point))
-            assert rhs == (0.0 if r < mid else 1.0)
+        r = np.hypot(*annulus_160_rows.collars.point.T)
+        assert np.array_equal(annulus_160_rows.rhs, np.where(r < mid, 0.0, 1.0))
 
 
 class TestAssemble:

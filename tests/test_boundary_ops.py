@@ -6,9 +6,11 @@ import pytest
 from conftest import (
     assemble_constraints,
     circle_level_set,
+    collar_rows,
     dirichlet_rule,
     ghost_layers,
     node_xy,
+    one_collar,
     robin_of,
     rows_of,
     solve_alone,
@@ -27,19 +29,13 @@ from ghostbc.boundary_ops import (
 )
 from ghostbc import stencils
 from ghostbc.errors import GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible, ProjectionDiverged
-from ghostbc.geometry import CollarPoint
 from ghostbc.stencils import TRIANGLE_KINDS
 from test_geometry import scalar_axis_projection
-from test_stencils import _reference_cone, _reference_cone_row, reference_triangle, triangle
+from test_stencils import _reference_cone, _reference_cone_row, ghost_of, reference_triangle, triangle
 
 
 def make_collar(center, point, normal=(1.0, 0.0)):
-    return CollarPoint(
-        ghost_xy=np.asarray(center, dtype=float),
-        point=np.asarray(point, dtype=float),
-        normal=np.asarray(normal, dtype=float),
-        mode="closest",
-    )
+    return one_collar(center, point, normal)
 
 
 def dirichlet(value=0.0):
@@ -90,7 +86,7 @@ def replace_solves(monkeypatch, replacements):
 
 
 def collar_of(ghost, grid, level_set):
-    return g.collars_for_ghosts([ghost], grid, level_set)[0]
+    return g.collars_for_ghosts([ghost], grid, level_set)
 
 
 def reference_ratio(coeffs, member_ij, classification):
@@ -111,12 +107,12 @@ def reference_row(collar, strategy, classification, solver):
     whose amplification still reaches the global tolerance, again from the
     collar of the scalar axis rule; every trial is solved alone and none is
     screened.  Returns ``(member_ij, collar, solve, swaps, aperture)``; a
-    rebuilt row carries the new collar object.
+    rebuilt row carries the new collar record.
     """
     members, solve, swaps, aperture, _ = _reference_cone_row(collar, strategy, classification, solver)
     if strategy.kind == "S4.3" and coefficient_amplification(solve.coeffs) >= strategy.global_tol:
         try:
-            axis = scalar_axis_projection(collar.ghost_xy, classification.level_set, solver.grid.h, collar.ghost_ij)
+            axis = scalar_axis_projection(collar.ghost_xy[0], classification.level_set, solver.grid.h, ghost_of(collar))
             new_members, new_solve, new_swaps, new_aperture, _ = _reference_cone_row(
                 axis, strategy, classification, solver
             )
@@ -133,7 +129,8 @@ def inject_outcomes(monkeypatch, outcomes):
 
     def injected(collars, *args):
         columns, errors = batch(collars, *args)
-        return columns, [outcomes.get((c.ghost_ij, c.mode), error) for c, error in zip(collars, errors)]
+        keys = zip(map(tuple, collars.ghost_ij.tolist()), collars.mode.tolist())
+        return columns, [outcomes.get(key, error) for key, error in zip(keys, errors)]
 
     monkeypatch.setattr(stencils, "_cone_batch", injected)
 
@@ -215,7 +212,7 @@ class TestSolveMinNorm:
         cx, cy = node_xy(grid, *ghost)
         raw = np.array([(x - cx) ** ax * (y - cy) ** ay for ax, ay in alphas])
         robin = robin_of(annulus_bench.coefficients.robin, collar)
-        p, n = collar.point, collar.normal
+        (p,), (n,) = collar.point, collar.normal
         rhs = []
         for ax, ay in alphas:
             val = robin.dirichlet[0] * (p[0] - cx) ** ax * (p[1] - cy) ** ay
@@ -289,7 +286,7 @@ class TestRowProperties:
             robin = robin_of(annulus_bench.coefficients.robin, row.collar)
             x, y = grid.coords(row.member_ij[:, 0], row.member_ij[:, 1])
             lhs = float(row.coeffs @ q(x, y))
-            p, n = row.collar.point, row.collar.normal
+            (p,), (n,) = row.collar.point, row.collar.normal
             gx, gy = q_grad(p[0], p[1])
             rhs = robin.dirichlet[0] * q(p[0], p[1]) + robin.neumann[0] * (gx * n[0] + gy * n[1])
             scale = max(1.0, abs(rhs))
@@ -341,13 +338,9 @@ class TestRowProperties:
         n = grid.n
         rot_ghost = (n - ghost[1], ghost[0])
         rot_members = np.array([(n - j, i) for i, j in members])
-        rot_collar = g.CollarPoint(
-            ghost_xy=np.array([-collar.ghost_xy[1], collar.ghost_xy[0]]),
-            point=np.array([-collar.point[1], collar.point[0]]),
-            normal=np.array([-collar.normal[1], collar.normal[0]]),
-            mode="closest",
-            ghost_ij=rot_ghost,
-        )
+        rot_collar = one_collar(*(column[0, ::-1] * [-1.0, 1.0] for column in (
+            collar.ghost_xy, collar.point, collar.normal
+        )), rot_ghost)
         a_rot = solve_alone(solver, rot_members, rot_collar).coeffs
         assert np.allclose(a, a_rot, atol=1e-12)
 
@@ -437,15 +430,15 @@ def test_right_hand_sides_are_built_once_per_batch(annulus_bench, annulus_160, m
     robin = annulus_bench.coefficients.robin
     solver = GhostOperatorSolver(grid, robin)
     collars = g.collars_for_ghosts(classification.ghost_ij, grid, annulus_bench.level_set)
-    for collar, rhs in zip(collars, solver.rhs(collars), strict=True):
-        _, expected = assemble_constraints(collar.point[None], collar, robin_of(robin, collar), collar.ghost_xy, grid.h)
+    for collar, rhs in zip(collar_rows(collars), solver.rhs(collars), strict=True):
+        _, expected = assemble_constraints(collar.point, collar, robin_of(robin, collar), collar.ghost_xy, grid.h)
         assert rhs.tobytes() == expected.tobytes()
         # ``solve`` centres the basis at the first member, with the collar's bits
-        assert np.array(grid.coords(*collar.ghost_ij)).tobytes() == collar.ghost_xy.tobytes()
+        assert np.array(grid.coords(*collar.ghost_ij[0])).tobytes() == collar.ghost_xy.tobytes()
     # a stacked trial equals the solve of its independently built constraints
-    collar = collars[3]
-    members = np.array([collar.ghost_ij] + _reference_cone(collar.ghost_ij, collar, 60.0, classification)[:16])
-    stacked = trial(solver.solve(np.array([members, members]), solver.rhs([collar, collar])), 1)
+    collar = collars.take([3])
+    members = np.array([ghost_of(collar)] + _reference_cone(ghost_of(collar), collar, 60.0, classification)[:16])
+    stacked = trial(solver.solve(np.array([members, members]), solver.rhs(collars.take([3, 3]))), 1)
     assert np.array_equal(stacked.coeffs, solve_one(row_constraints(solver, members, collar)).coeffs)
     assert np.array_equal(stacked.coeffs, solve_alone(solver, members, collar).coeffs)
     actions, batches, seen = [], [], []
@@ -505,26 +498,26 @@ class TestLockstepLevel:
         solver.solve = recording
         collars = g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)
         assert len(rows) == len(collars) > 100
-        for k, (row, collar) in enumerate(zip(rows_of(rows), collars)):
+        for k, (row, collar) in enumerate(zip(rows_of(rows), collar_rows(collars))):
             if kind in TRIANGLE_KINDS:
                 members = reference_triangle(kind, collar, strategy.triangle_size, classification)
                 row_collar, solve, swaps, aperture = collar, solve_alone(solver, members, collar), 0, 0.0
                 assert solve.admissible
             else:
                 members, row_collar, solve, swaps, aperture = reference_row(collar, strategy, classification, solver)
-            assert row.ghost_ij == collar.ghost_ij == tuple(row.member_ij[0])
+            assert row.ghost_ij == ghost_of(collar) == tuple(row.member_ij[0])
             assert np.array_equal(row.member_ij, members)
             assert np.array_equal(row.coeffs, solve.coeffs)
             assert row.chi == solve.chi
             assert row.r_ratio == reference_ratio(solve.coeffs, members, classification)
             assert row.rhs == robin_of(bench.coefficients.robin, row_collar).value[0]
-            assert row.collar.mode == row_collar.mode
+            assert row.collar.mode.tolist() == row_collar.mode.tolist()
             assert np.array_equal(row.collar.point, row_collar.point)
             assert np.array_equal(row.collar.normal, row_collar.normal)
             assert (row.swaps, row.aperture) == (swaps, aperture)
-            assert rows.rebuilt[k] == (row_collar is not collar)
+            assert (rows.collars.source[k] == g.Collars.REBUILD) == (row_collar is not collar)
         if name == "flower" and kind == "S4.3":
-            assert {"closest", "axis"} <= {collar.mode for collar in rows.collars}
+            assert {"closest", "axis"} <= set(rows.collars.mode.tolist())
         if kind in TRIANGLE_KINDS:
             assert len(level_solved) == len(solved)
         else:
@@ -562,15 +555,15 @@ class TestLockstepLevel:
         assert 0.3 * len(screened) < len(skipped) < 0.7 * len(screened)
         # the constraint matrix is the ghost-centred monomial matrix of the
         # members, whichever collar (closest or axis) the trial closes
-        collars = dict(zip(map(tuple, classification.ghost_ij.tolist()),
-                           g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)))
+        collars = g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
         by_size = {}
         for member_ij in skipped:
             by_size.setdefault(len(member_ij), []).append(member_ij)
         for group in by_size.values():
             group = np.array(group)
-            solves = solver.solve(group, solver.rhs([collars[tuple(m[0].tolist())] for m in group]))
+            ghost = classification.index_at(group[:, 0, 0], group[:, 0, 1]) - classification.n_interior
+            solves = solver.solve(group, solver.rhs(collars.take(ghost)))
             assert not solves.admissible.any()
             points = np.stack(grid.coords(group[..., 0], group[..., 1]), axis=-1)
             matrix = monomial_matrix(enumerate_basis(5), points, points[:, 0], grid.h)
@@ -622,14 +615,14 @@ class TestLockstepLevel:
         # alone, every trial solved and none screened
         bench, grid, classification, _ = _level("annulus", "S4.1", 48)
         strategy = g.StencilStrategy(kind="S4.1", local_tol=1.0)
-        collar = g.collars_for_ghosts(classification.ghost_ij[:1], grid, bench.level_set)[0]
+        collar = g.collars_for_ghosts(classification.ghost_ij[:1], grid, bench.level_set)
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
         with pytest.raises(NotAdmissible) as alone:
             _reference_cone_row(collar, strategy, classification, solver)
         with pytest.raises(NotAdmissible) as level:
             g.build_ghost_rows(classification, strategy, bench.coefficients)
         assert str(level.value) == str(alone.value)
-        assert f"ghost {collar.ghost_ij}" in str(level.value)
+        assert f"ghost {ghost_of(collar)}" in str(level.value)
 
     @pytest.mark.parametrize("inadmissible_first", [True, False])
     def test_triangle_level_raises_the_first_ghosts_error(self, annulus_bench, annulus_160, monkeypatch,
@@ -646,7 +639,7 @@ class TestLockstepLevel:
 
         def with_inactive(kind, collars, p, classification):
             members, errors = build(kind, collars, p, classification)
-            return members, [stored if c.ghost_ij == inactive else e for c, e in zip(collars, errors)]
+            return members, [stored if tuple(ij) == inactive else e for ij, e in zip(collars.ghost_ij.tolist(), errors)]
 
         monkeypatch.setattr(assembly, "triangle_stencils", with_inactive)
         with pytest.raises(GhostBcError) as error:
@@ -666,16 +659,18 @@ class TestLockstepLevel:
         grid, classification = annulus_160
         strategy = g.StencilStrategy(kind="S4.3")
         coeffs = annulus_bench.coefficients
-        early = int(np.flatnonzero(g.build_ghost_rows(classification, strategy, coeffs).rebuilt)[0])
+        rebuilt = g.build_ghost_rows(classification, strategy, coeffs).collars.source == g.Collars.REBUILD
+        early = int(np.flatnonzero(rebuilt)[0])
         late = early + late
         late_ij = tuple(int(v) for v in classification.ghost_ij[late])
         early_ij = tuple(int(v) for v in classification.ghost_ij[early])
         failed = ProjectionDiverged(f"axis projection of ghost {early_ij} failed")
         project = stencils.axis_projection
 
-        def failing_projection(ghost_xy, level_set, h, ghost_ij=None, **kwargs):
-            slots = project(ghost_xy, level_set, h, ghost_ij, **kwargs)
-            return [failed if key == early_ij else slot for key, slot in zip(ghost_ij, slots)]
+        def failing_projection(ghost_xy, level_set, h, ghost_ij=None):
+            collars, failures = project(ghost_xy, level_set, h, ghost_ij)
+            rows = np.flatnonzero((collars.ghost_ij == early_ij).all(axis=1)).tolist()
+            return collars, {**failures, **dict.fromkeys(rows, failed)}
 
         inject_outcomes(monkeypatch, {(late_ij, "closest"): NotAdmissible(f"growth of ghost {late_ij} failed")})
         with pytest.raises(NotAdmissible, match=f"growth of ghost {re.escape(str(late_ij))} failed"):
@@ -691,7 +686,8 @@ class TestLockstepLevel:
         strategy = g.StencilStrategy(kind="S4.3")
         coeffs = annulus_bench.coefficients
         rows = g.build_ghost_rows(classification, strategy, coeffs)
-        first, second, third = (tuple(int(v) for v in rows.ghost_ij[k]) for k in np.flatnonzero(rows.rebuilt)[:3])
+        rebuilt = np.flatnonzero(rows.collars.source == g.Collars.REBUILD)
+        first, second, third = (tuple(int(v) for v in rows.ghost_ij[k]) for k in rebuilt[:3])
         inject_outcomes(monkeypatch, {
             (first, "axis"): NotAdmissible("not adopted"),  # keeps the S4.2 row
             **{(ghost, "axis"): InactiveMember(f"rebuild of ghost {ghost} failed") for ghost in (second, third)},

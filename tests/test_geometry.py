@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghostbc as g
-from conftest import circle_level_set, node_xy, pairwise_diameter, per_row, square_level_set
+from conftest import (
+    circle_level_set,
+    collar_rows,
+    dirichlet_rule,
+    node_xy,
+    one_collar,
+    pairwise_diameter,
+    per_row,
+    square_level_set,
+)
+from ghostbc import stencils
 from ghostbc.benchmarks import (
     R_INNER,
     R_OUTER,
@@ -48,10 +58,11 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def same_collar(a, b) -> bool:
+def same_collars(a, b) -> bool:
+    """Two ``Collars`` agree bit for bit, row by row, with the same ``collar_mode`` text."""
     return (
-        a.mode == b.mode
-        and a.ghost_ij == b.ghost_ij
+        np.array_equal(a.mode, b.mode)
+        and np.array_equal(a.ghost_ij, b.ghost_ij)
         and same_bits(a.ghost_xy, b.ghost_xy)
         and same_bits(a.point, b.point)
         and same_bits(a.normal, b.normal)
@@ -179,9 +190,9 @@ class TestClassifyNodes:
 
 
 def project_point(xy, level_set):
-    """Closest-point projection of one point, which must converge."""
-    (collar,) = _closest_points(np.array([xy], dtype=float), level_set, [None])
-    assert isinstance(collar, g.CollarPoint), collar
+    """Closest-point projection of one point, which must converge: a record of one row."""
+    collar, failures = _closest_points(np.array([xy], dtype=float), level_set, [(0, 0)])
+    assert not failures, failures
     return collar
 
 
@@ -191,7 +202,7 @@ class TestProjection:
         collar = project_point((0.7, 0.0), ls)
         assert np.allclose(collar.point, [0.5, 0.0], atol=1e-12)
         assert np.allclose(collar.normal, [1.0, 0.0], atol=1e-12)
-        assert collar.mode == "closest"
+        assert collar.source.tolist() == [g.Collars.CLOSEST] and collar.mode.tolist() == ["closest"]
 
     def test_circle_diagonal_point(self):
         ls = circle_level_set(0.5)
@@ -206,9 +217,9 @@ class TestProjection:
         x0 = 0.03 * math.sqrt(3.0) + 0.74 * math.cos(theta)
         y0 = 0.04 * math.sqrt(2.0) + 0.74 * math.sin(theta)
         collar = project_point((x0, y0), ls)
-        assert abs(float(ls.evaluate(*collar.point))) <= 1e-12
-        d = collar.displacement
-        cosang = abs(float(d @ collar.normal)) / np.linalg.norm(d)
+        assert abs(float(ls.evaluate(*collar.point[0]))) <= 1e-12
+        d = collar.ghost_xy[0] - collar.point[0]
+        cosang = abs(float(d @ collar.normal[0])) / np.linalg.norm(d)
         assert math.acos(min(1.0, cosang)) < 1e-6
 
     def test_all_annulus_collars_meet_contracts(self, annulus_bench, annulus_160):
@@ -216,26 +227,25 @@ class TestProjection:
         ls = annulus_bench.level_set
         worst_res = 0.0
         worst_angle = 0.0
-        for collar in collars_for_ghosts(classification.ghost_ij, grid, ls):
-            worst_res = max(worst_res, abs(float(ls.evaluate(*collar.point))))
-            d = collar.displacement
+        collars = collars_for_ghosts(classification.ghost_ij, grid, ls)
+        for ghost_xy, point, normal, mode in zip(collars.ghost_xy, collars.point, collars.normal, collars.mode):
+            worst_res = max(worst_res, abs(float(ls.evaluate(*point))))
+            d = ghost_xy - point
             dn = np.linalg.norm(d)
-            if collar.mode == "closest" and dn > 1e-12:
-                cosang = abs(float(d @ collar.normal)) / dn
+            if mode == "closest" and dn > 1e-12:
+                cosang = abs(float(d @ normal)) / dn
                 worst_angle = max(worst_angle, math.acos(min(1.0, cosang)))
         assert worst_res <= 1e-12
         assert worst_angle < 1e-6
 
     def test_zero_displacement_direction_uses_normal(self):
-        ls = circle_level_set(0.5)
-        collar = g.CollarPoint(
-            ghost_xy=np.array([0.5, 0.0]),
-            point=np.array([0.5, 0.0]),
-            normal=np.array([1.0, 0.0]),
-            mode="closest",
-        )
-        assert np.allclose(collar.toward_boundary(), [-1.0, 0.0])
-        assert collar.inward_signs() == (-1, 1)
+        # A ghost on the boundary aims along the inward normal; the zero y
+        # component of (-1.0, -0.0) counts as + for the triangle's orientation.
+        collar = one_collar((0.5, 0.0), (0.5, 0.0), (1.0, 0.0), (12, 8))  # node (12, 8) of Grid(16)
+        assert same_bits(stencils._toward_boundary(collar), [[-1.0, -0.0]])
+        classification = g.classify_nodes(g.Grid(16), circle_level_set(0.45))
+        members, _ = stencils.triangle_stencils("S1", collar, 1, classification)
+        assert (members[0] - [12, 8]).tolist() == [[0, 0], [0, 1], [-1, 0]]
 
 
 def _bisect_level(level_set, a, b, fa, tol):
@@ -259,7 +269,7 @@ def scalar_axis_projection(ghost_xy, level_set, h, ghost_ij=None, tol=PROJECTION
     Scans the four rays in one call, bisects the rays whose first sign
     change lies in the nearest bracket, keeps the nearest root (the first
     ray in the order +x, -x, +y, -y on a tie) and raises where the batch
-    returns an error.
+    reports a failure.  Returns a ``Collars`` of one row.
     """
     x0 = np.array(ghost_xy, dtype=float)
     f0 = float(level_set.evaluate(x0[0], x0[1]))
@@ -287,46 +297,64 @@ def scalar_axis_projection(ghost_xy, level_set, h, ghost_ij=None, tol=PROJECTION
     norm = float(np.hypot(gx, gy))
     if norm < NODE_TOLERANCE:
         raise ZeroGradient(f"level set '{level_set.name}' has zero gradient at ({p[0]}, {p[1]})")
-    return g.CollarPoint(x0, p, np.array([float(gx) / norm, float(gy) / norm]), "axis", ghost_ij)
+    normal = [float(gx) / norm, float(gy) / norm]
+    return one_collar(x0, p, normal, (-1, -1) if ghost_ij is None else ghost_ij, g.Collars.AXIS)
+
+
+def slots(projection):
+    """A projection's ``(collars, failures)`` as one slot per point: its failure, or its row."""
+    collars, failures = projection
+    return [failures.get(k, row) for k, row in enumerate(collar_rows(collars))]
 
 
 def assert_axis_matches_scalar(xy, level_set, h, keys=None):
-    """The batched axis projection of ``xy`` equals the scalar rule point by point."""
-    keys = keys or [None] * len(xy)
-    batch = axis_projection(xy, level_set, h, keys)
+    """The batched axis projection of ``xy`` equals the scalar rule point by point; returns its slots."""
+    batch = slots(axis_projection(xy, level_set, h, keys))
     assert len(batch) == len(xy)
-    for point, key, got in zip(xy, keys, batch):
+    for point, key, got in zip(xy, keys or [None] * len(xy), batch):
         try:
             expected = scalar_axis_projection(point, level_set, h, ghost_ij=key)
         except GeometryError as exc:
             assert type(got) is type(exc) and str(got) == str(exc)
         else:
-            assert isinstance(got, g.CollarPoint) and same_collar(got, expected)
+            assert isinstance(got, g.Collars) and same_collars(got, expected)
     return batch
 
 
 class TestAxisProjection:
     def test_horizontal_intersection(self):
         ls = circle_level_set(0.5)
-        (collar,) = axis_projection([(0.52, 0.1)], ls, h=0.0125)
-        assert abs(collar.point[0] - 0.48989794855663562) < 1e-9
-        assert abs(collar.point[1] - 0.1) < 1e-15
-        assert collar.mode == "axis"
-        assert abs(float(ls.evaluate(*collar.point))) <= 1e-12
+        collar, failures = axis_projection([(0.52, 0.1)], ls, h=0.0125)
+        (point,) = collar.point
+        assert not failures
+        assert abs(point[0] - 0.48989794855663562) < 1e-9
+        assert abs(point[1] - 0.1) < 1e-15
+        assert collar.source.tolist() == [g.Collars.AXIS] and collar.ghost_ij.tolist() == [[-1, -1]]
+        assert abs(float(ls.evaluate(*point))) <= 1e-12
 
     def test_vertical_intersection(self):
         ls = circle_level_set(0.5)
-        (collar,) = axis_projection([(0.0, 0.52)], ls, h=0.0125)
-        assert np.allclose(collar.point, [0.0, 0.5], atol=1e-9)
+        collar, _ = axis_projection([(0.0, 0.52)], ls, h=0.0125)
+        assert np.allclose(collar.point, [[0.0, 0.5]], atol=1e-9)
 
     def test_no_intersection(self):
         ls = circle_level_set(0.5)
-        (slot,) = axis_projection([(0.9, 0.9)], ls, h=0.0125)
-        assert isinstance(slot, NoAxisIntersection)
-        assert str(slot) == "no axis ray from [0.9 0.9] crosses the boundary within 3.0 h"
+        collar, failures = axis_projection([(0.9, 0.9)], ls, h=0.0125)
+        assert list(failures) == [0] and isinstance(failures[0], NoAxisIntersection)
+        assert str(failures[0]) == "no axis ray from [0.9 0.9] crosses the boundary within 3.0 h"
+        assert np.isnan(collar.point).all() and np.isnan(collar.normal).all()
 
     def test_empty_batch(self):
-        assert axis_projection(np.zeros((0, 2)), circle_level_set(0.5), h=0.0125) == []
+        ls = circle_level_set(0.5)
+        empty, failures = axis_projection(np.zeros((0, 2)), ls, h=0.0125)
+        assert failures == {}
+        grid = g.Grid(16)
+        for collars in (empty, collars_for_ghosts(np.zeros((0, 2), dtype=np.int64), grid, ls)):
+            assert len(collars) == 0 and collars.source.shape == (0,)
+            for column, dtype in (("ghost_ij", np.int64), ("ghost_xy", float), ("point", float), ("normal", float)):
+                assert getattr(collars, column).shape == (0, 2) and getattr(collars, column).dtype == dtype
+            solver = g.GhostOperatorSolver(grid, dirichlet_rule())
+            assert solver.rhs(collars).shape == (0, solver.n_constraints)
 
 
 class TestAxisProjectionBatch:
@@ -340,7 +368,8 @@ class TestAxisProjectionBatch:
         keys = [tuple(int(v) for v in ij) for ij in ghost_ij]
         xy = np.column_stack(grid.coords(ghost_ij[:, 0], ghost_ij[:, 1]))
         batch = assert_axis_matches_scalar(xy, ls, grid.h, keys)
-        assert len(batch) > 500 and all(c.ghost_ij == key for c, key in zip(batch, keys))
+        assert len(batch) > 500
+        assert all(c.ghost_ij.tolist() == [list(key)] for c, key in zip(batch, keys) if isinstance(c, g.Collars))
 
     def test_hits_and_misses_in_one_batch(self):
         # hits along +x, -y and +y, a miss, and a four-way tie at the origin
@@ -348,10 +377,10 @@ class TestAxisProjectionBatch:
         xy = [(0.32, 0.01), (0.9, 0.9), (0.0, 0.0), (0.02, -0.33), (-0.8, 0.0), (0.01, 0.28)]
         batch = assert_axis_matches_scalar(xy, ls, 0.125, [(k, k) for k in range(len(xy))])
         assert [type(slot).__name__ for slot in batch] == [
-            "CollarPoint", "NoAxisIntersection", "CollarPoint", "CollarPoint", "NoAxisIntersection", "CollarPoint",
+            "Collars", "NoAxisIntersection", "Collars", "Collars", "NoAxisIntersection", "Collars",
         ]
-        tie = batch[2]
-        assert tie.point[1] == 0.0 and tie.point[0] > 0.0
+        (tie,) = batch[2].point
+        assert tie[1] == 0.0 and tie[0] > 0.0
 
     def test_typed_failures_stay_in_their_slots(self):
         # a sign jump with no zero crossing: the bisection cannot reach the
@@ -508,15 +537,15 @@ class TestBatchedCollars:
         classification = g.classify_nodes(grid, ls)
         batch = collars_for_ghosts(classification.ghost_ij, grid, ls)
         assert len(batch) == classification.n_ghost
-        assert sum(c.mode == "axis" for c in batch) == n_axis
-        for ij, collar in zip(classification.ghost_ij, batch):
-            assert same_collar(collar, collars_for_ghosts([ij], grid, ls)[0])
+        assert (batch.source == g.Collars.AXIS).sum() == n_axis
+        for ij, collar in zip(classification.ghost_ij, collar_rows(batch)):
+            assert same_collars(collar, collars_for_ghosts([ij], grid, ls))
             scalar = _scalar_projection(node_xy(grid, *ij), ls)
             if scalar is None:
-                assert collar.mode == "axis"
+                assert collar.source.tolist() == [g.Collars.AXIS]
             else:
-                assert collar.mode == "closest"
-                assert same_bits(collar.point, scalar[0]) and same_bits(collar.normal, scalar[1])
+                assert collar.source.tolist() == [g.Collars.CLOSEST]
+                assert same_bits(collar.point[0], scalar[0]) and same_bits(collar.normal[0], scalar[1])
 
     def test_fixed_points_end_without_iterating_to_the_cap(self):
         # Three flower ghosts reach a bit-exact fixed point of the iteration
@@ -533,16 +562,14 @@ class TestBatchedCollars:
         grid = g.Grid(160)
         ghost_ij = g.classify_nodes(grid, ls).ghost_ij
         collars = collars_for_ghosts(ghost_ij, grid, counted)
-        assert sum(c.mode == "axis" for c in collars) == 3
+        assert (collars.source == g.Collars.AXIS).sum() == 3
         assert len(calls) < 600
-        keys = [tuple(int(v) for v in ij) for ij in ghost_ij]
-        results = _closest_points(np.column_stack(grid.coords(ghost_ij[:, 0], ghost_ij[:, 1])), ls, keys)
-        failed = [(k, r) for k, r in enumerate(results) if not isinstance(r, g.CollarPoint)]
-        assert [k for k, _ in failed] == [k for k, c in enumerate(collars) if c.mode == "axis"]
-        for k, result in failed:
-            assert isinstance(result, ProjectionDiverged)
-            xy = np.array(node_xy(grid, *keys[k]))
-            assert str(result) == f"projection from {xy} did not converge in 100 iterations"
+        _, failures = _closest_points(np.column_stack(grid.coords(ghost_ij[:, 0], ghost_ij[:, 1])), ls, ghost_ij)
+        assert sorted(failures) == np.flatnonzero(collars.source == g.Collars.AXIS).tolist()
+        for k, failure in failures.items():
+            assert isinstance(failure, ProjectionDiverged)
+            xy = np.array(node_xy(grid, *ghost_ij[k]))
+            assert str(failure) == f"projection from {xy} did not converge in 100 iterations"
 
     def test_failures_fall_back_without_touching_the_batch(self, caplog):
         ls = _trap_level_set()
@@ -551,23 +578,25 @@ class TestBatchedCollars:
         others = [(10, 10), (8, 11), (6, 5), (11, 9)]
         ij = np.array(failing + others)
         x, y = grid.coords(ij[:, 0], ij[:, 1])
-        results = _closest_points(np.column_stack([x, y]), ls, [tuple(v) for v in ij.tolist()])
-        assert isinstance(results[0], ZeroGradient)
-        assert isinstance(results[1], ProjectionDiverged) and "stalled" in str(results[1])
-        assert all(isinstance(r, g.CollarPoint) for r in results[2:])
+        results, failures = _closest_points(np.column_stack([x, y]), ls, ij)
+        assert sorted(failures) == [0, 1]
+        assert isinstance(failures[0], ZeroGradient)
+        assert isinstance(failures[1], ProjectionDiverged) and "stalled" in str(failures[1])
+        assert np.isnan(results.point[:2]).all() and not np.isnan(results.point[2:]).any()
 
         with caplog.at_level("INFO", logger="ghostbc.geometry"):
             collars = collars_for_ghosts(ij, grid, ls)
-        assert sum("using axis projection" in r.message for r in caplog.records) == 2
+        messages = [r.getMessage() for r in caplog.records if "using axis projection" in r.message]
+        assert [m.split(":")[0] for m in messages] == ["ghost (8, 8)", "ghost (11, 8)"]
         for k, node in enumerate(failing):
-            assert collars[k].mode == "axis"
-            assert same_collar(collars[k], scalar_axis_projection(node_xy(grid, *node), ls, grid.h, ghost_ij=node))
-            assert abs(float(ls.evaluate(*collars[k].point))) <= PROJECTION_TOLERANCE
+            collar = collars.take([k])
+            assert collar.source.tolist() == [g.Collars.AXIS]
+            assert same_collars(collar, scalar_axis_projection(node_xy(grid, *node), ls, grid.h, ghost_ij=node))
+            assert abs(float(ls.evaluate(*collar.point[0]))) <= PROJECTION_TOLERANCE
         alone = collars_for_ghosts(others, grid, ls)
-        for collar, ref, result in zip(collars[2:], alone, results[2:]):
-            assert collar.mode == "closest"
-            assert same_collar(collar, ref)
-            assert same_collar(collar, result)
+        assert (collars.source[2:] == g.Collars.CLOSEST).all()
+        assert same_collars(collars.take(slice(2, None)), alone)
+        assert same_collars(collars.take(slice(2, None)), results.take(slice(2, None)))
 
 
 class TestAxisProjectionBrackets:
@@ -577,27 +606,28 @@ class TestAxisProjectionBrackets:
         ls = _trap_level_set()
         h = 0.125
         oracle = _brute_force_axis((0.0, 0.0), ls, h)
-        (got,) = axis_projection([(0.0, 0.0)], ls, h)
-        assert same_bits(got.point, oracle[1])
-        assert got.point[0] == 0.0 and got.point[1] > 0.0  # +y beats +x, which comes first
+        (got,) = axis_projection([(0.0, 0.0)], ls, h)[0].point
+        assert same_bits(got, oracle[1])
+        assert got[0] == 0.0 and got[1] > 0.0  # +y beats +x, which comes first
 
     def test_tie_goes_to_the_first_direction(self):
         ls = circle_level_set(0.3)
-        (collar,) = axis_projection([(0.0, 0.0)], ls, 0.125)
-        assert same_bits(collar.point, _brute_force_axis((0.0, 0.0), ls, 0.125)[1])
-        assert collar.point[1] == 0.0 and collar.point[0] > 0.0
+        (point,) = axis_projection([(0.0, 0.0)], ls, 0.125)[0].point
+        assert same_bits(point, _brute_force_axis((0.0, 0.0), ls, 0.125)[1])
+        assert point[1] == 0.0 and point[0] > 0.0
 
     def test_flower_ghosts_match_brute_force(self):
         ls = flower_level_set()
         grid = g.Grid(160)
         classification = g.classify_nodes(grid, ls)
         xy = [node_xy(grid, *ij) for ij in classification.ghost_ij[::6]]
-        for point, got in zip(xy, axis_projection(xy, ls, grid.h)):
+        collars, failures = axis_projection(xy, ls, grid.h)
+        for k, (point, got) in enumerate(zip(xy, collars.point)):
             oracle = _brute_force_axis(point, ls, grid.h)
             if oracle is None:
-                assert isinstance(got, NoAxisIntersection)
+                assert isinstance(failures[k], NoAxisIntersection)
                 continue
-            assert same_bits(got.point, oracle[1])
+            assert same_bits(got, oracle[1])
 
 
 class TestDiameter:
@@ -669,20 +699,19 @@ def test_moved_collars_equal_the_iteration_run_to_its_cap(shape, n, angle, shift
         ghost_ij = g.classify_nodes(grid, ls).ghost_ij
     except GeometryError:
         return
-    keys = [tuple(int(v) for v in ij) for ij in ghost_ij]
     xy = np.column_stack(grid.coords(ghost_ij[:, 0], ghost_ij[:, 1]))
     oracle = [_scalar_projection(point, ls) for point in xy]
-    results = _closest_points(xy, ls, keys)
-    for expected, result in zip(oracle, results):
+    results, failures = _closest_points(xy, ls, ghost_ij)
+    for k, (expected, point, normal) in enumerate(zip(oracle, results.point, results.normal)):
         if expected is None:
-            assert isinstance(result, GeometryError)
+            assert isinstance(failures[k], GeometryError)
         else:
-            assert same_bits(result.point, expected[0]) and same_bits(result.normal, expected[1])
+            assert k not in failures and same_bits(point, expected[0]) and same_bits(normal, expected[1])
     try:
         collars = collars_for_ghosts(ghost_ij, grid, ls)
     except GeometryError:  # an axis fallback failed too
         assert any(expected is None for expected in oracle)
         return
-    for expected, collar in zip(oracle, collars):
-        assert collar.mode == ("axis" if expected is None else "closest")
+    for expected, mode in zip(oracle, collars.mode):
+        assert mode == ("axis" if expected is None else "closest")
 

@@ -7,12 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghostbc as g
-from conftest import circle_level_set, ghost_layers, node_xy, per_row, solve_alone
-from ghostbc import benchmarks, geometry, stencils
+from conftest import circle_level_set, collar_rows, ghost_layers, node_xy, one_collar, per_row, solve_alone
+from ghostbc import benchmarks, cli, geometry, stencils
 from ghostbc.benchmarks import flower_level_set, hourglass_level_set
 from ghostbc.boundary_ops import GhostOperatorSolver, coefficient_amplification
 from ghostbc.errors import CandidatesExhausted, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
-from ghostbc.geometry import CollarPoint
 from ghostbc.stencils import (
     APERTURE_STEP,
     CONE_KINDS,
@@ -25,24 +24,43 @@ from ghostbc.stencils import (
     extend_classification,
     triangle_stencils,
 )
-from test_geometry import moved, same_bits, same_collar
+from test_geometry import moved, same_bits, same_collars
 
 
-def make_collar(ghost_xy, point, ghost_ij=None):
+def make_collar(ghost_xy, point, ghost_ij):
+    """A closest-point collar of one row whose normal points from ``point`` away from the ghost's side."""
     d = np.asarray(point, dtype=float) - np.asarray(ghost_xy, dtype=float)
-    n = d / np.linalg.norm(d)
-    return CollarPoint(
-        ghost_xy=np.asarray(ghost_xy, dtype=float),
-        point=np.asarray(point, dtype=float),
-        normal=-n,
-        mode="closest",
-        ghost_ij=ghost_ij,
-    )
+    return one_collar(ghost_xy, point, -d / np.linalg.norm(d), ghost_ij)
+
+
+# One collar row's ghost and directions, the per-ghost rules on (2,) arrays:
+# the references for the array expressions of the level-wide readers.
+
+
+def ghost_of(collar):
+    return tuple(collar.ghost_ij[0].tolist())
+
+
+def displacement(collar):
+    """Ghost minus collar point (points away from the domain)."""
+    return collar.ghost_xy[0] - collar.point[0]
+
+
+def toward_boundary(collar):
+    """Toward the collar point, or along the inward normal where the ghost sits on the boundary."""
+    d = collar.point[0] - collar.ghost_xy[0]
+    return d if float(np.linalg.norm(d)) > 1e-12 else -collar.normal[0]
+
+
+def inward_signs(collar):
+    """Per-axis lattice direction from the ghost toward the boundary; a zero component counts as +1."""
+    d = toward_boundary(collar)
+    return (1 if d[0] >= 0.0 else -1, 1 if d[1] >= 0.0 else -1)
 
 
 def triangle(kind, collar, p, classification):
     """One ghost's triangle through the level-wide builder; raises its error."""
-    (members,), (error,) = triangle_stencils(kind, [collar], p, classification)
+    (members,), (error,) = triangle_stencils(kind, collar, p, classification)
     if error is not None:
         raise error
     return members
@@ -78,22 +96,22 @@ def _reference_s2_offsets(p, x_branch):
 
 def reference_members(kind, collar, p):
     """Members of one ghost's S1 or S2 triangle, without any activity check."""
-    i0, j0 = collar.ghost_ij
-    sx, sy = collar.inward_signs()
+    i0, j0 = ghost_of(collar)
+    sx, sy = inward_signs(collar)
     if kind == "S1":
         return [(i0 + l * sx, j0 + m * sy) for l in range(p + 1) for m in range(p + 1 - l)]
-    d = collar.displacement
+    d = displacement(collar)
     return [(i0 + a * sx, j0 + b * sy) for a, b in _reference_s2_offsets(p, abs(d[0]) >= abs(d[1]))]
 
 
 def reference_triangle(kind, collar, p, classification):
     """Members of one ghost's triangle, or the ``InactiveMember`` it raises."""
-    ghost = collar.ghost_ij
+    ghost = ghost_of(collar)
     if kind != "S3":
         return _reference_checked(reference_members(kind, collar, p), ghost, classification, kind)
     i0, j0 = ghost
-    sx, sy = collar.inward_signs()
-    d = collar.displacement
+    sx, sy = inward_signs(collar)
+    d = displacement(collar)
     x_branch = abs(d[0]) >= abs(d[1])
     last_error = None
     start = 0 if float(np.linalg.norm(d)) <= classification.grid.h else 1
@@ -126,7 +144,7 @@ def assert_level_matches_reference(kind, collars, p, classification):
     assert members.shape == (len(collars), (p + 1) * (p + 2) // 2, 2)
     assert len(errors) == len(collars)
     failed = 0
-    for collar, row, error in zip(collars, members, errors):
+    for collar, row, error in zip(collar_rows(collars), members, errors):
         try:
             expected = reference_triangle(kind, collar, p, classification)
         except InactiveMember as exc:
@@ -141,7 +159,7 @@ def assert_level_matches_reference(kind, collars, p, classification):
 
 
 def collar_of(ghost, grid, level_set):
-    return g.collars_for_ghosts([ghost], grid, level_set)[0]
+    return g.collars_for_ghosts([ghost], grid, level_set)
 
 
 def takes(cones, count):
@@ -155,7 +173,7 @@ def takes(cones, count):
 
 def cone_list(ghost, collar, aperture_deg, grid, classification, limit=None):
     """Ordered cone candidates of one ghost at one aperture, with the ghost itself first."""
-    cones = _Cones([collar], aperture_deg, classification)
+    cones = _Cones(collar, aperture_deg, classification)
     out = [tuple(ghost)]
     assert tuple(cones.nodes[cones.start[0]].tolist()) == tuple(ghost)
     while limit is None or len(out) < limit:
@@ -200,7 +218,7 @@ class TestTriangles:
                 ghost = tuple(int(v) for v in ij)
                 break
         collar = collar_of(ghost, grid, ls)
-        assert collar.inward_signs() == (1, 1)
+        assert inward_signs(collar) == (1, 1)
         members = triangle("S1", collar, 4, classification)
         offsets = {(int(i - ghost[0]), int(j - ghost[1])) for i, j in members}
         assert offsets == {(l, m) for l in range(5) for m in range(5 - l)}
@@ -248,7 +266,7 @@ class TestTriangles:
         ghost = (20, 20)  # at the origin, so the displacement is an exact tie
         ghost_xy = node_xy(grid, *ghost)
         collar = make_collar(ghost_xy, ghost_xy + np.array([0.02, 0.02]), ghost)
-        assert collar.displacement[0] == collar.displacement[1]
+        assert displacement(collar)[0] == displacement(collar)[1]
         classification = _all_active_stub(grid)
         members = triangle("S2", collar, 4, classification)
         offsets = {(int(i - ghost[0]), int(j - ghost[1])) for i, j in members}
@@ -259,8 +277,8 @@ class TestTriangles:
         collars = g.collars_for_ghosts(classification.ghost_ij, grid, ls)
         s2, s2_errors = triangle_stencils("S2", collars, 4, classification)
         s3, s3_errors = triangle_stencils("S3", collars, 4, classification)
-        for k, collar in enumerate(collars):
-            if np.linalg.norm(collar.displacement) > grid.h or s2_errors[k] is not None:
+        for k, collar in enumerate(collar_rows(collars)):
+            if np.linalg.norm(displacement(collar)) > grid.h or s2_errors[k] is not None:
                 continue
             if classification.ghost_mask[tuple(s2[k, 1:].T)].any():
                 continue
@@ -275,8 +293,8 @@ class TestTriangles:
         collars = g.collars_for_ghosts(classification.ghost_ij, grid, annulus_bench.level_set)
         members, errors = triangle_stencils("S3", collars, 4, classification)
         assert errors == [None] * len(collars)
-        for collar, row in zip(collars, members):
-            assert tuple(row[0]) == collar.ghost_ij
+        for ghost, row in zip(collars.ghost_ij.tolist(), members):
+            assert row[0].tolist() == ghost
             assert (classification.active_index[tuple(row.T)] >= 0).all()
             assert not classification.ghost_mask[tuple(row[1:].T)].any()
         assert (ghost_layers(classification) == 2).any()  # second-layer ghosts were among them
@@ -489,7 +507,7 @@ class TestCandidateStream:
         ghost_xy = node_xy(grid, *ghost)
         collar = make_collar(ghost_xy, ghost_xy + np.array([0.1, 0.013]), ghost)
         strategy = g.StencilStrategy(kind="S4.1", aperture_deg=30.0)
-        got = takes(_Cones([collar], strategy.aperture_deg, classification), 60)
+        got = takes(_Cones(collar, strategy.aperture_deg, classification), 60)
         assert got == _oracle_takes(ghost, collar, 30.0, grid, classification, 60)
         assert got[-1][1] > 30.0
 
@@ -501,7 +519,7 @@ class TestCandidateStream:
         ghost = tuple(int(v) for v in classification.ghost_ij[0])
         collar = collar_of(ghost, grid, ls)
         others = int((classification.active_index >= 0).sum()) - 1
-        got = takes(_Cones([collar], 60.0, classification), others + 2)
+        got = takes(_Cones(collar, 60.0, classification), others + 2)
         assert got[:others] == _oracle_takes(ghost, collar, 60.0, grid, classification, others)
         assert got[others:] == [(None, 360.0)] * 2
 
@@ -551,12 +569,12 @@ class TestConeStrategies:
         grid, classification = annulus_160
         s42, s43 = annulus_160_stages["S4.2"], annulus_160_stages["S4.3"]
         members42, members43 = per_row(s42, s42.member_ij), per_row(s43, s43.member_ij)
-        rebuilt = [k for k, collar in enumerate(s43.collars) if collar.mode == "axis"]
-        assert len(rebuilt) == 131 and rebuilt == np.flatnonzero(s43.rebuilt).tolist()
+        rebuilt = np.flatnonzero(s43.collars.mode == "axis").tolist()
+        assert len(rebuilt) == 131 and rebuilt == np.flatnonzero(s43.collars.source == g.Collars.REBUILD).tolist()
         solver = GhostOperatorSolver(grid, annulus_bench.coefficients.robin)
         strategy = g.StencilStrategy(kind="S4.3")
         (members, sizes, _, _, swaps, aperture), errors = _cone_batch(
-            [s43.collars[k] for k in rebuilt], strategy, classification, solver
+            s43.collars.take(rebuilt), strategy, classification, solver
         )
         assert errors == [None] * len(rebuilt)
         for k, member_ij, size, swaps, aperture in zip(rebuilt, members, sizes, swaps, aperture, strict=True):
@@ -567,19 +585,24 @@ class TestConeStrategies:
             assert np.array_equal(members43[k], members42[k])
             assert (s43.swaps[k], s43.aperture[k]) == (s42.swaps[k], s42.aperture[k])
 
-    def test_rebuilt_rows_are_told_from_projection_fallbacks(self):
+    def test_rebuilt_rows_are_told_from_projection_fallbacks(self, tmp_path):
         # flower-283: 222 axis collars, of which 9 are closest-point
-        # projections that fell back to the axis and 213 adopted rebuilds
+        # projections that fell back to the axis and 213 adopted rebuilds;
+        # ghosts.csv writes both axis sources as ``axis``
         cfg = g.RunConfig(benchmark="flower", strategy="S4.3", n=283)
         bench, grid = cfg.make_benchmark(), g.Grid(283)
         classification = g.classify_nodes(grid, bench.level_set)
         rows = g.build_ghost_rows(classification, cfg.stencil_strategy(), bench.coefficients)
-        axis = np.array([collar.mode == "axis" for collar in rows.collars])
-        fallbacks = [c.mode == "axis" for c in g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)]
-        assert rows.rebuilt.dtype == bool
-        assert (axis.sum(), rows.rebuilt.sum(), sum(fallbacks)) == (222, 213, 9)
-        assert np.array_equal(axis & ~rows.rebuilt, fallbacks)
-        assert not (rows.rebuilt & fallbacks).any()
+        source = rows.collars.source
+        fallbacks = g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set).source == g.Collars.AXIS
+        axis, rebuilt = source == g.Collars.AXIS, source == g.Collars.REBUILD
+        assert ((axis | rebuilt).sum(), rebuilt.sum(), fallbacks.sum()) == (222, 213, 9)
+        assert np.array_equal(axis, fallbacks)
+        assert not (rebuilt & fallbacks).any()
+        cli._write_ghost_csv(tmp_path / "ghosts.csv", rows, g.stencil_diagnostics(rows), classification.n_interior)
+        modes = np.array([line.rsplit(",", 1)[1] for line in (tmp_path / "ghosts.csv").read_text().splitlines()[1:]])
+        codes = (g.Collars.CLOSEST, g.Collars.AXIS, g.Collars.REBUILD)
+        assert [set(modes[source == code]) for code in codes] == [{"closest"}, {"axis"}, {"axis"}]
 
     def test_batch_streams_equal_one_stream_at_a_time(self, annulus_bench, annulus_160):
         # the (B, T) first-radius pass of a batch against each ghost read as
@@ -589,11 +612,11 @@ class TestConeStrategies:
         collars = g.collars_for_ghosts(classification.ghost_ij[::9], grid, annulus_bench.level_set)
         for aperture in (60.0, 360.0):
             batch = _Cones(collars, aperture, classification)
-            for k, collar in enumerate(collars):
-                alone = _Cones([collar], aperture, classification)
+            for k, collar in enumerate(collar_rows(collars)):
+                alone = _Cones(collar, aperture, classification)
                 segment = batch.nodes[batch.start[k]:batch.end[k]].tolist()
                 assert segment == alone.nodes.tolist()
-                ghost = collar.ghost_ij
+                ghost = ghost_of(collar)
                 near = [
                     node for node in _reference_cone(ghost, collar, aperture, classification)
                     if (node[0] - ghost[0]) ** 2 + (node[1] - ghost[1]) ** 2 <= FIRST_CONE_RADIUS**2
@@ -605,7 +628,7 @@ class TestConeStrategies:
         grid, classification = annulus_160
         collars = g.collars_for_ghosts(classification.ghost_ij, grid, annulus_bench.level_set)
         wnorm = _Cones(collars, 60.0, classification).wnorm
-        assert wnorm.tobytes() == np.array([np.linalg.norm(c.toward_boundary()) for c in collars]).tobytes()
+        assert wnorm.tobytes() == np.array([np.linalg.norm(toward_boundary(c)) for c in collar_rows(collars)]).tobytes()
 
     def test_phase_2_without_collars(self, monkeypatch):
         # Without collars the cone stage gives empty columns.  No stencil
@@ -616,13 +639,14 @@ class TestConeStrategies:
         classification = g.classify_nodes(grid, bench.level_set)
         strategy = g.StencilStrategy(kind="S4.3", local_tol=1.0)
         solver = GhostOperatorSolver(grid, bench.coefficients.robin, order=2)
-        columns, errors = _cone_batch([], strategy, classification, solver)
+        none = g.collars_for_ghosts(classification.ghost_ij[:0], grid, bench.level_set)
+        columns, errors = _cone_batch(none, strategy, classification, solver)
         assert errors == []
         assert [(c.shape, c.dtype.kind) for c in columns] == [
             ((0, MAX_STENCIL_SIZE, 2), "i"), ((0,), "i"), ((0, MAX_STENCIL_SIZE), "f"), ((0,), "f"), ((0,), "i"),
             ((0,), "f"),
         ]
-        assert solver.rhs([]).shape == (0, solver.n_constraints)
+        assert solver.rhs(none).shape == (0, solver.n_constraints)
         calls = []
         batch = stencils._cone_batch
         monkeypatch.setattr(stencils, "_cone_batch", lambda collars, *args: (
@@ -684,7 +708,7 @@ class TestConeStrategies:
         _, classification = annulus_160
         rows = annulus_160_stages["S4.1"]
         ghost = tuple(int(v) for v in classification.ghost_ij[11])
-        w = rows.collars[11].toward_boundary()
+        w = toward_boundary(rows.collars.take([11]))
         cos_half = math.cos(math.radians(rows.aperture[11] / 2.0))
         for i, j in per_row(rows, rows.member_ij)[11][1:]:
             v = np.array([i - ghost[0], j - ghost[1]], dtype=float)
@@ -706,7 +730,7 @@ class TestSwapRule:
         collars = g.collars_for_ghosts(classification.ghost_ij, grid, bench.level_set)
         members, coeffs = per_row(rows, rows.member_ij), per_row(rows, rows.coeffs)
         outcomes = []
-        for k, collar in enumerate(collars):
+        for k, collar in enumerate(collar_rows(collars)):
             ref_members, solve, swaps, aperture, trials = _reference_cone_row(collar, strategy, classification, solver)
             assert members[k].dtype == ref_members.dtype and np.array_equal(members[k], ref_members)
             assert coeffs[k].tobytes() == solve.coeffs.tobytes()
@@ -741,7 +765,7 @@ class TestExtension:
         assert extended.n_interior == classification.n_interior
         # every triangle is now fully active
         collars = g.collars_for_ghosts(extended.ghost_ij, grid, annulus_bench.level_set)
-        assert all(same_collar(a, b) for a, b in zip(band, collars, strict=True))
+        assert same_collars(band, collars)
         members, errors = triangle_stencils("S1", collars, strategy.triangle_size, extended)
         assert errors == [None] * len(collars)
         assert (extended.active_index[tuple(members.reshape(-1, 2).T)] >= 0).all()
@@ -802,7 +826,7 @@ class TestExtension:
             assert classification.n_ghost == 480
         again = g.build_ghost_rows(classification, cfg.stencil_strategy(), bench.coefficients)
         assert len(seen) == 2 * classification.n_ghost
-        assert all(same_collar(a, b) for a, b in zip(result.rows.collars, again.collars, strict=True))
+        assert same_collars(result.rows.collars, again.collars)
         for column in ("sizes", "member_ij", "coeffs", "rhs", "chi", "r_ratio"):
             assert same_bits(getattr(result.rows, column), getattr(again, column)), column
 
@@ -821,7 +845,7 @@ def _all_active_stub(grid):
 
 def _brute_force_cone(ghost, collar, aperture, grid, classification):
     """Independent oracle: filter and sort every active node."""
-    w = collar.toward_boundary()
+    w = toward_boundary(collar)
     wn = np.linalg.norm(w)
     cos_half = math.cos(math.radians(aperture / 2.0))
     out = []
@@ -845,7 +869,7 @@ def _reference_cone(ghost, collar, aperture, classification):
     """The active cone nodes of ``ghost`` in (d^2, i, j) order, from every node at once."""
     i, j = np.nonzero(classification.active_index >= 0)
     di, dj = i - ghost[0], j - ghost[1]
-    w = collar.toward_boundary()
+    w = toward_boundary(collar)
     dist = np.sqrt(di * di + dj * dj)
     keep = dist > 0
     if aperture < 360.0:
@@ -867,7 +891,7 @@ def _reference_cone_row(collar, strategy, classification, solver):
     Returns the members, their solve, the accepted swaps, the final
     aperture and each swap trial's outcome.
     """
-    ghost = collar.ghost_ij
+    ghost = ghost_of(collar)
     aperture = strategy.aperture_deg
     cone = _reference_cone(ghost, collar, aperture, classification)
 

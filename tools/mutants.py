@@ -116,6 +116,13 @@ MUTANTS = {
         "if np.all((np.asarray(self.dirichlet) == 0.0) & (np.asarray(self.neumann) == 0.0)):",
         ["tests/test_basis.py::TestBoundaryAction::test_robin_coefficients_must_not_vanish"],
     ),
+    "M13": (
+        "a ghost on the boundary aims along its outward normal",
+        "src/ghostbc/stencils.py",
+        "return np.where((np.sqrt(np.vecdot(d, d)) > 1e-12)[:, None], d, -collars.normal)",
+        "return np.where((np.sqrt(np.vecdot(d, d)) > 1e-12)[:, None], d, collars.normal)",
+        ["tests/test_geometry.py::TestProjection::test_zero_displacement_direction_uses_normal"],
+    ),
 }
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 import ghostbc as g
 from ghostbc.errors import GhostBcError
+from ghostbc.geometry import Collars
 from ghostbc.stencils import extend_classification
 
 #: The gate levels: every strategy on every domain at a coarse grid, the
@@ -39,7 +40,7 @@ GATE = (
     ("flower", "S4.3", 283), ("annulus", "S4.3", 343), ("annulus", "S4.3", 502),
 )
 
-COLUMNS = ("ghost_ij", "sizes", "member_ij", "coeffs", "rhs", "chi", "r_ratio", "swaps", "aperture", "rebuilt")
+COLUMNS = ("ghost_ij", "sizes", "member_ij", "coeffs", "rhs", "chi", "r_ratio", "swaps", "aperture")
 
 
 def _feed(digest, array) -> None:
@@ -49,14 +50,23 @@ def _feed(digest, array) -> None:
 
 
 def rows_digest(rows) -> str:
-    """SHA-256 of every column of ``rows`` and every field of its collars."""
+    """SHA-256 of every column of ``rows`` and every column of its collars.
+
+    The bytes keep the layout of tables that stored the rebuild flag as a
+    bool column after ``aperture`` and their collars one object per row, so
+    digests compare across that change: the flag (``source == REBUILD``)
+    comes after the table's columns, then per row the ``collar_mode`` text
+    and the ghost as ``(i, j)``, its ``ghost_xy``, ``point`` and ``normal``.
+    """
     digest = hashlib.sha256()
     for name in COLUMNS:
         _feed(digest, getattr(rows, name))
-    for collar in rows.collars:
-        digest.update(f"{collar.mode}{collar.ghost_ij}".encode())
-        for field in (collar.ghost_xy, collar.point, collar.normal):
-            _feed(digest, field)
+    collars = rows.collars
+    _feed(digest, collars.source == Collars.REBUILD)
+    for k, (mode, ghost) in enumerate(zip(collars.mode.tolist(), collars.ghost_ij.tolist())):
+        digest.update(f"{mode}{tuple(ghost)}".encode())
+        for column in (collars.ghost_xy, collars.point, collars.normal):
+            _feed(digest, column[k])
     return digest.hexdigest()
 
 
