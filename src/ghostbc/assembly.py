@@ -77,9 +77,9 @@ class SparseSystem:
 class GhostRows:
     """Every ghost row of a level, one column per per-ghost fact.
 
-    Row k is the equation of ghost ``ghost_ij[k]`` (classification order):
-    ``sizes[k]`` members, the ghost itself first, stored row after row in
-    ``member_ij`` with their coefficients at the same positions of
+    Row k is the equation of ghost ``collars.ghost_ij[k]`` (classification
+    order): ``sizes[k]`` members, the ghost itself first, stored row after
+    row in ``member_ij`` with their coefficients at the same positions of
     ``coeffs``, and the datum ``rhs[k]`` enforced at ``collars[k]``.
     ``chi`` is the condition number of the row's constraint matrix and
     ``r_ratio`` the largest ratio of another ghost member's coefficient to
@@ -90,7 +90,6 @@ class GhostRows:
     closest-point projection fell back to the axis.
     """
 
-    ghost_ij: np.ndarray  # (G, 2)
     sizes: np.ndarray  # (G,)
     member_ij: np.ndarray  # (sizes.sum(), 2)
     coeffs: np.ndarray  # (sizes.sum(),)
@@ -208,7 +207,6 @@ def build_ghost_rows(
     kept = np.arange(member_ij.shape[1]) < sizes[:, None]
     member_ij, row_coeffs = member_ij[kept], row_coeffs[kept]
     return GhostRows(
-        ghost_ij=classification.ghost_ij,
         sizes=sizes,
         member_ij=member_ij,
         coeffs=row_coeffs,
@@ -237,7 +235,7 @@ def assemble(
     owner = np.repeat(np.arange(len(ghost_rows), dtype=np.int64), ghost_rows.sizes)
     cols_g = classification.index_at(*ghost_rows.member_ij.T)
     if (cols_g < 0).any():
-        bad = tuple(int(v) for v in ghost_rows.ghost_ij[owner[np.argmax(cols_g < 0)]])
+        bad = tuple(int(v) for v in ghost_rows.collars.ghost_ij[owner[np.argmax(cols_g < 0)]])
         raise MissingNeighbor(f"ghost row {bad} references an inactive node")
 
     n = classification.n_active

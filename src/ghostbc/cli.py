@@ -221,7 +221,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_ghost_csv(path: Path, rows: assembly.GhostRows, diagnostics: StencilDiagnostics, n_interior: int) -> None:
-    columns = zip(rows.ghost_ij.tolist(), rows.sizes, diagnostics.diameters, rows.chi, rows.r_ratio, rows.collars.mode)
+    collars = rows.collars
+    columns = zip(collars.ghost_ij.tolist(), rows.sizes, diagnostics.diameters, rows.chi, rows.r_ratio, collars.mode)
     lines = ["k,i,j,size,diameter,chi,r_ratio,collar_mode"] + [
         f"{n_interior + k},{i},{j},{size},{_fmt(diameter)},{_fmt(chi)},{_fmt(ratio)},{mode}"
         for k, ((i, j), size, diameter, chi, ratio, mode) in enumerate(columns)

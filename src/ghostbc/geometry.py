@@ -140,7 +140,8 @@ class NodeClassification:
         """Active index of the nodes (i, j), integer arrays of one shape; -1 off the lattice or inactive."""
         n = self.grid.n
         inside = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
-        return np.where(inside, self.active_index[np.where(inside, i, 0), np.where(inside, j, 0)], -1)
+        # One read of the flattened lattice; an off-lattice node's flat index is clipped into it, then masked.
+        return np.where(inside, self.active_index.take(i * (n + 1) + j, mode="clip"), -1)
 
     def active_coords(self) -> np.ndarray:
         """(n_active, 2) coordinates in active-index order."""

@@ -68,7 +68,7 @@ def rows_of(rows):
     return [
         Row(tuple(int(v) for v in ij), *fields)
         for ij, *fields in zip(
-            rows.ghost_ij, per_row(rows, rows.member_ij), per_row(rows, rows.coeffs), rows.rhs,
+            rows.collars.ghost_ij, per_row(rows, rows.member_ij), per_row(rows, rows.coeffs), rows.rhs,
             rows.chi, rows.r_ratio, collar_rows(rows.collars), rows.swaps, rows.aperture,
         )
     ]

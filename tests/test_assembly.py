@@ -33,17 +33,20 @@ def identity_ghost_rows(classification, rows=None):
     ``rows`` maps a ghost's position to its ``(member_ij, coeffs, rhs)``.
     """
     rows = rows or {}
-    pieces = [rows.get(k, (ij[None], np.ones(1), 0.0)) for k, ij in enumerate(classification.ghost_ij)]
+    ghost_ij = classification.ghost_ij
+    pieces = [rows.get(k, (ij[None], np.ones(1), 0.0)) for k, ij in enumerate(ghost_ij)]
     count = len(pieces)
+    # the rows enforce no boundary datum: the collars carry the ghosts, with no points or normals
+    nowhere = np.full(ghost_ij.shape, np.nan)
+    ghost_xy = np.column_stack(classification.grid.coords(*ghost_ij.T))
     return g.GhostRows(
-        ghost_ij=classification.ghost_ij,
         sizes=np.array([len(members) for members, _, _ in pieces]),
         member_ij=np.concatenate([members for members, _, _ in pieces]),
         coeffs=np.concatenate([coeffs for _, coeffs, _ in pieces]),
         rhs=np.array([rhs for _, _, rhs in pieces]),
         chi=np.ones(count),
         r_ratio=np.zeros(count),
-        collars=None,  # the rows enforce no boundary datum, and nothing here reads a collar
+        collars=g.Collars(ghost_ij, ghost_xy, nowhere, nowhere, np.full(count, g.Collars.CLOSEST, dtype=np.int8)),
         swaps=np.zeros(count, dtype=int),
         aperture=np.zeros(count),
     )
@@ -136,8 +139,8 @@ class TestGhostRow:
             return np.vstack([classification.ghost_ij[k], outside]), np.ones(2), 0.0
 
         rows = identity_ghost_rows(classification, {5: bad(5), 2: bad(2)})
-        with pytest.raises(MissingNeighbor, match=rf"ghost row \({rows.ghost_ij[2][0]}, {rows.ghost_ij[2][1]}\) "
-                           "references an inactive node"):
+        i, j = rows.collars.ghost_ij[2]
+        with pytest.raises(MissingNeighbor, match=rf"ghost row \({i}, {j}\) references an inactive node"):
             g.assemble(classification, laplace_coefficients(), rows)
 
     def test_off_lattice_member_raises(self, square_setup):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,7 +175,27 @@ def test_catalog_self_checks():
             bench = by_name(name, kappa=1.5, u0=3.0)
         else:
             bench = by_name(name)
-        bench.self_check(n_samples=50)
+        bench.self_check()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_self_check_refuses_data_off_the_solution(name):
+    # construction checks every catalog problem, so a wrong datum in a
+    # factory (a flipped Neumann sign, say) raises here before the wrapping
+    bench = by_name(name, kappa=1.5, u0=3.0)
+    coeffs = bench.coefficients
+
+    def robin(points, normals):
+        data = coeffs.robin(points, normals)
+        return g.RobinData(data.dirichlet, data.neumann, data.value + 1e-6)
+
+    def source(x, y):
+        return coeffs.source(x, y) + 1e-6
+
+    for changed, what in (({"robin": robin}, "Robin"), ({"source": source}, "PDE")):
+        off = dataclasses.replace(bench, coefficients=dataclasses.replace(coeffs, **changed))
+        with pytest.raises(ValueError, match=rf"benchmark '{re.escape(bench.name)}': {what} residual"):
+            off.self_check()
 
 
 def test_robin_data_normal_is_unit(annulus_bench, annulus_160):

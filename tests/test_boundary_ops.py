@@ -687,7 +687,7 @@ class TestLockstepLevel:
         coeffs = annulus_bench.coefficients
         rows = g.build_ghost_rows(classification, strategy, coeffs)
         rebuilt = np.flatnonzero(rows.collars.source == g.Collars.REBUILD)
-        first, second, third = (tuple(int(v) for v in rows.ghost_ij[k]) for k in rebuilt[:3])
+        first, second, third = (tuple(int(v) for v in rows.collars.ghost_ij[k]) for k in rebuilt[:3])
         inject_outcomes(monkeypatch, {
             (first, "axis"): NotAdmissible("not adopted"),  # keeps the S4.2 row
             **{(ghost, "axis"): InactiveMember(f"rebuild of ghost {ghost} failed") for ghost in (second, third)},

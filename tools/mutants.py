@@ -123,6 +123,13 @@ MUTANTS = {
         "return np.where((np.sqrt(np.vecdot(d, d)) > 1e-12)[:, None], d, collars.normal)",
         ["tests/test_geometry.py::TestProjection::test_zero_displacement_direction_uses_normal"],
     ),
+    "M14": (
+        "the complex domains' Neumann datum has the wrong sign",
+        "src/ghostbc/benchmarks.py",
+        "np.where(dirichlet, solution(x, y), gx * normals[:, 0] + gy * normals[:, 1])",
+        "np.where(dirichlet, solution(x, y), -(gx * normals[:, 0] + gy * normals[:, 1]))",
+        ["tests/test_benchmarks.py::test_self_check_refuses_data_off_the_solution"],
+    ),
 }
 
 

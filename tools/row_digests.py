@@ -40,7 +40,7 @@ GATE = (
     ("flower", "S4.3", 283), ("annulus", "S4.3", 343), ("annulus", "S4.3", 502),
 )
 
-COLUMNS = ("ghost_ij", "sizes", "member_ij", "coeffs", "rhs", "chi", "r_ratio", "swaps", "aperture")
+COLUMNS = ("sizes", "member_ij", "coeffs", "rhs", "chi", "r_ratio", "swaps", "aperture")
 
 
 def _feed(digest, array) -> None:
@@ -52,16 +52,19 @@ def _feed(digest, array) -> None:
 def rows_digest(rows) -> str:
     """SHA-256 of every column of ``rows`` and every column of its collars.
 
-    The bytes keep the layout of tables that stored the rebuild flag as a
-    bool column after ``aperture`` and their collars one object per row, so
-    digests compare across that change: the flag (``source == REBUILD``)
-    comes after the table's columns, then per row the ``collar_mode`` text
-    and the ghost as ``(i, j)``, its ``ghost_xy``, ``point`` and ``normal``.
+    The bytes keep the layout of tables that held the ghosts as their first
+    column, stored the rebuild flag as a bool column after ``aperture`` and
+    their collars one object per row, so digests compare across those
+    changes: the collars' ghost column comes first, the flag
+    (``source == REBUILD``) after the table's columns, then per row the
+    ``collar_mode`` text and the ghost as ``(i, j)``, its ``ghost_xy``,
+    ``point`` and ``normal``.
     """
     digest = hashlib.sha256()
+    collars = rows.collars
+    _feed(digest, collars.ghost_ij)
     for name in COLUMNS:
         _feed(digest, getattr(rows, name))
-    collars = rows.collars
     _feed(digest, collars.source == Collars.REBUILD)
     for k, (mode, ghost) in enumerate(zip(collars.mode.tolist(), collars.ghost_ij.tolist())):
         digest.update(f"{mode}{tuple(ghost)}".encode())
