@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import DERIVATIVE_WEIGHTS, GhostRows
-from .errors import DegenerateFit, MissingNeighbor
+from .errors import DegenerateFit
 from .geometry import NodeClassification
 
 NORM_NAMES = ("l1", "linf", "grad_l1", "grad_linf")
@@ -41,21 +41,11 @@ def reconstruct_gradient(solution: np.ndarray, classification: NodeClassificatio
     active-node numbering, which is what makes the reconstruction fourth
     order up to the boundary.
     """
-    interior = classification.interior_ij
-    out = np.zeros((len(interior), 2))
-    h = classification.grid.h
-    for axis in (0, 1):
-        acc = np.zeros(len(interior))
-        for pos, off in enumerate((-2, -1, 1, 2)):
-            w = DERIVATIVE_WEIGHTS[(0, 1, 3, 4)[pos]]
-            ii = interior[:, 0] + (off if axis == 0 else 0)
-            jj = interior[:, 1] + (off if axis == 1 else 0)
-            idx = classification.index_at(ii, jj)
-            if idx.min() < 0:
-                raise MissingNeighbor("gradient stencil references an inactive or off-lattice node")
-            acc += w * solution[idx]
-        out[:, axis] = acc / h
-    return out
+    cross = classification.cross()
+    return np.column_stack([  # the centre's weight is zero
+        sum(DERIVATIVE_WEIGHTS[slot] * solution[cross[:, axis, slot]] for slot in (0, 1, 3, 4)) / classification.grid.h
+        for axis in (0, 1)
+    ])
 
 
 def compute_errors(

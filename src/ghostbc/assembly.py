@@ -29,8 +29,6 @@ LAPLACE_WEIGHTS = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 
 #: Fourth-order centred weights for the first derivative (offsets -2..2), * 1/h.
 DERIVATIVE_WEIGHTS = np.array([1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0])
 
-OFFSETS = np.array([-2, -1, 0, 1, 2])
-
 #: Relative residual every solve must reach.
 SOLVE_TOLERANCE = 1e-10
 
@@ -115,7 +113,11 @@ class SolveReport:
 
 
 def _interior_block(coeffs: ProblemCoefficients, classification: NodeClassification):
-    """COO triplets and right-hand side for the interior rows of ``classification``."""
+    """COO triplets and right-hand side for the interior rows of ``classification``.
+
+    A row holds the ten slots of its node's ``cross()``; the centre appears
+    in both crosses, and the CSR conversion sums its two entries.
+    """
     interior_ij = classification.interior_ij
     grid = classification.grid
     n_rows = len(interior_ij)
@@ -126,32 +128,14 @@ def _interior_block(coeffs: ProblemCoefficients, classification: NodeClassificat
     v = np.broadcast_to(np.asarray(v, dtype=float), (n_rows,))
     rhs = np.broadcast_to(np.asarray(coeffs.source(x, y), dtype=float), (n_rows,)).copy()
 
-    rows = np.repeat(np.arange(n_rows), 9)  # interior nodes are numbered first
-    cols = np.empty((n_rows, 9), dtype=np.int64)
-    vals = np.empty((n_rows, 9), dtype=float)
+    cross = classification.cross()
+    vals = np.empty(cross.shape)
     diffusion = -coeffs.diffusion / h**2 * LAPLACE_WEIGHTS
-
-    slot = 0
     for axis, vel in ((0, u), (1, v)):
-        for pos, off in enumerate(OFFSETS):
-            if off == 0 and axis == 1:
-                continue  # centre slot shared between the two crosses
-            ii = interior_ij[:, 0] + (off if axis == 0 else 0)
-            jj = interior_ij[:, 1] + (off if axis == 1 else 0)
-            idx = classification.index_at(ii, jj)
-            if idx.min() < 0:
-                bad = np.argmin(idx)
-                raise MissingNeighbor(
-                    f"interior row at {tuple(interior_ij[bad])} references inactive or off-lattice node "
-                    f"({ii[bad]}, {jj[bad]})"
-                )
-            cols[:, slot] = idx
-            value = diffusion[pos] + vel * (DERIVATIVE_WEIGHTS[pos] / h)
-            if off == 0 and axis == 0:
-                value = value + diffusion[2]  # y-cross centre weight
-            vals[:, slot] = value
-            slot += 1
-    return rows, cols.ravel(), vals.ravel(), rhs
+        for slot in range(cross.shape[2]):
+            vals[:, axis, slot] = diffusion[slot] + vel * (DERIVATIVE_WEIGHTS[slot] / h)
+    rows = np.repeat(np.arange(n_rows), cross[0].size)  # interior nodes are numbered first
+    return rows, cross.ravel(), vals.ravel(), rhs
 
 
 def _ghost_ratios(

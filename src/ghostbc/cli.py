@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analysis, assembly, benchmarks, stencils
 from .analysis import NORM_NAMES, ConvergenceSeries, ErrorReport, StencilDiagnostics
-from .basis import space_dimension
+from .basis import DEFAULT_ORDER, space_dimension
 from .errors import ConfigError, DegenerateFit, GhostBcError, UnknownDomain
 from .geometry import Grid, NodeClassification, classify_nodes
 from .stencils import StencilStrategy
@@ -55,7 +55,7 @@ class RunConfig:
     lambda_loc: float = 1e6
     lambda_glo: float = 10.0
     max_swaps: int = 3
-    order: int = 5
+    order: int = DEFAULT_ORDER
     n: int | None = None
     sweep: list[int] | None = None
     out: str | None = None

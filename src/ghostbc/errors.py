@@ -39,10 +39,6 @@ class InactiveMember(GhostBcError):
     """A stencil references a node outside the active set."""
 
 
-class CandidatesExhausted(GhostBcError):
-    """The ordered cone candidate list ran out of nodes."""
-
-
 class NotAdmissible(GhostBcError):
     """Constraint matrix is rank-deficient; stencil cannot represent the operator."""
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     EmptyInterior,
     GeometryError,
+    MissingNeighbor,
     NoAxisIntersection,
     NodeOnBoundary,
     ProjectionDiverged,
@@ -142,6 +143,25 @@ class NodeClassification:
         inside = (i >= 0) & (i <= n) & (j >= 0) & (j <= n)
         # One read of the flattened lattice; an off-lattice node's flat index is clipped into it, then masked.
         return np.where(inside, self.active_index.take(i * (n + 1) + j, mode="clip"), -1)
+
+    def cross(self) -> np.ndarray:
+        """Active indices (n_interior, 2, 5) of each interior node's width-5 cross: x then y, offsets -2..2.
+
+        Raises ``MissingNeighbor`` at the first slot whose node is inactive or off the lattice.
+        """
+        ij = self.interior_ij
+        table = np.empty((len(ij), 2, 2 * STENCIL_REACH + 1), dtype=np.int64)
+        for axis, slot in np.ndindex(table.shape[1:]):
+            node = ij.copy()
+            node[:, axis] += slot - STENCIL_REACH
+            index = table[:, axis, slot] = self.index_at(node[:, 0], node[:, 1])
+            if index.min() < 0:
+                bad = index.argmin()
+                raise MissingNeighbor(
+                    f"interior cross of node {tuple(ij[bad].tolist())} references inactive or off-lattice "
+                    f"node {tuple(node[bad].tolist())}"
+                )
+        return table
 
     def active_coords(self) -> np.ndarray:
         """(n_active, 2) coordinates in active-index order."""

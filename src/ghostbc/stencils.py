@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_ops import GhostOperatorSolver, coefficient_amplification
-from .errors import CandidatesExhausted, GeometryError, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
+from .errors import GeometryError, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
 from .geometry import Collars, NodeClassification, axis_projection, collars_for_ghosts
 
 logger = logging.getLogger(__name__)
@@ -350,27 +350,29 @@ def _grow(
     right-hand side is ``rhs[k]`` and grows in place from ``cones``.  Every
     round solves the pending trials of all ghosts, one ``solver.solve``
     per member count.  Before the first round, the trials that are
-    rank-deficient by construction (``solver.deficient``, one call per
-    member count of each screening pass) take their next candidate without
-    being solved; grown from a trial that passed, a trial keeps full rank.
+    rank-deficient by construction take their next candidate without being
+    solved: those with fewer members than constraints by shape, the others
+    by ``solver.deficient`` (one call per member count of each screening
+    pass); grown from a trial that passed, a trial keeps full rank.
     Returns the finished ghosts' coefficients, zero-padded to the width of
     ``members``, and chi (zeros and ``inf`` for the others), and the
-    ``NotAdmissible`` of each ghost grown past ``MAX_STENCIL_SIZE`` or out
-    of candidates.
+    ``NotAdmissible`` of each ghost grown to the width of ``members`` or
+    out of candidates.
     """
     coeffs = np.zeros(members.shape)
     chi = np.full(len(sizes), np.inf)
     failed: dict[int, NotAdmissible] = {}
     ended = np.zeros(len(sizes), dtype=bool)
+    cap = members.shape[1]
 
     def extend(ks: np.ndarray) -> np.ndarray:
-        full = ks[sizes[ks] >= MAX_STENCIL_SIZE]
+        full = ks[sizes[ks] >= cap]
         for k in full.tolist():
             failed[k] = NotAdmissible(
                 f"stencil for ghost {cones.ghost(k)} grew past {MAX_STENCIL_SIZE} "
                 "points without becoming well conditioned"
             )
-        grown, exhausted = _append(cones, members, sizes, ks[sizes[ks] < MAX_STENCIL_SIZE])
+        grown, exhausted = _append(cones, members, sizes, ks[sizes[ks] < cap])
         for k in exhausted.tolist():
             failed[k] = NotAdmissible(f"cone candidates exhausted for ghost {cones.ghost(k)}")
         ended[full] = ended[exhausted] = True
@@ -379,7 +381,8 @@ def _grow(
     screen = pending
     while len(screen):
         screen = extend(np.concatenate([
-            ks[solver.deficient(cones.nodes[members[ks, :m]])] for m, ks in _by_size(screen, sizes)
+            ks if m < solver.n_constraints else ks[solver.deficient(cones.nodes[members[ks, :m]])]
+            for m, ks in _by_size(screen, sizes)
         ]))
     while len(pending):
         grown = []
@@ -407,8 +410,7 @@ def _cone_batch(
     with per ghost None or the ``GhostBcError`` it failed with (its row
     then reads zero coefficients and chi ``inf``).  The collars' right-hand
     sides are built once for every stage; without collars the columns are
-    empty.  S4.1 is one ``_grow`` of every ghost's first ``n_constraints``
-    candidates.
+    empty.  S4.1 is one ``_grow`` of every ghost from the ghost alone.
     S4.2 then runs up to ``max_swaps`` swap rounds, each one ``_grow`` of
     the swap trials of the ghosts whose amplification still reaches the
     global tolerance.  A swap trial drops the member with the largest
@@ -424,18 +426,12 @@ def _cone_batch(
     """
     cones = _Cones(collars, strategy.aperture_deg, classification)
     rhs = solver.rhs(collars)
-    errors: list[GhostBcError | None] = [None] * len(collars)
     width = max(MAX_STENCIL_SIZE, solver.n_constraints)
     members = np.zeros((len(collars), width), dtype=np.int64)
     members[:, 0] = cones.start
     sizes = np.ones(len(collars), dtype=np.int64)
-    live = np.arange(len(collars))
-    for _ in range(solver.n_constraints - 1):
-        live, exhausted = _append(cones, members, sizes, live)
-        for k in exhausted.tolist():
-            errors[k] = CandidatesExhausted(f"cone candidates exhausted for ghost {cones.ghost(k)}")
-    coeffs, chi, failed = _grow(cones, members, sizes, live, rhs, strategy, solver)
-    errors = [failed.get(k, error) for k, error in enumerate(errors)]
+    coeffs, chi, failed = _grow(cones, members, sizes, np.arange(len(collars)), rhs, strategy, solver)
+    errors: list[GhostBcError | None] = [failed.get(k) for k in range(len(collars))]
     ratios = coefficient_amplification(coeffs)
     swaps = np.zeros(len(collars), dtype=np.int64)
     swapping = np.flatnonzero((chi < np.inf) & (ratios >= strategy.global_tol))

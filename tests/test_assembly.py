@@ -144,13 +144,14 @@ class TestGhostRow:
             g.assemble(classification, laplace_coefficients(), rows)
 
     def test_off_lattice_member_raises(self, square_setup):
-        # a member one node past the box edge; an index of -1 would wrap
-        # to the active ghost on the opposite edge
+        # a member (i, -1) one node past the bottom edge, next to the edge
+        # ghost (i, 0); read without its lower bound, its flat index is that
+        # of the active ghost (i - 1, n) on the opposite edge
         grid, classification = square_setup
-        k = int(np.flatnonzero(classification.ghost_ij[:, 0] == 0)[0])
+        k = int(np.flatnonzero((classification.ghost_ij[:, 1] == 0) & (classification.ghost_ij[:, 0] >= 3))[0])
         ghost = classification.ghost_ij[k]
-        past = ghost - (1, 0)
-        assert classification.active_index[tuple(past)] >= 0
+        past = ghost - (0, 1)
+        assert classification.active_index[ghost[0] - 1, grid.n] >= 0
         rows = identity_ghost_rows(classification, {k: (np.vstack([ghost, past]), np.ones(2), 0.0)})
         with pytest.raises(MissingNeighbor, match=rf"ghost row \({ghost[0]}, {ghost[1]}\) references"):
             g.assemble(classification, laplace_coefficients(), rows)

@@ -192,8 +192,15 @@ def test_self_check_refuses_data_off_the_solution(name):
     def source(x, y):
         return coeffs.source(x, y) + 1e-6
 
-    for changed, what in (({"robin": robin}, "Robin"), ({"source": source}, "PDE")):
-        off = dataclasses.replace(bench, coefficients=dataclasses.replace(coeffs, **changed))
+    def gradient(x, y):
+        gx, gy = bench.solution_gradient(x, y)
+        return gx, gy + 1e-6
+
+    for off, what in (
+        (dataclasses.replace(bench, coefficients=dataclasses.replace(coeffs, robin=robin)), "Robin"),
+        (dataclasses.replace(bench, coefficients=dataclasses.replace(coeffs, source=source)), "PDE"),
+        (dataclasses.replace(bench, solution_gradient=gradient), "gradient"),
+    ):
         with pytest.raises(ValueError, match=rf"benchmark '{re.escape(bench.name)}': {what} residual"):
             off.self_check()
 

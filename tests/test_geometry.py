@@ -188,6 +188,15 @@ class TestClassifyNodes:
         assert (expected[0, 1:] >= 0).all()
         assert np.array_equal(classification.index_at(i, j), expected)
 
+    def test_cross_lists_each_interior_node_s_axis_neighbours(self):
+        classification = g.classify_nodes(g.Grid(32), annulus_level_set())
+        active = classification.active_index
+        expected = [
+            [[active[i + off, j] for off in range(-2, 3)], [active[i, j + off] for off in range(-2, 3)]]
+            for i, j in classification.interior_ij.tolist()
+        ]
+        assert classification.cross().tolist() == expected
+
 
 def project_point(xy, level_set):
     """Closest-point projection of one point, which must converge: a record of one row."""

@@ -11,7 +11,7 @@ from conftest import circle_level_set, collar_rows, ghost_layers, node_xy, one_c
 from ghostbc import benchmarks, cli, geometry, stencils
 from ghostbc.benchmarks import flower_level_set, hourglass_level_set
 from ghostbc.boundary_ops import GhostOperatorSolver, coefficient_amplification
-from ghostbc.errors import CandidatesExhausted, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
+from ghostbc.errors import GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
 from ghostbc.stencils import (
     APERTURE_STEP,
     CONE_KINDS,
@@ -525,6 +525,18 @@ class TestCandidateStream:
 
 
 class TestConeStrategies:
+    @pytest.mark.parametrize("kind", CONE_KINDS)
+    def test_dry_cone_is_not_admissible(self, kind):
+        # one interior node and its eight ghosts: every cone runs dry at
+        # 360 degrees below the 15 members of an order-5 row, which is the
+        # same NotAdmissible as a cone that runs dry later in the growth
+        grid = g.Grid(16)
+        classification = g.classify_nodes(grid, circle_level_set(0.1))
+        assert classification.n_active == 9
+        first = tuple(classification.ghost_ij[0].tolist())
+        with pytest.raises(NotAdmissible, match=re.escape(f"cone candidates exhausted for ghost {first}")):
+            g.build_ghost_rows(classification, g.StencilStrategy(kind), benchmarks.annulus_homogeneous().coefficients)
+
     def test_no_op_branch_keeps_all_stages_identical(self, annulus_160_stages):
         members = {kind: per_row(rows, rows.member_ij) for kind, rows in annulus_160_stages.items()}
         found = False
@@ -899,7 +911,7 @@ def _reference_cone_row(collar, strategy, classification, solver):
         nonlocal aperture, cone
         while (node := next((c for c in cone if c not in used), None)) is None:
             if aperture >= 360.0:
-                raise CandidatesExhausted(f"cone candidates exhausted for ghost {ghost}")
+                raise NotAdmissible(f"cone candidates exhausted for ghost {ghost}")
             aperture = min(360.0, aperture + APERTURE_STEP)
             cone = _reference_cone(ghost, collar, aperture, classification)
         used.add(node)
@@ -914,10 +926,7 @@ def _reference_cone_row(collar, strategy, classification, solver):
                 raise NotAdmissible(
                     f"stencil for ghost {ghost} grew past {MAX_STENCIL_SIZE} points without becoming well conditioned"
                 )
-            try:
-                members.append(take(used))
-            except CandidatesExhausted as exc:
-                raise NotAdmissible(str(exc)) from exc
+            members.append(take(used))
 
     used = {ghost}
     members = [ghost] + [take(used) for _ in range(solver.n_constraints - 1)]
@@ -930,7 +939,7 @@ def _reference_cone_row(collar, strategy, classification, solver):
         try:
             trial.append(take(trial_used))
             trial_solve = grow(trial, trial_used)
-        except (CandidatesExhausted, NotAdmissible):
+        except NotAdmissible:
             outcomes.append("inadmissible")
             break
         trial_ratio = coefficient_amplification(trial_solve.coeffs)

@@ -130,6 +130,20 @@ MUTANTS = {
         "np.where(dirichlet, solution(x, y), -(gx * normals[:, 0] + gy * normals[:, 1]))",
         ["tests/test_benchmarks.py::test_self_check_refuses_data_off_the_solution"],
     ),
+    "M15": (
+        "the complex domains' analytic x-derivative is off by 10%",
+        "src/ghostbc/benchmarks.py",
+        "return (2.0 * np.cos(2.0 * x) * np.sin(5.0 * y),",
+        "return (2.2 * np.cos(2.0 * x) * np.sin(5.0 * y),",
+        ["tests/test_benchmarks.py"],
+    ),
+    "M16": (
+        "an interior cross may reference an inactive node",
+        "src/ghostbc/geometry.py",
+        "            if index.min() < 0:",
+        "            if False:",
+        ["tests/test_assembly.py::TestAssemble::test_missing_neighbor_detected"],
+    ),
 }
 
 
