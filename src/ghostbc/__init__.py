@@ -40,6 +40,6 @@ from .geometry import (
     classify_nodes,
     collars_for_ghosts,
 )
-from .stencils import StencilStrategy, triangle_stencils
+from .stencils import StencilStrategy, extend_classification, triangle_stencils
 
 __version__ = "0.1.0"

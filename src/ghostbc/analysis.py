@@ -85,19 +85,16 @@ def compute_errors(
 
 @dataclass
 class ConvergenceSeries:
-    """Errors across grid levels plus fitted convergence orders."""
+    """Errors across grid levels plus fitted convergence orders; each report carries its n and h."""
 
-    levels: list[tuple[int, float, ErrorReport]] = field(default_factory=list)
-
-    def add(self, n: int, report: ErrorReport) -> None:
-        self.levels.append((n, report.h, report))
+    levels: list[ErrorReport] = field(default_factory=list)
 
     def errors(self, norm: str) -> np.ndarray:
-        return np.array([getattr(rep, norm) for _, _, rep in self.levels])
+        return np.array([getattr(rep, norm) for rep in self.levels])
 
     @property
     def spacings(self) -> np.ndarray:
-        return np.array([h for _, h, _ in self.levels])
+        return np.array([rep.h for rep in self.levels])
 
     def fitted_orders(self) -> dict[str, float]:
         return {norm: fit_order(self.spacings, self.errors(norm)) for norm in NORM_NAMES}

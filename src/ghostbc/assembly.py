@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import DEFAULT_ORDER, RobinData
+from .basis import RobinData
 from .boundary_ops import GhostOperatorSolver
 from .errors import MissingNeighbor, NotAdmissible, SingularMatrix, SolveFailed
 from .geometry import Collars, NodeClassification, collars_for_ghosts
@@ -59,16 +59,10 @@ class ProblemCoefficients:
 
 @dataclass
 class SparseSystem:
-    """Assembled N x N system over the active nodes."""
+    """Assembled N x N system over the active nodes; the classification holds the counts."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    n_interior: int
-    n_ghost: int
-
-    @property
-    def n(self) -> int:
-        return self.n_interior + self.n_ghost
 
 
 @dataclass
@@ -156,7 +150,6 @@ def build_ghost_rows(
     classification: NodeClassification,
     strategy: StencilStrategy,
     coeffs: ProblemCoefficients,
-    order: int = DEFAULT_ORDER,
     collars: Collars | None = None,
 ) -> GhostRows:
     """Collar, stencil and minimum-norm coefficients for every ghost node.
@@ -166,9 +159,9 @@ def build_ghost_rows(
     triangle strategy's level is one stacked solve of the ``triangle_stencils``
     triangles, the first failing ghost's triangle error or inadmissible
     solve raised in ghost order; the cone strategies run in the two phases
-    of ``cone_rows``.
+    of ``cone_rows``.  The rows are exact to ``strategy.order``.
     """
-    solver = GhostOperatorSolver(classification.grid, coeffs.robin, order=order)
+    solver = GhostOperatorSolver(classification.grid, coeffs.robin, order=strategy.order)
     if collars is None:
         collars = collars_for_ghosts(classification.ghost_ij, classification.grid, classification.level_set)
     if strategy.kind in TRIANGLE_KINDS:
@@ -236,8 +229,7 @@ def assemble(
     matrix.sum_duplicates()
     matrix.sort_indices()
     rhs = np.concatenate([rhs_i, ghost_rows.rhs])
-    system = SparseSystem(matrix, rhs, classification.n_interior, classification.n_ghost)
-    return system, ghost_rows
+    return SparseSystem(matrix, rhs), ghost_rows
 
 
 def solve(system: SparseSystem) -> SolveReport:

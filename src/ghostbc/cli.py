@@ -27,7 +27,6 @@ import numpy as np
 
 from . import analysis, assembly, benchmarks, stencils
 from .analysis import NORM_NAMES, ConvergenceSeries, ErrorReport, StencilDiagnostics
-from .basis import DEFAULT_ORDER, space_dimension
 from .errors import ConfigError, DegenerateFit, GhostBcError, UnknownDomain
 from .geometry import Grid, NodeClassification, classify_nodes
 from .stencils import StencilStrategy
@@ -50,12 +49,12 @@ class RunConfig:
     kappa: float | None = None
     u0: float | None = None
     strategy: str = "S4.3"
-    triangle_size: int = 4
-    theta: float = 60.0
-    lambda_loc: float = 1e6
-    lambda_glo: float = 10.0
-    max_swaps: int = 3
-    order: int = DEFAULT_ORDER
+    triangle_size: int = StencilStrategy.triangle_size
+    theta: float = StencilStrategy.theta
+    lambda_loc: float = StencilStrategy.lambda_loc
+    lambda_glo: float = StencilStrategy.lambda_glo
+    max_swaps: int = StencilStrategy.max_swaps
+    order: int = StencilStrategy.order
     n: int | None = None
     sweep: list[int] | None = None
     out: str | None = None
@@ -64,12 +63,14 @@ class RunConfig:
     inject_exact: bool = False
 
     def __post_init__(self) -> None:
-        # a config file's values arrive untyped: each must have its field's type
+        # a config file's values arrive untyped: each must have its field's
+        # type, and a JSON boolean is no number although bool is an Integral
         kinds = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool, "list[int]": (list, tuple)}
         for f in dataclasses.fields(self):
             kind = f.type.split(" | ")[0]
             value = getattr(self, f.name)
-            if value is not None and not isinstance(value, kinds[kind]):
+            wrong = not isinstance(value, kinds[kind]) or (isinstance(value, bool) and kind != "bool")
+            if value is not None and wrong:
                 raise ConfigError(f"config key {f.name!r} must be {kind}, got {value!r}")
         self.strategy = self.strategy.upper().replace("_", ".")
         if self.n is None and not self.sweep:
@@ -77,7 +78,7 @@ class RunConfig:
         if self.n is not None and self.n < MIN_GRID:
             raise ConfigError(f"grid size must be >= {MIN_GRID}, got {self.n}")
         if self.sweep:
-            if not all(isinstance(v, numbers.Integral) for v in self.sweep):
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in self.sweep):
                 raise ConfigError(f"config key 'sweep' must be list[int], got {self.sweep!r}")
             self.sweep = [int(v) for v in self.sweep]
             if any(v < MIN_GRID for v in self.sweep):
@@ -87,25 +88,17 @@ class RunConfig:
             if self.export_matrix:
                 raise ConfigError("a sweep writes no matrix; --export-matrix needs a single run (--n)")
         self.stencil_strategy()  # every strategy knob is checked before any level runs
-        if self.order < 2:
-            raise ConfigError(f"polynomial order must be >= 2, got {self.order}")
-        # a triangle with fewer members than constraints is never admissible
-        members = (self.triangle_size + 1) * (self.triangle_size + 2) // 2
-        if self.strategy in stencils.TRIANGLE_KINDS and members < space_dimension(self.order):
-            raise ConfigError(
-                f"{self.strategy} triangle of size {self.triangle_size} has {members} members, "
-                f"fewer than the {space_dimension(self.order)} constraints of order {self.order}"
-            )
 
     def stencil_strategy(self) -> StencilStrategy:
         try:
             return StencilStrategy(
                 kind=self.strategy,
                 triangle_size=self.triangle_size,
-                aperture_deg=self.theta,
-                local_tol=self.lambda_loc,
-                global_tol=self.lambda_glo,
+                theta=self.theta,
+                lambda_loc=self.lambda_loc,
+                lambda_glo=self.lambda_glo,
                 max_swaps=self.max_swaps,
+                order=self.order,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -122,30 +115,23 @@ class RunConfig:
 
 @dataclass
 class LevelResult:
-    """Outcome of the pipeline on one grid level."""
+    """Outcome of the pipeline on one grid level.
+
+    A sweep's level drops its system and classification, and keeps its
+    rows only when the sweep exports them.
+    """
 
     n: int
     errors: ErrorReport
     diagnostics: StencilDiagnostics
     residual: float
-    rows: assembly.GhostRows = field(repr=False)
-    system: assembly.SparseSystem
-    #: The classification whose active numbering indexes ``system``.
-    classification: NodeClassification = field(repr=False)
-    timings: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class SweepLevel:
-    """What a sweep's artifacts need of one level: not its system or classification."""
-
-    n: int
-    errors: ErrorReport
-    diagnostics: StencilDiagnostics
+    #: Active nodes numbered before the ghosts, which ``rows`` follow.
     n_interior: int
-    timings: dict[str, float]
-    #: The ghost rows, kept only when the sweep exports them.
-    rows: assembly.GhostRows | None = field(default=None, repr=False)
+    rows: assembly.GhostRows | None = field(repr=False)
+    system: assembly.SparseSystem | None
+    #: The classification whose active numbering indexes ``system``.
+    classification: NodeClassification | None = field(repr=False)
+    timings: dict[str, float] = field(default_factory=dict)
 
 
 def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelResult:
@@ -160,7 +146,7 @@ def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelR
     timings["classify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rows = assembly.build_ghost_rows(classification, strategy, bench.coefficients, cfg.order, collars)
+    rows = assembly.build_ghost_rows(classification, strategy, bench.coefficients, collars)
     timings["ghost_rows"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -189,6 +175,7 @@ def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelR
         errors=errors,
         diagnostics=diagnostics,
         residual=residual,
+        n_interior=classification.n_interior,
         rows=rows,
         system=system,
         classification=classification,
@@ -237,7 +224,7 @@ def _run_payload(cfg: RunConfig, bench: benchmarks.Benchmark, result: LevelResul
         "benchmark": bench.name,
         "n": result.n,
         "h": classification.grid.h,
-        "n_interior": classification.n_interior,
+        "n_interior": result.n_interior,
         "n_ghost": classification.n_ghost,
         "residual": result.residual,
         "errors": result.errors.values(),
@@ -258,24 +245,24 @@ def run_single(cfg: RunConfig) -> LevelResult:
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "run.json", _run_payload(cfg, bench, result))
-        _write_ghost_csv(out / "ghosts.csv", result.rows, result.diagnostics, result.classification.n_interior)
+        _write_ghost_csv(out / "ghosts.csv", result.rows, result.diagnostics, result.n_interior)
         _write_json(out / "timings.json", {"seconds": result.timings})
         if cfg.export_matrix:
             assembly.export_matrix_market(result.system, out / "matrix.mtx")
     return result
 
 
-def _sweep_level(cfg: RunConfig, n: int) -> SweepLevel | GhostBcError:
+def _sweep_level(cfg: RunConfig, n: int) -> LevelResult | GhostBcError:
     """Run one sweep level; its ``GhostBcError`` comes back as the value."""
     try:
         result = execute_level(cfg, cfg.make_benchmark(), n)
     except GhostBcError as exc:
         return exc
     rows = result.rows if cfg.export_diagnostics else None
-    return SweepLevel(n, result.errors, result.diagnostics, result.classification.n_interior, result.timings, rows)
+    return dataclasses.replace(result, system=None, classification=None, rows=rows)
 
 
-def _sweep_levels(cfg: RunConfig) -> list[SweepLevel | GhostBcError]:
+def _sweep_levels(cfg: RunConfig) -> list[LevelResult | GhostBcError]:
     """Every sweep level's outcome, in sweep order.
 
     The levels are independent, so they run largest first in up to two
@@ -283,7 +270,7 @@ def _sweep_levels(cfg: RunConfig) -> list[SweepLevel | GhostBcError]:
     With one worker, or when this process runs other threads (a fork could
     copy a lock one of them holds), they run in this process.  A worker
     builds its own benchmark (which holds closures) and sends back a
-    ``SweepLevel``, or the level's ``GhostBcError``; any other exception
+    ``LevelResult``, or the level's ``GhostBcError``; any other exception
     propagates.  The workers are joined before this returns.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -306,18 +293,15 @@ def _sweep_levels(cfg: RunConfig) -> list[SweepLevel | GhostBcError]:
 def run_sweep(cfg: RunConfig) -> ConvergenceSeries:
     """Execute all sweep levels; failures are recorded and skipped in the fit."""
     bench = cfg.make_benchmark()
-    series = ConvergenceSeries()
     failures: list[dict] = []
-    levels: list[SweepLevel] = []
-    timings: dict[str, dict[str, float]] = {}
+    levels: list[LevelResult] = []
     for n, outcome in zip(cfg.sweep, _sweep_levels(cfg)):
         if isinstance(outcome, GhostBcError):
             logger.warning("level n=%d failed: %s", n, outcome)
             failures.append({"n": n, "error": type(outcome).__name__, "message": str(outcome)})
-            continue
-        series.add(n, outcome.errors)
-        levels.append(outcome)
-        timings[str(n)] = outcome.timings
+        else:
+            levels.append(outcome)
+    series = ConvergenceSeries([level.errors for level in levels])
 
     orders: dict[str, float] | None = None
     fit_warning = None
@@ -331,16 +315,16 @@ def run_sweep(cfg: RunConfig) -> ConvergenceSeries:
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
         lines = ["n,h,l1,linf,grad_l1,grad_linf"]
-        for n, h, rep in series.levels:
+        for rep in series.levels:
             lines.append(
-                ",".join([str(n), _fmt(h)] + [_fmt(getattr(rep, norm)) for norm in NORM_NAMES])
+                ",".join([str(rep.n), _fmt(rep.h)] + [_fmt(getattr(rep, norm)) for norm in NORM_NAMES])
             )
         _write_atomic(out / "convergence.csv", "\n".join(lines) + "\n")
 
         payload = {
             "config": cfg.echo(),
             "benchmark": bench.name,
-            "levels_used": [n for n, _, _ in series.levels],
+            "levels_used": [rep.n for rep in series.levels],
             "failures": failures,
             "orders": orders,
             "fit_warning": fit_warning,
@@ -350,12 +334,12 @@ def run_sweep(cfg: RunConfig) -> ConvergenceSeries:
                 norm: list(series.pairwise_orders(norm)) for norm in NORM_NAMES
             }
         _write_json(out / "orders.json", payload)
-        _write_json(out / "timings.json", {"seconds": timings})
+        _write_json(out / "timings.json", {"seconds": {str(level.n): level.timings for level in levels}})
 
         for norm in NORM_NAMES:
             rows = [
-                f"{_fmt(np.log10(h))} {_fmt(np.log10(getattr(rep, norm)))}"
-                for _, h, rep in series.levels
+                f"{_fmt(np.log10(rep.h))} {_fmt(np.log10(getattr(rep, norm)))}"
+                for rep in series.levels
                 if getattr(rep, norm) > 0.0
             ]
             _write_atomic(out / f"plot_{norm}.dat", "\n".join(rows) + "\n")
@@ -437,8 +421,8 @@ def main(argv: list[str] | None = None) -> int:
             if not series.levels:
                 raise GhostBcError("every sweep level failed")
             summary = {
-                "levels": [n for n, _, _ in series.levels],
-                "last_errors": series.levels[-1][2].values(),
+                "levels": [rep.n for rep in series.levels],
+                "last_errors": series.levels[-1].values(),
             }
             print(json.dumps(summary, sort_keys=True))
         else:

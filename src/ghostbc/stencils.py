@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import DEFAULT_ORDER, space_dimension
 from .boundary_ops import GhostOperatorSolver, coefficient_amplification
 from .errors import GeometryError, GhostBcError, InactiveMember, NoAxisIntersection, NotAdmissible
 from .geometry import Collars, NodeClassification, axis_projection, collars_for_ghosts
@@ -45,26 +46,43 @@ MAX_S3_SHIFT = 6
 
 @dataclass(frozen=True)
 class StencilStrategy:
-    """Strategy kind plus the knobs of the construction algorithms."""
+    """Strategy kind plus the knobs of the construction algorithms.
+
+    ``theta`` is the cone aperture in degrees, ``lambda_loc`` the local
+    (chi) and ``lambda_glo`` the global (amplification) conditioning
+    tolerance, ``triangle_size`` the S1-S3 size p, ``max_swaps`` the S4.2
+    swap rounds and ``order`` the polynomial order of the boundary operator.
+    The record refuses every knob, or combination, no level can run with.
+    """
 
     kind: str
     triangle_size: int = 4
-    aperture_deg: float = 60.0
-    local_tol: float = 1e6
-    global_tol: float = 10.0
+    theta: float = 60.0
+    lambda_loc: float = 1e6
+    lambda_glo: float = 10.0
     max_swaps: int = 3
+    order: int = DEFAULT_ORDER
 
     def __post_init__(self) -> None:
         if self.kind not in TRIANGLE_KINDS + CONE_KINDS:
             raise ValueError(f"unknown stencil strategy {self.kind!r}")
         if self.triangle_size < 1:
             raise ValueError("triangle size must be >= 1")
-        if not 0.0 < self.aperture_deg <= 360.0:
+        if not 0.0 < self.theta <= 360.0:
             raise ValueError("cone aperture must be in (0, 360] degrees")
-        if self.local_tol <= 0.0 or self.global_tol <= 0.0:
+        if not (self.lambda_loc > 0.0 and self.lambda_glo > 0.0):  # NaN is refused too
             raise ValueError("conditioning tolerances must be positive")
         if self.max_swaps < 0:
             raise ValueError("max_swaps must be >= 0")
+        if self.order < 2:
+            raise ValueError(f"polynomial order must be >= 2, got {self.order}")
+        # a triangle with fewer members than constraints is never admissible
+        members = (self.triangle_size + 1) * (self.triangle_size + 2) // 2
+        if self.kind in TRIANGLE_KINDS and members < space_dimension(self.order):
+            raise ValueError(
+                f"{self.kind} triangle of size {self.triangle_size} has {members} members, "
+                f"fewer than the {space_dimension(self.order)} constraints of order {self.order}"
+            )
 
 
 def _toward_boundary(collars: Collars) -> np.ndarray:
@@ -343,7 +361,7 @@ def _grow(
     strategy: StencilStrategy,
     solver: GhostOperatorSolver,
 ) -> tuple[np.ndarray, np.ndarray, dict[int, NotAdmissible]]:
-    """Grow the trial stencils of the ghosts ``pending`` until admissible with chi < ``local_tol``.
+    """Grow the trial stencils of the ghosts ``pending`` until admissible with chi < ``lambda_loc``.
 
     Ghost k's trial, ``members[k, :sizes[k]]``, holds indices into
     ``cones.nodes`` (the ghost first); it closes the collar whose
@@ -388,7 +406,7 @@ def _grow(
         grown = []
         for m, ks in _by_size(pending[~ended[pending]], sizes):
             solves = solver.solve(cones.nodes[members[ks, :m]], rhs[ks])
-            done = solves.chi < strategy.local_tol  # chi is inf where not admissible
+            done = solves.chi < strategy.lambda_loc  # chi is inf where not admissible
             coeffs[ks[done], :m], chi[ks[done]] = solves.coeffs[done], solves.chi[done]
             grown.append(extend(ks[~done]))
         pending = np.concatenate(grown) if grown else pending[:0]
@@ -424,7 +442,7 @@ def _cone_batch(
     swapping; stencils the swaps cannot fix are left to the collar
     modification of S4.3 (``cone_rows``).
     """
-    cones = _Cones(collars, strategy.aperture_deg, classification)
+    cones = _Cones(collars, strategy.theta, classification)
     rhs = solver.rhs(collars)
     width = max(MAX_STENCIL_SIZE, solver.n_constraints)
     members = np.zeros((len(collars), width), dtype=np.int64)
@@ -434,7 +452,7 @@ def _cone_batch(
     errors: list[GhostBcError | None] = [failed.get(k) for k in range(len(collars))]
     ratios = coefficient_amplification(coeffs)
     swaps = np.zeros(len(collars), dtype=np.int64)
-    swapping = np.flatnonzero((chi < np.inf) & (ratios >= strategy.global_tol))
+    swapping = np.flatnonzero((chi < np.inf) & (ratios >= strategy.lambda_glo))
     cols = np.arange(width - 1)
     for _ in range(0 if strategy.kind == "S4.1" else strategy.max_swaps):
         if not len(swapping):
@@ -450,7 +468,7 @@ def _cone_batch(
         members[good], sizes[good], ratios[good] = trials[good], trial_sizes[good], ratio[better]
         coeffs[good], chi[good] = trial_coeffs[good], trial_chi[good]
         swaps[good] += 1
-        swapping = good[ratios[good] >= strategy.global_tol]
+        swapping = good[ratios[good] >= strategy.lambda_glo]
     return [cones.nodes[members], sizes, coeffs, chi, swaps, cones.aperture], errors
 
 
@@ -480,7 +498,7 @@ def cone_rows(
     member_ij, sizes, coeffs, chi, swaps, aperture = columns
     failed = next((k for k, error in enumerate(errors) if error is not None), len(errors))
     if strategy.kind == "S4.3":
-        retry = np.flatnonzero(coefficient_amplification(coeffs[:failed]) >= strategy.global_tol)
+        retry = np.flatnonzero(coefficient_amplification(coeffs[:failed]) >= strategy.lambda_glo)
         axis, misses = axis_projection(
             collars.ghost_xy[retry], classification.level_set, classification.grid.h, collars.ghost_ij[retry]
         )

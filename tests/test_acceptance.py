@@ -67,15 +67,15 @@ def _interior_only_errors(bench, result):
     grid = g.Grid(result.n)
     classification = result.classification
     system = result.system
-    assert classification.n_active == system.n
-    ni, ng = system.n_interior, system.n_ghost
+    assert system.matrix.shape == (classification.n_active,) * 2
+    ni, ng = classification.n_interior, classification.n_ghost
     ghost_xy = classification.active_coords()[ni:]
     exact = np.asarray(bench.solution(ghost_xy[:, 0], ghost_xy[:, 1]), dtype=float)
     matrix = sp.vstack(
         [system.matrix[:ni], sp.hstack([sp.csr_matrix((ng, ni)), sp.identity(ng, format="csr")])]
     ).tocsr()
     rhs = np.concatenate([system.rhs[:ni], exact])
-    report = g.solve(g.SparseSystem(matrix, rhs, ni, ng))
+    report = g.solve(g.SparseSystem(matrix, rhs))
     return g.compute_errors(report.solution, bench, classification)
 
 
@@ -92,8 +92,8 @@ def _sweep_with_interior_only(cfg):
         t0 = time.perf_counter()
         result = g.execute_level(cfg, bench, n)
         elapsed += time.perf_counter() - t0
-        full.add(n, result.errors)
-        interior_only.add(n, _interior_only_errors(bench, result))
+        full.levels.append(result.errors)
+        interior_only.levels.append(_interior_only_errors(bench, result))
     return full, interior_only, elapsed
 
 

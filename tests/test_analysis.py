@@ -128,7 +128,7 @@ class TestFitOrder:
                 grad_l1=(2.0 / n) ** 4, grad_linf=(2.0 / n) ** 4,
                 n=n, h=2.0 / n,
             )
-            series.add(n, rep)
+            series.levels.append(rep)
         assert np.allclose(series.pairwise_orders("l1"), 4.0, atol=1e-12)
         assert series.fitted_orders()["linf"] == pytest.approx(4.0, abs=1e-12)
 

@@ -110,7 +110,7 @@ def reference_row(collar, strategy, classification, solver):
     rebuilt row carries the new collar record.
     """
     members, solve, swaps, aperture, _ = _reference_cone_row(collar, strategy, classification, solver)
-    if strategy.kind == "S4.3" and coefficient_amplification(solve.coeffs) >= strategy.global_tol:
+    if strategy.kind == "S4.3" and coefficient_amplification(solve.coeffs) >= strategy.lambda_glo:
         try:
             axis = scalar_axis_projection(collar.ghost_xy[0], classification.level_set, solver.grid.h, ghost_of(collar))
             new_members, new_solve, new_swaps, new_aperture, _ = _reference_cone_row(
@@ -614,7 +614,7 @@ class TestLockstepLevel:
         # level reports the first ghost with the message that ghost raises
         # alone, every trial solved and none screened
         bench, grid, classification, _ = _level("annulus", "S4.1", 48)
-        strategy = g.StencilStrategy(kind="S4.1", local_tol=1.0)
+        strategy = g.StencilStrategy(kind="S4.1", lambda_loc=1.0)
         collar = g.collars_for_ghosts(classification.ghost_ij[:1], grid, bench.level_set)
         solver = GhostOperatorSolver(grid, bench.coefficients.robin)
         with pytest.raises(NotAdmissible) as alone:

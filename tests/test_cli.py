@@ -81,7 +81,8 @@ class TestMain:
     @pytest.mark.parametrize(
         "config, key",
         [({"strategy": 4}, "strategy"), ({"sweep": "80,113"}, "sweep"), ({"sweep": [80, "x"]}, "sweep"),
-         ({"benchmark": "convection", "kappa": "a", "u0": 1}, "kappa")],
+         ({"benchmark": "convection", "kappa": "a", "u0": 1}, "kappa"), ({"theta": True}, "theta"),
+         ({"max_swaps": True}, "max_swaps")],
     )
     def test_mistyped_config_value_exits_2(self, tmp_path, capsys, config, key):
         path = tmp_path / "c.json"
@@ -110,6 +111,16 @@ class TestMain:
             assert record["message"].endswith("its constant c = -inf is not finite")
         if (kappa, u0) == ("1", "-5000"):
             assert record["message"].endswith("r**beta overflows")
+        assert json.loads((out / "error.json").read_text()) == record
+        assert not (out / "run.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--lambda-loc", "--lambda-glo"])
+    def test_nan_tolerance_exits_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        assert main(["run", "--benchmark", "annulus", "--strategy", "S4.3", "--n", "48", flag, "nan",
+                     "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ConfigError", "message": "conditioning tolerances must be positive"}
         assert json.loads((out / "error.json").read_text()) == record
         assert not (out / "run.json").exists()
 
@@ -289,7 +300,7 @@ class TestSweepLevels:
 
         monkeypatch.setattr(cli, "execute_level", recording)
         cfg = RunConfig(benchmark="annulus-quartic", inject_exact=True, sweep=[48], out=str(tmp_path / "q"))
-        assert [n for n, _, _ in cli.run_sweep(cfg).levels] == [48]
+        assert [rep.n for rep in cli.run_sweep(cfg).levels] == [48]
         assert calls == [48]
         # a process that runs another thread is not forked: its levels run here
         stop = threading.Event()

@@ -506,8 +506,8 @@ class TestCandidateStream:
         ghost = (37, 20)
         ghost_xy = node_xy(grid, *ghost)
         collar = make_collar(ghost_xy, ghost_xy + np.array([0.1, 0.013]), ghost)
-        strategy = g.StencilStrategy(kind="S4.1", aperture_deg=30.0)
-        got = takes(_Cones(collar, strategy.aperture_deg, classification), 60)
+        strategy = g.StencilStrategy(kind="S4.1", theta=30.0)
+        got = takes(_Cones(collar, strategy.theta, classification), 60)
         assert got == _oracle_takes(ghost, collar, 30.0, grid, classification, 60)
         assert got[-1][1] > 30.0
 
@@ -558,7 +558,7 @@ class TestConeStrategies:
         for k, ghost in enumerate(map(tuple, classification.ghost_ij)):
             amp1 = coefficient_amplification(coeffs1[k])
             swaps = s42.swaps[k]
-            if amp1 < strategy.global_tol:
+            if amp1 < strategy.lambda_glo:
                 assert swaps == 0
                 continue
             assert swaps <= strategy.max_swaps
@@ -649,8 +649,8 @@ class TestConeStrategies:
         # raises phase 1's error.  Order 2 keeps the failing level cheap.
         bench, grid = g.RunConfig(benchmark="annulus", strategy="S4.3", n=16).make_benchmark(), g.Grid(16)
         classification = g.classify_nodes(grid, bench.level_set)
-        strategy = g.StencilStrategy(kind="S4.3", local_tol=1.0)
-        solver = GhostOperatorSolver(grid, bench.coefficients.robin, order=2)
+        strategy = g.StencilStrategy(kind="S4.3", lambda_loc=1.0, order=2)
+        solver = GhostOperatorSolver(grid, bench.coefficients.robin, order=strategy.order)
         none = g.collars_for_ghosts(classification.ghost_ij[:0], grid, bench.level_set)
         columns, errors = _cone_batch(none, strategy, classification, solver)
         assert errors == []
@@ -666,7 +666,7 @@ class TestConeStrategies:
         ))
         message = "stencil for ghost (0, 5) grew past 60 points without becoming well conditioned"
         with pytest.raises(NotAdmissible, match=re.escape(message)):
-            g.build_ghost_rows(classification, strategy, bench.coefficients, order=2)
+            g.build_ghost_rows(classification, strategy, bench.coefficients)
         assert calls == [len(classification.ghost_ij), 0]
 
     def test_rounds_and_solved_trials_are_pinned(self, annulus_bench, annulus_160, monkeypatch):
@@ -690,7 +690,7 @@ class TestConeStrategies:
         assert (len(screened), sum(screened)) == (28, 3409)
 
     def test_screen_runs_once_per_grow(self, annulus_bench, monkeypatch):
-        # With local_tol = 1 no stencil is ever conditioned enough, so every
+        # With lambda_loc = 1 no stencil is ever conditioned enough, so every
         # trial grows to MAX_STENCIL_SIZE, through 178 stacked solves.  A
         # trial grown from one that passed the rank screen has full rank, so
         # the screen runs only before the first round: 4 screens, not 178.
@@ -705,7 +705,7 @@ class TestConeStrategies:
             screened.append(len(member_ij)) or deficient(self, member_ij)
         ))
         message = "stencil for ghost (0, 10) grew past 60 points without becoming well conditioned"
-        strategy = g.StencilStrategy(kind="S4.3", local_tol=1.0)
+        strategy = g.StencilStrategy(kind="S4.3", lambda_loc=1.0)
         with pytest.raises(NotAdmissible, match=re.escape(message)):
             g.build_ghost_rows(classification, strategy, annulus_bench.coefficients)
         assert (len(solved), sum(solved)) == (178, 7924)
@@ -760,11 +760,28 @@ class TestStrategyValidation:
 
     def test_bad_aperture(self):
         with pytest.raises(ValueError):
-            g.StencilStrategy(kind="S4.1", aperture_deg=0.0)
+            g.StencilStrategy(kind="S4.1", theta=0.0)
 
     def test_bad_triangle_size(self):
         with pytest.raises(ValueError):
             g.StencilStrategy(kind="S1", triangle_size=0)
+
+    def test_order_below_2(self):
+        with pytest.raises(ValueError, match="^polynomial order must be >= 2, got 1$"):
+            g.StencilStrategy(kind="S4.3", order=1)
+
+    def test_triangle_with_fewer_members_than_constraints(self):
+        # size 4 has 15 members, order 6 has 21 constraints; the cone grows past any count
+        message = "S1 triangle of size 4 has 15 members, fewer than the 21 constraints of order 6"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            g.StencilStrategy(kind="S1", triangle_size=4, order=6)
+        g.StencilStrategy(kind="S1", triangle_size=5, order=6)
+        g.StencilStrategy(kind="S4.3", order=6)
+
+    @pytest.mark.parametrize("knob", ["lambda_loc", "lambda_glo"])
+    def test_nan_tolerance(self, knob):
+        with pytest.raises(ValueError, match="conditioning tolerances must be positive"):
+            g.StencilStrategy(kind="S4.3", **{knob: float("nan")})
 
 
 class TestExtension:
@@ -904,7 +921,7 @@ def _reference_cone_row(collar, strategy, classification, solver):
     aperture and each swap trial's outcome.
     """
     ghost = ghost_of(collar)
-    aperture = strategy.aperture_deg
+    aperture = strategy.theta
     cone = _reference_cone(ghost, collar, aperture, classification)
 
     def take(used):
@@ -920,7 +937,7 @@ def _reference_cone_row(collar, strategy, classification, solver):
     def grow(members, used):
         while True:
             solve = solve_alone(solver, np.array(members, dtype=np.int64), collar)
-            if solve.admissible and solve.chi < strategy.local_tol:
+            if solve.admissible and solve.chi < strategy.lambda_loc:
                 return solve
             if len(members) >= MAX_STENCIL_SIZE:
                 raise NotAdmissible(
@@ -933,7 +950,7 @@ def _reference_cone_row(collar, strategy, classification, solver):
     solve = grow(members, used)
     ratio = coefficient_amplification(solve.coeffs)
     swaps, outcomes = 0, []
-    while ratio >= strategy.global_tol and swaps < (0 if strategy.kind == "S4.1" else strategy.max_swaps):
+    while ratio >= strategy.lambda_glo and swaps < (0 if strategy.kind == "S4.1" else strategy.max_swaps):
         victim = 1 + int(np.abs(solve.coeffs[1:]).argmax())
         trial, trial_used = members[:victim] + members[victim + 1:], set(used)
         try:

@@ -83,8 +83,8 @@ MUTANTS = {
     ),
     "M8": (
         "a triangle with fewer members than constraints is not refused",
-        "src/ghostbc/cli.py",
-        "if self.strategy in stencils.TRIANGLE_KINDS and members < space_dimension(self.order):",
+        "src/ghostbc/stencils.py",
+        "if self.kind in TRIANGLE_KINDS and members < space_dimension(self.order):",
         "if False:",
         ["tests/test_cli.py::TestMain::test_triangle_with_too_few_members_exits_2"],
     ),
@@ -143,6 +143,20 @@ MUTANTS = {
         "            if index.min() < 0:",
         "            if False:",
         ["tests/test_assembly.py::TestAssemble::test_missing_neighbor_detected"],
+    ),
+    "M17": (
+        "a NaN conditioning tolerance is accepted",
+        "src/ghostbc/stencils.py",
+        "if not (self.lambda_loc > 0.0 and self.lambda_glo > 0.0):",
+        "if self.lambda_loc <= 0.0 or self.lambda_glo <= 0.0:",
+        ["tests/test_stencils.py::TestStrategyValidation", "tests/test_cli.py::TestMain::test_nan_tolerance_exits_2"],
+    ),
+    "M18": (
+        "a JSON boolean passes for a number",
+        "src/ghostbc/cli.py",
+        ' or (isinstance(value, bool) and kind != "bool")',
+        "",
+        ["tests/test_cli.py::TestMain::test_mistyped_config_value_exits_2"],
     ),
 }
 

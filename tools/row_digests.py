@@ -24,7 +24,6 @@ import numpy as np
 import ghostbc as g
 from ghostbc.errors import GhostBcError
 from ghostbc.geometry import Collars
-from ghostbc.stencils import extend_classification
 
 #: The gate levels: every strategy on every domain at a coarse grid, the
 #: three S4.3 levels of the benchmark workloads' grid sizes and a failing
@@ -79,8 +78,8 @@ def level_line(name: str, kind: str, n: int, order: int = 5) -> str:
     strategy = cfg.stencil_strategy()
     label = f"{name} {kind} n={n} order={order}"
     try:
-        classification, collars = extend_classification(g.classify_nodes(g.Grid(n), bench.level_set), strategy)
-        rows = g.build_ghost_rows(classification, strategy, bench.coefficients, order, collars)
+        classification, collars = g.extend_classification(g.classify_nodes(g.Grid(n), bench.level_set), strategy)
+        rows = g.build_ghost_rows(classification, strategy, bench.coefficients, collars)
     except GhostBcError as exc:
         return f"{label}: {type(exc).__name__}: {exc}"
     return f"{label}: {len(rows)} rows {rows_digest(rows)}"
