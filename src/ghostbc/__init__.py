@@ -3,7 +3,6 @@
 from .analysis import (
     ConvergenceSeries,
     ErrorReport,
-    StencilDiagnostics,
     compute_errors,
     fit_order,
     reconstruct_gradient,

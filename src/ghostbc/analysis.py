@@ -124,73 +124,32 @@ def fit_order(spacings, errors) -> float:
     return float(slope)
 
 
-@dataclass
-class StencilDiagnostics:
-    """Aggregated per-ghost stencil statistics for one run."""
-
-    sizes: np.ndarray
-    diameters: np.ndarray
-    log10_chi: np.ndarray
-    log10_ratio: np.ndarray  # finite entries only; zero ratios counted separately
-    n_zero_ratio: int
-
-    @property
-    def n_ghosts(self) -> int:
-        return len(self.sizes)
-
-    def size_histogram(self) -> dict[int, int]:
-        values, counts = np.unique(self.sizes, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
-    @staticmethod
-    def _box(values: np.ndarray) -> dict[str, float]:
-        if len(values) == 0:
-            return {k: float("nan") for k in ("min", "q1", "median", "q3", "max")}
-        q1, med, q3 = np.percentile(values, [25.0, 50.0, 75.0])
-        return {
-            "min": float(values.min()),
-            "q1": float(q1),
-            "median": float(med),
-            "q3": float(q3),
-            "max": float(values.max()),
-        }
-
-    def summary(self) -> dict:
-        return {
-            "n_ghosts": self.n_ghosts,
-            "sizes": self.size_histogram(),
-            "diameter": self._box(self.diameters),
-            "log10_chi": self._box(self.log10_chi),
-            "log10_ratio": self._box(self.log10_ratio),
-            "n_zero_ratio": self.n_zero_ratio,
-        }
+BOX_STATISTICS = ("min", "q1", "median", "q3", "max")
 
 
-def _diameters(rows: GhostRows) -> np.ndarray:
-    """Each row's largest distance between two members, in grid spacings.
+def _box(values: np.ndarray) -> dict[str, float | None]:
+    """Five-number summary of ``values``; an empty box keeps its keys, each None."""
+    if len(values) == 0:
+        return dict.fromkeys(BOX_STATISTICS)
+    q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
+    return dict(zip(BOX_STATISTICS, map(float, (values.min(), q1, median, q3, values.max()))))
 
-    One integer pass over the rows of each stencil size; the squared
-    distances are exact integers, so each diameter is one rounding of a
-    square root.
+
+def stencil_diagnostics(rows: GhostRows) -> dict:
+    """run.json's summary of a level's ghost rows: sizes, diameters and conditioning.
+
+    χ and the ghost-coefficient ratio are boxed in log10 over their finite
+    positive entries; a row with no other ghost member (ratio 0) is counted
+    in ``n_zero_ratio`` instead, which is every row of S3.
     """
-    diameters = np.zeros(len(rows))
-    starts = np.cumsum(rows.sizes) - rows.sizes
-    for size in np.unique(rows.sizes).tolist():
-        ks = np.flatnonzero(rows.sizes == size)
-        ij = rows.member_ij[starts[ks, None] + np.arange(size)]
-        d2 = sum((c[:, :, None] - c[:, None, :]) ** 2 for c in ij.transpose(2, 0, 1))
-        diameters[ks] = np.sqrt(d2.max(axis=(1, 2)))
-    return diameters
-
-
-def stencil_diagnostics(rows: GhostRows) -> StencilDiagnostics:
-    """Collect size, diameter and conditioning statistics from ghost rows."""
     chi, ratios = rows.chi, rows.r_ratio
     positive = ratios > 0.0
-    return StencilDiagnostics(
-        sizes=rows.sizes,
-        diameters=_diameters(rows),
-        log10_chi=np.log10(chi[np.isfinite(chi) & (chi > 0.0)]),
-        log10_ratio=np.log10(ratios[positive & np.isfinite(ratios)]),
-        n_zero_ratio=int((~positive).sum()),
-    )
+    sizes, counts = np.unique(rows.sizes, return_counts=True)
+    return {
+        "n_ghosts": len(rows),
+        "sizes": dict(zip(sizes.tolist(), counts.tolist())),
+        "diameter": _box(rows.diameters),
+        "log10_chi": _box(np.log10(chi[np.isfinite(chi) & (chi > 0.0)])),
+        "log10_ratio": _box(np.log10(ratios[positive & np.isfinite(ratios)])),
+        "n_zero_ratio": int((~positive).sum()),
+    }

@@ -9,6 +9,7 @@ both rows and columns.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -94,6 +95,23 @@ class GhostRows:
 
     def __len__(self) -> int:
         return len(self.sizes)
+
+    @functools.cached_property
+    def diameters(self) -> np.ndarray:
+        """Each row's largest distance between two members, in grid spacings.
+
+        One integer pass over the rows of each stencil size; the squared
+        distances are exact integers, so each diameter is one rounding of a
+        square root.  Computed once, on first read.
+        """
+        diameters = np.zeros(len(self))
+        starts = np.cumsum(self.sizes) - self.sizes
+        for size in np.unique(self.sizes).tolist():
+            ks = np.flatnonzero(self.sizes == size)
+            ij = self.member_ij[starts[ks, None] + np.arange(size)]
+            d2 = sum((c[:, :, None] - c[:, None, :]) ** 2 for c in ij.transpose(2, 0, 1))
+            diameters[ks] = np.sqrt(d2.max(axis=(1, 2)))
+        return diameters
 
 
 @dataclass

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, assembly, benchmarks, stencils
-from .analysis import NORM_NAMES, ConvergenceSeries, ErrorReport, StencilDiagnostics
+from .analysis import NORM_NAMES, ConvergenceSeries, ErrorReport
 from .errors import ConfigError, DegenerateFit, GhostBcError, UnknownDomain
 from .geometry import Grid, NodeClassification, classify_nodes
 from .stencils import StencilStrategy
@@ -123,7 +123,6 @@ class LevelResult:
 
     n: int
     errors: ErrorReport
-    diagnostics: StencilDiagnostics
     residual: float
     #: Active nodes numbered before the ghosts, which ``rows`` follow.
     n_interior: int
@@ -167,13 +166,11 @@ def execute_level(cfg: RunConfig, bench: benchmarks.Benchmark, n: int) -> LevelR
 
     t0 = time.perf_counter()
     errors = analysis.compute_errors(solution, bench, classification)
-    diagnostics = analysis.stencil_diagnostics(rows)
     timings["analyze"] = time.perf_counter() - t0
 
     return LevelResult(
         n=n,
         errors=errors,
-        diagnostics=diagnostics,
         residual=residual,
         n_interior=classification.n_interior,
         rows=rows,
@@ -204,12 +201,14 @@ def _json_default(value):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
+    # a NaN or an infinity is not JSON, so it raises instead of reaching a file
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+    _write_atomic(path, text + "\n")
 
 
-def _write_ghost_csv(path: Path, rows: assembly.GhostRows, diagnostics: StencilDiagnostics, n_interior: int) -> None:
+def _write_ghost_csv(path: Path, rows: assembly.GhostRows, n_interior: int) -> None:
     collars = rows.collars
-    columns = zip(collars.ghost_ij.tolist(), rows.sizes, diagnostics.diameters, rows.chi, rows.r_ratio, collars.mode)
+    columns = zip(collars.ghost_ij.tolist(), rows.sizes, rows.diameters, rows.chi, rows.r_ratio, collars.mode)
     lines = ["k,i,j,size,diameter,chi,r_ratio,collar_mode"] + [
         f"{n_interior + k},{i},{j},{size},{_fmt(diameter)},{_fmt(chi)},{_fmt(ratio)},{mode}"
         for k, ((i, j), size, diameter, chi, ratio, mode) in enumerate(columns)
@@ -229,7 +228,7 @@ def _run_payload(cfg: RunConfig, bench: benchmarks.Benchmark, result: LevelResul
         "residual": result.residual,
         "errors": result.errors.values(),
         "l1_absolute": result.errors.l1_absolute,
-        "diagnostics": result.diagnostics.summary(),
+        "diagnostics": analysis.stencil_diagnostics(result.rows),
     }
     if "u0" in bench.info:
         pe, pe_loc = benchmarks.peclet_numbers(bench, classification.grid)
@@ -245,7 +244,7 @@ def run_single(cfg: RunConfig) -> LevelResult:
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "run.json", _run_payload(cfg, bench, result))
-        _write_ghost_csv(out / "ghosts.csv", result.rows, result.diagnostics, result.n_interior)
+        _write_ghost_csv(out / "ghosts.csv", result.rows, result.n_interior)
         _write_json(out / "timings.json", {"seconds": result.timings})
         if cfg.export_matrix:
             assembly.export_matrix_market(result.system, out / "matrix.mtx")
@@ -346,7 +345,7 @@ def run_sweep(cfg: RunConfig) -> ConvergenceSeries:
 
         if cfg.export_diagnostics:
             for level in levels:
-                _write_ghost_csv(out / f"ghosts_n{level.n}.csv", level.rows, level.diagnostics, level.n_interior)
+                _write_ghost_csv(out / f"ghosts_n{level.n}.csv", level.rows, level.n_interior)
     return series
 
 

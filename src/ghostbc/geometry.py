@@ -34,7 +34,8 @@ BOX_HALF_WIDTH = 1.0
 #: Axis offsets referenced by the width-5 interior cross (per axis).
 STENCIL_REACH = 2
 
-#: |phi| at a lattice node below this means "on the boundary" -> reject.
+#: A level-set gradient shorter than this counts as zero: a projection
+#: cannot take a Newton step or a normal from it.
 NODE_TOLERANCE = 1e-14
 
 #: Target residual |phi(p)| for boundary projections.
@@ -192,7 +193,7 @@ def classify_nodes(grid: Grid, level_set: LevelSet) -> NodeClassification:
     assembled system by construction.
 
     Raises:
-        NodeOnBoundary: some node has ``|phi| <= 1e-14``.
+        NodeOnBoundary: some node has ``phi == 0`` exactly.
         EmptyInterior: no node lies inside the domain.
         GeometryError: an interior row would reach outside the lattice.
     """

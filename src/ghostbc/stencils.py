@@ -70,8 +70,8 @@ class StencilStrategy:
             raise ValueError("triangle size must be >= 1")
         if not 0.0 < self.theta <= 360.0:
             raise ValueError("cone aperture must be in (0, 360] degrees")
-        if not (self.lambda_loc > 0.0 and self.lambda_glo > 0.0):  # NaN is refused too
-            raise ValueError("conditioning tolerances must be positive")
+        if not all(0.0 < tol < np.inf for tol in (self.lambda_loc, self.lambda_glo)):  # NaN is refused too
+            raise ValueError("conditioning tolerances must be positive and finite")
         if self.max_swaps < 0:
             raise ValueError("max_swaps must be >= 0")
         if self.order < 2:

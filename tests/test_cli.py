@@ -16,6 +16,15 @@ from ghostbc.cli import PAPER13, RunConfig, _parse_sweep, build_config, main
 from ghostbc.errors import ConfigError
 
 
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
@@ -54,20 +63,22 @@ class TestRunConfig:
 
 
 class TestMain:
-    def test_single_run_smoke(self, tmp_path, capsys):
+    @pytest.mark.parametrize("strategy", ["S4.3", "S3"])
+    def test_single_run_smoke(self, tmp_path, capsys, strategy):
         out = tmp_path / "run"
         code = main([
-            "run", "--benchmark", "annulus", "--strategy", "S4.3",
+            "run", "--benchmark", "annulus", "--strategy", strategy,
             "--n", "64", "--out", str(out),
         ])
         assert code == 0
-        payload = json.loads((out / "run.json").read_text())
+        payload = strict_json((out / "run.json").read_text())
+        assert payload["diagnostics"]["n_ghosts"] == payload["n_ghost"]
         assert set(payload["errors"]) == {"l1", "linf", "grad_l1", "grad_linf"}
         assert payload["residual"] <= 1e-10
         ghosts = (out / "ghosts.csv").read_text().splitlines()
         assert ghosts[0] == "k,i,j,size,diameter,chi,r_ratio,collar_mode"
         assert len(ghosts) - 1 == payload["n_ghost"]
-        seconds = json.loads((out / "timings.json").read_text())["seconds"]
+        seconds = strict_json((out / "timings.json").read_text())["seconds"]
         assert {"classify", "ghost_rows", "assemble", "factor", "solve", "analyze"} <= set(seconds)
         assert 0.0 <= seconds["factor"] <= seconds["solve"]
 
@@ -114,13 +125,17 @@ class TestMain:
         assert json.loads((out / "error.json").read_text()) == record
         assert not (out / "run.json").exists()
 
-    @pytest.mark.parametrize("flag", ["--lambda-loc", "--lambda-glo"])
-    def test_nan_tolerance_exits_2(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lambda-loc", "nan"), ("--lambda-glo", "nan"), ("--lambda-loc", "inf"), ("--lambda-glo", "inf")],
+        ids=["--lambda-loc", "--lambda-glo", "--lambda-loc-inf", "--lambda-glo-inf"],
+    )
+    def test_nan_tolerance_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "o"
-        assert main(["run", "--benchmark", "annulus", "--strategy", "S4.3", "--n", "48", flag, "nan",
+        assert main(["run", "--benchmark", "annulus", "--strategy", "S4.3", "--n", "48", flag, value,
                      "--out", str(out)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
-        assert record == {"error": "ConfigError", "message": "conditioning tolerances must be positive"}
+        assert record == {"error": "ConfigError", "message": "conditioning tolerances must be positive and finite"}
         assert json.loads((out / "error.json").read_text()) == record
         assert not (out / "run.json").exists()
 
@@ -262,7 +277,7 @@ class TestMain:
             "run", "--benchmark", "annulus", "--sweep", "32,48,64", "--out", str(out),
         ])
         assert code == 0
-        orders = json.loads((out / "orders.json").read_text())
+        orders = strict_json((out / "orders.json").read_text())
         assert set(orders["orders"]) == {"l1", "linf", "grad_l1", "grad_linf"}
         assert orders["levels_used"] == [32, 48, 64]
         for norm in ("l1", "linf", "grad_l1", "grad_linf"):
@@ -335,6 +350,12 @@ class TestDeterminism:
         cfg_path.write_text(json.dumps(echoed))
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (out_a / "ghosts.csv").read_bytes() == (tmp_path / "b" / "ghosts.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_json_artifact_refuses_a_non_finite_number(self, tmp_path, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json(tmp_path / "x.json", {"residual": value})
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_build_config_rejects_unknown_keys(tmp_path):

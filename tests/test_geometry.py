@@ -650,7 +650,7 @@ class TestDiameter:
         classification = g.classify_nodes(g.Grid(16), square_level_set(0.77))
         ghost = classification.ghost_ij[1]
         rows = identity_ghost_rows(classification, {1: (np.vstack([ghost, ghost + [0, 1]]), np.ones(2), 0.0)})
-        diameters = g.stencil_diagnostics(rows).diameters
+        diameters = rows.diameters
         assert diameters[1] == 1.0 and diameters[0] == diameters[2] == 0.0
 
     def test_s1_triangle_diameter(self):
@@ -662,7 +662,7 @@ class TestDiameter:
         rows = annulus_160_rows
         assert len(set(rows.sizes.tolist())) > 1
         expected = [pairwise_diameter(m) for m in per_row(rows, rows.member_ij)]
-        assert g.stencil_diagnostics(rows).diameters.tolist() == expected
+        assert rows.diameters.tolist() == expected
 
 
 def test_stencil_reach_constant():

@@ -611,7 +611,7 @@ class TestConeStrategies:
         assert ((axis | rebuilt).sum(), rebuilt.sum(), fallbacks.sum()) == (222, 213, 9)
         assert np.array_equal(axis, fallbacks)
         assert not (rebuilt & fallbacks).any()
-        cli._write_ghost_csv(tmp_path / "ghosts.csv", rows, g.stencil_diagnostics(rows), classification.n_interior)
+        cli._write_ghost_csv(tmp_path / "ghosts.csv", rows, classification.n_interior)
         modes = np.array([line.rsplit(",", 1)[1] for line in (tmp_path / "ghosts.csv").read_text().splitlines()[1:]])
         codes = (g.Collars.CLOSEST, g.Collars.AXIS, g.Collars.REBUILD)
         assert [set(modes[source == code]) for code in codes] == [{"closest"}, {"axis"}, {"axis"}]
@@ -778,10 +778,14 @@ class TestStrategyValidation:
         g.StencilStrategy(kind="S1", triangle_size=5, order=6)
         g.StencilStrategy(kind="S4.3", order=6)
 
-    @pytest.mark.parametrize("knob", ["lambda_loc", "lambda_glo"])
-    def test_nan_tolerance(self, knob):
-        with pytest.raises(ValueError, match="conditioning tolerances must be positive"):
-            g.StencilStrategy(kind="S4.3", **{knob: float("nan")})
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("lambda_loc", "nan"), ("lambda_glo", "nan"), ("lambda_loc", "inf"), ("lambda_glo", "inf")],
+        ids=["lambda_loc", "lambda_glo", "lambda_loc-inf", "lambda_glo-inf"],
+    )
+    def test_nan_tolerance(self, knob, value):
+        with pytest.raises(ValueError, match="^conditioning tolerances must be positive and finite$"):
+            g.StencilStrategy(kind="S4.3", **{knob: float(value)})
 
 
 class TestExtension:

@@ -147,8 +147,8 @@ MUTANTS = {
     "M17": (
         "a NaN conditioning tolerance is accepted",
         "src/ghostbc/stencils.py",
-        "if not (self.lambda_loc > 0.0 and self.lambda_glo > 0.0):",
-        "if self.lambda_loc <= 0.0 or self.lambda_glo <= 0.0:",
+        "0.0 < tol < np.inf for tol",
+        "not (tol <= 0.0 or tol == np.inf) for tol",
         ["tests/test_stencils.py::TestStrategyValidation", "tests/test_cli.py::TestMain::test_nan_tolerance_exits_2"],
     ),
     "M18": (
@@ -157,6 +157,27 @@ MUTANTS = {
         ' or (isinstance(value, bool) and kind != "bool")',
         "",
         ["tests/test_cli.py::TestMain::test_mistyped_config_value_exits_2"],
+    ),
+    "M19": (
+        "an infinite conditioning tolerance is accepted",
+        "src/ghostbc/stencils.py",
+        "0.0 < tol < np.inf for tol",
+        "0.0 < tol for tol",
+        ["tests/test_stencils.py::TestStrategyValidation", "tests/test_cli.py::TestMain::test_nan_tolerance_exits_2"],
+    ),
+    "M20": (
+        "an empty statistics box is written as NaN",
+        "src/ghostbc/analysis.py",
+        "return dict.fromkeys(BOX_STATISTICS)",
+        'return dict.fromkeys(BOX_STATISTICS, float("nan"))',
+        ["tests/test_analysis.py::TestStencilDiagnostics", "tests/test_cli.py::TestMain::test_single_run_smoke"],
+    ),
+    "M21": (
+        "a NaN or an infinity is written into a JSON artifact",
+        "src/ghostbc/cli.py",
+        "default=_json_default, allow_nan=False)",
+        "default=_json_default)",
+        ["tests/test_cli.py::TestDeterminism::test_json_artifact_refuses_a_non_finite_number"],
     ),
 }
 
