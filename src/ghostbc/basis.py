@@ -72,16 +72,22 @@ def monomial_matrix(alphas: list[Alpha], points: np.ndarray, center: np.ndarray,
     ``points`` is (..., n_points, 2) and ``center`` (2,) or a matching
     stack (..., 2), so one call fills the constraint matrices of a whole
     stack of trial stencils; each slice equals the matrix of that stencil
-    alone, bit for bit.
+    alone, bit for bit.  A stack's scaled coordinates repeat (its trials
+    share members, and lattice offsets share values), so each distinct
+    coordinate is raised to each power once, in one table that the matrix
+    is gathered from.  Coordinates are told apart by their bits, which
+    keeps -0.0 and +0.0 apart: odd powers of the two differ in sign.
     """
     pts = np.asarray(points, dtype=float)
     center = np.asarray(center, dtype=float)[..., None, :]
     xi = (pts[..., 0] - center[..., 0]) / spacing
     eta = (pts[..., 1] - center[..., 1]) / spacing
     ax, ay = np.array(alphas).T
-    # each distinct power once; np.power rounds the same in any layout
-    k = np.arange(max(ax.max(), ay.max()) + 1)[:, None]
-    return np.power(xi[..., None, :], k)[..., ax, :] * np.power(eta[..., None, :], k)[..., ay, :]
+    bits, index = np.unique(np.concatenate((xi, eta), axis=None).view(np.int64), return_inverse=True)
+    # np.power rounds an argument the same in any layout
+    powers = np.power(bits.view(float)[:, None], np.arange(max(ax.max(), ay.max()) + 1))
+    index = index.reshape(2, *xi.shape)[..., None, :]
+    return powers[index[0], ax[:, None]] * powers[index[1], ay[:, None]]
 
 
 def boundary_actions(

@@ -9,6 +9,7 @@ PDE and the boundary conditions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -493,8 +494,14 @@ _CASE_PRESETS = {
 }
 
 
+@functools.cache
 def by_name(name: str, kappa: float | None = None, u0: float | None = None) -> Benchmark:
     """Benchmark lookup used by the CLI.
+
+    Each benchmark is built and self-checked once per process and
+    arguments; later calls return the same frozen ``Benchmark``, so a
+    sweep's forked workers use the build their parent made before the fork.
+    A refused build is not remembered: it raises again on every call.
 
     Raises:
         UnknownDomain: the name is not in the catalog.

@@ -28,6 +28,11 @@ RANK_TOLERANCE = 1e-13
 #: Relative residual bound every admissible row must satisfy.
 RESIDUAL_TOLERANCE = 1e-10
 
+#: Basis order -> member offsets from the first member -> rank-deficient by
+#: construction.  A verdict holds on every grid, so the rank screens of every
+#: level in a process share one memo per order.
+_RANK_VERDICTS: dict[int, dict[bytes, bool]] = {}
+
 
 @dataclass
 class StencilSolves:
@@ -111,8 +116,7 @@ class GhostOperatorSolver:
         self.grid = grid
         self.robin = robin
         self._alphas = enumerate_basis(order)
-        # member offsets from the first member -> rank-deficient by construction
-        self._structural: dict[bytes, bool] = {}
+        self._structural = _RANK_VERDICTS.setdefault(order, {})
 
     @property
     def n_constraints(self) -> int:
@@ -140,8 +144,9 @@ class GhostOperatorSolver:
         The rank of a stencil's constraint matrix depends only on the
         members' integer offsets: translating or scaling a lattice point
         set leaves the polynomial space, hence the matrix's rank, unchanged.
-        So the verdict is one SVD per distinct offset set, memoized, of the
-        monomial matrix of the integer offsets (spacing 1, centre 0): the
+        So the verdict is one SVD per distinct offset set and basis order,
+        memoized for the process (``_RANK_VERDICTS``), of the monomial
+        matrix of the integer offsets (spacing 1, centre 0): the
         constraint matrix of the stencil with the ghost first, free of the
         rounding of the members' coordinates, whose powers of small integers
         are exact.  The distinct offset sets the memo lacks get one stacked

@@ -268,9 +268,10 @@ def _sweep_levels(cfg: RunConfig) -> list[LevelResult | GhostBcError]:
     forked worker processes, no more than the CPUs this process may use.
     With one worker, or when this process runs other threads (a fork could
     copy a lock one of them holds), they run in this process.  A worker
-    builds its own benchmark (which holds closures) and sends back a
-    ``LevelResult``, or the level's ``GhostBcError``; any other exception
-    propagates.  The workers are joined before this returns.
+    takes the benchmark (which holds closures) from the memo of
+    ``benchmarks.by_name``, which ``run_sweep`` filled before the fork,
+    and sends back a ``LevelResult``, or the level's ``GhostBcError``; any
+    other exception propagates.  The workers are joined before this returns.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     level = functools.partial(_sweep_level, cfg)

@@ -94,15 +94,19 @@ class TestEvalMonomial:
 
     def test_stack_equals_its_slices(self, rng):
         # one call for a stack of stencils, each with its own centre, gives
-        # every stencil's matrix bit for bit
+        # every stencil's matrix bit for bit; in the second stack, stencil k
+        # has the coordinate (-1)^k * 0.0, whose odd powers keep its sign
         alphas = enumerate_basis(5)
         centers = rng.uniform(-1, 1, size=(40, 2))
         pts = centers[:, None, :] + rng.uniform(-0.3, 0.3, size=(40, 17, 2))
-        stacked = monomial_matrix(alphas, pts, centers, 0.05)
-        assert stacked.shape == (40, 15, 17)
-        for k in range(40):
-            alone = monomial_matrix(alphas, pts[k], centers[k], 0.05)
-            assert np.array_equal(stacked[k], alone)
+        signed_zeros = pts - centers[:, None, :]
+        signed_zeros[:, 0, 0] = np.where(np.arange(40) % 2, -0.0, 0.0)
+        for pts, centers in ((pts, centers), (signed_zeros, np.zeros((40, 2)))):
+            stacked = monomial_matrix(alphas, pts, centers, 0.05)
+            assert stacked.shape == (40, 15, 17)
+            for k in range(40):
+                alone = monomial_matrix(alphas, pts[k], centers[k], 0.05)
+                assert stacked[k].tobytes() == alone.tobytes()
 
 
 class TestBoundaryAction:

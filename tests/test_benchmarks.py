@@ -178,6 +178,16 @@ def test_catalog_self_checks():
         bench.self_check()
 
 
+def test_builds_are_remembered_and_refusals_are_not():
+    cfg = g.RunConfig(benchmark="flower")
+    assert cfg.make_benchmark() is cfg.make_benchmark()
+    for _ in range(2):
+        with pytest.raises(UnknownDomain, match="needs kappa and u0"):
+            by_name("convection")
+        with pytest.raises(ValueError, match="diffusion coefficient must be positive"):
+            by_name("convection", kappa=0.0, u0=1.0)
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_self_check_refuses_data_off_the_solution(name):
     # construction checks every catalog problem, so a wrong datum in a

@@ -422,6 +422,23 @@ class TestResidualContract:
         assert solve_one(cm).residual == np.inf
 
 
+def test_rank_verdicts_are_kept_per_basis_order(monkeypatch):
+    # A 5x5 lattice block with the ghost at a corner has full rank for the
+    # quartics (order 5) and not for the quintics (order 6), which hold the
+    # product of its five row lines.  The memo outlives each solver and
+    # keys by offsets alone, so the block read on another grid, somewhere
+    # else, takes both verdicts without an SVD.
+    block = np.array([[(10 + a, 20 + b) for a in range(5) for b in range(5)]])
+    for order, verdict in ((5, False), (6, True)):
+        assert GhostOperatorSolver(g.Grid(64), dirichlet_rule(), order=order).deficient(block).tolist() == [verdict]
+    svd, svds = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(args) or svd(*args, **kwargs))
+    for order, verdict in ((5, False), (6, True)):
+        solver = GhostOperatorSolver(g.Grid(283), dirichlet_rule(), order=order)
+        assert solver.deficient(block + (150, 7)).tolist() == [verdict]
+    assert svds == []
+
+
 def test_right_hand_sides_are_built_once_per_batch(annulus_bench, annulus_160, monkeypatch):
     # ``rhs`` gives each collar the right-hand side of its own constraint
     # system, bit for bit; a cone level builds them once per phase, and

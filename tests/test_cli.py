@@ -7,13 +7,17 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghostbc as g
-from ghostbc import cli
+from ghostbc import benchmarks, cli
 from ghostbc.analysis import NORM_NAMES
 from ghostbc.cli import PAPER13, RunConfig, _parse_sweep, build_config, main
-from ghostbc.errors import ConfigError
+from ghostbc.errors import ConfigError, GhostBcError
+from ghostbc.stencils import CONE_KINDS, TRIANGLE_KINDS
 
 
 def strict_json(text: str):
@@ -329,6 +333,20 @@ class TestSweepLevels:
         assert not waiter.is_alive()
         assert calls == [48, 48, 32]
 
+    def test_sweep_builds_its_benchmark_once(self, tmp_path, monkeypatch):
+        # the build run_sweep makes is the one each level uses
+        checks = []
+        self_check = benchmarks.Benchmark.self_check
+        monkeypatch.setattr(benchmarks.Benchmark, "self_check", lambda bench: (
+            checks.append(bench.name) or self_check(bench)
+        ))
+        # one CPU: the levels run in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        benchmarks.by_name.cache_clear()
+        cfg = RunConfig(benchmark="annulus-quartic", inject_exact=True, sweep=[32, 48], out=str(tmp_path / "q"))
+        assert [rep.n for rep in cli.run_sweep(cfg).levels] == [32, 48]
+        assert checks == ["annulus-quartic"]
+
 
 class TestDeterminism:
     def test_identical_reruns_are_byte_identical(self, tmp_path):
@@ -366,3 +384,19 @@ def test_build_config_rejects_unknown_keys(tmp_path):
     ns = argparse.Namespace(config=cfg_path, sweep=None)
     with pytest.raises(ConfigError):
         build_config(ns)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(benchmarks.catalog_names()),
+    kind=st.sampled_from(TRIANGLE_KINDS + CONE_KINDS),
+    n=st.integers(16, 40),
+)
+def test_small_grid_levels_give_finite_norms_or_a_typed_error(name, kind, n):
+    # many levels in one process share the rank-screen and benchmark memos
+    cfg = RunConfig(benchmark=name, strategy=kind, n=n, kappa=1.5, u0=3.0)
+    try:
+        errors = cli.execute_level(cfg, cfg.make_benchmark(), n).errors
+    except GhostBcError:
+        return
+    assert np.isfinite(list(errors.values().values())).all()

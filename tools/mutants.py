@@ -179,6 +179,20 @@ MUTANTS = {
         "default=_json_default)",
         ["tests/test_cli.py::TestDeterminism::test_json_artifact_refuses_a_non_finite_number"],
     ),
+    "M22": (
+        "the rank-screen memo keeps one verdict per offset set for every basis order",
+        "src/ghostbc/boundary_ops.py",
+        "self._structural = _RANK_VERDICTS.setdefault(order, {})",
+        "self._structural = _RANK_VERDICTS.setdefault(0, {})",
+        ["tests/test_boundary_ops.py::test_rank_verdicts_are_kept_per_basis_order"],
+    ),
+    "M23": (
+        "the monomial power table merges -0.0 with +0.0",
+        "src/ghostbc/basis.py",
+        "np.concatenate((xi, eta), axis=None).view(np.int64)",
+        "np.concatenate((xi, eta), axis=None)",
+        ["tests/test_basis.py::TestEvalMonomial::test_stack_equals_its_slices"],
+    ),
 }
 
 
