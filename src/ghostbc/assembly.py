@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import RobinData
-from .boundary_ops import GhostOperatorSolver
+from .boundary_ops import GhostOperatorSolver, coefficient_amplification
 from .errors import MissingNeighbor, NotAdmissible, SingularMatrix, SolveFailed
 from .geometry import Collars, NodeClassification, collars_for_ghosts
 from .stencils import TRIANGLE_KINDS, StencilStrategy, cone_rows, triangle_stencils
@@ -150,20 +150,6 @@ def _interior_block(coeffs: ProblemCoefficients, classification: NodeClassificat
     return rows, cross.ravel(), vals.ravel(), rhs
 
 
-def _ghost_ratios(
-    classification: NodeClassification, sizes: np.ndarray, member_ij: np.ndarray, coeffs: np.ndarray
-) -> np.ndarray:
-    """``GhostRows.r_ratio``: 0 without other ghost members, ``inf`` for a vanishing centre."""
-    starts = np.cumsum(sizes) - sizes
-    ghost = classification.index_at(*member_ij.T) >= classification.n_interior
-    ghost[starts] = False
-    largest = np.maximum.reduceat(np.where(ghost, np.abs(coeffs), -np.inf), starts)
-    center = np.abs(coeffs[starts])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(center <= 1e-14, np.inf, largest / center)
-    return np.where(largest == -np.inf, 0.0, ratio)
-
-
 def build_ghost_rows(
     classification: NodeClassification,
     strategy: StencilStrategy,
@@ -175,9 +161,12 @@ def build_ghost_rows(
     The ghosts' collars are ``collars`` (one per ghost, in ghost order, as
     ``extend_classification`` returns them) or else projected here.  A
     triangle strategy's level is one stacked solve of the ``triangle_stencils``
-    triangles, the first failing ghost's triangle error or inadmissible
-    solve raised in ghost order; the cone strategies run in the two phases
-    of ``cone_rows``.  The rows are exact to ``strategy.order``.
+    triangles; the cone strategies run in the two phases of ``cone_rows``.
+    Both report each failing ghost's error by ghost index, an inadmissible
+    triangle solve among them, and the level raises the first ghost's, as
+    one ghost at a time would.  The rows are exact to ``strategy.order``.
+    ``r_ratio`` is the ``coefficient_amplification`` of each row's ghost
+    members, 0 for a row without another ghost member.
     """
     solver = GhostOperatorSolver(classification.grid, coeffs.robin, order=strategy.order)
     if collars is None:
@@ -185,29 +174,29 @@ def build_ghost_rows(
     if strategy.kind in TRIANGLE_KINDS:
         member_ij, errors = triangle_stencils(strategy.kind, collars, strategy.triangle_size, classification)
         solves = solver.solve(member_ij, solver.rhs(collars))
-        for k, (error, admissible, residual) in enumerate(zip(errors, solves.admissible, solves.residual)):
-            if error is not None:
-                raise error
-            if not admissible:
-                raise NotAdmissible(
-                    f"{strategy.kind} stencil of ghost {tuple(collars.ghost_ij[k].tolist())} is rank-deficient or "
-                    f"misses its constraints (relative residual {residual:.3e})"
-                )
+        for k in np.flatnonzero(~solves.admissible).tolist():
+            errors.setdefault(k, NotAdmissible(
+                f"{strategy.kind} stencil of ghost {tuple(collars.ghost_ij[k].tolist())} is rank-deficient or "
+                f"misses its constraints (relative residual {solves.residual[k]:.3e})"
+            ))
         sizes, row_coeffs, chi = np.full(len(collars), member_ij.shape[1]), solves.coeffs, solves.chi
         swaps, aperture = np.zeros_like(sizes), np.zeros(len(collars))
     else:
-        (member_ij, sizes, row_coeffs, chi, swaps, aperture), collars = cone_rows(
+        (member_ij, sizes, row_coeffs, chi, swaps, aperture), collars, errors = cone_rows(
             collars, strategy, classification, solver
         )
+    if errors:
+        raise errors[min(errors)]
     kept = np.arange(member_ij.shape[1]) < sizes[:, None]
-    member_ij, row_coeffs = member_ij[kept], row_coeffs[kept]
+    ghost = kept & (classification.index_at(member_ij[..., 0], member_ij[..., 1]) >= classification.n_interior)
+    r_ratio = np.where(ghost[:, 1:].any(axis=1), coefficient_amplification(np.where(ghost, row_coeffs, 0.0)), 0.0)
     return GhostRows(
         sizes=sizes,
-        member_ij=member_ij,
-        coeffs=row_coeffs,
+        member_ij=member_ij[kept],
+        coeffs=row_coeffs[kept],
         rhs=np.asarray(coeffs.robin(collars.point, collars.normal).value, dtype=float),
         chi=chi,
-        r_ratio=_ghost_ratios(classification, sizes, member_ij, row_coeffs),
+        r_ratio=r_ratio,
         collars=collars,
         swaps=swaps,
         aperture=aperture,

@@ -72,6 +72,8 @@ class RunConfig:
             wrong = not isinstance(value, kinds[kind]) or (isinstance(value, bool) and kind != "bool")
             if value is not None and wrong:
                 raise ConfigError(f"config key {f.name!r} must be {kind}, got {value!r}")
+        if self.benchmark != "convection" and (self.kappa, self.u0) != (None, None):
+            raise ConfigError(f"kappa and u0 set the 'convection' benchmark only, not {self.benchmark!r}")
         self.strategy = self.strategy.upper().replace("_", ".")
         if self.n is None and not self.sweep:
             self.n = 160
@@ -87,6 +89,8 @@ class RunConfig:
                 raise ConfigError("sweep grid list must be strictly increasing")
             if self.export_matrix:
                 raise ConfigError("a sweep writes no matrix; --export-matrix needs a single run (--n)")
+            if self.n is not None:
+                raise ConfigError("a sweep runs its own grid sizes; --n needs a single run (no --sweep)")
         self.stencil_strategy()  # every strategy knob is checked before any level runs
 
     def stencil_strategy(self) -> StencilStrategy:

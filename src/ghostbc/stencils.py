@@ -98,7 +98,7 @@ def _toward_boundary(collars: Collars) -> np.ndarray:
 
 def triangle_stencils(
     kind: str, collars: Collars, p: int, classification: NodeClassification
-) -> tuple[np.ndarray, list[InactiveMember | None]]:
+) -> tuple[np.ndarray, dict[int, InactiveMember]]:
     """Every ghost's S1, S2 or S3 triangle of size ``p``, as one (G, M, 2) array.
 
     Row k holds the members of the ghost of collar k, the ghost first,
@@ -108,7 +108,7 @@ def triangle_stencils(
     S3 pushes the S2 members but the ghost along that axis, by the first
     shift (from 0 within one spacing of the boundary, else from 1, up to
     ``MAX_S3_SHIFT``) whose members are active and hold no other ghost.
-    Also returns, per ghost, None or the ``InactiveMember`` it fails with.
+    Also returns the ``InactiveMember`` of each failing ghost, by ghost index.
     """
     ghosts = collars.ghost_ij[:, None]
     signs = np.where(_toward_boundary(collars) >= 0.0, 1, -1)[:, None]
@@ -141,8 +141,8 @@ def triangle_stencils(
         members[fits] = trial[fits]
         unresolved &= ~fits
 
-    errors: list[InactiveMember | None] = [None] * len(collars)
-    for k in np.flatnonzero(unresolved):
+    errors: dict[int, InactiveMember] = {}
+    for k in np.flatnonzero(unresolved).tolist():
         reason = (
             f"references inactive node ({bad_node[k, 0]}, {bad_node[k, 1]})" if had_bad[k]
             else f"cannot exclude other ghosts within shift {MAX_S3_SHIFT}"
@@ -418,14 +418,14 @@ def _cone_batch(
     strategy: StencilStrategy,
     classification: NodeClassification,
     solver: GhostOperatorSolver,
-) -> tuple[list[np.ndarray], list[GhostBcError | None]]:
+) -> tuple[list[np.ndarray], dict[int, NotAdmissible]]:
     """S4.1 growth and the S4.2 swap rounds of all the collar points of a phase.
 
     Reads the ghosts' cones together (``_Cones``), each aimed at its
     collar, and returns their rows as columns ``member_ij`` (B, W, 2)
     (the final members, the ghost first), ``sizes``, ``coeffs`` (B, W),
     ``chi``, the accepted S4.2 ``swaps`` and the final cone ``aperture``,
-    with per ghost None or the ``GhostBcError`` it failed with (its row
+    with the ``NotAdmissible`` of each failing ghost, by row (its row
     then reads zero coefficients and chi ``inf``).  The collars' right-hand
     sides are built once for every stage; without collars the columns are
     empty.  S4.1 is one ``_grow`` of every ghost from the ghost alone.
@@ -448,8 +448,7 @@ def _cone_batch(
     members = np.zeros((len(collars), width), dtype=np.int64)
     members[:, 0] = cones.start
     sizes = np.ones(len(collars), dtype=np.int64)
-    coeffs, chi, failed = _grow(cones, members, sizes, np.arange(len(collars)), rhs, strategy, solver)
-    errors: list[GhostBcError | None] = [failed.get(k) for k in range(len(collars))]
+    coeffs, chi, errors = _grow(cones, members, sizes, np.arange(len(collars)), rhs, strategy, solver)
     ratios = coefficient_amplification(coeffs)
     swaps = np.zeros(len(collars), dtype=np.int64)
     swapping = np.flatnonzero((chi < np.inf) & (ratios >= strategy.lambda_glo))
@@ -477,45 +476,41 @@ def cone_rows(
     strategy: StencilStrategy,
     classification: NodeClassification,
     solver: GhostOperatorSolver,
-) -> tuple[list[np.ndarray], Collars]:
-    """Every ghost's cone row (S4.1-S4.3) as columns, and their collars.
+) -> tuple[list[np.ndarray], Collars, dict[int, GhostBcError]]:
+    """Every ghost's cone row (S4.1-S4.3) as columns, their collars and their failures.
 
     The columns are those of ``_cone_batch``, one row per collar.  Phase 1
     is one ``_cone_batch`` of every ghost: S4.1 growth (and S4.2 swaps).
-    For S4.3, the ghosts whose amplification still reaches the global
-    tolerance get axis-projected collars from one batched projection, and
-    phase 2 is one ``_cone_batch`` of those collars.  A rebuild overwrites
-    its ghost's row and collar (source ``REBUILD``), with the swaps of both
-    phases summed and the wider aperture; a ghost whose axis rays miss the
-    boundary, or whose rebuild is not admissible, keeps its S4.2 row.
-
-    Raises the error of the first failing ghost in collar order, a failing
-    axis projection or rebuild counting as its ghost's failure, as one
-    ghost at a time would: only the ghosts before the first failure of
-    phase 1 are rebuilt, and their failures come first.
+    For S4.3, the ghosts of phase 1 that did not fail and whose
+    amplification still reaches the global tolerance get axis-projected
+    collars from one batched projection, and phase 2 is one ``_cone_batch``
+    of those collars.  A rebuild overwrites its ghost's row and collar
+    (source ``REBUILD``), with the swaps of both phases summed and the
+    wider aperture; a ghost whose axis rays miss the boundary, or whose
+    rebuild is not admissible, keeps its S4.2 row.  Any other failing axis
+    projection or rebuild is its ghost's failure.  Returns the error of
+    each failing ghost by collar row, for ``build_ghost_rows`` to raise.
     """
     columns, errors = _cone_batch(collars, strategy, classification, solver)
     member_ij, sizes, coeffs, chi, swaps, aperture = columns
-    failed = next((k for k, error in enumerate(errors) if error is not None), len(errors))
     if strategy.kind == "S4.3":
-        retry = np.flatnonzero(coefficient_amplification(coeffs[:failed]) >= strategy.lambda_glo)
+        retry = np.setdiff1d(np.flatnonzero(coefficient_amplification(coeffs) >= strategy.lambda_glo), list(errors))
         axis, misses = axis_projection(
             collars.ghost_xy[retry], classification.level_set, classification.grid.h, collars.ghost_ij[retry]
         )
-        projected = ~np.isin(np.arange(len(retry)), list(misses))
+        projected = np.setdiff1d(np.arange(len(retry)), list(misses))
         fresh = axis.take(projected)
         new, new_errors = _cone_batch(fresh, strategy, classification, solver)
-        row = np.cumsum(projected) - 1  # retry r's rebuild is row row[r] of ``new``
-        adopted = np.zeros(len(retry), dtype=bool)
-        for r, k in enumerate(retry.tolist()):
-            error = new_errors[row[r]] if projected[r] else misses[r]
+        rebuilt = retry[projected]  # the ghost of each row of ``fresh``
+        failures = {retry[r]: e for r, e in misses.items()} | {rebuilt[p]: e for p, e in new_errors.items()}
+        for k, error in sorted(failures.items()):
             if isinstance(error, (NoAxisIntersection, NotAdmissible)):
                 ghost = tuple(collars.ghost_ij[k].tolist())
                 logger.info("ghost %s: no S4.3 rebuild (%s); keeping the S4.2 row", ghost, error)
-            elif error is not None:
-                raise error
-            adopted[r] = error is None
-        ks, ps = retry[adopted], row[adopted]
+            else:
+                errors[int(k)] = error
+        ps = np.setdiff1d(np.arange(len(fresh)), list(new_errors))
+        ks = rebuilt[ps]
         member_ij[ks], sizes[ks], coeffs[ks], chi[ks] = (column[ps] for column in new[:4])
         swaps[ks] += new[4][ps]
         aperture[ks] = np.maximum(aperture[ks], new[5][ps])
@@ -523,6 +518,4 @@ def cone_rows(
         rows[ks] = len(collars) + ps
         collars = collars.join(fresh).take(rows)
         collars.source[ks] = Collars.REBUILD
-    if failed < len(errors):
-        raise errors[failed]
-    return columns, collars
+    return columns, collars, errors

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from conftest import (
+    Solve,
     assemble_constraints,
     circle_level_set,
     collar_rows,
@@ -20,7 +21,6 @@ from conftest import (
 import ghostbc as g
 from ghostbc.basis import RobinData, enumerate_basis, monomial_matrix
 from ghostbc import assembly, boundary_ops
-from ghostbc.assembly import _ghost_ratios
 from ghostbc.boundary_ops import (
     RESIDUAL_TOLERANCE,
     GhostOperatorSolver,
@@ -129,8 +129,8 @@ def inject_outcomes(monkeypatch, outcomes):
 
     def injected(collars, *args):
         columns, errors = batch(collars, *args)
-        keys = zip(map(tuple, collars.ghost_ij.tolist()), collars.mode.tolist())
-        return columns, [outcomes.get(key, error) for key, error in zip(keys, errors)]
+        keys = enumerate(zip(map(tuple, collars.ghost_ij.tolist()), collars.mode.tolist()))
+        return columns, errors | {k: outcomes[key] for k, key in keys if key in outcomes}
 
     monkeypatch.setattr(stencils, "_cone_batch", injected)
 
@@ -234,24 +234,44 @@ class TestConditioning:
         cm = assemble_constraints(pts, make_collar(np.zeros(2), [0.05, 0.0]), dirichlet(), np.zeros(2), h, order=2)
         assert solve_one(cm).chi == np.inf
 
-    def test_global_ratio_examples(self, annulus_160):
-        grid, classification = annulus_160
-        interior = classification.interior_ij[40]
-        ghost = classification.ghost_ij[3]
-        members = np.array([ghost, interior, classification.interior_ij[41]])
-        members_with_ghost = np.array([ghost, classification.ghost_ij[4], interior])
-        ratios = _ghost_ratios(
-            classification,
-            np.array([3, 3, 3]),
-            np.concatenate([members, members_with_ghost, members_with_ghost]),
-            np.array([1.0, 5.0, -2.0, 1.0, -2.5, 0.3, 1e-15, -2.5, 0.3]),
-        )
-        # no other ghost member -> empty max convention; a vanishing centre -> inf
-        assert ratios.tolist() == [0.0, 2.5, np.inf]
+    def test_global_ratio_examples(self, annulus_bench, annulus_160, monkeypatch):
+        # ``r_ratio`` through the level: rows handed these coefficients read
+        # the ratio of their largest other ghost member to their centre
+        _, classification = annulus_160
+
+        def ratios(kind, coefficients):
+            """The S2 or S3 level's ``r_ratio``, and the rows handed ``coefficients``.
+
+            Each triple holds a row's centre, its first other ghost member
+            (S3: its first member) and its last interior member; the rows
+            are the first with another ghost member (S3: without one).
+            """
+            strategy = g.StencilStrategy(kind=kind)
+            extended, band = g.extend_classification(classification, strategy)
+            rows = g.build_ghost_rows(extended, strategy, annulus_bench.coefficients, band)
+            members = rows.member_ij.reshape(len(rows), -1, 2)
+            other_ghost = extended.ghost_mask[tuple(members[:, 1:].transpose(2, 0, 1))]
+            ks = np.flatnonzero(other_ghost.any(axis=1) == (kind == "S2"))[:len(coefficients)]
+            replacements = {}
+            for k, row in zip(ks.tolist(), coefficients):
+                values = np.zeros(members.shape[1])
+                values[[0, 1 + np.argmax(other_ghost[k]), 1 + np.flatnonzero(~other_ghost[k])[-1]]] = row
+                replacements[tuple(rows.collars.ghost_ij[k].tolist())] = Solve(values, 1.0, 0.0, True)
+            with monkeypatch.context() as patch:
+                replace_solves(patch, replacements)
+                replaced = g.build_ghost_rows(extended, strategy, annulus_bench.coefficients, band)
+            return replaced.r_ratio, ks
+
+        # no other ghost member -> empty max convention, even for a vanishing
+        # centre: every S3 row reads 0
+        r_ratio, ks = ratios("S3", [(1.0, 5.0, -2.0), (1e-15, 5.0, -2.0)])
+        assert len(ks) == 2 and r_ratio.tolist() == [0.0] * len(r_ratio)
+        # (centre, a ghost member, an interior member); a vanishing centre -> inf
+        r_ratio, ks = ratios("S2", [(1.0, -2.5, 0.3), (1e-15, -2.5, 0.3)])
+        assert r_ratio[ks].tolist() == [2.5, np.inf]
         # a ghost member with a zero coefficient still counts as a ghost member
-        ratios = _ghost_ratios(classification, np.array([3, 3]), np.concatenate([members_with_ghost] * 2),
-                               np.array([2.0, 0.0, 9.0, 0.0, 0.0, 9.0]))
-        assert ratios.tolist() == [0.0, np.inf]
+        r_ratio, ks = ratios("S2", [(2.0, 0.0, 9.0), (0.0, 0.0, 9.0)])
+        assert r_ratio[ks].tolist() == [0.0, np.inf]
 
     def test_amplification(self):
         assert coefficient_amplification(np.array([2.0, -6.0, 1.0])) == 3.0
@@ -656,7 +676,7 @@ class TestLockstepLevel:
 
         def with_inactive(kind, collars, p, classification):
             members, errors = build(kind, collars, p, classification)
-            return members, [stored if tuple(ij) == inactive else e for ij, e in zip(collars.ghost_ij.tolist(), errors)]
+            return members, errors | {k: stored for k, ij in enumerate(collars.ghost_ij.tolist()) if tuple(ij) == inactive}
 
         monkeypatch.setattr(assembly, "triangle_stencils", with_inactive)
         with pytest.raises(GhostBcError) as error:

@@ -251,6 +251,56 @@ class TestMain:
         assert json.loads((out / "error.json").read_text()) == record
         assert not (out / "orders.json").exists() and not (out / "matrix.mtx").exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--benchmark", "annulus", "--kappa", "3", "--u0", "7", "--n", "32"],
+          "kappa and u0 set the 'convection' benchmark only, not 'annulus'"),
+         (["--benchmark", "conv-bl2", "--kappa", "3", "--n", "32"],
+          "kappa and u0 set the 'convection' benchmark only, not 'conv-bl2'"),
+         (["--benchmark", "flower", "--u0", "7", "--sweep", "32,48,64"],
+          "kappa and u0 set the 'convection' benchmark only, not 'flower'"),
+         (["--n", "100", "--sweep", "32,48,64"], "a sweep runs its own grid sizes; --n needs a single run (no --sweep)"),
+         (["--sweep", "8,32,48"], "sweep grid sizes must be >= 16")],
+        ids=["kappa-u0-annulus", "kappa-preset", "u0-sweep", "n-and-sweep", "sweep-below-minimum"],
+    )
+    def test_refused_run_exits_2_before_any_level(self, tmp_path, capsys, monkeypatch, args, message):
+        # kappa and u0 set only the 'convection' benchmark and a sweep runs
+        # only its own grids, each at least MIN_GRID: a knob the run would
+        # not use is refused, not echoed unused in the artifacts
+        def no_level(*args):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(cli, "execute_level", no_level)
+        out = tmp_path / "o"
+        assert main(["run", *args, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ConfigError", "message": message}
+        assert json.loads((out / "error.json").read_text()) == record
+        assert sorted(path.name for path in out.iterdir()) == ["error.json"]
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"], ids=["missing", "not-json", "not-an-object"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "c.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["run", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        if content == "[1, 2]":
+            assert record["message"] == "config file must hold a JSON object"
+        else:
+            assert record["message"].startswith(f"cannot read config {path}: ")
+
+    def test_sweep_whose_every_level_fails_exits_1(self, tmp_path, capsys):
+        # S1 on the coarse flower fails its band closure at both grids
+        out = tmp_path / "s1"
+        assert main(["run", "--benchmark", "flower", "--strategy", "S1", "--sweep", "40,80", "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "GhostBcError", "message": "every sweep level failed"}
+        assert json.loads((out / "error.json").read_text()) == record
+        orders = json.loads((out / "orders.json").read_text())
+        assert orders["levels_used"] == [] and [f["n"] for f in orders["failures"]] == [40, 80]
+
     def test_exact_injection_validates_plumbing(self, tmp_path):
         out = tmp_path / "inj"
         code = main([
@@ -348,6 +398,30 @@ class TestSweepLevels:
         assert checks == ["annulus-quartic"]
 
 
+class TestArtifacts:
+    def test_sweep_ghost_tables_equal_the_single_runs(self, tmp_path):
+        # ghosts_n<n>.csv of a sweep is the ghosts.csv of the single run at n
+        sweep = tmp_path / "sweep"
+        assert main(["run", "--benchmark", "conv-bl2", "--sweep", "32,48,64", "--export-diagnostics",
+                     "--out", str(sweep)]) == 0
+        assert sorted(path.name for path in sweep.glob("ghosts*")) == [
+            "ghosts_n32.csv", "ghosts_n48.csv", "ghosts_n64.csv"
+        ]
+        single = tmp_path / "single"
+        assert main(["run", "--benchmark", "conv-bl2", "--n", "48", "--out", str(single)]) == 0
+        assert (sweep / "ghosts_n48.csv").read_bytes() == (single / "ghosts.csv").read_bytes()
+
+    def test_run_json_holds_the_peclet_numbers(self, tmp_path):
+        # conv-bl2 is kappa = 1, u0 = 25, nominal Pe 20
+        out = tmp_path / "pe"
+        assert main(["run", "--benchmark", "conv-bl2", "--n", "48", "--out", str(out)]) == 0
+        payload = strict_json((out / "run.json").read_text())
+        assert payload["peclet"] == {"global": 21.650635094610966, "cell": 25.0 * payload["h"], "nominal": 20.0}
+        annulus = tmp_path / "annulus"
+        assert main(["run", "--benchmark", "annulus", "--n", "32", "--out", str(annulus)]) == 0
+        assert "peclet" not in strict_json((annulus / "run.json").read_text())
+
+
 class TestDeterminism:
     def test_identical_reruns_are_byte_identical(self, tmp_path):
         out = tmp_path / "a"
@@ -394,7 +468,8 @@ def test_build_config_rejects_unknown_keys(tmp_path):
 )
 def test_small_grid_levels_give_finite_norms_or_a_typed_error(name, kind, n):
     # many levels in one process share the rank-screen and benchmark memos
-    cfg = RunConfig(benchmark=name, strategy=kind, n=n, kappa=1.5, u0=3.0)
+    convection = {"kappa": 1.5, "u0": 3.0} if name == "convection" else {}
+    cfg = RunConfig(benchmark=name, strategy=kind, n=n, **convection)
     try:
         errors = cli.execute_level(cfg, cfg.make_benchmark(), n).errors
     except GhostBcError:

@@ -60,9 +60,9 @@ def inward_signs(collar):
 
 def triangle(kind, collar, p, classification):
     """One ghost's triangle through the level-wide builder; raises its error."""
-    (members,), (error,) = triangle_stencils(kind, collar, p, classification)
-    if error is not None:
-        raise error
+    (members,), errors = triangle_stencils(kind, collar, p, classification)
+    if errors:
+        raise errors[0]
     return members
 
 
@@ -142,9 +142,10 @@ def assert_level_matches_reference(kind, collars, p, classification):
     """
     members, errors = triangle_stencils(kind, collars, p, classification)
     assert members.shape == (len(collars), (p + 1) * (p + 2) // 2, 2)
-    assert len(errors) == len(collars)
+    assert set(errors) <= set(range(len(collars)))
     failed = 0
-    for collar, row, error in zip(collar_rows(collars), members, errors):
+    for k, (collar, row) in enumerate(zip(collar_rows(collars), members)):
+        error = errors.get(k)
         try:
             expected = reference_triangle(kind, collar, p, classification)
         except InactiveMember as exc:
@@ -241,7 +242,7 @@ class TestTriangles:
         classification = g.classify_nodes(grid, ls)
         collars = g.collars_for_ghosts(classification.ghost_ij, grid, ls)
         _, errors = triangle_stencils("S1", collars, 4, classification)
-        failing = [error for error in errors if error is not None]
+        failing = [errors[k] for k in sorted(errors)]
         assert failing and all(type(error) is InactiveMember for error in failing)
         # the level raises the first failing ghost's error
         with pytest.raises(InactiveMember) as raised:
@@ -278,11 +279,11 @@ class TestTriangles:
         s2, s2_errors = triangle_stencils("S2", collars, 4, classification)
         s3, s3_errors = triangle_stencils("S3", collars, 4, classification)
         for k, collar in enumerate(collar_rows(collars)):
-            if np.linalg.norm(displacement(collar)) > grid.h or s2_errors[k] is not None:
+            if np.linalg.norm(displacement(collar)) > grid.h or k in s2_errors:
                 continue
             if classification.ghost_mask[tuple(s2[k, 1:].T)].any():
                 continue
-            assert s3_errors[k] is None
+            assert k not in s3_errors
             assert {tuple(m) for m in s3[k]} == {tuple(m) for m in s2[k]}
             break
         else:
@@ -292,7 +293,7 @@ class TestTriangles:
         grid, classification = annulus_160
         collars = g.collars_for_ghosts(classification.ghost_ij, grid, annulus_bench.level_set)
         members, errors = triangle_stencils("S3", collars, 4, classification)
-        assert errors == [None] * len(collars)
+        assert errors == {}
         for ghost, row in zip(collars.ghost_ij.tolist(), members):
             assert row[0].tolist() == ghost
             assert (classification.active_index[tuple(row.T)] >= 0).all()
@@ -374,7 +375,7 @@ def test_perturbed_geometry_triangles(annulus_bench, shape, n, shift):
         except GhostBcError:
             continue
         members, errors = triangle_stencils(kind, rows.collars, 4, classification)
-        assert errors == [None] * len(rows)
+        assert errors == {}
         assert np.array_equal(rows.member_ij, members.reshape(-1, 2))
 
 
@@ -588,7 +589,7 @@ class TestConeStrategies:
         (members, sizes, _, _, swaps, aperture), errors = _cone_batch(
             s43.collars.take(rebuilt), strategy, classification, solver
         )
-        assert errors == [None] * len(rebuilt)
+        assert errors == {}
         for k, member_ij, size, swaps, aperture in zip(rebuilt, members, sizes, swaps, aperture, strict=True):
             assert np.array_equal(members43[k], member_ij[:size])
             assert s43.swaps[k] == s42.swaps[k] + swaps
@@ -644,16 +645,16 @@ class TestConeStrategies:
 
     def test_phase_2_without_collars(self, monkeypatch):
         # Without collars the cone stage gives empty columns.  No stencil
-        # gets chi below 1, so the first ghost fails phase 1 before any
-        # ghost is to be rebuilt: phase 2 gets no collars and the level
-        # raises phase 1's error.  Order 2 keeps the failing level cheap.
+        # gets chi below 1, so every ghost fails phase 1 and none is to be
+        # rebuilt: phase 2 gets no collars and the level raises the first
+        # ghost's phase-1 error.  Order 2 keeps the failing level cheap.
         bench, grid = g.RunConfig(benchmark="annulus", strategy="S4.3", n=16).make_benchmark(), g.Grid(16)
         classification = g.classify_nodes(grid, bench.level_set)
         strategy = g.StencilStrategy(kind="S4.3", lambda_loc=1.0, order=2)
         solver = GhostOperatorSolver(grid, bench.coefficients.robin, order=strategy.order)
         none = g.collars_for_ghosts(classification.ghost_ij[:0], grid, bench.level_set)
         columns, errors = _cone_batch(none, strategy, classification, solver)
-        assert errors == []
+        assert errors == {}
         assert [(c.shape, c.dtype.kind) for c in columns] == [
             ((0, MAX_STENCIL_SIZE, 2), "i"), ((0,), "i"), ((0, MAX_STENCIL_SIZE), "f"), ((0,), "f"), ((0,), "i"),
             ((0,), "f"),
@@ -800,7 +801,7 @@ class TestExtension:
         collars = g.collars_for_ghosts(extended.ghost_ij, grid, annulus_bench.level_set)
         assert same_collars(band, collars)
         members, errors = triangle_stencils("S1", collars, strategy.triangle_size, extended)
-        assert errors == [None] * len(collars)
+        assert errors == {}
         assert (extended.active_index[tuple(members.reshape(-1, 2).T)] >= 0).all()
 
     @pytest.mark.parametrize("failing_call", [1, 2])
@@ -829,6 +830,28 @@ class TestExtension:
                 "S1 band closure round 1 promoted an exterior node that has no collar point: "
                 "no axis ray from the node crosses the boundary"
             )
+
+    @pytest.mark.parametrize("kind", ["S1", "S2"])
+    def test_triangle_leaving_the_lattice_fails_the_closure(self, kind):
+        # A one-node disc two nodes from the left edge: the boundary lies
+        # left of ghost (3, 8), so its triangle runs four nodes left, past i = 0.
+        grid = g.Grid(16)
+        classification = g.classify_nodes(grid, circle_level_set(0.6 * grid.h, center=(-1.0 + 2 * grid.h, 0.0)))
+        assert classification.interior_ij.tolist() == [[2, 8]]
+        with pytest.raises(InactiveMember) as error:
+            extend_classification(classification, g.StencilStrategy(kind=kind))
+        assert str(error.value) == f"{kind} stencil of ghost (3, 8) leaves the lattice at (-1, 8)"
+
+    def test_band_that_does_not_close_in_time_fails(self, monkeypatch):
+        # leaf S1 at n=32 closes in its second round
+        bench = benchmarks.by_name("leaf")
+        classification = g.classify_nodes(g.Grid(32), bench.level_set)
+        strategy = g.StencilStrategy(kind="S1")
+        extended, _ = extend_classification(classification, strategy)
+        assert extended.n_ghost > classification.n_ghost
+        monkeypatch.setattr(stencils, "MAX_EXTENSION_ROUNDS", 1)
+        with pytest.raises(InactiveMember, match=r"^S1 ghost band did not close within 1 extension rounds$"):
+            extend_classification(classification, strategy)
 
     def test_cone_strategies_do_not_extend(self, annulus_bench, annulus_160):
         grid, classification = annulus_160

@@ -89,11 +89,14 @@ MUTANTS = {
         ["tests/test_cli.py::TestMain::test_triangle_with_too_few_members_exits_2"],
     ),
     "M9": (
-        "a cone level raises its last failing ghost's error, not its first",
-        "src/ghostbc/stencils.py",
-        "failed = next((k for k, error in enumerate(errors) if error is not None), len(errors))",
-        "failed = max((k for k, error in enumerate(errors) if error is not None), default=len(errors))",
-        ["tests/test_boundary_ops.py::TestLockstepLevel::test_first_failing_ghost_raises"],
+        "a level raises its last failing ghost's error, not its first",
+        "src/ghostbc/assembly.py",
+        "raise errors[min(errors)]",
+        "raise errors[max(errors)]",
+        [
+            "tests/test_boundary_ops.py::TestLockstepLevel::test_first_failing_ghost_raises",
+            "tests/test_boundary_ops.py::TestLockstepLevel::test_triangle_level_raises_the_first_ghosts_error",
+        ],
     ),
     "M10": (
         "a sweep that asks for a matrix is not refused",
@@ -192,6 +195,27 @@ MUTANTS = {
         "np.concatenate((xi, eta), axis=None).view(np.int64)",
         "np.concatenate((xi, eta), axis=None)",
         ["tests/test_basis.py::TestEvalMonomial::test_stack_equals_its_slices"],
+    ),
+    "M24": (
+        "the ghost ratio counts a row's centre as another ghost member",
+        "src/ghostbc/assembly.py",
+        "ghost[:, 1:].any(axis=1)",
+        "ghost.any(axis=1)",
+        ["tests/test_boundary_ops.py::TestConditioning::test_global_ratio_examples"],
+    ),
+    "M25": (
+        "kappa and u0 given for a benchmark that ignores them are not refused",
+        "src/ghostbc/cli.py",
+        '        if self.benchmark != "convection" and (self.kappa, self.u0) != (None, None):\n            raise',
+        "        if False:\n            raise",
+        ["tests/test_cli.py::TestMain::test_refused_run_exits_2_before_any_level"],
+    ),
+    "M26": (
+        "a sweep that is given --n is not refused",
+        "src/ghostbc/cli.py",
+        "            if self.n is not None:\n                raise ConfigError(",
+        "            if False:\n                raise ConfigError(",
+        ["tests/test_cli.py::TestMain::test_refused_run_exits_2_before_any_level"],
     ),
 }
 

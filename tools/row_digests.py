@@ -26,8 +26,9 @@ from ghostbc.errors import GhostBcError
 from ghostbc.geometry import Collars
 
 #: The gate levels: every strategy on every domain at a coarse grid, the
-#: three S4.3 levels of the benchmark workloads' grid sizes and a failing
-#: leaf S3 level.
+#: three S4.3 levels of the benchmark workloads' grid sizes, a failing
+#: leaf S3 level and a failing order-6 annulus S4.3 level (a cone level
+#: whose first failing ghost is raised).
 GATE = (
     ("annulus", "S1", 64), ("annulus", "S2", 96), ("annulus", "S3", 96), ("annulus", "S4.1", 80),
     ("annulus", "S4.2", 96), ("annulus", "S4.3", 160),
@@ -37,6 +38,7 @@ GATE = (
     ("hourglass", "S4.3", 160), ("hourglass", "S4.2", 128),
     ("leaf", "S4.3", 160), ("leaf", "S3", 128),
     ("flower", "S4.3", 283), ("annulus", "S4.3", 343), ("annulus", "S4.3", 502),
+    ("annulus", "S4.3", 48, 6),
 )
 
 COLUMNS = ("sizes", "member_ij", "coeffs", "rhs", "chi", "r_ratio", "swaps", "aperture")
